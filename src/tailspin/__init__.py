@@ -66,7 +66,7 @@ from .pipeline import (
     run_two_stage,
     select_freeze_policy,
 )
-from .ssl import SSLMethod, barlow_twins_loss, byol_loss, encode_pair, nt_xent_loss, pretrain_epoch, simsiam_loss
+from .ssl import SSLMethod, barlow_twins_loss, byol_loss, nt_xent_loss, pretrain_epoch, simsiam_loss
 from .tensor import Tape, Tensor, finite_diff_check, l2_normalize, log_sum_exp, softmax, stop_gradient
 
 __version__ = "0.1.0"

@@ -14,12 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as tio
 from .config import ExperimentConfig, config_load, describe_defaults, summary_payload, write_resolved
-from .data import AugmentationSpec
-from .errors import ConfigError, TailspinError
+from .data import AugmentationSpec, Dataset
+from .errors import ConfigError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
 from .gradcheck import TOLERANCE, battery
 from .nn import build_model
@@ -28,6 +26,7 @@ from .pipeline import (
     FinetuneSettings,
     PretrainSettings,
     build_finetune_head,
+    corrupt_train,
     evaluate_classifier,
     finetune,
     make_datasets,
@@ -35,6 +34,7 @@ from .pipeline import (
     run_single_stage,
     run_two_stage,
     select_freeze_policy,
+    summarize,
 )
 from .seeding import derive
 from .ssl import SSLMethod
@@ -80,7 +80,6 @@ def _pretrain_settings(cfg: ExperimentConfig) -> PretrainSettings:
         method=method,
         optimizer=optimizer,
         schedule=schedule,
-        epochs=cfg["pretrain.epochs"],
         augmentation=augmentation,
         disable_stop_gradient=cfg["pretrain.disable_stop_gradient"],
     )
@@ -110,16 +109,41 @@ def _knn_config(cfg: ExperimentConfig) -> KNNConfig:
     return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
 
 
-def _build_model(cfg: ExperimentConfig):
-    return build_model(
-        cfg["pretrain.method"],
-        input_dim=cfg["data.dim"],
-        hidden_dim=cfg["model.hidden_dim"],
-        rep_dim=cfg["model.rep_dim"],
-        proj_dim=cfg["model.proj_dim"],
-        pred_hidden=cfg["model.pred_hidden"],
-        seed=derive(cfg.seed, "model"),
-    )
+def _model_dims(cfg: ExperimentConfig) -> dict:
+    return {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
+
+
+def _generation_args(cfg: ExperimentConfig) -> dict:
+    return dict(num_classes=cfg["data.num_classes"], per_class=cfg["data.per_class"], dim=cfg["data.dim"],
+                separation=cfg["data.separation"], run_seed=cfg.seed, test_per_class=cfg["data.test_per_class"])
+
+
+def _save_dataset(ds: Dataset, directory: Path, cfg: ExperimentConfig, gamma: float = 1.0, nu: float = 0.0) -> None:
+    """Every dataset directory carries the same provenance block."""
+    true_counts = ds.true_counts()
+    tio.save_dataset(ds, directory, provenance={
+        "seed": cfg.seed,
+        "gamma": gamma,
+        "nu": nu,
+        "class_counts": ds.observed_counts().tolist(),
+        "min_class_count": int(true_counts.min()),
+        "max_class_count": int(true_counts.max()),
+    })
+
+
+def _fresh_metrics(out: Path) -> tio.MetricsWriter:
+    """A metrics sink that starts the file over; only ``finetune`` appends."""
+    (out / "metrics.jsonl").unlink(missing_ok=True)
+    return tio.MetricsWriter(out / "metrics.jsonl")
+
+
+def _recorded(cfg: ExperimentConfig, key: str, value, source: Path):
+    """A setting taken from an artifact; a non-default config value that contradicts it is an error."""
+    if value is None:
+        raise ValidationError(f"{source} records no value for {key}")
+    if not cfg.is_default(key) and cfg[key] != value:
+        raise ConfigError(f"{key}={cfg[key]} contradicts {source}, which records {value}")
+    return value
 
 
 def _train_dir(out: Path) -> Path:
@@ -131,46 +155,17 @@ def _train_dir(out: Path) -> Path:
 # subcommand handlers
 
 def _cmd_generate(cfg: ExperimentConfig) -> None:
-    from .data import generate_synthetic
-
-    out = cfg.output_dir
-    data_seed = derive(cfg.seed, "data")
-    common = dict(
-        num_classes=cfg["data.num_classes"],
-        dim=cfg["data.dim"],
-        cluster_separation=cfg["data.separation"],
-        seed=data_seed,
-    )
-    train = generate_synthetic(per_class=cfg["data.per_class"], split="train", **common)
-    test = generate_synthetic(per_class=cfg["data.test_per_class"], split="test", **common)
-    prov = {"generator": "gaussian_clusters", "seed": cfg.seed, "gamma": 1.0, "nu": 0.0,
-            "separation": cfg["data.separation"]}
-    tio.save_dataset(train, out / "data" / "train", provenance=prov)
-    tio.save_dataset(test, out / "data" / "test", provenance={**prov, "split": "test"})
+    train, test = make_datasets(gamma=1.0, nu=0.0, **_generation_args(cfg))
+    _save_dataset(train, cfg.output_dir / "data" / "train", cfg)
+    _save_dataset(test, cfg.output_dir / "data" / "test", cfg)
     log.info("generated %d train and %d test samples", train.num_samples, test.num_samples)
 
 
 def _cmd_corrupt(cfg: ExperimentConfig) -> None:
-    from .data import ImbalanceSpec, NoiseSpec, apply_exponential_imbalance, inject_symmetric_noise
-
-    out = cfg.output_dir
-    ds = tio.load_dataset(out / "data" / "train")
     gamma, nu = cfg["data.gamma"], cfg["data.nu"]
-    if gamma > 1.0:
-        ds = apply_exponential_imbalance(ds, ImbalanceSpec(gamma, seed=derive(cfg.seed, "imbalance")))
-    if nu > 0.0:
-        ds = inject_symmetric_noise(ds, NoiseSpec(nu, seed=derive(cfg.seed, "noise")))
-    counts = ds.observed_counts()
-    prov = {
-        "gamma": gamma,
-        "nu": nu,
-        "seed": cfg.seed,
-        "class_counts": counts.tolist(),
-        "min_class_count": int(ds.true_counts().min()),
-        "max_class_count": int(ds.true_counts().max()),
-    }
-    tio.save_dataset(ds, out / "data" / "train-corrupted", provenance=prov)
-    log.info("corrupted train set: gamma=%s nu=%s counts=%s", gamma, nu, counts.tolist())
+    ds = corrupt_train(tio.load_dataset(cfg.output_dir / "data" / "train"), gamma, nu, cfg.seed)
+    _save_dataset(ds, cfg.output_dir / "data" / "train-corrupted", cfg, gamma, nu)
+    log.info("corrupted train set: gamma=%s nu=%s counts=%s", gamma, nu, ds.observed_counts().tolist())
 
 
 def _cmd_pretrain(cfg: ExperimentConfig) -> None:
@@ -178,57 +173,46 @@ def _cmd_pretrain(cfg: ExperimentConfig) -> None:
     train = tio.load_dataset(_train_dir(out))
     test_dir = out / "data" / "test"
     test = tio.load_dataset(test_dir) if (test_dir / "manifest.json").is_file() else None
-    model = _build_model(cfg)
+    model = build_model(cfg["pretrain.method"], train.feature_dim, seed=derive(cfg.seed, "model"), **_model_dims(cfg))
     settings = _pretrain_settings(cfg)
-    with tio.MetricsWriter(out / "metrics.jsonl") as sink:
+    with _fresh_metrics(out) as sink:
         pretrain(model, train, settings, cfg.seed, knn_cfg=_knn_config(cfg), test_set=test, sink=sink)
     tio.save_checkpoint(out / "checkpoints" / "pretrained", model, extra={"stage": "pretrain"})
-    log.info("pretraining done: %s epochs of %s", settings.epochs, settings.method.name)
+    log.info("pretraining done: %s epochs of %s", settings.schedule.total_epochs, settings.method.name)
 
 
 def _cmd_finetune(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    train = tio.load_dataset(_train_dir(out))
+    train_dir, checkpoint = _train_dir(out), out / "checkpoints" / "pretrained"
+    train = tio.load_dataset(train_dir)
     test = tio.load_dataset(out / "data" / "test")
-    model, _, _ = tio.load_checkpoint(out / "checkpoints" / "pretrained")
+    model, _, _ = tio.load_checkpoint(checkpoint)
     if model is None:
         raise ConfigError("pretrained checkpoint has no model")
-    method = cfg["pretrain.method"]
+    nu = _recorded(cfg, "data.nu", tio.dataset_provenance(train_dir).get("nu"), train_dir)
+    method = _recorded(cfg, "pretrain.method", model.arch.get("method"), checkpoint)
     settings = _finetune_settings(cfg)
-    policy = settings.freeze_override or select_freeze_policy(method, cfg["data.nu"])
+    policy = settings.freeze_override or select_freeze_policy(method, nu)
     head = build_finetune_head(model, train.num_classes, method, derive(cfg.seed, "model"))
     with tio.MetricsWriter(out / "metrics.jsonl") as sink:
         finetune(model, head, train, settings, policy, cfg.seed, test_set=test, sink=sink)
     tio.save_checkpoint(out / "checkpoints" / "finetuned", model, head, extra={"stage": "finetune"})
     report = evaluate_classifier(model, head, test)
-    summary = {
-        "seed": cfg.seed,
-        "overall_accuracy": report.overall,
-        "balanced_accuracy": report.balanced,
-        "per_class_accuracy": [float(v) if np.isfinite(v) else None for v in report.per_class],
-        "knn_accuracy": None,
-        "stages": {"finetune": settings.epochs},
-    }
+    summary = summarize(report, None, cfg.seed, {"finetune": settings.epochs})
     (out / "summary.json").write_text(summary_payload(cfg, summary))
     log.info("finetune done: balanced accuracy %.4f", report.balanced)
 
 
 def _cmd_run(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    train, test = make_datasets(
-        cfg["data.num_classes"], cfg["data.per_class"], cfg["data.dim"], cfg["data.separation"],
-        cfg["data.gamma"], cfg["data.nu"], cfg.seed, test_per_class=cfg["data.test_per_class"],
-    )
-    prov = {"gamma": cfg["data.gamma"], "nu": cfg["data.nu"], "seed": cfg.seed,
-            "class_counts": train.observed_counts().tolist()}
-    tio.save_dataset(train, out / "data" / "train-corrupted", provenance=prov)
-    tio.save_dataset(test, out / "data" / "test", provenance={"split": "test", "seed": cfg.seed})
-    metrics_path = out / "metrics.jsonl"
-    metrics_path.unlink(missing_ok=True)
-    with tio.MetricsWriter(metrics_path) as sink:
+    gamma, nu = cfg["data.gamma"], cfg["data.nu"]
+    train, test = make_datasets(gamma=gamma, nu=nu, **_generation_args(cfg))
+    _save_dataset(train, out / "data" / "train-corrupted", cfg, gamma, nu)
+    _save_dataset(test, out / "data" / "test", cfg)
+    with _fresh_metrics(out) as sink:
         result = run_two_stage(
             train, test, _pretrain_settings(cfg), _finetune_settings(cfg), cfg.seed,
-            nu_for_policy=cfg["data.nu"], knn_cfg=_knn_config(cfg), sink=sink,
+            nu_for_policy=nu, knn_cfg=_knn_config(cfg), sink=sink, model_dims=_model_dims(cfg),
         )
     tio.save_checkpoint(out / "checkpoints" / "pretrained", result.model, extra={"stage": "pretrain"})
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "finetune"})
@@ -241,17 +225,11 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    train, test = make_datasets(
-        cfg["data.num_classes"], cfg["data.per_class"], cfg["data.dim"], cfg["data.separation"],
-        cfg["data.gamma"], cfg["data.nu"], cfg.seed, test_per_class=cfg["data.test_per_class"],
-    )
-    metrics_path = out / "metrics.jsonl"
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path.unlink(missing_ok=True)
-    with tio.MetricsWriter(metrics_path) as sink:
+    train, test = make_datasets(gamma=cfg["data.gamma"], nu=cfg["data.nu"], **_generation_args(cfg))
+    with _fresh_metrics(out) as sink:
         result = run_single_stage(
             train, test, cfg["pretrain.method"], _finetune_settings(cfg),
-            cfg["single_stage.epochs"], cfg.seed, sink=sink,
+            cfg["single_stage.epochs"], cfg.seed, sink=sink, model_dims=_model_dims(cfg),
         )
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})
     (out / "summary.json").write_text(summary_payload(cfg, result.summary))
@@ -274,7 +252,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> None:
         payload.update(
             overall_accuracy=report.overall,
             balanced_accuracy=report.balanced,
-            per_class_accuracy=[float(v) if np.isfinite(v) else None for v in report.per_class],
+            per_class_accuracy=report.per_class_json(),
             confusion=report.confusion.tolist(),
         )
     if cfg["eval.export_embeddings"]:

@@ -73,8 +73,8 @@ class ExperimentConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str):
-        return self.values[key]
+    def is_default(self, key: str) -> bool:
+        return self.values[key] == _SPEC[key][1]
 
     @property
     def seed(self) -> int:
@@ -92,12 +92,9 @@ class ExperimentConfig:
         """SHA-256 over every resolved key except run.output_dir, which names
         where results land rather than what the experiment is; identical
         experiments written to different directories hash identically."""
-        lines = [
-            f"{key} = {_format_value(self.values[key])}"
-            for key in sorted(self.values)
-            if key != "run.output_dir"
-        ]
-        return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+        lines = self.resolved_text().splitlines(keepends=True)
+        kept = "".join(line for line in lines if not line.startswith("run.output_dir = "))
+        return hashlib.sha256(kept.encode("utf-8")).hexdigest()
 
     def superloss_tau(self) -> float | None:
         raw = self.values["finetune.tau"]

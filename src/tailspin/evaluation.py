@@ -160,6 +160,10 @@ class AccuracyReport:
     confusion: np.ndarray  # rows normalized by true-class counts
     missing_classes: list[int] = field(default_factory=list)
 
+    def per_class_json(self) -> list[float | None]:
+        """Per-class accuracies for JSON output, NaN (class absent) as None."""
+        return [float(v) if np.isfinite(v) else None for v in self.per_class]
+
 
 def accuracy_suite(predictions: np.ndarray, labels_true: np.ndarray, num_classes: int) -> AccuracyReport:
     """Overall, per-class, and balanced accuracy plus a row-normalized confusion matrix.

@@ -1,12 +1,15 @@
-"""SGD and Adam steps, learning-rate scaling, and the warmup + cosine schedule."""
+"""SGD and Adam steps, learning-rate scaling, the warmup + cosine schedule, and
+the one minibatch training pass every stage runs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ValidationError
-from .tensor import Tensor
+from .seeding import rng_for
+from .tensor import Tape, Tensor
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 SCHEDULE_KINDS = ("cosine", "constant")
@@ -67,37 +70,41 @@ def lr_at(schedule: ScheduleConfig, epoch: int, effective_lr: float) -> float:
     return effective_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def _checked_grad(p: Tensor) -> np.ndarray:
-    g = p.grad
-    if not np.all(np.isfinite(g)):
-        raise NumericError("optimizer step: gradient contains NaN or Inf, aborting run")
-    return g
+class _Optimizer:
+    """Parameters plus the gradient both optimizers step on: checked finite,
+    with weight decay coupled (added to the gradient)."""
 
-
-class Sgd:
-    """v <- momentum * v + (g + wd * theta); theta <- theta - lr * v."""
-
-    def __init__(self, params: list[Tensor], momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
-        self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self.velocity):
-            g = _checked_grad(p)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data -= lr * v
+    def _grad(self, p: Tensor) -> np.ndarray:
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise NumericError("optimizer step: gradient contains NaN or Inf, aborting run")
+        return g + self.weight_decay * p.data if self.weight_decay else g
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
 
-class Adam:
+class Sgd(_Optimizer):
+    """v <- momentum * v + (g + wd * theta); theta <- theta - lr * v."""
+
+    def __init__(self, params: list[Tensor], momentum: float = 0.0, weight_decay: float = 0.0):
+        super().__init__(params, weight_decay)
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr: float) -> None:
+        for p, v in zip(self.params, self.velocity):
+            v *= self.momentum
+            v += self._grad(p)
+            p.data -= lr * v
+
+
+class Adam(_Optimizer):
     """Bias-corrected Adam; weight decay is coupled (added to the gradient)."""
 
     def __init__(
@@ -108,9 +115,8 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        self.params = list(params)
+        super().__init__(params, weight_decay)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -120,21 +126,47 @@ class Adam:
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = _checked_grad(p)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
+            g = self._grad(p)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):
     if cfg.kind == "sgd":
         return Sgd(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     return Adam(params, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
+
+
+def train_epoch(
+    optimizer,
+    lr: float,
+    loss_fn: Callable[[np.ndarray], Tensor],
+    num_samples: int,
+    batch_size: int,
+    run_seed: int,
+    stage: str,
+    epoch: int,
+    min_batch: int = 1,
+    after_step: Callable[[], None] | None = None,
+) -> float:
+    """One pass in ("shuffle", stage, epoch) order: tape ``loss_fn(batch indices)``,
+    backpropagate, step at ``lr``, zero the gradients; returns the mean loss.
+    Batches under ``min_batch`` are skipped; ``after_step`` runs after each step."""
+    order = rng_for(run_seed, "shuffle", stage, epoch).permutation(num_samples)
+    losses = []
+    for start in range(0, num_samples, batch_size):
+        idx = order[start : start + batch_size]
+        if idx.size < min_batch:
+            continue
+        with Tape() as tape:
+            loss = loss_fn(idx)
+            tape.backward(loss)
+        optimizer.step(lr)
+        optimizer.zero_grad()
+        if after_step is not None:
+            after_step()
+        losses.append(loss.item())
+    return float(np.mean(losses))

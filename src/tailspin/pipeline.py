@@ -7,7 +7,8 @@ consumed exclusively by evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,10 +26,10 @@ from .errors import ConfigError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, knn_classify
 from .losses import SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model, build_model
-from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr
+from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 FULL_HEAD = "full_head"
 LAST_LAYER_ONLY = "last_layer_only"
@@ -83,10 +84,11 @@ def _head_trainable(head: Mlp, policy: str) -> list:
 
 @dataclass
 class PretrainSettings:
+    """Pretraining runs for ``schedule.total_epochs`` epochs."""
+
     method: SSLMethod
     optimizer: OptimizerConfig
     schedule: ScheduleConfig
-    epochs: int = 200
     augmentation: AugmentationSpec = field(default_factory=lambda: AugmentationSpec(0.4, 0.0, 0.2))
     disable_stop_gradient: bool = False
 
@@ -104,6 +106,18 @@ class FinetuneSettings:
     freeze_override: str | None = None  # None means select by method and nu
 
 
+def _run_epochs(stage: str, epochs: int, run_seed: int, sink, epoch_fn) -> list[MetricsRecord]:
+    """Call ``epoch_fn(epoch)`` for each epoch; it returns (loss, lr, extra record
+    fields). One record per epoch, handed to ``sink`` as soon as it exists."""
+    records = []
+    for epoch in range(epochs):
+        loss, lr, extra = epoch_fn(epoch)
+        records.append(MetricsRecord(stage, epoch, loss, lr, run_seed, **extra))
+        if sink is not None:
+            sink(records[-1])
+    return records
+
+
 def pretrain(
     model: Model,
     dataset: Dataset,
@@ -116,8 +130,9 @@ def pretrain(
     """Run the self-supervised stage; one record per epoch, kNN proxy on the last."""
     opt = make_optimizer(settings.optimizer, model.trainable_parameters())
     effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
-    records = []
-    for epoch in range(settings.epochs):
+    epochs = settings.schedule.total_epochs
+
+    def epoch_fn(epoch: int):
         lr = lr_at(settings.schedule, epoch, effective)
         loss = pretrain_epoch(
             model,
@@ -132,13 +147,11 @@ def pretrain(
             disable_stop_gradient=settings.disable_stop_gradient,
         )
         knn_acc = None
-        if epoch == settings.epochs - 1 and knn_cfg is not None and test_set is not None:
+        if epoch == epochs - 1 and knn_cfg is not None and test_set is not None:
             knn_acc = knn_proxy_accuracy(model, dataset, test_set, knn_cfg)
-        record = MetricsRecord("pretrain", epoch, loss, lr, run_seed, knn_accuracy=knn_acc)
-        records.append(record)
-        if sink is not None:
-            sink(record)
-    return records
+        return loss, lr, {"knn_accuracy": knn_acc}
+
+    return _run_epochs("pretrain", epochs, run_seed, sink, epoch_fn)
 
 
 def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg: KNNConfig) -> float:
@@ -151,6 +164,17 @@ def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg:
 
 def _representations(model: Model, ds: Dataset) -> np.ndarray:
     return model.encoder(Tensor(ds.features.astype(np.float64))).data
+
+
+def _supervised_loss(fine: FinetuneSettings, dataset: Dataset, logits_of: Callable[[np.ndarray], Tensor]):
+    """Minibatch loss on the observed labels of ``dataset``, with priors from
+    those labels; the SuperLoss threshold defaults to log(C)."""
+    priors = estimate_priors(dataset)
+    sl_params = SuperLossParams.for_classes(dataset.num_classes, fine.superloss_lambda, fine.clamp_mode)
+    if fine.superloss_tau is not None:
+        sl_params = replace(sl_params, tau=fine.superloss_tau)
+    labels = dataset.labels_observed
+    return lambda idx: batch_loss(fine.loss, logits_of(idx), labels[idx], priors, sl_params)[0]
 
 
 def finetune(
@@ -171,41 +195,22 @@ def finetune(
     """
     for p in model.trainable_parameters():
         p.requires_grad = False
-    trainable = _head_trainable(head, policy)
-    opt = make_optimizer(settings.optimizer, trainable)
-    priors = estimate_priors(dataset)
-    tau = settings.superloss_tau if settings.superloss_tau is not None else float(np.log(dataset.num_classes))
-    sl_params = SuperLossParams(tau=tau, lam=settings.superloss_lambda, clamp_mode=settings.clamp_mode)
-
+    opt = make_optimizer(settings.optimizer, _head_trainable(head, policy))
     reps = _representations(model, dataset)
     test_reps = _representations(model, test_set) if test_set is not None else None
-    labels = dataset.labels_observed
-    n = dataset.num_samples
-    batch_size = settings.optimizer.batch_size
-    records = []
-    for epoch in range(settings.epochs):
-        order = rng_for(run_seed, "shuffle", "finetune", epoch).permutation(n)
-        lr = settings.optimizer.base_lr
-        epoch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            with Tape() as tape:
-                logits = head(Tensor(reps[idx]))
-                loss, _ = batch_loss(settings.loss, logits, labels[idx], priors, sl_params)
-                tape.backward(loss)
-            opt.step(lr)
-            opt.zero_grad()
-            epoch_losses.append(loss.item())
+    loss_fn = _supervised_loss(settings, dataset, lambda idx: head(Tensor(reps[idx])))
+    lr = settings.optimizer.base_lr
+
+    def epoch_fn(epoch: int):
+        loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
+                           run_seed, "finetune", epoch)
         per_class = None
         if test_reps is not None:
             preds = np.argmax(head(Tensor(test_reps)).data, axis=1)
-            report = accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
-            per_class = [float(v) if np.isfinite(v) else None for v in report.per_class]
-        record = MetricsRecord("finetune", epoch, float(np.mean(epoch_losses)), lr, run_seed, per_class_accuracy=per_class)
-        records.append(record)
-        if sink is not None:
-            sink(record)
-    return records
+            per_class = accuracy_suite(preds, test_set.labels_true, test_set.num_classes).per_class_json()
+        return loss, lr, {"per_class_accuracy": per_class}
+
+    return _run_epochs("finetune", settings.epochs, run_seed, sink, epoch_fn)
 
 
 @dataclass
@@ -220,6 +225,15 @@ class RunResult:
     summary: dict
 
 
+def corrupt_train(train: Dataset, gamma: float, nu: float, run_seed: int) -> Dataset:
+    """Imbalance first, then symmetric noise; gamma 1 and nu 0 leave the set as it is."""
+    if gamma > 1.0:
+        train = apply_exponential_imbalance(train, ImbalanceSpec(gamma, seed=derive(run_seed, "imbalance")))
+    if nu > 0.0:
+        train = inject_symmetric_noise(train, NoiseSpec(nu, seed=derive(run_seed, "noise")))
+    return train
+
+
 def make_datasets(
     num_classes: int,
     per_class: int,
@@ -230,16 +244,12 @@ def make_datasets(
     run_seed: int,
     test_per_class: int = 100,
 ) -> tuple[Dataset, Dataset]:
-    """Generate train + balanced test clusters, then corrupt the train split:
-    imbalance first, then symmetric noise."""
+    """Generate train + balanced test clusters, then corrupt the train split;
+    gamma 1 and nu 0 give the clean sets."""
     data_seed = derive(run_seed, "data")
     train = generate_synthetic(num_classes, per_class, dim, separation, data_seed, split="train")
     test = generate_synthetic(num_classes, test_per_class, dim, separation, data_seed, split="test")
-    if gamma > 1.0:
-        train = apply_exponential_imbalance(train, ImbalanceSpec(gamma, seed=derive(run_seed, "imbalance")))
-    if nu > 0.0:
-        train = inject_symmetric_noise(train, NoiseSpec(nu, seed=derive(run_seed, "noise")))
-    return train, test
+    return corrupt_train(train, gamma, nu, run_seed), test
 
 
 def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
@@ -257,18 +267,18 @@ def run_two_stage(
     nu_for_policy: float = 0.0,
     knn_cfg: KNNConfig | None = None,
     sink=None,
+    model_dims: dict | None = None,
 ) -> RunResult:
-    """Pretrain, then fine-tune the head; a single run seed governs both stages."""
-    knn_cfg = knn_cfg or KNNConfig()
-    model = build_model(pre.method.name, train_set.feature_dim, seed=derive(run_seed, "model"))
-    records = pretrain(model, train_set, pre, run_seed, knn_cfg=knn_cfg, test_set=test_set, sink=sink)
-    knn_acc = records[-1].knn_accuracy if records else None
-
+    """Pretrain, then fine-tune the head; a single run seed governs both stages.
+    ``model_dims`` are build_model's width arguments (None keeps its defaults)."""
+    model = build_model(pre.method.name, train_set.feature_dim, seed=derive(run_seed, "model"), **(model_dims or {}))
+    records = pretrain(model, train_set, pre, run_seed, knn_cfg=knn_cfg or KNNConfig(), test_set=test_set, sink=sink)
+    knn_acc = records[-1].knn_accuracy
     policy = fine.freeze_override or select_freeze_policy(pre.method.name, nu_for_policy)
     head = build_finetune_head(model, train_set.num_classes, pre.method.name, derive(run_seed, "model"))
     records += finetune(model, head, train_set, fine, policy, run_seed, test_set=test_set, sink=sink)
     report = evaluate_classifier(model, head, test_set)
-    summary = _summary(report, knn_acc, run_seed, stages={"pretrain": pre.epochs, "finetune": fine.epochs})
+    summary = summarize(report, knn_acc, run_seed, {"pretrain": pre.schedule.total_epochs, "finetune": fine.epochs})
     return RunResult(model, head, records, train_set, test_set, report, knn_acc, summary)
 
 
@@ -280,52 +290,34 @@ def run_single_stage(
     epochs: int,
     run_seed: int,
     sink=None,
+    model_dims: dict | None = None,
 ) -> RunResult:
     """Supervised baseline: encoder + head trained end-to-end from scratch
     with the configured loss; the ablation that removes pretraining."""
     model = build_model("simsiam" if method_name == "simclr" else method_name,
-                        train_set.feature_dim, seed=derive(run_seed, "model"))
+                        train_set.feature_dim, seed=derive(run_seed, "model"), **(model_dims or {}))
     head = build_finetune_head(model, train_set.num_classes, "single_stage", derive(run_seed, "model"))
-    priors = estimate_priors(train_set)
-    tau = fine.superloss_tau if fine.superloss_tau is not None else float(np.log(train_set.num_classes))
-    sl_params = SuperLossParams(tau=tau, lam=fine.superloss_lambda, clamp_mode=fine.clamp_mode)
-
-    params = model.encoder.parameters() + head.parameters()
-    for p in params:
-        p.requires_grad = True
-    opt = make_optimizer(fine.optimizer, params)
+    opt = make_optimizer(fine.optimizer, model.encoder.parameters() + head.parameters())
     features = train_set.features.astype(np.float64)
-    labels = train_set.labels_observed
-    n = train_set.num_samples
-    batch_size = fine.optimizer.batch_size
-    records = []
-    for epoch in range(epochs):
-        order = rng_for(run_seed, "shuffle", "single_stage", epoch).permutation(n)
-        epoch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            with Tape() as tape:
-                logits = head(model.encoder(Tensor(features[idx])))
-                loss, _ = batch_loss(fine.loss, logits, labels[idx], priors, sl_params)
-                tape.backward(loss)
-            opt.step(fine.optimizer.base_lr)
-            opt.zero_grad()
-            epoch_losses.append(loss.item())
-        record = MetricsRecord("single_stage", epoch, float(np.mean(epoch_losses)), fine.optimizer.base_lr, run_seed)
-        records.append(record)
-        if sink is not None:
-            sink(record)
+    loss_fn = _supervised_loss(fine, train_set, lambda idx: head(model.encoder(Tensor(features[idx]))))
+    lr = fine.optimizer.base_lr
+    records = _run_epochs("single_stage", epochs, run_seed, sink, lambda epoch: (
+        train_epoch(opt, lr, loss_fn, train_set.num_samples, fine.optimizer.batch_size, run_seed, "single_stage", epoch),
+        lr,
+        {},
+    ))
     report = evaluate_classifier(model, head, test_set)
-    summary = _summary(report, None, run_seed, stages={"single_stage": epochs})
+    summary = summarize(report, None, run_seed, {"single_stage": epochs})
     return RunResult(model, head, records, train_set, test_set, report, None, summary)
 
 
-def _summary(report: AccuracyReport, knn_acc: float | None, seed: int, stages: dict) -> dict:
+def summarize(report: AccuracyReport, knn_acc: float | None, seed: int, stages: dict) -> dict:
+    """The body of summary.json: final accuracies, kNN proxy and epochs per stage."""
     return {
         "seed": seed,
         "overall_accuracy": report.overall,
         "balanced_accuracy": report.balanced,
-        "per_class_accuracy": [float(v) if np.isfinite(v) else None for v in report.per_class],
+        "per_class_accuracy": report.per_class_json(),
         "knn_accuracy": knn_acc,
         "stages": stages,
     }

@@ -13,9 +13,8 @@ import numpy as np
 from .data import AugmentationSpec, Dataset, augment, view_seed
 from .errors import ConfigError, ContractError, ValidationError
 from .nn import Model, ema_update
-from .seeding import rng_for
+from .optim import train_epoch
 from .tensor import (
-    Tape,
     Tensor,
     add,
     concat_rows,
@@ -72,27 +71,6 @@ def build_views(
     return view_a, view_b
 
 
-def encode_pair(
-    model: Model,
-    features: np.ndarray,
-    indices: np.ndarray,
-    aug: AugmentationSpec,
-    run_seed: int,
-    epoch: int,
-) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
-    """Push two augmented views through encoder + projector (and predictor if present).
-
-    Returns (z_a, z_b, p_a, p_b); the predictor outputs are None for methods
-    without a prediction head.
-    """
-    view_a, view_b = build_views(features, indices, aug, run_seed, epoch)
-    z_a = model.projector(model.encoder(Tensor(view_a)))
-    z_b = model.projector(model.encoder(Tensor(view_b)))
-    p_a = model.predictor(z_a) if model.predictor is not None else None
-    p_b = model.predictor(z_b) if model.predictor is not None else None
-    return z_a, z_b, p_a, p_b
-
-
 def simsiam_loss(p_a: Tensor, z_a: Tensor, p_b: Tensor, z_b: Tensor, stop_grad: bool = True) -> Tensor:
     """-0.5 * [cos(p_a, sg(z_b)) + cos(p_b, sg(z_a))], batch-averaged.
 
@@ -128,11 +106,7 @@ def nt_xent_loss(z_a: Tensor, z_b: Tensor, temperature: float) -> Tensor:
 
 def byol_loss(p_a: Tensor, target_b: Tensor, p_b: Tensor, target_a: Tensor) -> Tensor:
     """Same symmetric cosine objective as SimSiam, against EMA target projections."""
-    half = _as_tensor(0.5)
-    return add(
-        mul(negative_cosine_similarity(p_a, target_b), half),
-        mul(negative_cosine_similarity(p_b, target_a), half),
-    )
+    return simsiam_loss(p_a, target_a, p_b, target_b, stop_grad=False)
 
 
 def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
@@ -202,23 +176,10 @@ def pretrain_epoch(
     Batches smaller than 2 at the tail of the epoch are dropped because the
     contrastive and redundancy objectives are undefined on them.
     """
-    n = dataset.num_samples
-    order = rng_for(run_seed, "shuffle", "pretrain", epoch).permutation(n)
-    losses = []
-    for start in range(0, n, batch_size):
-        batch_idx = order[start : start + batch_size]
-        if batch_idx.size < 2:
-            continue
-        rows = dataset.features[batch_idx]
-        with Tape() as tape:
-            loss = method_loss(
-                model, method, rows, batch_idx, aug, run_seed, epoch,
-                disable_stop_gradient=disable_stop_gradient,
-            )
-            tape.backward(loss)
-        optimizer.step(lr)
-        optimizer.zero_grad()
-        if method.name == "byol":
-            ema_update(model, method.ema_momentum)
-        losses.append(loss.item())
-    return float(np.mean(losses))
+    def loss_fn(idx: np.ndarray) -> Tensor:
+        return method_loss(model, method, dataset.features[idx], idx, aug, run_seed, epoch,
+                           disable_stop_gradient=disable_stop_gradient)
+
+    after_step = (lambda: ema_update(model, method.ema_momentum)) if method.name == "byol" else None
+    return train_epoch(optimizer, lr, loss_fn, dataset.num_samples, batch_size, run_seed, "pretrain", epoch,
+                       min_batch=2, after_step=after_step)

@@ -143,9 +143,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     @property
     def T(self) -> "Tensor":
         return transpose(self)
@@ -158,12 +155,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
 
 
 def _as_tensor(x) -> Tensor:

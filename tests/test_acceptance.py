@@ -48,7 +48,6 @@ def desk_pretrain_settings(epochs=200):
         method=SSLMethod("simsiam"),
         optimizer=OptimizerConfig(kind="sgd", base_lr=0.12, weight_decay=5e-4, momentum=0.9, batch_size=64),
         schedule=ScheduleConfig("cosine", warmup_epochs=10, total_epochs=epochs),
-        epochs=epochs,
         augmentation=AugmentationSpec(0.4, 0.0, 0.2),
     )
 
@@ -193,7 +192,7 @@ def anti_collapse_runs():
         settings = desk_pretrain_settings()
         opt = make_optimizer(settings.optimizer, model.trainable_parameters())
         eff = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
-        for epoch in range(settings.epochs):
+        for epoch in range(settings.schedule.total_epochs):
             pretrain_epoch(
                 model, clusters, settings.method, opt, lr_at(settings.schedule, epoch, eff),
                 epoch, 2, settings.augmentation, settings.optimizer.batch_size,

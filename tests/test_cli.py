@@ -1,7 +1,8 @@
 import json
 
 from tailspin.cli import main
-from tailspin.io import dataset_provenance, load_dataset
+from tailspin.io import dataset_provenance, load_checkpoint, load_dataset
+from tailspin.nn import params_digest
 
 
 def run_cli(*args):
@@ -36,6 +37,17 @@ class TestRunDeterminism:
         assert set(summary) >= {"config_hash", "seed", "balanced_accuracy", "knn_accuracy"}
         resolved = (out / "config.resolved").read_text()
         assert "run.seed = 3" in resolved
+
+    def test_model_widths_come_from_config(self, tmp_path):
+        widths = ["--set", "model.hidden_dim=16", "--set", "model.rep_dim=8",
+                  "--set", "model.proj_dim=12", "--set", "model.pred_hidden=5"]
+        for cmd, checkpoint in (("run", "pretrained"), ("run-single-stage", "finetuned")):
+            out = tmp_path / cmd
+            assert run_cli(cmd, "--seed", "3", "--output", str(out), *FAST, *widths) == 0
+            model, _, _ = load_checkpoint(out / "checkpoints" / checkpoint)
+            assert {k: model.arch[k] for k in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")} == {
+                "hidden_dim": 16, "rep_dim": 8, "proj_dim": 12, "pred_hidden": 5}
+            assert model.encoder.dims == [8, 16, 8]
 
     def test_record_count_one_per_epoch_per_stage(self, tmp_path):
         out = tmp_path / "run"
@@ -77,15 +89,57 @@ class TestStagewiseCommands:
         out = tmp_path / "frozen"
         assert run_cli("run", "--seed", "4", "--output", str(out), *FAST,
                        "--set", "finetune.freeze=last_layer_only") == 0
-        from tailspin.io import load_checkpoint
-        from tailspin.nn import params_digest
-
         pre_model, _, _ = load_checkpoint(out / "checkpoints" / "pretrained")
         fin_model, head, _ = load_checkpoint(out / "checkpoints" / "finetuned")
         # encoder untouched by fine-tuning, and the first head layer kept its
         # pretrained projector weights under the last-layer-only policy
         assert params_digest(pre_model.encoder.parameters()) == params_digest(fin_model.encoder.parameters())
         assert params_digest([head.layers[0].weight]) == params_digest([pre_model.projector.layers[0].weight])
+
+    def test_finetune_reads_nu_from_corrupted_provenance(self, tmp_path):
+        out = tmp_path / "noisy"
+        base = ["--seed", "4", "--output", str(out), *FAST]
+        assert run_cli("generate", *base) == 0
+        assert run_cli("corrupt", *base, "--set", "data.nu=0.7") == 0
+        assert run_cli("pretrain", *base) == 0
+        assert run_cli("finetune", *base) == 0
+        pre_model, _, _ = load_checkpoint(out / "checkpoints" / "pretrained")
+        _, head, _ = load_checkpoint(out / "checkpoints" / "finetuned")
+        # nu=0.7 is above simsiam's threshold: last-layer-only, so layer 0 keeps
+        # the pretrained projector weights
+        assert params_digest([head.layers[0].weight]) == params_digest([pre_model.projector.layers[0].weight])
+
+    def test_finetune_rejects_config_contradicting_artifacts(self, capsys, tmp_path):
+        out = tmp_path / "conflict"
+        base = ["--seed", "4", "--output", str(out), *FAST]
+        for cmd in ("generate", "corrupt", "pretrain"):
+            assert run_cli(cmd, *base, "--set", "data.nu=0.7") == 0
+        records = (out / "metrics.jsonl").read_text()
+        for override in ("data.nu=0.3", "pretrain.method=byol"):
+            assert run_cli("finetune", *base, "--set", override) == 2
+            assert capsys.readouterr().err.strip().splitlines()[-1].startswith("config-error:")
+        assert (out / "metrics.jsonl").read_text() == records
+
+    def test_pretrain_rerun_starts_metrics_over(self, tmp_path):
+        out = tmp_path / "again"
+        base = ["--seed", "2", "--output", str(out), *FAST]
+        assert run_cli("generate", *base) == 0
+        assert run_cli("pretrain", *base) == 0
+        assert run_cli("pretrain", *base) == 0
+        stages = [json.loads(l)["stage"] for l in (out / "metrics.jsonl").read_text().splitlines()]
+        assert stages == ["pretrain"] * 3
+
+    def test_run_and_generate_corrupt_write_identical_datasets(self, tmp_path):
+        settings = ["--seed", "6", *FAST, "--set", "data.gamma=4", "--set", "data.nu=0.3"]
+        assert run_cli("run", "--output", str(tmp_path / "run"), *settings) == 0
+        for cmd in ("generate", "corrupt"):
+            assert run_cli(cmd, "--output", str(tmp_path / "stages"), *settings) == 0
+        for split in ("train-corrupted", "test"):
+            run_dir, stage_dir = tmp_path / "run" / "data" / split, tmp_path / "stages" / "data" / split
+            names = sorted(p.name for p in run_dir.iterdir())
+            assert names == sorted(p.name for p in stage_dir.iterdir())
+            for name in names:
+                assert (run_dir / name).read_bytes() == (stage_dir / name).read_bytes(), f"{split}/{name}"
 
     def test_single_stage_run(self, tmp_path):
         out = tmp_path / "single"

@@ -26,7 +26,6 @@ def fast_pretrain(method="simsiam", epochs=6):
         method=SSLMethod(method),
         optimizer=OptimizerConfig(kind="sgd", base_lr=0.03, weight_decay=5e-4, momentum=0.9, batch_size=32),
         schedule=ScheduleConfig("cosine", warmup_epochs=2, total_epochs=epochs),
-        epochs=epochs,
         augmentation=AugmentationSpec(0.8, 0.1, 0.2),
     )
 

@@ -9,6 +9,7 @@ from tailspin.tensor import (
     Tensor,
     add,
     concat_rows,
+    exp,
     finite_diff_check,
     gather_rows,
     l2_normalize,
@@ -17,6 +18,7 @@ from tailspin.tensor import (
     mean,
     mul,
     negative_cosine_similarity,
+    power,
     relu,
     softmax,
     standardize_columns,
@@ -67,7 +69,7 @@ class TestForwardValues:
 
     def test_inf_from_op_rejected(self):
         with pytest.raises(NumericError, match="exp"):
-            Tensor([800.0]).exp()
+            exp(Tensor([800.0]))
 
     def test_add_broadcast_shape_error(self):
         with pytest.raises(ShapeError, match="add"):
@@ -205,7 +207,7 @@ class TestFiniteDifferenceOracle:
             ("transpose", lambda t: tensor_sum(mul(transpose(t), transpose(t)))),
             ("gather", lambda t: tensor_sum(gather_rows(t, np.array([0, 2, 1, 4])))),
             ("concat", lambda t: tensor_sum(mul(concat_rows(t, t), concat_rows(t, t)))),
-            ("power", lambda t: tensor_sum((t * t + 1.0) ** -0.5)),
+            ("power", lambda t: tensor_sum(power(t * t + 1.0, -0.5))),
         ],
     )
     def test_op_gradients_match_finite_differences(self, name, builder):
