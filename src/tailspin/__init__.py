@@ -63,7 +63,6 @@ from .pipeline import (
     make_datasets,
     pretrain,
     run_single_stage,
-    run_two_stage,
     select_freeze_policy,
 )
 from .ssl import SSLMethod, barlow_twins_loss, byol_loss, nt_xent_loss, pretrain_epoch, simsiam_loss

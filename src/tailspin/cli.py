@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as tio
 from .config import ExperimentConfig, config_load, describe_defaults, summary_payload, write_resolved
-from .data import AugmentationSpec, Dataset
+from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec
 from .errors import ConfigError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
 from .gradcheck import TOLERANCE, battery
@@ -32,7 +32,6 @@ from .pipeline import (
     make_datasets,
     pretrain,
     run_single_stage,
-    run_two_stage,
     select_freeze_policy,
     summarize,
 )
@@ -113,11 +112,6 @@ def _model_dims(cfg: ExperimentConfig) -> dict:
     return {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
 
 
-def _generation_args(cfg: ExperimentConfig) -> dict:
-    return dict(num_classes=cfg["data.num_classes"], per_class=cfg["data.per_class"], dim=cfg["data.dim"],
-                separation=cfg["data.separation"], run_seed=cfg.seed, test_per_class=cfg["data.test_per_class"])
-
-
 def _save_dataset(ds: Dataset, directory: Path, cfg: ExperimentConfig, gamma: float = 1.0, nu: float = 0.0) -> None:
     """Every dataset directory carries the same provenance block."""
     true_counts = ds.true_counts()
@@ -155,7 +149,8 @@ def _train_dir(out: Path) -> Path:
 # subcommand handlers
 
 def _cmd_generate(cfg: ExperimentConfig) -> None:
-    train, test = make_datasets(gamma=1.0, nu=0.0, **_generation_args(cfg))
+    train, test = make_datasets(cfg["data.num_classes"], cfg["data.per_class"], cfg["data.dim"],
+                                cfg["data.separation"], cfg.seed, cfg["data.test_per_class"])
     _save_dataset(train, cfg.output_dir / "data" / "train", cfg)
     _save_dataset(test, cfg.output_dir / "data" / "test", cfg)
     log.info("generated %d train and %d test samples", train.num_samples, test.num_samples)
@@ -170,15 +165,14 @@ def _cmd_corrupt(cfg: ExperimentConfig) -> None:
 
 def _cmd_pretrain(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    train = tio.load_dataset(_train_dir(out))
-    test_dir = out / "data" / "test"
-    test = tio.load_dataset(test_dir) if (test_dir / "manifest.json").is_file() else None
+    train, test = tio.load_dataset(_train_dir(out)), tio.load_dataset(out / "data" / "test")
     model = build_model(cfg["pretrain.method"], train.feature_dim, seed=derive(cfg.seed, "model"), **_model_dims(cfg))
     settings = _pretrain_settings(cfg)
     with _fresh_metrics(out) as sink:
-        pretrain(model, train, settings, cfg.seed, knn_cfg=_knn_config(cfg), test_set=test, sink=sink)
-    tio.save_checkpoint(out / "checkpoints" / "pretrained", model, extra={"stage": "pretrain"})
-    log.info("pretraining done: %s epochs of %s", settings.schedule.total_epochs, settings.method.name)
+        records = pretrain(model, train, settings, cfg.seed, knn_cfg=_knn_config(cfg), test_set=test, sink=sink)
+    extra = {"stage": "pretrain", "epochs": len(records), "knn_accuracy": records[-1].knn_accuracy}
+    tio.save_checkpoint(out / "checkpoints" / "pretrained", model, extra=extra)
+    log.info("pretraining done: %s epochs of %s", len(records), settings.method.name)
 
 
 def _cmd_finetune(cfg: ExperimentConfig) -> None:
@@ -186,7 +180,7 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
     train_dir, checkpoint = _train_dir(out), out / "checkpoints" / "pretrained"
     train = tio.load_dataset(train_dir)
     test = tio.load_dataset(out / "data" / "test")
-    model, _, _ = tio.load_checkpoint(checkpoint)
+    model, _, pretrained = tio.load_checkpoint(checkpoint)
     if model is None:
         raise ConfigError("pretrained checkpoint has no model")
     nu = _recorded(cfg, "data.nu", tio.dataset_provenance(train_dir).get("nu"), train_dir)
@@ -198,37 +192,32 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
         finetune(model, head, train, settings, policy, cfg.seed, test_set=test, sink=sink)
     tio.save_checkpoint(out / "checkpoints" / "finetuned", model, head, extra={"stage": "finetune"})
     report = evaluate_classifier(model, head, test)
-    summary = summarize(report, None, cfg.seed, {"finetune": settings.epochs})
+    stages = {"pretrain": pretrained.get("epochs"), "finetune": settings.epochs}
+    summary = summarize(report, pretrained.get("knn_accuracy"), cfg.seed, stages)
     (out / "summary.json").write_text(summary_payload(cfg, summary))
     log.info("finetune done: balanced accuracy %.4f", report.balanced)
 
 
 def _cmd_run(cfg: ExperimentConfig) -> None:
-    out = cfg.output_dir
-    gamma, nu = cfg["data.gamma"], cfg["data.nu"]
-    train, test = make_datasets(gamma=gamma, nu=nu, **_generation_args(cfg))
-    _save_dataset(train, out / "data" / "train-corrupted", cfg, gamma, nu)
-    _save_dataset(test, out / "data" / "test", cfg)
-    with _fresh_metrics(out) as sink:
-        result = run_two_stage(
-            train, test, _pretrain_settings(cfg), _finetune_settings(cfg), cfg.seed,
-            nu_for_policy=nu, knn_cfg=_knn_config(cfg), sink=sink, model_dims=_model_dims(cfg),
-        )
-    tio.save_checkpoint(out / "checkpoints" / "pretrained", result.model, extra={"stage": "pretrain"})
-    tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "finetune"})
-    (out / "summary.json").write_text(summary_payload(cfg, result.summary))
-    log.info(
-        "two-stage run done: balanced accuracy %.4f, knn %.4f",
-        result.report.balanced, result.knn_accuracy or float("nan"),
-    )
+    """generate -> corrupt -> pretrain -> finetune in one process; every stage's settings
+    are resolved first, so bad input fails before the first stage writes anything."""
+    _pretrain_settings(cfg), _finetune_settings(cfg), _knn_config(cfg)
+    ImbalanceSpec(cfg["data.gamma"]), NoiseSpec(cfg["data.nu"])
+    _cmd_generate(cfg)
+    _cmd_corrupt(cfg)
+    _cmd_pretrain(cfg)
+    _cmd_finetune(cfg)
 
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    train, test = make_datasets(gamma=cfg["data.gamma"], nu=cfg["data.nu"], **_generation_args(cfg))
+    settings = _finetune_settings(cfg)
+    _cmd_generate(cfg)
+    _cmd_corrupt(cfg)
+    train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
     with _fresh_metrics(out) as sink:
         result = run_single_stage(
-            train, test, cfg["pretrain.method"], _finetune_settings(cfg),
+            train, test, cfg["pretrain.method"], settings,
             cfg["single_stage.epochs"], cfg.seed, sink=sink, model_dims=_model_dims(cfg),
         )
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,9 +102,12 @@ class ExperimentConfig:
         if raw == "auto":
             return None
         try:
-            return float(raw)
+            tau = float(raw)
         except ValueError:
-            raise ConfigError(f"finetune.tau must be 'auto' or a number, got '{raw}'") from None
+            tau = math.nan
+        if not math.isfinite(tau):
+            raise ConfigError(f"finetune.tau must be 'auto' or a finite number, got '{raw}'")
+        return tau
 
 
 def _format_value(v) -> str:
@@ -131,6 +135,8 @@ def _parse_value(key: str, raw: str):
             value = raw
     except ValueError:
         raise ConfigError(f"key '{key}' expects {kind.__name__}, got '{raw}'") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' expects a finite number, got '{raw}'")
     if allowed is not None and value not in allowed:
         raise ConfigError(f"key '{key}' must be one of {allowed}, got '{value}'")
     return value

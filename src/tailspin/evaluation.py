@@ -58,6 +58,11 @@ class KNNConfig:
         if self.weighting not in KNN_WEIGHTINGS:
             raise ValidationError(f"weighting must be one of {KNN_WEIGHTINGS}, got '{self.weighting}'")
 
+    def check_reference(self, size: int) -> None:
+        """k neighbours need a reference set of at least k samples."""
+        if self.k > size:
+            raise ContractError(f"k={self.k} exceeds reference size {size}")
+
 
 @dataclass
 class MetricsRecord:
@@ -113,10 +118,7 @@ def knn_classify(reference: EmbeddingSet, queries: EmbeddingSet, cfg: KNNConfig)
     Similarity weighting uses (1 + cosine) for the cosine metric and
     1 / (distance + 1e-12) for the euclidean metric.
     """
-    if reference.num_samples == 0:
-        raise ContractError("knn_classify: empty reference set")
-    if cfg.k > reference.num_samples:
-        raise ContractError(f"k={cfg.k} exceeds reference size {reference.num_samples}")
+    cfg.check_reference(reference.num_samples)
     ref = reference.embeddings.astype(np.float64)
     qry = queries.embeddings.astype(np.float64)
 
@@ -215,9 +217,7 @@ def export_embeddings(es: EmbeddingSet, directory: str | Path) -> Path:
 
 def load_embeddings(directory: str | Path) -> EmbeddingSet:
     directory = Path(directory)
-    manifest = _read_manifest(directory / "manifest.json")
-    if manifest.get("kind") != "embeddings":
-        raise ValidationError(f"{directory}: manifest kind is not 'embeddings'")
+    manifest = _read_manifest(directory, "embeddings")
     files = manifest["files"]
     emb = _read_array(directory / files["embeddings"]["name"], "<f4", files["embeddings"]["shape"])
     labels = _read_array(directory / files["labels"]["name"], "<u4", files["labels"]["shape"])

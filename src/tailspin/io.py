@@ -1,9 +1,9 @@
 """On-disk formats: dataset directories, checkpoints, metrics lines.
 
-Bulk arrays are little-endian 32-bit binaries (IEEE floats row-major, or
-unsigned ints) next to a human-readable JSON manifest whose declared sizes
-must match the file byte lengths exactly. Everything written here can be
-read back by this module.
+Bulk arrays are little-endian binaries (32-bit IEEE floats or unsigned ints
+for datasets, 64-bit floats for checkpoints so reloads are bit-exact) next to
+a human-readable JSON manifest whose declared sizes must match the file byte
+lengths exactly. Everything written here can be read back by this module.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .tensor import Tensor
 FORMAT_VERSION = 1
 
 _F32 = "<f4"
+_F64 = "<f8"
 _U32 = "<u4"
 
 
@@ -29,7 +30,7 @@ def _write_array(path: Path, arr: np.ndarray, dtype: str) -> None:
 
 
 def _read_array(path: Path, dtype: str, shape: list[int]) -> np.ndarray:
-    expected = int(np.prod(shape)) * 4
+    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     actual = os.path.getsize(path)
     if actual != expected:
         raise ValidationError(
@@ -42,10 +43,14 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n")
 
 
-def _read_manifest(path: Path) -> dict:
+def _read_manifest(directory: Path, kind: str) -> dict:
+    path = directory / "manifest.json"
     if not path.is_file():
         raise ValidationError(f"manifest not found: {path}")
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    if manifest.get("kind") != kind:
+        raise ValidationError(f"{directory}: manifest kind is not '{kind}'")
+    return manifest
 
 
 def save_dataset(ds: Dataset, directory: str | Path, provenance: dict | None = None) -> Path:
@@ -75,9 +80,7 @@ def save_dataset(ds: Dataset, directory: str | Path, provenance: dict | None = N
 
 def load_dataset(directory: str | Path) -> Dataset:
     directory = Path(directory)
-    manifest = _read_manifest(directory / "manifest.json")
-    if manifest.get("kind") != "dataset":
-        raise ValidationError(f"{directory}: manifest kind is not 'dataset'")
+    manifest = _read_manifest(directory, "dataset")
     files = manifest["files"]
     features = _read_array(directory / files["features"]["name"], _F32, files["features"]["shape"])
     observed = _read_array(directory / files["labels_observed"]["name"], _U32, files["labels_observed"]["shape"])
@@ -92,7 +95,7 @@ def load_dataset(directory: str | Path) -> Dataset:
 
 
 def dataset_provenance(directory: str | Path) -> dict:
-    return _read_manifest(Path(directory) / "manifest.json").get("provenance", {})
+    return _read_manifest(Path(directory), "dataset").get("provenance", {})
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ def save_checkpoint(
     head: Mlp | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Single params.bin (float32-le) plus a manifest listing name/shape/offset."""
+    """Single params.bin (float64-le) plus a manifest listing name/shape/offset."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = _named_params(model, head)
@@ -133,7 +136,7 @@ def save_checkpoint(
     offset = 0
     with open(directory / "params.bin", "wb") as fh:
         for name, arr in entries:
-            data = np.ascontiguousarray(arr).astype(_F32)
+            data = np.ascontiguousarray(arr).astype(_F64)
             fh.write(data.tobytes())
             index.append({"name": name, "shape": list(arr.shape), "offset": offset})
             offset += data.nbytes
@@ -153,15 +156,13 @@ def save_checkpoint(
 def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, dict]:
     """Rebuild the model and head recorded by save_checkpoint."""
     directory = Path(directory)
-    manifest = _read_manifest(directory / "manifest.json")
-    if manifest.get("kind") != "checkpoint":
-        raise ValidationError(f"{directory}: manifest kind is not 'checkpoint'")
-    raw = np.fromfile(directory / manifest["file"], dtype=_F32)
+    manifest = _read_manifest(directory, "checkpoint")
+    sizes = [int(np.prod(entry["shape"])) for entry in manifest["params"]]
+    raw = _read_array(directory / manifest["file"], _F64, [sum(sizes)])
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        size = int(np.prod(entry["shape"]))
-        start = entry["offset"] // 4
-        arrays[entry["name"]] = raw[start : start + size].astype(np.float64).reshape(entry["shape"])
+    for entry, size in zip(manifest["params"], sizes):
+        start = entry["offset"] // 8
+        arrays[entry["name"]] = raw[start : start + size].reshape(entry["shape"])
 
     def build_mlp(prefix: str, requires_grad: bool = True) -> Mlp | None:
         layers = []

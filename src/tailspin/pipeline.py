@@ -127,7 +127,9 @@ def pretrain(
     test_set: Dataset | None = None,
     sink=None,
 ) -> list[MetricsRecord]:
-    """Run the self-supervised stage; one record per epoch, kNN proxy on the last."""
+    """Run the self-supervised stage; one record per epoch, kNN proxy on the last, whose k is checked before epoch 0."""
+    if knn_cfg is not None and test_set is not None:
+        knn_cfg.check_reference(dataset.num_samples)
     opt = make_optimizer(settings.optimizer, model.trainable_parameters())
     effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
     epochs = settings.schedule.total_epochs
@@ -218,19 +220,18 @@ class RunResult:
     model: Model
     head: Mlp
     records: list[MetricsRecord]
-    train_set: Dataset
-    test_set: Dataset
     report: AccuracyReport
-    knn_accuracy: float | None
     summary: dict
 
 
 def corrupt_train(train: Dataset, gamma: float, nu: float, run_seed: int) -> Dataset:
-    """Imbalance first, then symmetric noise; gamma 1 and nu 0 leave the set as it is."""
+    """Imbalance first, then symmetric noise; both values are validated, even 1 and 0, which leave the set as it is."""
+    imbalance = ImbalanceSpec(gamma, seed=derive(run_seed, "imbalance"))
+    noise = NoiseSpec(nu, seed=derive(run_seed, "noise"))
     if gamma > 1.0:
-        train = apply_exponential_imbalance(train, ImbalanceSpec(gamma, seed=derive(run_seed, "imbalance")))
+        train = apply_exponential_imbalance(train, imbalance)
     if nu > 0.0:
-        train = inject_symmetric_noise(train, NoiseSpec(nu, seed=derive(run_seed, "noise")))
+        train = inject_symmetric_noise(train, noise)
     return train
 
 
@@ -239,47 +240,20 @@ def make_datasets(
     per_class: int,
     dim: int,
     separation: float,
-    gamma: float,
-    nu: float,
     run_seed: int,
     test_per_class: int = 100,
 ) -> tuple[Dataset, Dataset]:
-    """Generate train + balanced test clusters, then corrupt the train split;
-    gamma 1 and nu 0 give the clean sets."""
+    """Clean, balanced train and test clusters; ``corrupt_train`` corrupts the train split."""
     data_seed = derive(run_seed, "data")
     train = generate_synthetic(num_classes, per_class, dim, separation, data_seed, split="train")
     test = generate_synthetic(num_classes, test_per_class, dim, separation, data_seed, split="test")
-    return corrupt_train(train, gamma, nu, run_seed), test
+    return train, test
 
 
 def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
     reps = _representations(model, test_set)
     preds = np.argmax(head(Tensor(reps)).data, axis=1)
     return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
-
-
-def run_two_stage(
-    train_set: Dataset,
-    test_set: Dataset,
-    pre: PretrainSettings,
-    fine: FinetuneSettings,
-    run_seed: int,
-    nu_for_policy: float = 0.0,
-    knn_cfg: KNNConfig | None = None,
-    sink=None,
-    model_dims: dict | None = None,
-) -> RunResult:
-    """Pretrain, then fine-tune the head; a single run seed governs both stages.
-    ``model_dims`` are build_model's width arguments (None keeps its defaults)."""
-    model = build_model(pre.method.name, train_set.feature_dim, seed=derive(run_seed, "model"), **(model_dims or {}))
-    records = pretrain(model, train_set, pre, run_seed, knn_cfg=knn_cfg or KNNConfig(), test_set=test_set, sink=sink)
-    knn_acc = records[-1].knn_accuracy
-    policy = fine.freeze_override or select_freeze_policy(pre.method.name, nu_for_policy)
-    head = build_finetune_head(model, train_set.num_classes, pre.method.name, derive(run_seed, "model"))
-    records += finetune(model, head, train_set, fine, policy, run_seed, test_set=test_set, sink=sink)
-    report = evaluate_classifier(model, head, test_set)
-    summary = summarize(report, knn_acc, run_seed, {"pretrain": pre.schedule.total_epochs, "finetune": fine.epochs})
-    return RunResult(model, head, records, train_set, test_set, report, knn_acc, summary)
 
 
 def run_single_stage(
@@ -308,7 +282,7 @@ def run_single_stage(
     ))
     report = evaluate_classifier(model, head, test_set)
     summary = summarize(report, None, run_seed, {"single_stage": epochs})
-    return RunResult(model, head, records, train_set, test_set, report, None, summary)
+    return RunResult(model, head, records, report, summary)
 
 
 def summarize(report: AccuracyReport, knn_acc: float | None, seed: int, stages: dict) -> dict:

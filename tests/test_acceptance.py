@@ -28,6 +28,7 @@ from tailspin.pipeline import (
     FinetuneSettings,
     PretrainSettings,
     build_finetune_head,
+    corrupt_train,
     evaluate_classifier,
     finetune,
     make_datasets,
@@ -221,8 +222,9 @@ def fig2_runs():
     start = time.perf_counter()
     rows = []
     for seed in range(5):
-        noisy_train, test = make_datasets(3, 300, 8, 3.0, gamma=10.0, nu=0.4, run_seed=seed, test_per_class=100)
-        clean_train, _ = make_datasets(3, 300, 8, 3.0, gamma=10.0, nu=0.0, run_seed=seed, test_per_class=100)
+        train, test = make_datasets(3, 300, 8, 3.0, run_seed=seed, test_per_class=100)
+        noisy_train = corrupt_train(train, 10.0, 0.4, seed)
+        clean_train = corrupt_train(train, 10.0, 0.0, seed)
         model = build_model("simsiam", 8, seed=derive(seed, "model"))
         pretrain(model, noisy_train, desk_pretrain_settings(), seed)  # labels unread; shared across nu
         row = {}

@@ -1,4 +1,8 @@
 import json
+import shutil
+
+import numpy as np
+import pytest
 
 from tailspin.cli import main
 from tailspin.io import dataset_provenance, load_checkpoint, load_dataset
@@ -8,6 +12,8 @@ from tailspin.nn import params_digest
 def run_cli(*args):
     return main(list(args))
 
+
+SSL_METHODS = ("simsiam", "simclr", "byol", "barlow_twins")
 
 FAST = [
     "--set", "data.per_class=30",
@@ -35,6 +41,7 @@ class TestRunDeterminism:
         assert run_cli("run", "--seed", "3", "--output", str(out), *FAST) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) >= {"config_hash", "seed", "balanced_accuracy", "knn_accuracy"}
+        assert 0.0 <= summary["balanced_accuracy"] <= 1.0 and summary["knn_accuracy"] is not None
         resolved = (out / "config.resolved").read_text()
         assert "run.seed = 3" in resolved
 
@@ -52,9 +59,11 @@ class TestRunDeterminism:
     def test_record_count_one_per_epoch_per_stage(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--seed", "3", "--output", str(out), *FAST) == 0
-        stages = [json.loads(l)["stage"] for l in (out / "metrics.jsonl").read_text().splitlines()]
-        assert stages.count("pretrain") == 3
-        assert stages.count("finetune") == 2
+        records = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [r["stage"] for r in records] == ["pretrain"] * 3 + ["finetune"] * 2
+        # the kNN proxy is reported on the last pretraining epoch only
+        knn = [r["knn_accuracy"] for r in records if r["stage"] == "pretrain"]
+        assert knn[-1] is not None and all(v is None for v in knn[:-1])
 
 
 class TestStagewiseCommands:
@@ -141,6 +150,36 @@ class TestStagewiseCommands:
             for name in names:
                 assert (run_dir / name).read_bytes() == (stage_dir / name).read_bytes(), f"{split}/{name}"
 
+    @pytest.mark.parametrize("method", SSL_METHODS)
+    def test_chain_writes_the_same_files_as_run(self, tmp_path, method):
+        settings = ["--seed", "6", *FAST, "--set", "data.gamma=4", "--set", "data.nu=0.3",
+                    "--set", f"pretrain.method={method}"]
+        assert run_cli("run", "--output", str(tmp_path / "run"), *settings) == 0
+        for cmd in ("generate", "corrupt", "pretrain", "finetune"):
+            assert run_cli(cmd, "--output", str(tmp_path / "chain"), *settings) == 0
+        for name in ("metrics.jsonl", "summary.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes(), name
+
+    def test_true_label_tamper_leaves_checkpoints_identical(self, tmp_path):
+        # training never reads labels_true: permuting the corrupted set's true
+        # labels between corrupt and pretrain must not move any parameter
+        base = ["--seed", "8", *FAST, "--set", "data.gamma=4", "--set", "data.nu=0.3"]
+        clean, tampered = tmp_path / "clean", tmp_path / "tampered"
+        for cmd in ("generate", "corrupt"):
+            assert run_cli(cmd, "--output", str(clean), *base) == 0
+        shutil.copytree(clean, tampered)
+        path = tampered / "data" / "train-corrupted" / "labels_true.bin"
+        labels = np.fromfile(path, dtype="<u4")
+        permuted = np.random.default_rng(0).permutation(labels)
+        assert not np.array_equal(permuted, labels)
+        permuted.tofile(path)
+        for out in (clean, tampered):
+            for cmd in ("pretrain", "finetune"):
+                assert run_cli(cmd, "--output", str(out), *base) == 0
+        for checkpoint in ("pretrained", "finetuned"):
+            params = [out / "checkpoints" / checkpoint / "params.bin" for out in (clean, tampered)]
+            assert params[0].read_bytes() == params[1].read_bytes(), checkpoint
+
     def test_single_stage_run(self, tmp_path):
         out = tmp_path / "single"
         assert run_cli("run-single-stage", "--seed", "9", "--output", str(out), *FAST,
@@ -148,6 +187,8 @@ class TestStagewiseCommands:
         stages = {json.loads(l)["stage"] for l in (out / "metrics.jsonl").read_text().splitlines()}
         assert stages == {"single_stage"}
         assert (out / "summary.json").is_file()
+        assert run_cli("eval", "--seed", "9", "--output", str(out), *FAST, "--set", "finetune.loss=ce") == 0
+        assert "balanced_accuracy" in json.loads((out / "eval.json").read_text())
 
 
 class TestGradcheckCommand:
@@ -169,10 +210,33 @@ class TestErrorReporting:
         assert "pretrain.method" in err
 
     def test_validation_error_exit_1(self, capsys, tmp_path):
-        code = run_cli("run", "--output", str(tmp_path / "x"), "--set", "data.nu=2.0", *FAST)
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert err.startswith("validation-error:")
+        # corruption values are validated even where they would leave the data as it is
+        for override in ("data.nu=2.0", "data.gamma=0.5", "data.nu=-0.1"):
+            out = tmp_path / override
+            assert run_cli("run", "--output", str(out), "--set", override, *FAST) == 1
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert err.startswith("validation-error:"), override
+            assert not (out / "data").exists(), override
+
+    @pytest.mark.parametrize("override, code, error", [
+        ("finetune.tau=abc", 2, "config-error"),
+        ("eval.knn_k=100000", 1, "contract-error"),
+        ("finetune.lr=nan", 2, "config-error"),
+    ])
+    def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error):
+        out = tmp_path / "bad"
+        assert run_cli("run", "--output", str(out), *FAST, "--set", override) == code
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(f"{error}:")
+        metrics = out / "metrics.jsonl"
+        assert not metrics.exists() or metrics.read_text() == ""
+
+    def test_truncated_checkpoint_is_validation_error(self, capsys, tmp_path):
+        out = tmp_path / "cut"
+        assert run_cli("run", "--output", str(out), *FAST) == 0
+        params = out / "checkpoints" / "finetuned" / "params.bin"
+        params.write_bytes(params.read_bytes()[:-8])
+        assert run_cli("eval", "--output", str(out), *FAST) == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation-error:")
 
     def test_missing_dataset_reported(self, capsys, tmp_path):
         code = run_cli("pretrain", "--output", str(tmp_path / "nothing"))

@@ -12,12 +12,14 @@ from tailspin.pipeline import (
     FinetuneSettings,
     PretrainSettings,
     build_finetune_head,
+    corrupt_train,
     finetune,
     make_datasets,
+    pretrain,
     run_single_stage,
-    run_two_stage,
     select_freeze_policy,
 )
+from tailspin.seeding import derive
 from tailspin.ssl import SSLMethod
 
 
@@ -66,13 +68,6 @@ def setup():
     return train, test, model
 
 
-@pytest.fixture(scope="module")
-def result():
-    train, test = make_datasets(3, 60, 8, 6.0, gamma=5.0, nu=0.3, run_seed=11, test_per_class=40)
-    return run_two_stage(train, test, fast_pretrain(), fast_finetune(), 11, nu_for_policy=0.3,
-                         knn_cfg=KNNConfig(k=5))
-
-
 class TestFinetune:
 
     def test_encoder_checksum_unchanged(self, setup):
@@ -114,48 +109,39 @@ class TestFinetune:
         assert len(head.layers) == 1
 
 
-class TestTwoStage:
-    def test_completes_and_reports(self, result):
-        assert 0.0 <= result.report.balanced <= 1.0
-        assert result.knn_accuracy is not None
+@pytest.fixture(scope="module")
+def two_stage():
+    # the library composition README's "Library use" documents
+    from tailspin.pipeline import evaluate_classifier
 
-    def test_record_stages_and_counts(self, result):
-        stages = [r.stage for r in result.records]
+    train, test = make_datasets(3, 60, 8, 6.0, run_seed=11, test_per_class=40)
+    train = corrupt_train(train, 5.0, 0.3, 11)
+    model = build_model("simsiam", 8, seed=derive(11, "model"))
+    records = pretrain(model, train, fast_pretrain(), 11, KNNConfig(k=5), test)
+    head = build_finetune_head(model, 3, "simsiam", derive(11, "model"))
+    policy = select_freeze_policy("simsiam", 0.3)
+    records += finetune(model, head, train, fast_finetune(), policy, 11, test_set=test)
+    return records, evaluate_classifier(model, head, test)
+
+
+class TestTwoStage:
+    def test_completes_and_reports(self, two_stage):
+        records, report = two_stage
+        assert 0.0 <= report.balanced <= 1.0
+        assert records[5].stage == "pretrain" and records[5].knn_accuracy is not None
+
+    def test_record_stages_and_counts(self, two_stage):
+        records, _ = two_stage
+        stages = [r.stage for r in records]
         assert stages.count("pretrain") == 6
         assert stages.count("finetune") == 8
-        knn_marks = [r.knn_accuracy for r in result.records if r.stage == "pretrain"]
+        knn_marks = [r.knn_accuracy for r in records if r.stage == "pretrain"]
         assert knn_marks[-1] is not None and all(v is None for v in knn_marks[:-1])
-
-    def test_rerun_bitwise_identical(self, result):
-        train, test = make_datasets(3, 60, 8, 6.0, gamma=5.0, nu=0.3, run_seed=11, test_per_class=40)
-        again = run_two_stage(train, test, fast_pretrain(), fast_finetune(), 11, nu_for_policy=0.3,
-                              knn_cfg=KNNConfig(k=5))
-        lines_a = [r.to_json_line() for r in result.records]
-        lines_b = [r.to_json_line() for r in again.records]
-        assert lines_a == lines_b
-        assert again.summary == result.summary
-
-    def test_true_label_tamper_leaves_parameters_identical(self, result):
-        # scramble labels_true; trained parameters must not move
-        from tailspin.data import Dataset
-
-        train, test = make_datasets(3, 60, 8, 6.0, gamma=5.0, nu=0.3, run_seed=11, test_per_class=40)
-        rng = np.random.default_rng(0)
-        tampered = Dataset(
-            train.features.copy(),
-            train.labels_observed.copy(),
-            rng.permutation(train.labels_true),
-            train.num_classes,
-        )
-        again = run_two_stage(tampered, test, fast_pretrain(), fast_finetune(), 11, nu_for_policy=0.3,
-                              knn_cfg=KNNConfig(k=5))
-        assert params_digest(again.model.encoder.parameters()) == params_digest(result.model.encoder.parameters())
-        assert params_digest(again.head.parameters()) == params_digest(result.head.parameters())
 
 
 class TestSingleStage:
     def test_runs_and_is_deterministic(self):
-        train, test = make_datasets(3, 40, 8, 6.0, gamma=1.0, nu=0.0, run_seed=13, test_per_class=30)
+        train, test = make_datasets(3, 40, 8, 6.0, run_seed=13, test_per_class=30)
         a = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce"), epochs=5, run_seed=13)
         b = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce"), epochs=5, run_seed=13)
         assert [r.to_json_line() for r in a.records] == [r.to_json_line() for r in b.records]
@@ -163,7 +149,7 @@ class TestSingleStage:
         assert len(a.records) == 5
 
     def test_clean_data_trains_well(self):
-        train, test = make_datasets(3, 60, 8, 6.0, gamma=1.0, nu=0.0, run_seed=17, test_per_class=40)
+        train, test = make_datasets(3, 60, 8, 6.0, run_seed=17, test_per_class=40)
         result = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=30), epochs=30, run_seed=17)
         assert result.report.balanced >= 0.9
 
@@ -174,10 +160,10 @@ class TestCleanBalancedRegime:
         # saturates near its cap, so the two fine-tunes land together
         gaps = []
         for seed in range(5):
-            train, test = make_datasets(3, 80, 8, 3.0, gamma=1.0, nu=0.0, run_seed=seed, test_per_class=50)
+            train, test = make_datasets(3, 80, 8, 3.0, run_seed=seed, test_per_class=50)
             model = build_model("simsiam", 8, seed=seed)
             pre = fast_pretrain(epochs=30)
-            from tailspin.pipeline import evaluate_classifier, pretrain
+            from tailspin.pipeline import evaluate_classifier
 
             pretrain(model, train, pre, seed)
             accs = {}
@@ -189,9 +175,9 @@ class TestCleanBalancedRegime:
         assert abs(float(np.mean(gaps))) <= 0.02
 
     def test_knn_proxy_perfect_on_fully_separated_clusters(self):
-        train, test = make_datasets(3, 60, 8, 12.0, gamma=1.0, nu=0.0, run_seed=31, test_per_class=40)
+        train, test = make_datasets(3, 60, 8, 12.0, run_seed=31, test_per_class=40)
         model = build_model("simsiam", 8, seed=31)
-        from tailspin.pipeline import knn_proxy_accuracy, pretrain
+        from tailspin.pipeline import knn_proxy_accuracy
 
         pretrain(model, train, fast_pretrain(epochs=30), 31)
         assert knn_proxy_accuracy(model, train, test, KNNConfig(k=5)) == 1.0
@@ -200,12 +186,13 @@ class TestCleanBalancedRegime:
 class TestImbalancedPretraining:
     def test_gamma_100_completes_and_beats_chance_3x(self):
         # 10-class set so 3x chance (0.3) is attainable; smallest class keeps 1 sample
-        train, test = make_datasets(10, 100, 8, 5.0, gamma=100.0, nu=0.0, run_seed=23, test_per_class=20)
+        train, test = make_datasets(10, 100, 8, 5.0, run_seed=23, test_per_class=20)
+        train = corrupt_train(train, 100.0, 0.0, 23)
         assert train.true_counts().min() == 1
-        pre = fast_pretrain(epochs=40)
-        result = run_two_stage(train, test, pre, fast_finetune(epochs=3), 23, knn_cfg=KNNConfig(k=5))
-        assert result.knn_accuracy is not None
-        assert result.knn_accuracy >= 3 * (1 / 10)
+        model = build_model("simsiam", 8, seed=derive(23, "model"))
+        records = pretrain(model, train, fast_pretrain(epochs=40), 23, KNNConfig(k=5), test)
+        assert records[-1].knn_accuracy is not None
+        assert records[-1].knn_accuracy >= 3 * (1 / 10)
 
 
 class TestThreadConfinement:
@@ -215,10 +202,12 @@ class TestThreadConfinement:
         import threading
 
         def one_run(seed, sink):
-            train, test = make_datasets(3, 30, 6, 4.0, gamma=1.0, nu=0.0, run_seed=seed, test_per_class=10)
-            result = run_two_stage(train, test, fast_pretrain(epochs=4), fast_finetune(epochs=2), seed,
-                                   knn_cfg=KNNConfig(k=3))
-            sink[seed] = params_digest(result.model.trainable_parameters() + result.head.parameters())
+            train, test = make_datasets(3, 30, 6, 4.0, run_seed=seed, test_per_class=10)
+            model = build_model("simsiam", 6, seed=derive(seed, "model"))
+            pretrain(model, train, fast_pretrain(epochs=4), seed, KNNConfig(k=3), test)
+            head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
+            finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, seed, test_set=test)
+            sink[seed] = params_digest(model.trainable_parameters() + head.parameters())
 
         sequential = {}
         for seed in (51, 52):
@@ -234,7 +223,8 @@ class TestThreadConfinement:
 
 class TestMakeDatasets:
     def test_corruption_applied_in_order(self):
-        train, test = make_datasets(3, 100, 8, 6.0, gamma=10.0, nu=0.4, run_seed=19, test_per_class=50)
+        train, test = make_datasets(3, 100, 8, 6.0, run_seed=19, test_per_class=50)
+        train = corrupt_train(train, 10.0, 0.4, 19)
         counts = train.true_counts()
         assert counts[0] == 100
         assert counts[-1] == 10
