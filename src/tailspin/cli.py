@@ -109,7 +109,11 @@ def _knn_config(cfg: ExperimentConfig) -> KNNConfig:
 
 
 def _model_dims(cfg: ExperimentConfig) -> dict:
-    return {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
+    dims = {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
+    for key, width in dims.items():
+        if width < 1:
+            raise ValidationError(f"model.{key} must be >= 1, got {width}")
+    return dims
 
 
 def _save_dataset(ds: Dataset, directory: Path, cfg: ExperimentConfig, gamma: float = 1.0, nu: float = 0.0) -> None:
@@ -201,7 +205,7 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
 def _cmd_run(cfg: ExperimentConfig) -> None:
     """generate -> corrupt -> pretrain -> finetune in one process; every stage's settings
     are resolved first, so bad input fails before the first stage writes anything."""
-    _pretrain_settings(cfg), _finetune_settings(cfg), _knn_config(cfg)
+    _pretrain_settings(cfg), _finetune_settings(cfg), _knn_config(cfg), _model_dims(cfg)
     ImbalanceSpec(cfg["data.gamma"]), NoiseSpec(cfg["data.nu"])
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
@@ -211,14 +215,14 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    settings = _finetune_settings(cfg)
+    settings, dims = _finetune_settings(cfg), _model_dims(cfg)
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
     with _fresh_metrics(out) as sink:
         result = run_single_stage(
             train, test, cfg["pretrain.method"], settings,
-            cfg["single_stage.epochs"], cfg.seed, sink=sink, model_dims=_model_dims(cfg),
+            cfg["single_stage.epochs"], cfg.seed, sink=sink, model_dims=dims,
         )
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})
     (out / "summary.json").write_text(summary_payload(cfg, result.summary))

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .evaluation import EMBED_LAYERS, KNN_METRICS, KNN_WEIGHTINGS
+from .losses import CLAMP_MODES, LOSS_KINDS
+from .nn import SSL_METHODS
+from .optim import OPTIMIZER_KINDS, SCHEDULE_KINDS
+from .pipeline import FULL_HEAD, LAST_LAYER_ONLY
 
 # key -> (type, default, allowed values or None, help)
 _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
@@ -25,14 +30,14 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "data.separation": (float, 3.0, None, "minimum pairwise distance between cluster means"),
     "data.gamma": (float, 1.0, None, "imbalance ratio, 1 disables"),
     "data.nu": (float, 0.0, None, "symmetric noise fraction in [0, 1)"),
-    "pretrain.method": (str, "simsiam", ("simsiam", "simclr", "byol", "barlow_twins"), "SSL objective"),
+    "pretrain.method": (str, "simsiam", SSL_METHODS, "SSL objective"),
     "pretrain.epochs": (int, 200, None, "pretraining epochs"),
     "pretrain.batch_size": (int, 64, None, "pretraining batch size"),
-    "pretrain.optimizer": (str, "sgd", ("sgd", "adam"), "pretraining optimizer"),
+    "pretrain.optimizer": (str, "sgd", OPTIMIZER_KINDS, "pretraining optimizer"),
     "pretrain.base_lr": (float, 0.12, None, "base lr, scaled by batch_size/256"),
     "pretrain.weight_decay": (float, 5e-4, None, "pretraining weight decay"),
     "pretrain.momentum": (float, 0.9, None, "SGD momentum"),
-    "pretrain.schedule": (str, "cosine", ("cosine", "constant"), "lr schedule after warmup"),
+    "pretrain.schedule": (str, "cosine", SCHEDULE_KINDS, "lr schedule after warmup"),
     "pretrain.warmup_epochs": (int, 10, None, "linear warmup epochs"),
     "pretrain.temperature": (float, 0.5, None, "SimCLR NT-Xent temperature"),
     "pretrain.ema_momentum": (float, 0.99, None, "BYOL target momentum"),
@@ -45,22 +50,22 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "model.rep_dim": (int, 32, None, "encoder output width"),
     "model.proj_dim": (int, 32, None, "projector width (2 FC layers)"),
     "model.pred_hidden": (int, 16, None, "predictor hidden width"),
-    "finetune.loss": (str, "la_sl", ("ce", "ce_sl", "la", "la_sl"), "fine-tuning loss"),
+    "finetune.loss": (str, "la_sl", LOSS_KINDS, "fine-tuning loss"),
     "finetune.epochs": (int, 25, None, "fine-tuning epochs"),
     "finetune.batch_size": (int, 64, None, "fine-tuning batch size"),
-    "finetune.optimizer": (str, "adam", ("sgd", "adam"), "fine-tuning optimizer"),
+    "finetune.optimizer": (str, "adam", OPTIMIZER_KINDS, "fine-tuning optimizer"),
     "finetune.lr": (float, 0.003, None, "fine-tuning learning rate (not batch-scaled)"),
     "finetune.weight_decay": (float, 0.0, None, "fine-tuning weight decay"),
     "finetune.momentum": (float, 0.9, None, "fine-tuning SGD momentum"),
-    "finetune.freeze": (str, "auto", ("auto", "full_head", "last_layer_only"), "freeze policy override"),
+    "finetune.freeze": (str, "auto", ("auto", FULL_HEAD, LAST_LAYER_ONLY), "freeze policy override"),
     "finetune.tau": (str, "auto", None, "SuperLoss threshold; 'auto' means log(C)"),
     "finetune.lambda": (float, 4.0, None, "SuperLoss regularization"),
-    "finetune.clamp_mode": (str, "lower_bound", ("lower_bound", "as_written"), "SuperLoss clamp direction"),
+    "finetune.clamp_mode": (str, "lower_bound", CLAMP_MODES, "SuperLoss clamp direction"),
     "single_stage.epochs": (int, 60, None, "epochs for the from-scratch baseline"),
     "eval.knn_k": (int, 20, None, "kNN proxy neighbor count"),
-    "eval.knn_metric": (str, "cosine", ("cosine", "euclidean"), "kNN distance"),
-    "eval.knn_weighting": (str, "similarity", ("uniform", "similarity"), "kNN vote weighting"),
-    "eval.embedding_layer": (str, "encoder", ("encoder", "projector"), "representation used by eval"),
+    "eval.knn_metric": (str, "cosine", KNN_METRICS, "kNN distance"),
+    "eval.knn_weighting": (str, "similarity", KNN_WEIGHTINGS, "kNN vote weighting"),
+    "eval.embedding_layer": (str, "encoder", EMBED_LAYERS, "representation used by eval"),
     "eval.export_embeddings": (bool, False, None, "write embeddings during eval subcommand"),
     "run.seed": (int, 0, None, "single global seed; all streams derive from it"),
     "run.output_dir": (str, "runs/default", None, "where outputs are written"),

@@ -22,7 +22,7 @@ from .data import (
     generate_synthetic,
     inject_symmetric_noise,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, knn_classify
 from .losses import SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model, build_model
@@ -92,6 +92,11 @@ class PretrainSettings:
     augmentation: AugmentationSpec = field(default_factory=lambda: AugmentationSpec(0.4, 0.0, 0.2))
     disable_stop_gradient: bool = False
 
+    def __post_init__(self):
+        if self.optimizer.batch_size < 2:
+            # pretrain_epoch skips batches of one sample, so a smaller size would train on nothing
+            raise ValidationError(f"pretraining batch_size must be >= 2, got {self.optimizer.batch_size}")
+
 
 @dataclass
 class FinetuneSettings:
@@ -104,6 +109,10 @@ class FinetuneSettings:
     superloss_tau: float | None = None  # None means log(num_classes)
     clamp_mode: str = "lower_bound"
     freeze_override: str | None = None  # None means select by method and nu
+
+    def __post_init__(self):
+        if self.superloss_lambda <= 0:
+            raise ValidationError(f"superloss lambda must be positive, got {self.superloss_lambda}")
 
 
 def _run_epochs(stage: str, epochs: int, run_seed: int, sink, epoch_fn) -> list[MetricsRecord]:

@@ -1,9 +1,11 @@
 """Dense double-precision tensors with reverse-mode automatic differentiation.
 
-Define-by-run: while a Tape is active, every differentiable operation appends
-a pullback closure to it. ``Tape.backward`` walks the records in exact reverse
-execution order and accumulates gradients into participating tensors. Tensors
-and tapes are confined to a single thread; there is no locking.
+Define-by-run: every operation builds its output through ``_op``, which,
+while a Tape is active, appends one pullback closure to it. ``Tape.backward``
+walks the records in exact reverse execution order, accumulates gradients
+into participating tensors and then drops the records, so the graph is freed
+as soon as the caller lets go of it. Tensors and tapes are confined to a
+single thread; there is no locking.
 """
 from __future__ import annotations
 
@@ -53,10 +55,6 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    def _record(self, out: "Tensor", pullback: Callable[[np.ndarray], None]) -> None:
-        out._tape = self
-        self._records.append((out, pullback))
-
     def backward(self, output: "Tensor") -> None:
         """Seed the scalar output with gradient 1 and replay pullbacks in reverse."""
         if self._spent:
@@ -66,8 +64,11 @@ class Tape:
         if output._tape is not self:
             raise TapeError("output was not produced on this tape (detached or foreign)")
         self._spent = True
+        # drop the records before replaying them: each output points back to
+        # this tape, so a kept list would hold the whole graph until the cyclic GC
+        records, self._records = self._records, []
         output._grad = np.ones_like(output.data)
-        for node, pullback in reversed(self._records):
+        for node, pullback in reversed(records):
             if node._grad is not None:
                 pullback(node._grad)
 
@@ -118,59 +119,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; plain numbers and arrays become constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _make(arr: np.ndarray, requires_grad: bool, op: str) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{op}: produced non-finite values")
-    out.data = arr
-    out.requires_grad = requires_grad
-    out._grad = None
-    out._tape = None
-    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -188,10 +139,32 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t._grad = g.copy() if t._grad is None else t._grad + g
 
 
-def _maybe_record(out: Tensor, pullback: Callable[[np.ndarray], None]) -> None:
+def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Output of op ``name`` with forward ``value`` and one (input, vjp) pair per input.
+
+    The output requires a gradient if any input does. While a tape is active,
+    one pullback is recorded; it adds vjp(g) into each input that requires a
+    gradient, in argument order, and never calls the vjp of any other input.
+    """
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{name}: produced non-finite values")
+    live = [(t, vjp) for t, vjp in inputs if t.requires_grad]
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = bool(live)
+    out._grad = None
+    out._tape = None
     tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape._record(out, pullback)
+    if tape is not None and live:
+
+        def pull(g):
+            for t, vjp in live:
+                _accum(t, vjp(g))
+
+        out._tape = tape
+        tape._records.append((out, pull))
+    return out
 
 
 def _broadcast_op(a: Tensor, b: Tensor, fn, name: str) -> np.ndarray:
@@ -202,92 +175,38 @@ def _broadcast_op(a: Tensor, b: Tensor, fn, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward operations, each registering its pullback on the active tape
+# forward operations; each passes its value and per-input vjps to _op
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(_broadcast_op(a, b, np.add, "add"), a.requires_grad or b.requires_grad, "add")
-
-    def pull(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("add", _broadcast_op(a, b, np.add, "add"), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(_broadcast_op(a, b, np.subtract, "sub"), a.requires_grad or b.requires_grad, "sub")
-
-    def pull(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("sub", _broadcast_op(a, b, np.subtract, "sub"), (a, lambda g: g), (b, lambda g: -g))
 
 
 def neg(a: Tensor) -> Tensor:
-    out = _make(-a.data, a.requires_grad, "neg")
-
-    def pull(g):
-        _accum(a, -g)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("neg", -a.data, (a, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(_broadcast_op(a, b, np.multiply, "mul"), a.requires_grad or b.requires_grad, "mul")
-
-    def pull(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("mul", _broadcast_op(a, b, np.multiply, "mul"), (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(a.data @ b.data, a.requires_grad or b.requires_grad, "matmul")
-
-    def pull(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
-    out = _make(a.data.T, a.requires_grad, "transpose")
-
-    def pull(g):
-        _accum(a, g.T)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("transpose", a.data.T, (a, lambda g: g.T))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0.0), a.requires_grad, "relu")
-
-    def pull(g):
-        _accum(a, g * (a.data > 0.0))
-
-    _maybe_record(out, pull)
-    return out
+    return _op("relu", np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -295,50 +214,14 @@ def power(a: Tensor, exponent: float) -> Tensor:
         raise ValidationError("power: exponent must be a plain number")
     p = float(exponent)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _make(a.data ** p, a.requires_grad, "power")
-
-    def pull(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    _maybe_record(out, pull)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _make(np.log(a.data), a.requires_grad, "log")
-
-    def pull(g):
-        _accum(a, g / a.data)
-
-    _maybe_record(out, pull)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = _make(np.exp(a.data), a.requires_grad, "exp")
-
-    def pull(g):
-        _accum(a, g * out.data)
-
-    _maybe_record(out, pull)
-    return out
+        return _op("power", a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = _make(np.sum(a.data, axis=axis, keepdims=keepdims), a.requires_grad, "sum")
+    def vjp(g):
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape)
 
-    def pull(g):
-        if axis is None:
-            expanded = np.broadcast_to(g.reshape((1,) * a.ndim), a.shape)
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
-            expanded = np.broadcast_to(expanded, a.shape)
-        _accum(a, expanded)
-
-    _maybe_record(out, pull)
-    return out
+    return _op("sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -354,31 +237,21 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
         raise ValidationError(f"gather_rows: index out of range for {a.shape[1]} columns")
     rows = np.arange(a.shape[0])
-    out = _make(a.data[rows, idx], a.requires_grad, "gather_rows")
 
-    def pull(g):
+    def vjp(g):
         z = np.zeros_like(a.data)
         np.add.at(z, (rows, idx), g)
-        _accum(a, z)
+        return z
 
-    _maybe_record(out, pull)
-    return out
+    return _op("gather_rows", a.data[rows, idx], (a, vjp))
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(np.concatenate([a.data, b.data], axis=0), a.requires_grad or b.requires_grad, "concat_rows")
     split = a.shape[0]
-
-    def pull(g):
-        if a.requires_grad:
-            _accum(a, g[:split])
-        if b.requires_grad:
-            _accum(b, g[split:])
-
-    _maybe_record(out, pull)
-    return out
+    value = np.concatenate([a.data, b.data], axis=0)
+    return _op("concat_rows", value, (a, lambda g: g[:split]), (b, lambda g: g[split:]))
 
 
 def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
@@ -386,28 +259,9 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
     m = np.max(a.data, axis=axis, keepdims=True)
     shifted = np.exp(a.data - m)
     total = np.sum(shifted, axis=axis, keepdims=True)
-    out = _make(np.squeeze(m + np.log(total), axis=axis), a.requires_grad, "log_sum_exp")
     soft = shifted / total
-
-    def pull(g):
-        _accum(a, soft * np.expand_dims(g, axis))
-
-    _maybe_record(out, pull)
-    return out
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    out = _make(y, a.requires_grad, "softmax")
-
-    def pull(g):
-        inner = np.sum(g * y, axis=axis, keepdims=True)
-        _accum(a, y * (g - inner))
-
-    _maybe_record(out, pull)
-    return out
+    value = np.squeeze(m + np.log(total), axis=axis)
+    return _op("log_sum_exp", value, (a, lambda g: soft * np.expand_dims(g, axis)))
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -416,25 +270,17 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     degenerate = norm < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norm)
     y = np.where(degenerate, 0.0, a.data / safe)
-    out = _make(y, a.requires_grad, "l2_normalize")
 
-    def pull(g):
+    def vjp(g):
         inner = np.sum(g * y, axis=axis, keepdims=True)
-        gx = np.where(degenerate, 0.0, (g - y * inner) / safe)
-        _accum(a, gx)
+        return np.where(degenerate, 0.0, (g - y * inner) / safe)
 
-    _maybe_record(out, pull)
-    return out
+    return _op("l2_normalize", y, (a, vjp))
 
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Pass values through bitwise unchanged; block all gradient flow."""
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.requires_grad = False
-    out._grad = None
-    out._tape = None
-    return out
+    return _op("stop_gradient", a.data)
 
 
 def negative_cosine_similarity(p: Tensor, z: Tensor) -> Tensor:

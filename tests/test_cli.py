@@ -222,6 +222,9 @@ class TestErrorReporting:
         ("finetune.tau=abc", 2, "config-error"),
         ("eval.knn_k=100000", 1, "contract-error"),
         ("finetune.lr=nan", 2, "config-error"),
+        ("model.hidden_dim=0", 1, "validation-error"),
+        ("pretrain.batch_size=1", 1, "validation-error"),
+        ("finetune.lambda=0", 1, "validation-error"),
     ])
     def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error):
         out = tmp_path / "bad"
@@ -229,6 +232,9 @@ class TestErrorReporting:
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith(f"{error}:")
         metrics = out / "metrics.jsonl"
         assert not metrics.exists() or metrics.read_text() == ""
+        # k is checked against the corrupted training set, so only that case gets to write data/
+        if not override.startswith("eval.knn_k="):
+            assert not (out / "data").exists()
 
     def test_truncated_checkpoint_is_validation_error(self, capsys, tmp_path):
         out = tmp_path / "cut"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from tailspin.tensor import (
     Tensor,
     add,
     concat_rows,
-    exp,
     finite_diff_check,
     gather_rows,
     l2_normalize,
@@ -20,7 +22,6 @@ from tailspin.tensor import (
     negative_cosine_similarity,
     power,
     relu,
-    softmax,
     standardize_columns,
     stop_gradient,
     tensor_sum,
@@ -58,18 +59,13 @@ class TestForwardValues:
         out = log_sum_exp(Tensor(x), axis=-1)
         assert np.all(np.isfinite(out.data))
 
-    def test_softmax_rows_sum_to_one(self):
-        x = rand((8, 5), 1, lo=-50, hi=50)
-        s = softmax(Tensor(x)).data
-        assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
-
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):
             Tensor([1.0, np.nan])
 
     def test_inf_from_op_rejected(self):
-        with pytest.raises(NumericError, match="exp"):
-            exp(Tensor([800.0]))
+        with pytest.raises(NumericError, match="power"):
+            power(Tensor([0.0]), -1.0)
 
     def test_add_broadcast_shape_error(self):
         with pytest.raises(ShapeError, match="add"):
@@ -132,6 +128,23 @@ class TestBackward:
         with Tape() as tape:
             with pytest.raises(TapeError):
                 tape.backward(detached)
+
+    def test_spent_tape_releases_the_graph(self):
+        # with the cyclic GC off, only reference counting can free the graph
+        x = Tensor(rand((3, 4), 9), requires_grad=True)
+        w = Tensor(rand((4, 2), 10))
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = relu(matmul(x, w))
+                out = tensor_sum(mul(hidden, hidden))
+                ref = weakref.ref(hidden.data)
+                del hidden
+                assert ref() is not None
+                tape.backward(out)
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_backward_linearity(self):
         # gradient of f + g equals gradient of f plus gradient of g
@@ -201,13 +214,12 @@ class TestFiniteDifferenceOracle:
         "name,builder",
         [
             ("log_sum_exp", lambda t: tensor_sum(log_sum_exp(t, axis=-1))),
-            ("softmax", lambda t: tensor_sum(mul(softmax(t), Tensor(rand((4, 5), 99))))),
             ("l2_normalize", lambda t: tensor_sum(mul(l2_normalize(t), Tensor(rand((4, 5), 98))))),
             ("standardize", lambda t: tensor_sum(mul(standardize_columns(t), Tensor(rand((4, 5), 97))))),
             ("transpose", lambda t: tensor_sum(mul(transpose(t), transpose(t)))),
             ("gather", lambda t: tensor_sum(gather_rows(t, np.array([0, 2, 1, 4])))),
             ("concat", lambda t: tensor_sum(mul(concat_rows(t, t), concat_rows(t, t)))),
-            ("power", lambda t: tensor_sum(power(t * t + 1.0, -0.5))),
+            ("power", lambda t: tensor_sum(power(add(mul(t, t), Tensor(1.0)), -0.5))),
         ],
     )
     def test_op_gradients_match_finite_differences(self, name, builder):
