@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as tio
 from .config import ExperimentConfig, config_load, describe_defaults, summary_payload, write_resolved
-from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec
+from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec, exponential_profile
 from .errors import ConfigError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
 from .gradcheck import TOLERANCE, battery
@@ -84,7 +84,7 @@ def _pretrain_settings(cfg: ExperimentConfig) -> PretrainSettings:
     )
 
 
-def _finetune_settings(cfg: ExperimentConfig) -> FinetuneSettings:
+def _finetune_settings(cfg: ExperimentConfig, epochs_key: str = "finetune.epochs") -> FinetuneSettings:
     optimizer = OptimizerConfig(
         kind=cfg["finetune.optimizer"],
         base_lr=cfg["finetune.lr"],
@@ -96,7 +96,7 @@ def _finetune_settings(cfg: ExperimentConfig) -> FinetuneSettings:
     return FinetuneSettings(
         loss=cfg["finetune.loss"],
         optimizer=optimizer,
-        epochs=cfg["finetune.epochs"],
+        epochs=cfg[epochs_key],
         superloss_lambda=cfg["finetune.lambda"],
         superloss_tau=cfg.superloss_tau(),
         clamp_mode=cfg["finetune.clamp_mode"],
@@ -114,6 +114,12 @@ def _model_dims(cfg: ExperimentConfig) -> dict:
         if width < 1:
             raise ValidationError(f"model.{key} must be >= 1, got {width}")
     return dims
+
+
+def _corrupted_size(cfg: ExperimentConfig) -> int:
+    """Validate the corruption settings and count the corrupted training set, before anything is written."""
+    ImbalanceSpec(cfg["data.gamma"]), NoiseSpec(cfg["data.nu"])
+    return int(exponential_profile(cfg["data.per_class"], cfg["data.gamma"], cfg["data.num_classes"]).sum())
 
 
 def _save_dataset(ds: Dataset, directory: Path, cfg: ExperimentConfig, gamma: float = 1.0, nu: float = 0.0) -> None:
@@ -205,8 +211,8 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
 def _cmd_run(cfg: ExperimentConfig) -> None:
     """generate -> corrupt -> pretrain -> finetune in one process; every stage's settings
     are resolved first, so bad input fails before the first stage writes anything."""
-    _pretrain_settings(cfg), _finetune_settings(cfg), _knn_config(cfg), _model_dims(cfg)
-    ImbalanceSpec(cfg["data.gamma"]), NoiseSpec(cfg["data.nu"])
+    _pretrain_settings(cfg), _finetune_settings(cfg), _model_dims(cfg)
+    _knn_config(cfg).check_reference(_corrupted_size(cfg))
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     _cmd_pretrain(cfg)
@@ -215,14 +221,15 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    settings, dims = _finetune_settings(cfg), _model_dims(cfg)
+    settings, dims = _finetune_settings(cfg, "single_stage.epochs"), _model_dims(cfg)
+    _corrupted_size(cfg)
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
     with _fresh_metrics(out) as sink:
         result = run_single_stage(
             train, test, cfg["pretrain.method"], settings,
-            cfg["single_stage.epochs"], cfg.seed, sink=sink, model_dims=dims,
+            settings.epochs, cfg.seed, sink=sink, model_dims=dims,
         )
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})
     (out / "summary.json").write_text(summary_payload(cfg, result.summary))

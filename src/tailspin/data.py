@@ -144,10 +144,15 @@ def generate_synthetic(
 
 
 def exponential_profile(n_max: int, gamma: float, num_classes: int) -> np.ndarray:
-    """Per-class retention counts n_c = round(n_max * gamma^(-c / (C - 1)))."""
+    """Per-class retention counts n_c = round(n_max * gamma^(-c / (C - 1))), each at least 1."""
+    if num_classes < 2:
+        raise ValidationError(f"num_classes must be >= 2, got {num_classes}")
     c = np.arange(num_classes, dtype=np.float64)
     raw = n_max * gamma ** (-c / (num_classes - 1))
-    return np.array([_round_half_up(v) for v in raw], dtype=np.int64)
+    counts = np.array([_round_half_up(v) for v in raw], dtype=np.int64)
+    if counts.min() < 1:
+        raise ValidationError(f"gamma={gamma} empties the smallest class (n_max={n_max}); reduce gamma")
+    return counts
 
 
 def apply_exponential_imbalance(ds: Dataset, spec: ImbalanceSpec) -> Dataset:
@@ -157,10 +162,6 @@ def apply_exponential_imbalance(ds: Dataset, spec: ImbalanceSpec) -> Dataset:
         raise ContractError(f"imbalance requires a balanced dataset, got class counts {counts.tolist()}")
     n_max = int(counts[0])
     targets = exponential_profile(n_max, spec.gamma, ds.num_classes)
-    if targets.min() < 1:
-        raise ValidationError(
-            f"gamma={spec.gamma} empties the smallest class (n_max={n_max}); reduce gamma"
-        )
     rng = rng_for(spec.seed, "imbalance")
     kept: list[np.ndarray] = []
     for c in range(ds.num_classes):

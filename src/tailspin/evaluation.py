@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractError, ValidationError
-from .io import FORMAT_VERSION, _read_array, _read_manifest, _write_array, _write_manifest
+from .io import load_arrays, save_arrays
 from .nn import Model
 from .tensor import Tensor
 
@@ -194,31 +194,11 @@ def accuracy_suite(predictions: np.ndarray, labels_true: np.ndarray, num_classes
 
 
 def export_embeddings(es: EmbeddingSet, directory: str | Path) -> Path:
-    """Write embeddings in the dataset binary convention with labels alongside."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_array(directory / "embeddings.bin", es.embeddings, "<f4")
-    _write_array(directory / "labels.bin", es.labels, "<u4")
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "embeddings",
-        "num_samples": es.num_samples,
-        "dim": es.dim,
-        "num_classes": es.num_classes,
-        "split": es.split,
-        "files": {
-            "embeddings": {"name": "embeddings.bin", "dtype": "float32-le", "shape": [es.num_samples, es.dim]},
-            "labels": {"name": "labels.bin", "dtype": "uint32-le", "shape": [es.num_samples]},
-        },
-    }
-    _write_manifest(directory / "manifest.json", manifest)
-    return directory
+    """Write embeddings with their labels alongside, as an ``embeddings`` array directory."""
+    meta = {"num_samples": es.num_samples, "dim": es.dim, "num_classes": es.num_classes, "split": es.split}
+    return save_arrays(directory, "embeddings", {"embeddings": es.embeddings, "labels": es.labels}, meta)
 
 
 def load_embeddings(directory: str | Path) -> EmbeddingSet:
-    directory = Path(directory)
-    manifest = _read_manifest(directory, "embeddings")
-    files = manifest["files"]
-    emb = _read_array(directory / files["embeddings"]["name"], "<f4", files["embeddings"]["shape"])
-    labels = _read_array(directory / files["labels"]["name"], "<u4", files["labels"]["shape"])
-    return EmbeddingSet(emb, labels.astype(np.int64), int(manifest["num_classes"]), split=manifest.get("split", "train"))
+    arrays, manifest = load_arrays(directory, "embeddings")
+    return EmbeddingSet(**arrays, num_classes=manifest["num_classes"], split=manifest["split"])

@@ -1,13 +1,17 @@
-"""On-disk formats: dataset directories, checkpoints, metrics lines.
+"""On-disk formats: array directories (datasets, checkpoints, embeddings) and metrics lines.
 
-Bulk arrays are little-endian binaries (32-bit IEEE floats or unsigned ints
-for datasets, 64-bit floats for checkpoints so reloads are bit-exact) next to
-a human-readable JSON manifest whose declared sizes must match the file byte
-lengths exactly. Everything written here can be read back by this module.
+An array directory holds one little-endian ``<name>.bin`` per array next to a
+human-readable ``manifest.json``: the format ``version``, the directory's
+``kind``, the writer's metadata and ``files``, each array's dtype and shape.
+Datasets and embeddings store 32-bit IEEE floats and unsigned ints,
+checkpoints 64-bit floats so reloads are bit-exact. The reader checks kind,
+version, dtypes and every file's exact byte length; a manifest that does not
+describe its files is a ValidationError.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -18,108 +22,97 @@ from .errors import ValidationError
 from .nn import Linear, Mlp, Model
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_F32 = "<f4"
-_F64 = "<f8"
-_U32 = "<u4"
-
-
-def _write_array(path: Path, arr: np.ndarray, dtype: str) -> None:
-    np.ascontiguousarray(arr).astype(dtype).tofile(path)
-
-
-def _read_array(path: Path, dtype: str, shape: list[int]) -> np.ndarray:
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise ValidationError(
-            f"{path}: declared shape {shape} needs {expected} bytes, file has {actual}"
-        )
-    return np.fromfile(path, dtype=dtype).reshape(shape)
+# kind -> array name -> little-endian dtype, for writing and reading alike
+SCHEMAS = {
+    "dataset": {"features": "<f4", "labels_observed": "<u4", "labels_true": "<u4"},
+    "checkpoint": {"params": "<f8"},
+    "embeddings": {"embeddings": "<f4", "labels": "<u4"},
+}
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+def _dtype_name(dtype: str) -> str:
+    return f"{np.dtype(dtype).name}-le"
 
 
-def _read_manifest(directory: Path, kind: str) -> dict:
-    path = directory / "manifest.json"
+def _size(shape, where: str) -> int:
+    if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValidationError(f"{where}: shape {shape!r} is not a list of non-negative ints")
+    return math.prod(shape)
+
+
+def save_arrays(directory: str | Path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> Path:
+    """Write each array of ``kind``'s schema to ``<name>.bin``, then the manifest."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, dtype in SCHEMAS[kind].items():
+        data = np.ascontiguousarray(arrays[name]).astype(dtype)
+        data.tofile(directory / f"{name}.bin")
+        files[name] = {"dtype": _dtype_name(dtype), "shape": list(data.shape)}
+    manifest = {"version": FORMAT_VERSION, "kind": kind, **meta, "files": files}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return directory
+
+
+def load_arrays(directory: str | Path, kind: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and the manifest that ``save_arrays`` wrote for ``kind``."""
+    path = Path(directory) / "manifest.json"
     if not path.is_file():
         raise ValidationError(f"manifest not found: {path}")
-    manifest = json.loads(path.read_text())
-    if manifest.get("kind") != kind:
-        raise ValidationError(f"{directory}: manifest kind is not '{kind}'")
-    return manifest
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
+        raise ValidationError(f"{path}: manifest kind is not '{kind}'")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise ValidationError(f"{path}: format version {manifest.get('version')!r}, expected {FORMAT_VERSION}")
+    files = manifest.get("files")
+    arrays = {}
+    for name, dtype in SCHEMAS[kind].items():
+        entry = files.get(name) if isinstance(files, dict) else None
+        if not isinstance(entry, dict) or entry.get("dtype") != _dtype_name(dtype):
+            raise ValidationError(f"{path}: files has no {_dtype_name(dtype)} entry '{name}'")
+        file = path.parent / f"{name}.bin"
+        expected = _size(entry.get("shape"), f"{path}: {name}") * np.dtype(dtype).itemsize
+        if (actual := os.path.getsize(file)) != expected:
+            raise ValidationError(f"{file}: declared shape {entry['shape']} needs {expected} bytes, file has {actual}")
+        arrays[name] = np.fromfile(file, dtype=dtype).reshape(entry["shape"])
+    return arrays, manifest
 
 
 def save_dataset(ds: Dataset, directory: str | Path, provenance: dict | None = None) -> Path:
     """Write features + both label tracks + manifest under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_array(directory / "features.bin", ds.features, _F32)
-    _write_array(directory / "labels_observed.bin", ds.labels_observed, _U32)
-    _write_array(directory / "labels_true.bin", ds.labels_true, _U32)
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "dataset",
-        "num_samples": ds.num_samples,
-        "feature_dim": ds.feature_dim,
-        "num_classes": ds.num_classes,
-        "split": ds.split,
-        "files": {
-            "features": {"name": "features.bin", "dtype": "float32-le", "shape": [ds.num_samples, ds.feature_dim]},
-            "labels_observed": {"name": "labels_observed.bin", "dtype": "uint32-le", "shape": [ds.num_samples]},
-            "labels_true": {"name": "labels_true.bin", "dtype": "uint32-le", "shape": [ds.num_samples]},
-        },
-        "provenance": provenance or {},
-    }
-    _write_manifest(directory / "manifest.json", manifest)
-    return directory
+    arrays = {"features": ds.features, "labels_observed": ds.labels_observed, "labels_true": ds.labels_true}
+    meta = {"num_samples": ds.num_samples, "feature_dim": ds.feature_dim, "num_classes": ds.num_classes, "split": ds.split}
+    return save_arrays(directory, "dataset", arrays, {**meta, "provenance": provenance or {}})
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    directory = Path(directory)
-    manifest = _read_manifest(directory, "dataset")
-    files = manifest["files"]
-    features = _read_array(directory / files["features"]["name"], _F32, files["features"]["shape"])
-    observed = _read_array(directory / files["labels_observed"]["name"], _U32, files["labels_observed"]["shape"])
-    true = _read_array(directory / files["labels_true"]["name"], _U32, files["labels_true"]["shape"])
-    return Dataset(
-        features,
-        observed.astype(np.int64),
-        true.astype(np.int64),
-        int(manifest["num_classes"]),
-        split=manifest.get("split", "train"),
-    )
+    arrays, manifest = load_arrays(directory, "dataset")
+    return Dataset(**arrays, num_classes=manifest["num_classes"], split=manifest["split"])
 
 
 def dataset_provenance(directory: str | Path) -> dict:
-    return _read_manifest(Path(directory), "dataset").get("provenance", {})
+    return load_arrays(directory, "dataset")[1]["provenance"]
 
 
 # ---------------------------------------------------------------------------
 # checkpoints: raw parameter arrays plus an architecture descriptor
 
-def _named_params(model: Model | None, head: Mlp | None) -> list[tuple[str, np.ndarray]]:
-    entries = []
+_MLPS = ("encoder", "projector", "predictor", "ema_encoder", "ema_projector")
 
-    def mlp_entries(prefix: str, mlp: Mlp):
-        for i, layer in enumerate(mlp.layers):
-            entries.append((f"{prefix}.{i}.weight", layer.weight.data))
-            entries.append((f"{prefix}.{i}.bias", layer.bias.data))
 
-    if model is not None:
-        mlp_entries("encoder", model.encoder)
-        mlp_entries("projector", model.projector)
-        if model.predictor is not None:
-            mlp_entries("predictor", model.predictor)
-        if model.ema_encoder is not None:
-            mlp_entries("ema_encoder", model.ema_encoder)
-            mlp_entries("ema_projector", model.ema_projector)
-    if head is not None:
-        mlp_entries("head", head)
-    return entries
+def _named_params(model: Model | None, head: Mlp | None) -> dict[str, np.ndarray]:
+    mlps = {name: getattr(model, name) for name in _MLPS} if model is not None else {}
+    mlps["head"] = head
+    return {
+        f"{prefix}.{i}.{part}": getattr(layer, part).data
+        for prefix, mlp in mlps.items() if mlp is not None
+        for i, layer in enumerate(mlp.layers) for part in ("weight", "bias")
+    }
 
 
 def save_checkpoint(
@@ -128,68 +121,41 @@ def save_checkpoint(
     head: Mlp | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Single params.bin (float64-le) plus a manifest listing name/shape/offset."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = _named_params(model, head)
-    index = []
-    offset = 0
-    with open(directory / "params.bin", "wb") as fh:
-        for name, arr in entries:
-            data = np.ascontiguousarray(arr).astype(_F64)
-            fh.write(data.tobytes())
-            index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += data.nbytes
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "checkpoint",
+    """One ``params`` array (the parameters concatenated, float64) and a manifest
+    listing each parameter's name and shape, in order; the offsets follow from the shapes."""
+    params = _named_params(model, head)
+    return save_arrays(directory, "checkpoint", {"params": np.concatenate([a.ravel() for a in params.values()])}, {
         "arch": dict(model.arch) if model is not None else {},
         "head_dims": head.dims if head is not None else None,
-        "params": index,
-        "file": "params.bin",
+        "params": {name: list(a.shape) for name, a in params.items()},
         "extra": extra or {},
-    }
-    _write_manifest(directory / "manifest.json", manifest)
-    return directory
+    })
 
 
 def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, dict]:
     """Rebuild the model and head recorded by save_checkpoint."""
-    directory = Path(directory)
-    manifest = _read_manifest(directory, "checkpoint")
-    sizes = [int(np.prod(entry["shape"])) for entry in manifest["params"]]
-    raw = _read_array(directory / manifest["file"], _F64, [sum(sizes)])
-    arrays: dict[str, np.ndarray] = {}
-    for entry, size in zip(manifest["params"], sizes):
-        start = entry["offset"] // 8
-        arrays[entry["name"]] = raw[start : start + size].reshape(entry["shape"])
+    arrays, manifest = load_arrays(directory, "checkpoint")
+    shapes, raw = manifest.get("params") or {}, arrays["params"]
+    sizes = [_size(shape, f"{directory}: {name}") for name, shape in shapes.items()]
+    if sum(sizes) != raw.size:
+        raise ValidationError(f"{directory}: parameter shapes hold {sum(sizes)} values, params.bin {raw.size}")
+    pieces = np.split(raw, np.cumsum(sizes)[:-1])
+    params = {name: piece.reshape(shape) for (name, shape), piece in zip(shapes.items(), pieces)}
 
-    def build_mlp(prefix: str, requires_grad: bool = True) -> Mlp | None:
-        layers = []
-        i = 0
-        while f"{prefix}.{i}.weight" in arrays:
-            layers.append(
-                Linear(
-                    Tensor(arrays[f"{prefix}.{i}.weight"], requires_grad=requires_grad),
-                    Tensor(arrays[f"{prefix}.{i}.bias"], requires_grad=requires_grad),
-                )
-            )
-            i += 1
+    def build_mlp(prefix: str) -> Mlp | None:
+        layers, grad = [], not prefix.startswith("ema_")
+        while (weight := params.get(f"{prefix}.{len(layers)}.weight")) is not None:
+            bias = params.get(f"{prefix}.{len(layers)}.bias")
+            if bias is None or weight.ndim != 2 or bias.shape != weight.shape[1:] or (
+                layers and layers[-1].weight.shape[1] != weight.shape[0]
+            ):
+                raise ValidationError(f"{directory}: the shapes of {prefix}.{len(layers)} do not chain")
+            layers.append(Linear(Tensor(weight, requires_grad=grad), Tensor(bias, requires_grad=grad)))
         return Mlp(layers) if layers else None
 
-    model = None
-    encoder = build_mlp("encoder")
-    if encoder is not None:
-        model = Model(
-            encoder,
-            build_mlp("projector"),
-            build_mlp("predictor"),
-            build_mlp("ema_encoder", requires_grad=False),
-            build_mlp("ema_projector", requires_grad=False),
-            arch=manifest.get("arch", {}),
-        )
-    head = build_mlp("head")
-    return model, head, manifest.get("extra", {})
+    mlps = {name: build_mlp(name) for name in _MLPS}
+    model = Model(**mlps, arch=manifest.get("arch", {})) if mlps["encoder"] is not None else None
+    return model, build_mlp("head"), manifest.get("extra", {})
 
 
 # ---------------------------------------------------------------------------

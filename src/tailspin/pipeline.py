@@ -111,6 +111,8 @@ class FinetuneSettings:
     freeze_override: str | None = None  # None means select by method and nu
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.superloss_lambda <= 0:
             raise ValidationError(f"superloss lambda must be positive, got {self.superloss_lambda}")
 

@@ -218,29 +218,64 @@ class TestErrorReporting:
             assert err.startswith("validation-error:"), override
             assert not (out / "data").exists(), override
 
-    @pytest.mark.parametrize("override, code, error", [
-        ("finetune.tau=abc", 2, "config-error"),
-        ("eval.knn_k=100000", 1, "contract-error"),
-        ("finetune.lr=nan", 2, "config-error"),
-        ("model.hidden_dim=0", 1, "validation-error"),
-        ("pretrain.batch_size=1", 1, "validation-error"),
-        ("finetune.lambda=0", 1, "validation-error"),
+    @pytest.mark.parametrize("override, code, error, commands", [
+        pytest.param(override, code, error, commands, id=f"{override}-{code}-{error}")
+        for override, code, error, commands in [
+            ("finetune.tau=abc", 2, "config-error", ["run"]),
+            ("eval.knn_k=100000", 1, "contract-error", ["run"]),
+            ("finetune.lr=nan", 2, "config-error", ["run"]),
+            ("model.hidden_dim=0", 1, "validation-error", ["run"]),
+            ("pretrain.batch_size=1", 1, "validation-error", ["run"]),
+            ("finetune.lambda=0", 1, "validation-error", ["run"]),
+            # per_class=30 at gamma=1000 gives the profile [30, 1, 0]
+            ("data.gamma=1000", 1, "validation-error", ["run", "run-single-stage"]),
+            ("data.nu=2.0", 1, "validation-error", ["run-single-stage"]),
+            ("finetune.epochs=-1", 1, "validation-error", ["run"]),
+            ("single_stage.epochs=0", 1, "validation-error", ["run-single-stage"]),
+        ]
     ])
-    def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error):
-        out = tmp_path / "bad"
-        assert run_cli("run", "--output", str(out), *FAST, "--set", override) == code
-        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(f"{error}:")
-        metrics = out / "metrics.jsonl"
-        assert not metrics.exists() or metrics.read_text() == ""
-        # k is checked against the corrupted training set, so only that case gets to write data/
-        if not override.startswith("eval.knn_k="):
-            assert not (out / "data").exists()
+    def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error, commands):
+        for cmd in commands:
+            out = tmp_path / cmd
+            assert run_cli(cmd, "--output", str(out), *FAST, "--set", override) == code, cmd
+            assert capsys.readouterr().err.strip().splitlines()[-1].startswith(f"{error}:"), cmd
+            metrics = out / "metrics.jsonl"
+            assert not metrics.exists() or metrics.read_text() == "", cmd
+            assert not (out / "data").exists(), cmd
 
     def test_truncated_checkpoint_is_validation_error(self, capsys, tmp_path):
         out = tmp_path / "cut"
         assert run_cli("run", "--output", str(out), *FAST) == 0
         params = out / "checkpoints" / "finetuned" / "params.bin"
         params.write_bytes(params.read_bytes()[:-8])
+        assert run_cli("eval", "--output", str(out), *FAST) == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation-error:")
+
+    def test_bad_checkpoint_manifest_is_validation_error(self, capsys, tmp_path):
+        out = tmp_path / "bad"
+        assert run_cli("run", "--output", str(out), *FAST) == 0
+        path = out / "checkpoints" / "finetuned" / "manifest.json"
+        original = json.loads(path.read_text())
+
+        def swap_first_shape(m):  # same number of values, so only the layer shapes can tell
+            m["params"]["encoder.0.weight"].reverse()
+
+        def grow_first_shape(m):
+            m["params"]["encoder.0.weight"][0] += 1
+
+        edits = {
+            "version 1": lambda m: m.update(version=1),
+            "swapped shape": swap_first_shape,
+            "grown shape": grow_first_shape,
+            "no files entry": lambda m: m["files"].clear(),
+        }
+        for name, edit in edits.items():
+            manifest = json.loads(json.dumps(original))
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+            assert run_cli("eval", "--output", str(out), *FAST) == 1, name
+            assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation-error:"), name
+        path.write_text("{not json")
         assert run_cli("eval", "--output", str(out), *FAST) == 1
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation-error:")
 

@@ -40,6 +40,27 @@ class TestDatasetFormat:
         assert manifest["kind"] == "dataset"
         assert manifest["provenance"]["gamma"] == 4.0
 
+    def test_manifest_that_misdescribes_its_files_is_validation_error(self, tmp_path, corrupted):
+        save_dataset(corrupted, tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.json"
+        original = path.read_text()
+        edits = {
+            "version": lambda m: m.update(version=1),
+            "kind": lambda m: m.update(kind="embeddings"),
+            "missing entry": lambda m: m["files"].pop("labels_true"),
+            "dtype": lambda m: m["files"]["features"].update(dtype="float64-le"),
+            "shape": lambda m: m["files"]["labels_true"].update(shape=[-1]),
+        }
+        for name, edit in edits.items():
+            manifest = json.loads(original)
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ValidationError):
+                load_dataset(tmp_path / "ds")
+        path.write_text(original[:-10])
+        with pytest.raises(ValidationError, match="not JSON"):
+            load_dataset(tmp_path / "ds")
+
 
 class TestCheckpointFormat:
     def test_model_and_head_round_trip(self, tmp_path):
