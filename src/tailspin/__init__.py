@@ -52,7 +52,7 @@ from .losses import (
     superloss,
     superloss_sigma,
 )
-from .nn import Linear, Mlp, Model, build_model, ema_update, params_digest
+from .nn import Linear, Mlp, Model, build_model, ema_update
 from .optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr
 from .pipeline import (
     FinetuneSettings,

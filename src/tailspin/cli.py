@@ -51,69 +51,65 @@ def _setup_logging() -> None:
 # ---------------------------------------------------------------------------
 # config -> settings objects
 
-def _pretrain_settings(cfg: ExperimentConfig) -> PretrainSettings:
-    method = SSLMethod(
-        cfg["pretrain.method"],
-        temperature=cfg["pretrain.temperature"],
-        ema_momentum=cfg["pretrain.ema_momentum"],
-        lambda_bt=cfg["pretrain.lambda_bt"],
-    )
-    optimizer = OptimizerConfig(
-        kind=cfg["pretrain.optimizer"],
-        base_lr=cfg["pretrain.base_lr"],
-        weight_decay=cfg["pretrain.weight_decay"],
-        momentum=cfg["pretrain.momentum"],
-        batch_size=cfg["pretrain.batch_size"],
-    )
-    schedule = ScheduleConfig(
-        kind=cfg["pretrain.schedule"],
-        warmup_epochs=min(cfg["pretrain.warmup_epochs"], max(cfg["pretrain.epochs"] - 1, 0)),
-        total_epochs=cfg["pretrain.epochs"],
-    )
-    augmentation = AugmentationSpec(
-        gaussian_sigma=cfg["pretrain.aug_sigma"],
-        mask_prob=cfg["pretrain.aug_mask_prob"],
-        scale_jitter=cfg["pretrain.aug_jitter"],
-    )
-    return PretrainSettings(
-        method=method,
-        optimizer=optimizer,
-        schedule=schedule,
-        augmentation=augmentation,
-        disable_stop_gradient=cfg["pretrain.disable_stop_gradient"],
-    )
-
-
-def _finetune_settings(cfg: ExperimentConfig, epochs_key: str = "finetune.epochs") -> FinetuneSettings:
-    optimizer = OptimizerConfig(
-        kind=cfg["finetune.optimizer"],
-        base_lr=cfg["finetune.lr"],
-        weight_decay=cfg["finetune.weight_decay"],
-        momentum=cfg["finetune.momentum"],
-        batch_size=cfg["finetune.batch_size"],
-    )
-    freeze = cfg["finetune.freeze"]
-    return FinetuneSettings(
-        loss=cfg["finetune.loss"],
-        optimizer=optimizer,
-        epochs=cfg[epochs_key],
-        superloss_lambda=cfg["finetune.lambda"],
-        superloss_tau=cfg.superloss_tau(),
-        clamp_mode=cfg["finetune.clamp_mode"],
-        freeze_override=None if freeze == "auto" else freeze,
-    )
-
-
-def _knn_config(cfg: ExperimentConfig) -> KNNConfig:
-    return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
-
-
-def _model_dims(cfg: ExperimentConfig) -> dict:
-    dims = {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
-    for key, width in dims.items():
-        if width < 1:
-            raise ValidationError(f"model.{key} must be >= 1, got {width}")
-    return dims
+def _settings(cfg: ExperimentConfig, prefix: str):
+    """The library settings that the ``<prefix>.*`` keys describe: PretrainSettings for
+    ``pretrain``; FinetuneSettings for ``finetune`` and ``single_stage``, which share
+    the finetune.* keys but each have their own epoch count; KNNConfig for ``eval``;
+    and build_model's width arguments for ``model``."""
+    if prefix == "pretrain":
+        epochs = cfg["pretrain.epochs"]
+        return PretrainSettings(
+            method=SSLMethod(
+                cfg["pretrain.method"],
+                temperature=cfg["pretrain.temperature"],
+                ema_momentum=cfg["pretrain.ema_momentum"],
+                lambda_bt=cfg["pretrain.lambda_bt"],
+            ),
+            optimizer=OptimizerConfig(
+                kind=cfg["pretrain.optimizer"],
+                base_lr=cfg["pretrain.base_lr"],
+                weight_decay=cfg["pretrain.weight_decay"],
+                momentum=cfg["pretrain.momentum"],
+                batch_size=cfg["pretrain.batch_size"],
+            ),
+            schedule=ScheduleConfig(
+                kind=cfg["pretrain.schedule"],
+                warmup_epochs=min(cfg["pretrain.warmup_epochs"], max(epochs - 1, 0)),
+                total_epochs=epochs,
+            ),
+            augmentation=AugmentationSpec(
+                gaussian_sigma=cfg["pretrain.aug_sigma"],
+                mask_prob=cfg["pretrain.aug_mask_prob"],
+                scale_jitter=cfg["pretrain.aug_jitter"],
+            ),
+            disable_stop_gradient=cfg["pretrain.disable_stop_gradient"],
+        )
+    if prefix in ("finetune", "single_stage"):
+        freeze = cfg["finetune.freeze"]
+        return FinetuneSettings(
+            loss=cfg["finetune.loss"],
+            optimizer=OptimizerConfig(
+                kind=cfg["finetune.optimizer"],
+                base_lr=cfg["finetune.lr"],
+                weight_decay=cfg["finetune.weight_decay"],
+                momentum=cfg["finetune.momentum"],
+                batch_size=cfg["finetune.batch_size"],
+            ),
+            epochs=cfg[f"{prefix}.epochs"],
+            superloss_lambda=cfg["finetune.lambda"],
+            superloss_tau=cfg.superloss_tau(),
+            clamp_mode=cfg["finetune.clamp_mode"],
+            freeze_override=None if freeze == "auto" else freeze,
+        )
+    if prefix == "eval":
+        return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
+    if prefix == "model":
+        dims = {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
+        for key, width in dims.items():
+            if width < 1:
+                raise ValidationError(f"model.{key} must be >= 1, got {width}")
+        return dims
+    raise KeyError(f"no settings for config prefix '{prefix}'")
 
 
 def _corrupted_size(cfg: ExperimentConfig) -> int:
@@ -176,10 +172,10 @@ def _cmd_corrupt(cfg: ExperimentConfig) -> None:
 def _cmd_pretrain(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
     train, test = tio.load_dataset(_train_dir(out)), tio.load_dataset(out / "data" / "test")
-    model = build_model(cfg["pretrain.method"], train.feature_dim, seed=derive(cfg.seed, "model"), **_model_dims(cfg))
-    settings = _pretrain_settings(cfg)
+    settings, dims = _settings(cfg, "pretrain"), _settings(cfg, "model")
+    model = build_model(settings.method.name, train.feature_dim, seed=derive(cfg.seed, "model"), **dims)
     with _fresh_metrics(out) as sink:
-        records = pretrain(model, train, settings, cfg.seed, knn_cfg=_knn_config(cfg), test_set=test, sink=sink)
+        records = pretrain(model, train, settings, cfg.seed, knn_cfg=_settings(cfg, "eval"), test_set=test, sink=sink)
     extra = {"stage": "pretrain", "epochs": len(records), "knn_accuracy": records[-1].knn_accuracy}
     tio.save_checkpoint(out / "checkpoints" / "pretrained", model, extra=extra)
     log.info("pretraining done: %s epochs of %s", len(records), settings.method.name)
@@ -195,7 +191,7 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
         raise ConfigError("pretrained checkpoint has no model")
     nu = _recorded(cfg, "data.nu", tio.dataset_provenance(train_dir).get("nu"), train_dir)
     method = _recorded(cfg, "pretrain.method", model.arch.get("method"), checkpoint)
-    settings = _finetune_settings(cfg)
+    settings = _settings(cfg, "finetune")
     policy = settings.freeze_override or select_freeze_policy(method, nu)
     head = build_finetune_head(model, train.num_classes, method, derive(cfg.seed, "model"))
     with tio.MetricsWriter(out / "metrics.jsonl") as sink:
@@ -211,8 +207,8 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
 def _cmd_run(cfg: ExperimentConfig) -> None:
     """generate -> corrupt -> pretrain -> finetune in one process; every stage's settings
     are resolved first, so bad input fails before the first stage writes anything."""
-    _pretrain_settings(cfg), _finetune_settings(cfg), _model_dims(cfg)
-    _knn_config(cfg).check_reference(_corrupted_size(cfg))
+    _settings(cfg, "pretrain"), _settings(cfg, "finetune"), _settings(cfg, "model")
+    _settings(cfg, "eval").check_reference(_corrupted_size(cfg))
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     _cmd_pretrain(cfg)
@@ -221,16 +217,13 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
-    settings, dims = _finetune_settings(cfg, "single_stage.epochs"), _model_dims(cfg)
+    settings, dims = _settings(cfg, "single_stage"), _settings(cfg, "model")
     _corrupted_size(cfg)
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
     with _fresh_metrics(out) as sink:
-        result = run_single_stage(
-            train, test, cfg["pretrain.method"], settings,
-            settings.epochs, cfg.seed, sink=sink, model_dims=dims,
-        )
+        result = run_single_stage(train, test, cfg["pretrain.method"], settings, cfg.seed, sink=sink, model_dims=dims)
     tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})
     (out / "summary.json").write_text(summary_payload(cfg, result.summary))
     log.info("single-stage run done: balanced accuracy %.4f", result.report.balanced)
@@ -244,7 +237,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> None:
     layer = cfg["eval.embedding_layer"]
     reference = embed(train, model, layer=layer)
     queries = embed(test, model, layer=layer)
-    knn_preds = knn_classify(reference, queries, _knn_config(cfg))
+    knn_preds = knn_classify(reference, queries, _settings(cfg, "eval"))
     knn_report = accuracy_suite(knn_preds, queries.labels, test.num_classes)
     payload = {"knn_accuracy": knn_report.overall, "knn_balanced_accuracy": knn_report.balanced}
     if head is not None:

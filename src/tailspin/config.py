@@ -9,63 +9,73 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .evaluation import EMBED_LAYERS, KNN_METRICS, KNN_WEIGHTINGS
+from .evaluation import EMBED_LAYERS, KNN_METRICS, KNN_WEIGHTINGS, KNNConfig, embed
 from .losses import CLAMP_MODES, LOSS_KINDS
-from .nn import SSL_METHODS
+from .nn import SSL_METHODS, build_model
 from .optim import OPTIMIZER_KINDS, SCHEDULE_KINDS
-from .pipeline import FULL_HEAD, LAST_LAYER_ONLY
+from .pipeline import FULL_HEAD, LAST_LAYER_ONLY, FinetuneSettings, PretrainSettings, make_datasets
+
+
+def _default_arg(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# A key with a library counterpart reads its default there, from a default-constructed
+# settings object or a default argument; only the keys without one write a literal.
+_PRE, _FINE, _KNN = PretrainSettings(), FinetuneSettings(), KNNConfig()
 
 # key -> (type, default, allowed values or None, help)
 _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "data.num_classes": (int, 3, None, "number of classes C"),
     "data.per_class": (int, 300, None, "balanced per-class training count n_max"),
-    "data.test_per_class": (int, 100, None, "balanced per-class test count"),
+    "data.test_per_class": (int, _default_arg(make_datasets, "test_per_class"), None, "balanced per-class test count"),
     "data.dim": (int, 8, None, "feature dimension"),
     "data.separation": (float, 3.0, None, "minimum pairwise distance between cluster means"),
     "data.gamma": (float, 1.0, None, "imbalance ratio, 1 disables"),
     "data.nu": (float, 0.0, None, "symmetric noise fraction in [0, 1)"),
-    "pretrain.method": (str, "simsiam", SSL_METHODS, "SSL objective"),
-    "pretrain.epochs": (int, 200, None, "pretraining epochs"),
-    "pretrain.batch_size": (int, 64, None, "pretraining batch size"),
-    "pretrain.optimizer": (str, "sgd", OPTIMIZER_KINDS, "pretraining optimizer"),
-    "pretrain.base_lr": (float, 0.12, None, "base lr, scaled by batch_size/256"),
-    "pretrain.weight_decay": (float, 5e-4, None, "pretraining weight decay"),
-    "pretrain.momentum": (float, 0.9, None, "SGD momentum"),
-    "pretrain.schedule": (str, "cosine", SCHEDULE_KINDS, "lr schedule after warmup"),
-    "pretrain.warmup_epochs": (int, 10, None, "linear warmup epochs"),
-    "pretrain.temperature": (float, 0.5, None, "SimCLR NT-Xent temperature"),
-    "pretrain.ema_momentum": (float, 0.99, None, "BYOL target momentum"),
-    "pretrain.lambda_bt": (float, 0.005, None, "Barlow Twins off-diagonal weight"),
-    "pretrain.aug_sigma": (float, 0.4, None, "augmentation: additive Gaussian scale"),
-    "pretrain.aug_mask_prob": (float, 0.0, None, "augmentation: coordinate dropout probability"),
-    "pretrain.aug_jitter": (float, 0.2, None, "augmentation: multiplicative jitter half-range"),
-    "pretrain.disable_stop_gradient": (bool, False, None, "collapse-ablation switch for SimSiam"),
-    "model.hidden_dim": (int, 64, None, "encoder hidden width"),
-    "model.rep_dim": (int, 32, None, "encoder output width"),
-    "model.proj_dim": (int, 32, None, "projector width (2 FC layers)"),
-    "model.pred_hidden": (int, 16, None, "predictor hidden width"),
-    "finetune.loss": (str, "la_sl", LOSS_KINDS, "fine-tuning loss"),
-    "finetune.epochs": (int, 25, None, "fine-tuning epochs"),
-    "finetune.batch_size": (int, 64, None, "fine-tuning batch size"),
-    "finetune.optimizer": (str, "adam", OPTIMIZER_KINDS, "fine-tuning optimizer"),
-    "finetune.lr": (float, 0.003, None, "fine-tuning learning rate (not batch-scaled)"),
-    "finetune.weight_decay": (float, 0.0, None, "fine-tuning weight decay"),
-    "finetune.momentum": (float, 0.9, None, "fine-tuning SGD momentum"),
+    "pretrain.method": (str, _PRE.method.name, SSL_METHODS, "SSL objective"),
+    "pretrain.epochs": (int, _PRE.schedule.total_epochs, None, "pretraining epochs"),
+    "pretrain.batch_size": (int, _PRE.optimizer.batch_size, None, "pretraining batch size"),
+    "pretrain.optimizer": (str, _PRE.optimizer.kind, OPTIMIZER_KINDS, "pretraining optimizer"),
+    "pretrain.base_lr": (float, _PRE.optimizer.base_lr, None, "base lr, scaled by batch_size/256"),
+    "pretrain.weight_decay": (float, _PRE.optimizer.weight_decay, None, "pretraining weight decay"),
+    "pretrain.momentum": (float, _PRE.optimizer.momentum, None, "SGD momentum"),
+    "pretrain.schedule": (str, _PRE.schedule.kind, SCHEDULE_KINDS, "lr schedule after warmup"),
+    "pretrain.warmup_epochs": (int, _PRE.schedule.warmup_epochs, None, "linear warmup epochs"),
+    "pretrain.temperature": (float, _PRE.method.temperature, None, "SimCLR NT-Xent temperature"),
+    "pretrain.ema_momentum": (float, _PRE.method.ema_momentum, None, "BYOL target momentum"),
+    "pretrain.lambda_bt": (float, _PRE.method.lambda_bt, None, "Barlow Twins off-diagonal weight"),
+    "pretrain.aug_sigma": (float, _PRE.augmentation.gaussian_sigma, None, "augmentation: additive Gaussian scale"),
+    "pretrain.aug_mask_prob": (float, _PRE.augmentation.mask_prob, None, "augmentation: coordinate dropout probability"),
+    "pretrain.aug_jitter": (float, _PRE.augmentation.scale_jitter, None, "augmentation: multiplicative jitter half-range"),
+    "pretrain.disable_stop_gradient": (bool, _PRE.disable_stop_gradient, None, "collapse-ablation switch for SimSiam"),
+    "model.hidden_dim": (int, _default_arg(build_model, "hidden_dim"), None, "encoder hidden width"),
+    "model.rep_dim": (int, _default_arg(build_model, "rep_dim"), None, "encoder output width"),
+    "model.proj_dim": (int, _default_arg(build_model, "proj_dim"), None, "projector width (2 FC layers)"),
+    "model.pred_hidden": (int, _default_arg(build_model, "pred_hidden"), None, "predictor hidden width"),
+    "finetune.loss": (str, _FINE.loss, LOSS_KINDS, "fine-tuning loss"),
+    "finetune.epochs": (int, _FINE.epochs, None, "fine-tuning epochs"),
+    "finetune.batch_size": (int, _FINE.optimizer.batch_size, None, "fine-tuning batch size"),
+    "finetune.optimizer": (str, _FINE.optimizer.kind, OPTIMIZER_KINDS, "fine-tuning optimizer"),
+    "finetune.lr": (float, _FINE.optimizer.base_lr, None, "fine-tuning learning rate (not batch-scaled)"),
+    "finetune.weight_decay": (float, _FINE.optimizer.weight_decay, None, "fine-tuning weight decay"),
+    "finetune.momentum": (float, _FINE.optimizer.momentum, None, "fine-tuning SGD momentum"),
     "finetune.freeze": (str, "auto", ("auto", FULL_HEAD, LAST_LAYER_ONLY), "freeze policy override"),
     "finetune.tau": (str, "auto", None, "SuperLoss threshold; 'auto' means log(C)"),
-    "finetune.lambda": (float, 4.0, None, "SuperLoss regularization"),
-    "finetune.clamp_mode": (str, "lower_bound", CLAMP_MODES, "SuperLoss clamp direction"),
+    "finetune.lambda": (float, _FINE.superloss_lambda, None, "SuperLoss regularization"),
+    "finetune.clamp_mode": (str, _FINE.clamp_mode, CLAMP_MODES, "SuperLoss clamp direction"),
     "single_stage.epochs": (int, 60, None, "epochs for the from-scratch baseline"),
-    "eval.knn_k": (int, 20, None, "kNN proxy neighbor count"),
-    "eval.knn_metric": (str, "cosine", KNN_METRICS, "kNN distance"),
-    "eval.knn_weighting": (str, "similarity", KNN_WEIGHTINGS, "kNN vote weighting"),
-    "eval.embedding_layer": (str, "encoder", EMBED_LAYERS, "representation used by eval"),
+    "eval.knn_k": (int, _KNN.k, None, "kNN proxy neighbor count"),
+    "eval.knn_metric": (str, _KNN.metric, KNN_METRICS, "kNN distance"),
+    "eval.knn_weighting": (str, _KNN.weighting, KNN_WEIGHTINGS, "kNN vote weighting"),
+    "eval.embedding_layer": (str, _default_arg(embed, "layer"), EMBED_LAYERS, "representation used by eval"),
     "eval.export_embeddings": (bool, False, None, "write embeddings during eval subcommand"),
     "run.seed": (int, 0, None, "single global seed; all streams derive from it"),
     "run.output_dir": (str, "runs/default", None, "where outputs are written"),

@@ -100,6 +100,8 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.gaussian_sigma < 0 or self.scale_jitter < 0:
             raise ValidationError("augmentation scales must be non-negative")
+        if self.scale_jitter > 1.0:
+            raise ValidationError(f"scale_jitter above 1 gives negative scale factors, got {self.scale_jitter}")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ValidationError(f"mask_prob must lie in [0, 1), got {self.mask_prob}")
 
@@ -147,6 +149,8 @@ def exponential_profile(n_max: int, gamma: float, num_classes: int) -> np.ndarra
     """Per-class retention counts n_c = round(n_max * gamma^(-c / (C - 1))), each at least 1."""
     if num_classes < 2:
         raise ValidationError(f"num_classes must be >= 2, got {num_classes}")
+    if n_max < 1:
+        raise ValidationError(f"n_max, the per_class count before imbalance, must be >= 1, got {n_max}")
     c = np.arange(num_classes, dtype=np.float64)
     raw = n_max * gamma ** (-c / (num_classes - 1))
     counts = np.array([_round_half_up(v) for v in raw], dtype=np.int64)

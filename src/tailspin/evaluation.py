@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,23 +77,8 @@ class MetricsRecord:
     per_class_accuracy: list[float] | None = None
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "stage": self.stage,
-                "epoch": self.epoch,
-                "loss": self.loss,
-                "lr": self.lr,
-                "seed": self.seed,
-                "knn_accuracy": self.knn_accuracy,
-                "per_class_accuracy": self.per_class_accuracy,
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "MetricsRecord":
-        d = json.loads(line)
-        return cls(**d)
+        """The fields in declaration order, as compact JSON."""
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def embed(dataset: Dataset, model: Model, layer: str = "encoder", use_true_labels: bool = True) -> EmbeddingSet:
@@ -104,12 +89,17 @@ def embed(dataset: Dataset, model: Model, layer: str = "encoder", use_true_label
     """
     if layer not in EMBED_LAYERS:
         raise ValidationError(f"layer must be one of {EMBED_LAYERS}, got '{layer}'")
-    x = Tensor(dataset.features.astype(np.float64))
-    reps = model.encoder(x)
+    reps = encoder_outputs(model, dataset)
     if layer == "projector":
-        reps = model.projector(reps)
+        reps = model.projector(Tensor(reps)).data
     labels = dataset.labels_true if use_true_labels else dataset.labels_observed
-    return EmbeddingSet(reps.data.astype(np.float32), labels.copy(), dataset.num_classes, split=dataset.split)
+    return EmbeddingSet(reps.astype(np.float32), labels.copy(), dataset.num_classes, split=dataset.split)
+
+
+def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:
+    """The encoder's float64 outputs for every sample, augmentation off; ``embed``
+    stores them as float32, fine-tuning and evaluation use them as they are."""
+    return model.encoder(Tensor(dataset.features.astype(np.float64))).data
 
 
 def knn_classify(reference: EmbeddingSet, queries: EmbeddingSet, cfg: KNNConfig) -> np.ndarray:

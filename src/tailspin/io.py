@@ -5,8 +5,9 @@ human-readable ``manifest.json``: the format ``version``, the directory's
 ``kind``, the writer's metadata and ``files``, each array's dtype and shape.
 Datasets and embeddings store 32-bit IEEE floats and unsigned ints,
 checkpoints 64-bit floats so reloads are bit-exact. The reader checks kind,
-version, dtypes and every file's exact byte length; a manifest that does not
-describe its files is a ValidationError.
+version, the kind's metadata keys and their types, dtypes and every file's
+exact byte length; a manifest that does not describe its files is a
+ValidationError.
 """
 from __future__ import annotations
 
@@ -24,11 +25,18 @@ from .tensor import Tensor
 
 FORMAT_VERSION = 2
 
-# kind -> array name -> little-endian dtype, for writing and reading alike
+# kind -> (array name -> little-endian dtype, metadata key -> type of its value),
+# for writing and reading alike
 SCHEMAS = {
-    "dataset": {"features": "<f4", "labels_observed": "<u4", "labels_true": "<u4"},
-    "checkpoint": {"params": "<f8"},
-    "embeddings": {"embeddings": "<f4", "labels": "<u4"},
+    "dataset": (
+        {"features": "<f4", "labels_observed": "<u4", "labels_true": "<u4"},
+        {"num_samples": int, "feature_dim": int, "num_classes": int, "split": str, "provenance": dict},
+    ),
+    "checkpoint": ({"params": "<f8"}, {"arch": dict, "head_dims": (list, type(None)), "params": dict, "extra": dict}),
+    "embeddings": (
+        {"embeddings": "<f4", "labels": "<u4"},
+        {"num_samples": int, "dim": int, "num_classes": int, "split": str},
+    ),
 }
 
 
@@ -47,7 +55,7 @@ def save_arrays(directory: str | Path, kind: str, arrays: dict[str, np.ndarray],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = {}
-    for name, dtype in SCHEMAS[kind].items():
+    for name, dtype in SCHEMAS[kind][0].items():
         data = np.ascontiguousarray(arrays[name]).astype(dtype)
         data.tofile(directory / f"{name}.bin")
         files[name] = {"dtype": _dtype_name(dtype), "shape": list(data.shape)}
@@ -69,9 +77,13 @@ def load_arrays(directory: str | Path, kind: str) -> tuple[dict[str, np.ndarray]
         raise ValidationError(f"{path}: manifest kind is not '{kind}'")
     if manifest.get("version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: format version {manifest.get('version')!r}, expected {FORMAT_VERSION}")
+    dtypes, meta = SCHEMAS[kind]
+    for key, types in meta.items():
+        if not isinstance(manifest.get(key), types):
+            raise ValidationError(f"{path}: metadata '{key}' is missing or of the wrong type")
     files = manifest.get("files")
     arrays = {}
-    for name, dtype in SCHEMAS[kind].items():
+    for name, dtype in dtypes.items():
         entry = files.get(name) if isinstance(files, dict) else None
         if not isinstance(entry, dict) or entry.get("dtype") != _dtype_name(dtype):
             raise ValidationError(f"{path}: files has no {_dtype_name(dtype)} entry '{name}'")
@@ -135,7 +147,7 @@ def save_checkpoint(
 def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, dict]:
     """Rebuild the model and head recorded by save_checkpoint."""
     arrays, manifest = load_arrays(directory, "checkpoint")
-    shapes, raw = manifest.get("params") or {}, arrays["params"]
+    shapes, raw = manifest["params"], arrays["params"]
     sizes = [_size(shape, f"{directory}: {name}") for name, shape in shapes.items()]
     if sum(sizes) != raw.size:
         raise ValidationError(f"{directory}: parameter shapes hold {sum(sizes)} values, params.bin {raw.size}")
@@ -154,8 +166,8 @@ def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, di
         return Mlp(layers) if layers else None
 
     mlps = {name: build_mlp(name) for name in _MLPS}
-    model = Model(**mlps, arch=manifest.get("arch", {})) if mlps["encoder"] is not None else None
-    return model, build_mlp("head"), manifest.get("extra", {})
+    model = Model(**mlps, arch=manifest["arch"]) if mlps["encoder"] is not None else None
+    return model, build_mlp("head"), manifest["extra"]
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,16 @@ def lambert_w0(x):
         raise ValidationError(f"lambert_w0: argument below -1/e (min was {z.min()!r})")
     z = np.maximum(z, _BRANCH_POINT)
 
-    # initial guess: series near the branch point, w ~ z for small z,
-    # asymptotic log(z) - log(log(z)) for large z
-    p = np.sqrt(np.maximum(2.0 * (np.e * z + 1.0), 0.0))
-    near = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+    # initial guess: series near the branch point (evaluated only there, its
+    # cube overflows for large z), w ~ z for small z, asymptotic
+    # log(z) - log(log(z)) for large z
     with np.errstate(divide="ignore", invalid="ignore"):
         lz = np.log(np.where(z > 1.0, z, np.e))
         big = lz - np.log(lz)
-    w = np.where(z < -0.25, near, np.where(z <= np.e, z / (1.0 + z), big))
+    w = np.where(z <= np.e, z / (1.0 + z), big)
+    near = z < -0.25
+    p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
+    w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
 
     for _ in range(64):
         ew = np.exp(w)
@@ -100,8 +102,9 @@ class SuperLossParams:
             raise ValidationError(f"clamp_mode must be one of {CLAMP_MODES}, got '{self.clamp_mode}'")
 
     @classmethod
-    def for_classes(cls, num_classes: int, lam: float = 4.0, clamp_mode: str = "lower_bound") -> "SuperLossParams":
-        return cls(tau=float(np.log(num_classes)), lam=lam, clamp_mode=clamp_mode)
+    def for_classes(cls, num_classes: int, **fields) -> "SuperLossParams":
+        """tau = log(num_classes), the loss of a uniform prediction; ``fields`` sets the others."""
+        return cls(tau=float(np.log(num_classes)), **fields)
 
 
 @dataclass

@@ -1,7 +1,6 @@
 """MLP building blocks and the Siamese model container."""
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,11 +146,3 @@ def ema_update(model: Model, momentum: float) -> None:
         else:
             xi.data *= momentum
             xi.data += (1.0 - momentum) * theta.data
-
-
-def params_digest(params: list[Tensor]) -> str:
-    """SHA-256 over the concatenated raw bytes of all parameter arrays."""
-    h = hashlib.sha256()
-    for p in params:
-        h.update(p.data.tobytes())
-    return h.hexdigest()

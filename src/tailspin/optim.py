@@ -17,13 +17,12 @@ SCHEDULE_KINDS = ("cosine", "constant")
 
 @dataclass
 class OptimizerConfig:
+    """Defaults are the pretraining SGD of ``run``; FinetuneSettings overrides them for fine-tuning."""
+
     kind: str = "sgd"
-    base_lr: float = 0.03
-    weight_decay: float = 0.0
+    base_lr: float = 0.12
+    weight_decay: float = 5e-4
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
 
     def __post_init__(self):
@@ -31,6 +30,10 @@ class OptimizerConfig:
             raise ConfigError(f"optimizer kind must be one of {OPTIMIZER_KINDS}, got '{self.kind}'")
         if self.base_lr <= 0:
             raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
+        if self.weight_decay < 0:
+            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -105,18 +108,13 @@ class Sgd(_Optimizer):
 
 
 class Adam(_Optimizer):
-    """Bias-corrected Adam; weight decay is coupled (added to the gradient)."""
+    """Bias-corrected Adam with the usual betas and eps; weight decay is coupled
+    (added to the gradient)."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], weight_decay: float = 0.0):
         super().__init__(params, weight_decay)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -137,7 +135,7 @@ class Adam(_Optimizer):
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):
     if cfg.kind == "sgd":
         return Sgd(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return Adam(params, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
+    return Adam(params, weight_decay=cfg.weight_decay)
 
 
 def train_epoch(

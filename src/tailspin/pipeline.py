@@ -23,7 +23,7 @@ from .data import (
     inject_symmetric_noise,
 )
 from .errors import ConfigError, ValidationError
-from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, knn_classify
+from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
 from .losses import SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model, build_model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
@@ -84,12 +84,12 @@ def _head_trainable(head: Mlp, policy: str) -> list:
 
 @dataclass
 class PretrainSettings:
-    """Pretraining runs for ``schedule.total_epochs`` epochs."""
+    """Pretraining runs for ``schedule.total_epochs`` epochs; the defaults are the desk-scale recipe of ``run``."""
 
-    method: SSLMethod
-    optimizer: OptimizerConfig
-    schedule: ScheduleConfig
-    augmentation: AugmentationSpec = field(default_factory=lambda: AugmentationSpec(0.4, 0.0, 0.2))
+    method: SSLMethod = field(default_factory=lambda: SSLMethod("simsiam"))
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    augmentation: AugmentationSpec = field(default_factory=lambda: AugmentationSpec(gaussian_sigma=0.4, scale_jitter=0.2))
     disable_stop_gradient: bool = False
 
     def __post_init__(self):
@@ -101,9 +101,7 @@ class PretrainSettings:
 @dataclass
 class FinetuneSettings:
     loss: str = "la_sl"
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(kind="adam", base_lr=0.003, weight_decay=0.0)
-    )
+    optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(kind="adam", base_lr=0.003, weight_decay=0.0))
     epochs: int = 25
     superloss_lambda: float = 4.0
     superloss_tau: float | None = None  # None means log(num_classes)
@@ -175,15 +173,11 @@ def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg:
     return accuracy_suite(preds, queries.labels, test_set.num_classes).overall
 
 
-def _representations(model: Model, ds: Dataset) -> np.ndarray:
-    return model.encoder(Tensor(ds.features.astype(np.float64))).data
-
-
 def _supervised_loss(fine: FinetuneSettings, dataset: Dataset, logits_of: Callable[[np.ndarray], Tensor]):
     """Minibatch loss on the observed labels of ``dataset``, with priors from
     those labels; the SuperLoss threshold defaults to log(C)."""
     priors = estimate_priors(dataset)
-    sl_params = SuperLossParams.for_classes(dataset.num_classes, fine.superloss_lambda, fine.clamp_mode)
+    sl_params = SuperLossParams.for_classes(dataset.num_classes, lam=fine.superloss_lambda, clamp_mode=fine.clamp_mode)
     if fine.superloss_tau is not None:
         sl_params = replace(sl_params, tau=fine.superloss_tau)
     labels = dataset.labels_observed
@@ -209,8 +203,8 @@ def finetune(
     for p in model.trainable_parameters():
         p.requires_grad = False
     opt = make_optimizer(settings.optimizer, _head_trainable(head, policy))
-    reps = _representations(model, dataset)
-    test_reps = _representations(model, test_set) if test_set is not None else None
+    reps = encoder_outputs(model, dataset)
+    test_reps = encoder_outputs(model, test_set) if test_set is not None else None
     loss_fn = _supervised_loss(settings, dataset, lambda idx: head(Tensor(reps[idx])))
     lr = settings.optimizer.base_lr
 
@@ -255,6 +249,8 @@ def make_datasets(
     test_per_class: int = 100,
 ) -> tuple[Dataset, Dataset]:
     """Clean, balanced train and test clusters; ``corrupt_train`` corrupts the train split."""
+    if test_per_class < 1:  # generate_synthetic would name it per_class
+        raise ValidationError(f"test_per_class must be >= 1, got {test_per_class}")
     data_seed = derive(run_seed, "data")
     train = generate_synthetic(num_classes, per_class, dim, separation, data_seed, split="train")
     test = generate_synthetic(num_classes, test_per_class, dim, separation, data_seed, split="test")
@@ -262,7 +258,7 @@ def make_datasets(
 
 
 def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
-    reps = _representations(model, test_set)
+    reps = encoder_outputs(model, test_set)
     preds = np.argmax(head(Tensor(reps)).data, axis=1)
     return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
 
@@ -272,7 +268,6 @@ def run_single_stage(
     test_set: Dataset,
     method_name: str,
     fine: FinetuneSettings,
-    epochs: int,
     run_seed: int,
     sink=None,
     model_dims: dict | None = None,
@@ -286,13 +281,13 @@ def run_single_stage(
     features = train_set.features.astype(np.float64)
     loss_fn = _supervised_loss(fine, train_set, lambda idx: head(model.encoder(Tensor(features[idx]))))
     lr = fine.optimizer.base_lr
-    records = _run_epochs("single_stage", epochs, run_seed, sink, lambda epoch: (
+    records = _run_epochs("single_stage", fine.epochs, run_seed, sink, lambda epoch: (
         train_epoch(opt, lr, loss_fn, train_set.num_samples, fine.optimizer.batch_size, run_seed, "single_stage", epoch),
         lr,
         {},
     ))
     report = evaluate_classifier(model, head, test_set)
-    summary = summarize(report, None, run_seed, {"single_stage": epochs})
+    summary = summarize(report, None, run_seed, {"single_stage": fine.epochs})
     return RunResult(model, head, records, report, summary)
 
 

@@ -135,7 +135,7 @@ def method_loss(
     aug: AugmentationSpec,
     run_seed: int,
     epoch: int,
-    disable_stop_gradient: bool = False,
+    disable_stop_gradient: bool,
 ) -> Tensor:
     """One minibatch loss for the configured objective; labels are never consulted."""
     view_a, view_b = build_views(features, indices, aug, run_seed, epoch)

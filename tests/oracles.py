@@ -1,11 +1,30 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and helpers used by the test suite.
 
 Each oracle recomputes an expected value by a different route than the
 library (Newton instead of Halley, golden-section instead of closed form,
 explicit softmax instead of log-sum-exp, python loops instead of matrix
-algebra) so agreement is meaningful.
+algebra) so agreement is meaningful. The helpers compare parameters and read
+metrics lines back.
 """
+import hashlib
+import json
+
 import numpy as np
+
+from tailspin.evaluation import MetricsRecord
+
+
+def params_digest(params) -> str:
+    """SHA-256 over the concatenated raw bytes of all parameter arrays."""
+    h = hashlib.sha256()
+    for p in params:
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def record_from_json_line(line: str) -> MetricsRecord:
+    """The MetricsRecord that ``MetricsRecord.to_json_line`` wrote as ``line``."""
+    return MetricsRecord(**json.loads(line))
 
 
 def newton_lambert(x: float, iters: int = 200) -> float:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_knn, golden_section_sigma
+from oracles import brute_knn, golden_section_sigma, params_digest
 from tailspin.cli import main as cli_main
 from tailspin.data import (
     AugmentationSpec,
@@ -22,7 +22,7 @@ from tailspin.data import (
 from tailspin.evaluation import EmbeddingSet, KNNConfig, knn_classify
 from tailspin.gradcheck import LOSS_CASES, SSL_CASES, battery
 from tailspin.losses import Priors, SuperLossParams, cross_entropy, la_loss, lambert_w0, superloss_sigma
-from tailspin.nn import build_model, params_digest
+from tailspin.nn import build_model
 from tailspin.optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr
 from tailspin.pipeline import (
     FinetuneSettings,
@@ -53,11 +53,11 @@ def desk_pretrain_settings(epochs=200):
     )
 
 
-def desk_finetune_settings(loss):
+def desk_finetune_settings(loss, epochs=25):
     return FinetuneSettings(
         loss=loss,
         optimizer=OptimizerConfig(kind="adam", base_lr=0.003, weight_decay=0.0, batch_size=64),
-        epochs=25,
+        epochs=epochs,
     )
 
 
@@ -164,7 +164,7 @@ def test_criterion_6_ssl_label_blindness():
         for ds in (data, tampered):
             model = build_model(method_name, 6, hidden_dim=12, rep_dim=6, proj_dim=6, pred_hidden=4, seed=107)
             method = SSLMethod(method_name)
-            opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, batch_size=16),
+            opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=16),
                                  model.trainable_parameters())
             aug = AugmentationSpec(0.4, 0.0, 0.2)
             for epoch in range(2):
@@ -236,10 +236,10 @@ def fig2_runs():
         finetune(model, head, clean_train, desk_finetune_settings("la_sl"), "full_head", seed)
         row["two_clean_la_sl"] = evaluate_classifier(model, head, test).balanced
         row["single_noisy_ce"] = run_single_stage(
-            noisy_train, test, "simsiam", desk_finetune_settings("ce"), 60, seed
+            noisy_train, test, "simsiam", desk_finetune_settings("ce", epochs=60), seed
         ).report.balanced
         row["single_clean_la_sl"] = run_single_stage(
-            clean_train, test, "simsiam", desk_finetune_settings("la_sl"), 60, seed
+            clean_train, test, "simsiam", desk_finetune_settings("la_sl", epochs=60), seed
         ).report.balanced
         rows.append(row)
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}

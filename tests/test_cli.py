@@ -1,12 +1,20 @@
+import inspect
 import json
+import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tailspin.cli import main
+from oracles import params_digest
+from tailspin.cli import _settings, main
+from tailspin.config import config_load
+from tailspin.evaluation import KNNConfig, embed
 from tailspin.io import dataset_provenance, load_checkpoint, load_dataset
-from tailspin.nn import params_digest
+from tailspin.nn import build_model
+from tailspin.pipeline import FinetuneSettings, PretrainSettings, make_datasets
+from tailspin.ssl import SSLMethod
 
 
 def run_cli(*args):
@@ -191,6 +199,30 @@ class TestStagewiseCommands:
         assert "balanced_accuracy" in json.loads((out / "eval.json").read_text())
 
 
+class TestDefaults:
+    """The config's defaults are the library's: a config left at its defaults
+    builds the settings a library user gets by leaving every argument out."""
+
+    @pytest.mark.parametrize("method", SSL_METHODS)
+    def test_pretrain_defaults(self, method):
+        cfg = config_load(None, [f"pretrain.method={method}"])
+        assert _settings(cfg, "pretrain") == PretrainSettings(SSLMethod(method))
+
+    def test_finetune_knn_and_model_defaults(self):
+        cfg = config_load(None)
+        assert _settings(cfg, "finetune") == FinetuneSettings()
+        assert _settings(cfg, "single_stage") == replace(FinetuneSettings(), epochs=cfg["single_stage.epochs"])
+        assert _settings(cfg, "eval") == KNNConfig()
+        widths = inspect.signature(build_model).parameters
+        assert _settings(cfg, "model") == {
+            key: widths[key].default for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
+
+    def test_defaults_taken_from_function_signatures(self):
+        cfg = config_load(None)
+        assert cfg["data.test_per_class"] == inspect.signature(make_datasets).parameters["test_per_class"].default
+        assert cfg["eval.embedding_layer"] == inspect.signature(embed).parameters["layer"].default
+
+
 class TestGradcheckCommand:
     def test_exit_zero_and_table(self, capsys):
         assert run_cli("gradcheck") == 0
@@ -218,27 +250,38 @@ class TestErrorReporting:
             assert err.startswith("validation-error:"), override
             assert not (out / "data").exists(), override
 
-    @pytest.mark.parametrize("override, code, error, commands", [
-        pytest.param(override, code, error, commands, id=f"{override}-{code}-{error}")
-        for override, code, error, commands in [
-            ("finetune.tau=abc", 2, "config-error", ["run"]),
-            ("eval.knn_k=100000", 1, "contract-error", ["run"]),
-            ("finetune.lr=nan", 2, "config-error", ["run"]),
-            ("model.hidden_dim=0", 1, "validation-error", ["run"]),
-            ("pretrain.batch_size=1", 1, "validation-error", ["run"]),
-            ("finetune.lambda=0", 1, "validation-error", ["run"]),
+    # an override is one or more space-separated key=value settings; the error
+    # line must name the offending setting as a whole word
+    @pytest.mark.parametrize("override, code, error, commands, named", [
+        pytest.param(override, code, error, commands, named, id=f"{override}-{code}-{error}")
+        for override, code, error, commands, named in [
+            ("finetune.tau=abc", 2, "config-error", ["run"], "finetune.tau"),
+            ("eval.knn_k=100000", 1, "contract-error", ["run"], "k"),
+            ("finetune.lr=nan", 2, "config-error", ["run"], "finetune.lr"),
+            ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),
+            ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
+            ("finetune.lambda=0", 1, "validation-error", ["run"], "lambda"),
             # per_class=30 at gamma=1000 gives the profile [30, 1, 0]
-            ("data.gamma=1000", 1, "validation-error", ["run", "run-single-stage"]),
-            ("data.nu=2.0", 1, "validation-error", ["run-single-stage"]),
-            ("finetune.epochs=-1", 1, "validation-error", ["run"]),
-            ("single_stage.epochs=0", 1, "validation-error", ["run-single-stage"]),
+            ("data.gamma=1000", 1, "validation-error", ["run", "run-single-stage"], "gamma"),
+            ("data.nu=2.0", 1, "validation-error", ["run-single-stage"], "nu"),
+            ("finetune.epochs=-1", 1, "validation-error", ["run"], "epochs"),
+            ("single_stage.epochs=0", 1, "validation-error", ["run-single-stage"], "epochs"),
+            ("pretrain.momentum=5", 1, "validation-error", ["run"], "momentum"),
+            ("finetune.optimizer=sgd finetune.momentum=-5", 1, "validation-error", ["run"], "momentum"),
+            ("pretrain.weight_decay=-1", 1, "validation-error", ["run"], "weight_decay"),
+            ("pretrain.aug_jitter=5", 1, "validation-error", ["run"], "scale_jitter"),
+            ("data.per_class=0", 1, "validation-error", ["run", "run-single-stage"], "per_class"),
+            ("data.test_per_class=0", 1, "validation-error", ["run", "run-single-stage"], "test_per_class"),
         ]
     ])
-    def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error, commands):
+    def test_bad_input_fails_before_training(self, capsys, tmp_path, override, code, error, commands, named):
+        settings = [arg for item in override.split() for arg in ("--set", item)]
         for cmd in commands:
             out = tmp_path / cmd
-            assert run_cli(cmd, "--output", str(out), *FAST, "--set", override) == code, cmd
-            assert capsys.readouterr().err.strip().splitlines()[-1].startswith(f"{error}:"), cmd
+            assert run_cli(cmd, "--output", str(out), *FAST, *settings) == code, cmd
+            line = capsys.readouterr().err.strip().splitlines()[-1]
+            assert line.startswith(f"{error}:"), cmd
+            assert re.search(rf"\b{re.escape(named)}\b", line), (cmd, line)
             metrics = out / "metrics.jsonl"
             assert not metrics.exists() or metrics.read_text() == "", cmd
             assert not (out / "data").exists(), cmd
@@ -268,6 +311,8 @@ class TestErrorReporting:
             "swapped shape": swap_first_shape,
             "grown shape": grow_first_shape,
             "no files entry": lambda m: m["files"].clear(),
+            "no arch": lambda m: m.pop("arch"),
+            "extra not an object": lambda m: m.update(extra=[]),
         }
         for name, edit in edits.items():
             manifest = json.loads(json.dumps(original))

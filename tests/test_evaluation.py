@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_knn
+from oracles import brute_knn, record_from_json_line
 from tailspin.data import generate_synthetic
 from tailspin.errors import ContractError, ValidationError
 from tailspin.evaluation import (
@@ -178,10 +178,10 @@ class TestExport:
 class TestMetricsRecord:
     def test_json_round_trip(self):
         rec = MetricsRecord("finetune", 3, 0.52, 0.001, 7, knn_accuracy=0.9, per_class_accuracy=[0.8, 1.0])
-        back = MetricsRecord.from_json_line(rec.to_json_line())
+        back = record_from_json_line(rec.to_json_line())
         assert back == rec
 
     def test_none_fields_survive(self):
         rec = MetricsRecord("pretrain", 0, 1.5, 0.06, 7)
-        back = MetricsRecord.from_json_line(rec.to_json_line())
+        back = record_from_json_line(rec.to_json_line())
         assert back.knn_accuracy is None and back.per_class_accuracy is None

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from oracles import params_digest, record_from_json_line
 from tailspin.config import config_load, write_resolved
 from tailspin.data import ImbalanceSpec, NoiseSpec, apply_exponential_imbalance, generate_synthetic, inject_symmetric_noise
 from tailspin.errors import ConfigError, ValidationError
 from tailspin.evaluation import MetricsRecord
 from tailspin.io import MetricsWriter, load_checkpoint, load_dataset, save_checkpoint, save_dataset
-from tailspin.nn import build_model, params_digest
+from tailspin.nn import build_model
 from tailspin.pipeline import build_finetune_head
 
 
@@ -50,6 +51,8 @@ class TestDatasetFormat:
             "missing entry": lambda m: m["files"].pop("labels_true"),
             "dtype": lambda m: m["files"]["features"].update(dtype="float64-le"),
             "shape": lambda m: m["files"]["labels_true"].update(shape=[-1]),
+            "missing metadata": lambda m: m.pop("num_classes"),
+            "metadata type": lambda m: m.update(split=3),
         }
         for name, edit in edits.items():
             manifest = json.loads(original)
@@ -103,7 +106,7 @@ class TestMetricsFile:
                 sink(r)
         lines = path.read_text().splitlines()
         assert len(lines) == 25
-        assert [MetricsRecord.from_json_line(l) for l in lines] == records
+        assert [record_from_json_line(l) for l in lines] == records
 
     def test_flush_per_record_survives_interruption(self, tmp_path):
         path = tmp_path / "metrics.jsonl"

@@ -47,6 +47,12 @@ class TestLambertW:
     def test_within_rounding_of_branch_is_clamped(self):
         assert lambert_w0(-np.exp(-1.0) - 1e-13) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_near_branch_and_huge_arguments_in_one_call(self):
+        # the branch-point series is evaluated only near -1/e; its cube overflows at 1e300
+        x = np.array([-np.exp(-1.0) + 1e-6, 1e300])
+        w = lambert_w0(x)
+        assert w == pytest.approx([newton_lambert(v) for v in x], rel=1e-10)
+
 
 class TestLogitAdjust:
     def test_uniform_priors_shift_by_log_c(self):

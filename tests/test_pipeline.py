@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError
 from tailspin.evaluation import KNNConfig
-from tailspin.nn import build_model, params_digest
+from tailspin.nn import build_model
 from tailspin.optim import OptimizerConfig, ScheduleConfig
 from tailspin.pipeline import (
     FULL_HEAD,
@@ -142,15 +143,15 @@ class TestTwoStage:
 class TestSingleStage:
     def test_runs_and_is_deterministic(self):
         train, test = make_datasets(3, 40, 8, 6.0, run_seed=13, test_per_class=30)
-        a = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce"), epochs=5, run_seed=13)
-        b = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce"), epochs=5, run_seed=13)
+        a = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=5), run_seed=13)
+        b = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=5), run_seed=13)
         assert [r.to_json_line() for r in a.records] == [r.to_json_line() for r in b.records]
         assert a.summary == b.summary
         assert len(a.records) == 5
 
     def test_clean_data_trains_well(self):
         train, test = make_datasets(3, 60, 8, 6.0, run_seed=17, test_per_class=40)
-        result = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=30), epochs=30, run_seed=17)
+        result = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=30), run_seed=17)
         assert result.report.balanced >= 0.9
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import barlow_direct, ntxent_enumerate
+from oracles import barlow_direct, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, ValidationError
-from tailspin.nn import build_model, ema_update, params_digest
+from tailspin.nn import build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer
 from tailspin.ssl import (
     SSLMethod,
@@ -211,7 +211,7 @@ class TestPretrainEpoch:
         model = build_model(method_name, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8,
                             pred_hidden=4, seed=seed)
         method = SSLMethod(method_name)
-        opt_cfg = OptimizerConfig(kind="adam", base_lr=0.002, batch_size=16)
+        opt_cfg = OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=16)
         opt = make_optimizer(opt_cfg, model.trainable_parameters())
         aug = AugmentationSpec(0.4, 0.1, 0.1)
         losses = []
