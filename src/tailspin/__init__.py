@@ -43,10 +43,8 @@ from .losses import (
     ConfidenceReport,
     Priors,
     SuperLossParams,
-    ce_sl_loss,
     cross_entropy,
     la_loss,
-    la_sl_loss,
     lambert_w0,
     logit_adjust,
     superloss,
@@ -65,7 +63,7 @@ from .pipeline import (
     run_single_stage,
     select_freeze_policy,
 )
-from .ssl import SSLMethod, barlow_twins_loss, byol_loss, nt_xent_loss, pretrain_epoch, simsiam_loss
+from .ssl import SSLMethod, barlow_twins_loss, nt_xent_loss, pretrain_epoch, simsiam_loss
 from .tensor import Tape, Tensor, finite_diff_check, l2_normalize, log_sum_exp, stop_gradient
 
 __version__ = "0.1.0"

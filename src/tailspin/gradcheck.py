@@ -1,14 +1,15 @@
-"""Finite-difference verification battery for every differentiable loss and
-SSL objective. Used by the `gradcheck` CLI subcommand and the test suite."""
+"""Finite-difference verification battery for every fine-tuning loss kind and
+SSL method, computed through the same ``batch_loss``/``method_loss`` that
+training calls. Used by the `gradcheck` CLI subcommand and the test suite."""
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import Priors, SuperLossParams, ce_sl_loss, cross_entropy, la_loss, la_sl_loss, superloss
-from .nn import build_model
+from .losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss
+from .nn import SSL_METHODS, build_model
 from .seeding import rng_for
-from .ssl import barlow_twins_loss, byol_loss, nt_xent_loss, simsiam_loss
-from .tensor import Tensor, finite_diff_check, mean
+from .ssl import SSLMethod, method_loss
+from .tensor import Tensor, finite_diff_check
 
 TOLERANCE = 1e-4
 
@@ -23,19 +24,7 @@ def _loss_case(name: str, rng, batch: int = 5, classes: int = 4) -> float:
     labels = rng.integers(0, classes, size=batch)
     priors = _random_priors(rng, classes)
     params = SuperLossParams(tau=float(np.log(classes)), lam=4.0)
-
-    def f():
-        if name == "ce":
-            return mean(cross_entropy(logits, labels))
-        if name == "la":
-            return mean(la_loss(logits, labels, priors))
-        if name == "sl":
-            return superloss(cross_entropy(logits, labels), params).loss
-        if name == "ce_sl":
-            return ce_sl_loss(logits, labels, params).loss
-        return la_sl_loss(logits, labels, priors, params).loss
-
-    return finite_diff_check(f, [logits])
+    return finite_diff_check(lambda: batch_loss(name, logits, labels, priors, params)[0], [logits])
 
 
 def _relu_margin(mlp, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -98,45 +87,20 @@ def _ssl_case(name: str, rng, batch: int = 5, dim: int = 4) -> float:
         view_b = Tensor(rng.uniform(-2.0, 2.0, size=(batch, dim)))
         if _conditioned(name, model, view_a, view_b):
             break
-    params = model.trainable_parameters()
-
-    # SimSiam's stop-gradient blocks the target branch analytically, so the
-    # finite-difference probe must hold that branch constant too: snapshot
-    # the projections once and differentiate only the online path.
-    if name == "simsiam":
-        frozen_a = Tensor(model.projector(model.encoder(view_a)).data.copy())
-        frozen_b = Tensor(model.projector(model.encoder(view_b)).data.copy())
-
-    def f():
-        z_a = model.projector(model.encoder(view_a))
-        z_b = model.projector(model.encoder(view_b))
-        if name == "simclr":
-            return nt_xent_loss(z_a, z_b, temperature=0.5)
-        if name == "barlow_twins":
-            return barlow_twins_loss(z_a, z_b, lambda_bt=0.005)
-        p_a, p_b = model.predictor(z_a), model.predictor(z_b)
-        if name == "simsiam":
-            return simsiam_loss(p_a, frozen_a, p_b, frozen_b)
-        t_a = model.ema_projector(model.ema_encoder(view_a))
-        t_b = model.ema_projector(model.ema_encoder(view_b))
-        return byol_loss(p_a, t_b, p_b, t_a)
-
-    return finite_diff_check(f, params)
-
-
-LOSS_CASES = ("ce", "la", "sl", "ce_sl", "la_sl")
-SSL_CASES = ("simsiam", "simclr", "byol", "barlow_twins")
+    # stop-gradient off: SimSiam's stop-gradient update is a semi-gradient,
+    # the derivative of no function, so the row checks the full graph's
+    # true derivative instead
+    return finite_diff_check(
+        lambda: method_loss(model, SSLMethod(name), view_a.data, view_b.data, stop_grad=False),
+        model.trainable_parameters(),
+    )
 
 
 def battery(instances: int = 5, seed: int = 0) -> list[tuple[str, float]]:
-    """Max relative gradient error per objective over random instances."""
+    """Max relative gradient error per loss kind, then per SSL method, over random instances."""
     results = []
-    for name in LOSS_CASES:
+    for name in LOSS_KINDS + SSL_METHODS:
+        case = _loss_case if name in LOSS_KINDS else _ssl_case
         rng = rng_for(seed, "gradcheck", name)
-        worst = max(_loss_case(name, rng) for _ in range(instances))
-        results.append((name, worst))
-    for name in SSL_CASES:
-        rng = rng_for(seed, "gradcheck", name)
-        worst = max(_ssl_case(name, rng) for _ in range(instances))
-        results.append((name, worst))
+        results.append((name, max(case(name, rng) for _ in range(instances))))
     return results

@@ -174,25 +174,14 @@ def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
     )
 
 
-def ce_sl_loss(logits: Tensor, labels, params: SuperLossParams) -> ConfidenceReport:
-    return superloss(cross_entropy(logits, labels), params)
-
-
-def la_sl_loss(logits: Tensor, labels, priors: Priors, params: SuperLossParams) -> ConfidenceReport:
-    """SuperLoss on top of the logit-adjusted loss; the default fine-tuning loss."""
-    return superloss(la_loss(logits, labels, priors), params)
-
-
 def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperLossParams) -> tuple[Tensor, ConfidenceReport | None]:
-    """Dispatch on the configured loss kind; returns (scalar mean loss, report or None)."""
-    if kind == "ce":
-        return mean(cross_entropy(logits, labels)), None
-    if kind == "la":
-        return mean(la_loss(logits, labels, priors)), None
-    if kind == "ce_sl":
-        report = ce_sl_loss(logits, labels, params)
-        return report.loss, report
-    if kind == "la_sl":
-        report = la_sl_loss(logits, labels, priors, params)
-        return report.loss, report
-    raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
+    """The configured fine-tuning loss: cross-entropy (``ce*``) or logit-adjusted
+    (``la*``), wrapped in SuperLoss for the ``*_sl`` kinds; returns (scalar mean
+    loss, report or None)."""
+    if kind not in LOSS_KINDS:
+        raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
+    base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
+    if not kind.endswith("_sl"):
+        return mean(base), None
+    report = superloss(base, params)
+    return report.loss, report

@@ -47,6 +47,8 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"schedule kind must be one of {SCHEDULE_KINDS}, got '{self.kind}'")
+        if self.total_epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ValidationError(
                 f"warmup_epochs ({self.warmup_epochs}) must be < total_epochs ({self.total_epochs})"

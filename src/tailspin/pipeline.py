@@ -24,7 +24,7 @@ from .data import (
 )
 from .errors import ConfigError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
-from .losses import SuperLossParams, batch_loss
+from .losses import CLAMP_MODES, LOSS_KINDS, SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model, build_model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
@@ -109,6 +109,10 @@ class FinetuneSettings:
     freeze_override: str | None = None  # None means select by method and nu
 
     def __post_init__(self):
+        if self.loss not in LOSS_KINDS:
+            raise ValidationError(f"unknown loss kind '{self.loss}', expected one of {LOSS_KINDS}")
+        if self.clamp_mode not in CLAMP_MODES:
+            raise ValidationError(f"clamp_mode must be one of {CLAMP_MODES}, got '{self.clamp_mode}'")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.superloss_lambda <= 0:
@@ -204,17 +208,13 @@ def finetune(
         p.requires_grad = False
     opt = make_optimizer(settings.optimizer, _head_trainable(head, policy))
     reps = encoder_outputs(model, dataset)
-    test_reps = encoder_outputs(model, test_set) if test_set is not None else None
     loss_fn = _supervised_loss(settings, dataset, lambda idx: head(Tensor(reps[idx])))
     lr = settings.optimizer.base_lr
 
     def epoch_fn(epoch: int):
         loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
                            run_seed, "finetune", epoch)
-        per_class = None
-        if test_reps is not None:
-            preds = np.argmax(head(Tensor(test_reps)).data, axis=1)
-            per_class = accuracy_suite(preds, test_set.labels_true, test_set.num_classes).per_class_json()
+        per_class = None if test_set is None else evaluate_classifier(model, head, test_set).per_class_json()
         return loss, lr, {"per_class_accuracy": per_class}
 
     return _run_epochs("finetune", settings.epochs, run_seed, sink, epoch_fn)

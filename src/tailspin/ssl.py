@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import AugmentationSpec, Dataset, augment, view_seed
 from .errors import ConfigError, ContractError, ValidationError
-from .nn import Model, ema_update
+from .nn import SSL_METHODS, Model, ema_update
 from .optim import train_epoch
 from .tensor import (
     Tensor,
@@ -46,6 +46,8 @@ class SSLMethod:
     lambda_bt: float = 0.005
 
     def __post_init__(self):
+        if self.name not in SSL_METHODS:
+            raise ConfigError(f"unknown SSL method '{self.name}', expected one of {SSL_METHODS}")
         if self.temperature <= 0:
             raise ValidationError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.ema_momentum <= 1.0:
@@ -104,11 +106,6 @@ def nt_xent_loss(z_a: Tensor, z_b: Tensor, temperature: float) -> Tensor:
     return mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))
 
 
-def byol_loss(p_a: Tensor, target_b: Tensor, p_b: Tensor, target_a: Tensor) -> Tensor:
-    """Same symmetric cosine objective as SimSiam, against EMA target projections."""
-    return simsiam_loss(p_a, target_a, p_b, target_b, stop_grad=False)
-
-
 def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
     """Redundancy reduction on the batch-standardized cross-correlation matrix."""
     if z_a.shape != z_b.shape:
@@ -127,36 +124,26 @@ def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1
     return add(invariance, mul(redundancy, _as_tensor(lambda_bt)))
 
 
-def method_loss(
-    model: Model,
-    method: SSLMethod,
-    features: np.ndarray,
-    indices: np.ndarray,
-    aug: AugmentationSpec,
-    run_seed: int,
-    epoch: int,
-    disable_stop_gradient: bool,
-) -> Tensor:
-    """One minibatch loss for the configured objective; labels are never consulted."""
-    view_a, view_b = build_views(features, indices, aug, run_seed, epoch)
+def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray, stop_grad: bool) -> Tensor:
+    """The configured objective on two views of one minibatch; labels are never consulted.
+
+    ``stop_grad`` is SimSiam's stop-gradient (off is the collapse ablation);
+    BYOL's target branch is the EMA network, which never takes a gradient.
+    """
+    if method.name == "byol" and not model.has_ema():
+        raise ConfigError("byol requires a model with an EMA target")
     z_a = model.projector(model.encoder(Tensor(view_a)))
     z_b = model.projector(model.encoder(Tensor(view_b)))
     if method.name == "simclr":
         return nt_xent_loss(z_a, z_b, method.temperature)
     if method.name == "barlow_twins":
         return barlow_twins_loss(z_a, z_b, method.lambda_bt)
+    p_a, p_b = model.predictor(z_a), model.predictor(z_b)
     if method.name == "simsiam":
-        p_a, p_b = model.predictor(z_a), model.predictor(z_b)
-        return simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=not disable_stop_gradient)
-    if method.name == "byol":
-        if not model.has_ema():
-            raise ConfigError("byol requires a model with an EMA target")
-        p_a, p_b = model.predictor(z_a), model.predictor(z_b)
-        # target branch: same views, frozen EMA weights, no gradient
-        t_a = model.ema_projector(model.ema_encoder(Tensor(view_a)))
-        t_b = model.ema_projector(model.ema_encoder(Tensor(view_b)))
-        return byol_loss(p_a, t_b, p_b, t_a)
-    raise ConfigError(f"unknown SSL method '{method.name}'")
+        return simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=stop_grad)
+    t_a = model.ema_projector(model.ema_encoder(Tensor(view_a)))
+    t_b = model.ema_projector(model.ema_encoder(Tensor(view_b)))
+    return simsiam_loss(p_a, t_a, p_b, t_b, stop_grad=False)
 
 
 def pretrain_epoch(
@@ -177,8 +164,8 @@ def pretrain_epoch(
     contrastive and redundancy objectives are undefined on them.
     """
     def loss_fn(idx: np.ndarray) -> Tensor:
-        return method_loss(model, method, dataset.features[idx], idx, aug, run_seed, epoch,
-                           disable_stop_gradient=disable_stop_gradient)
+        views = build_views(dataset.features[idx], idx, aug, run_seed, epoch)
+        return method_loss(model, method, *views, stop_grad=not disable_stop_gradient)
 
     after_step = (lambda: ema_update(model, method.ema_momentum)) if method.name == "byol" else None
     return train_epoch(optimizer, lr, loss_fn, dataset.num_samples, batch_size, run_seed, "pretrain", epoch,

@@ -228,9 +228,10 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck") == 0
         table = capsys.readouterr().out
         assert "max_rel_err" in table
-        for name in ("ce", "la_sl", "simsiam", "simclr", "byol", "barlow_twins"):
-            assert name in table
-        assert "FAIL" not in table
+        rows = [line.split() for line in table.strip().splitlines()[1:]]
+        # one row per loss kind, then one per SSL method; no alias rows such as "sl"
+        assert [row[0] for row in rows] == ["ce", "ce_sl", "la", "la_sl", "simsiam", "simclr", "byol", "barlow_twins"]
+        assert all(row[-1] == "ok" for row in rows)
 
 
 class TestErrorReporting:
@@ -266,6 +267,7 @@ class TestErrorReporting:
             ("data.nu=2.0", 1, "validation-error", ["run-single-stage"], "nu"),
             ("finetune.epochs=-1", 1, "validation-error", ["run"], "epochs"),
             ("single_stage.epochs=0", 1, "validation-error", ["run-single-stage"], "epochs"),
+            ("pretrain.epochs=0", 1, "validation-error", ["run"], "epochs"),
             ("pretrain.momentum=5", 1, "validation-error", ["run"], "momentum"),
             ("finetune.optimizer=sgd finetune.momentum=-5", 1, "validation-error", ["run"], "momentum"),
             ("pretrain.weight_decay=-1", 1, "validation-error", ["run"], "weight_decay"),

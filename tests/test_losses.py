@@ -8,10 +8,9 @@ from tailspin.errors import ShapeError, ValidationError
 from tailspin.losses import (
     Priors,
     SuperLossParams,
-    ce_sl_loss,
+    batch_loss,
     cross_entropy,
     la_loss,
-    la_sl_loss,
     lambert_w0,
     logit_adjust,
     superloss,
@@ -194,7 +193,7 @@ class TestComposedLoss:
         c = 4
         logits = Tensor(np.zeros((5, c)))  # every sample sits at loss log(C) = tau
         labels = np.zeros(5, dtype=int)
-        report = la_sl_loss(logits, labels, Priors.uniform(c), SuperLossParams.for_classes(c))
+        _, report = batch_loss("la_sl", logits, labels, Priors.uniform(c), SuperLossParams.for_classes(c))
         assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_sigma_ordering_reverses_base_loss_ordering(self):
@@ -203,7 +202,7 @@ class TestComposedLoss:
         labels = rng.integers(0, 10, size=12)
         raw = rng.uniform(0.2, 3.0, size=10)
         pri = Priors(raw / raw.sum())
-        report = la_sl_loss(logits, labels, pri, SuperLossParams.for_classes(10))
+        _, report = batch_loss("la_sl", logits, labels, pri, SuperLossParams.for_classes(10))
         order_base = np.argsort(report.base_losses)
         order_sigma = np.argsort(-report.sigma, kind="stable")
         assert np.array_equal(
@@ -224,9 +223,7 @@ class TestComposedLoss:
         params = SuperLossParams.for_classes(5)
 
         def f():
-            if kind == "la_sl":
-                return la_sl_loss(logits, labels, pri, params).loss
-            return ce_sl_loss(logits, labels, params).loss
+            return batch_loss(kind, logits, labels, pri, params)[0]
 
         assert finite_diff_check(f, [logits], step=1e-5) <= 1e-4
 

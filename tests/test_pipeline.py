@@ -3,7 +3,7 @@ import pytest
 
 from oracles import params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
-from tailspin.errors import ConfigError
+from tailspin.errors import ConfigError, ValidationError
 from tailspin.evaluation import KNNConfig
 from tailspin.nn import build_model
 from tailspin.optim import OptimizerConfig, ScheduleConfig
@@ -103,6 +103,19 @@ class TestFinetune:
         assert len(records) == 7
         assert [r.epoch for r in records] == list(range(7))
         assert all(r.stage == "finetune" for r in records)
+
+    def test_per_epoch_accuracy_is_the_classifier_evaluation(self, setup):
+        from tailspin.pipeline import evaluate_classifier
+
+        train, test, model = setup
+        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        records = finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, run_seed=5, test_set=test)
+        assert records[-1].per_class_accuracy == evaluate_classifier(model, head, test).per_class_json()
+
+    @pytest.mark.parametrize("field", [{"loss": "la-sl"}, {"clamp_mode": "sideways"}])
+    def test_misspelt_settings_rejected_at_construction(self, field):
+        with pytest.raises(ValidationError, match=next(iter(field.values()))):
+            FinetuneSettings(**field)
 
     def test_simclr_head_is_single_linear_layer(self, setup):
         _, _, model = setup

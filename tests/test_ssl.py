@@ -6,11 +6,12 @@ from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, ValidationError
 from tailspin.nn import build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer
+from tailspin.seeding import rng_for
 from tailspin.ssl import (
     SSLMethod,
     barlow_twins_loss,
     build_views,
-    byol_loss,
+    method_loss,
     nt_xent_loss,
     pretrain_epoch,
     simsiam_loss,
@@ -151,7 +152,7 @@ class TestByol:
         t_a = Tensor(rand((4, 5), 22))
         t_b = Tensor(rand((4, 5), 23))
         with Tape() as tape:
-            tape.backward(byol_loss(p_a, t_b, p_b, t_a))
+            tape.backward(simsiam_loss(p_a, t_a, p_b, t_b, stop_grad=False))
         assert np.any(p_a.grad != 0.0)
 
 
@@ -233,6 +234,21 @@ class TestPretrainEpoch:
         assert params_digest(m1.trainable_parameters()) == params_digest(m2.trainable_parameters())
 
     @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
+    def test_epoch_loss_is_method_loss_on_the_epochs_views(self, method, dataset):
+        # one batch holding the whole shuffled epoch: the reported loss is
+        # method_loss on that batch's views, before the step
+        model = build_model(method, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8, pred_hidden=4, seed=7)
+        ssl_method = SSLMethod(method)
+        aug = AugmentationSpec(0.4, 0.1, 0.1)
+        n, seed, epoch = dataset.num_samples, 7, 2
+        order = rng_for(seed, "shuffle", "pretrain", epoch).permutation(n)
+        views = build_views(dataset.features[order], order, aug, seed, epoch)
+        want = method_loss(model, ssl_method, *views, stop_grad=True).item()
+        opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=n),
+                             model.trainable_parameters())
+        assert pretrain_epoch(model, dataset, ssl_method, opt, 0.002, epoch, seed, aug, n) == want
+
+    @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
     def test_label_tamper_leaves_parameters_bitwise_identical(self, method, dataset):
         m1, _ = self._run(method, dataset, epochs=2)
         m2, _ = self._run(method, dataset, epochs=2, permute_labels=True)
@@ -247,6 +263,10 @@ class TestMethodValidation:
     def test_unknown_method_rejected_at_model_build(self):
         with pytest.raises(ConfigError):
             build_model("moco", 8)
+
+    def test_misspelt_method_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown SSL method 'simsam'"):
+            SSLMethod("simsam")
 
 
 def test_l2_normalize_rows_unit_norm():
