@@ -20,6 +20,7 @@ from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec, exponenti
 from .errors import ConfigError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
 from .gradcheck import TOLERANCE, battery
+from .losses import SuperLossParams
 from .nn import build_model
 from .optim import OptimizerConfig, ScheduleConfig
 from .pipeline import (
@@ -64,6 +65,7 @@ def _settings(cfg: ExperimentConfig, prefix: str):
                 temperature=cfg["pretrain.temperature"],
                 ema_momentum=cfg["pretrain.ema_momentum"],
                 lambda_bt=cfg["pretrain.lambda_bt"],
+                stop_gradient=not cfg["pretrain.disable_stop_gradient"],
             ),
             optimizer=OptimizerConfig(
                 kind=cfg["pretrain.optimizer"],
@@ -82,10 +84,8 @@ def _settings(cfg: ExperimentConfig, prefix: str):
                 mask_prob=cfg["pretrain.aug_mask_prob"],
                 scale_jitter=cfg["pretrain.aug_jitter"],
             ),
-            disable_stop_gradient=cfg["pretrain.disable_stop_gradient"],
         )
     if prefix in ("finetune", "single_stage"):
-        freeze = cfg["finetune.freeze"]
         return FinetuneSettings(
             loss=cfg["finetune.loss"],
             optimizer=OptimizerConfig(
@@ -96,10 +96,8 @@ def _settings(cfg: ExperimentConfig, prefix: str):
                 batch_size=cfg["finetune.batch_size"],
             ),
             epochs=cfg[f"{prefix}.epochs"],
-            superloss_lambda=cfg["finetune.lambda"],
-            superloss_tau=cfg.superloss_tau(),
-            clamp_mode=cfg["finetune.clamp_mode"],
-            freeze_override=None if freeze == "auto" else freeze,
+            superloss=SuperLossParams(tau=cfg.superloss_tau(), lam=cfg["finetune.lambda"],
+                                      clamp_mode=cfg["finetune.clamp_mode"]),
         )
     if prefix == "eval":
         return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
@@ -191,8 +189,8 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
         raise ConfigError("pretrained checkpoint has no model")
     nu = _recorded(cfg, "data.nu", tio.dataset_provenance(train_dir).get("nu"), train_dir)
     method = _recorded(cfg, "pretrain.method", model.arch.get("method"), checkpoint)
-    settings = _settings(cfg, "finetune")
-    policy = settings.freeze_override or select_freeze_policy(method, nu)
+    settings, freeze = _settings(cfg, "finetune"), cfg["finetune.freeze"]
+    policy = select_freeze_policy(method, nu) if freeze == "auto" else freeze
     head = build_finetune_head(model, train.num_classes, method, derive(cfg.seed, "model"))
     with tio.MetricsWriter(out / "metrics.jsonl") as sink:
         finetune(model, head, train, settings, policy, cfg.seed, test_set=test, sink=sink)

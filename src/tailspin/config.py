@@ -55,7 +55,7 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "pretrain.aug_sigma": (float, _PRE.augmentation.gaussian_sigma, None, "augmentation: additive Gaussian scale"),
     "pretrain.aug_mask_prob": (float, _PRE.augmentation.mask_prob, None, "augmentation: coordinate dropout probability"),
     "pretrain.aug_jitter": (float, _PRE.augmentation.scale_jitter, None, "augmentation: multiplicative jitter half-range"),
-    "pretrain.disable_stop_gradient": (bool, _PRE.disable_stop_gradient, None, "collapse-ablation switch for SimSiam"),
+    "pretrain.disable_stop_gradient": (bool, not _PRE.method.stop_gradient, None, "collapse-ablation switch for SimSiam"),
     "model.hidden_dim": (int, _default_arg(build_model, "hidden_dim"), None, "encoder hidden width"),
     "model.rep_dim": (int, _default_arg(build_model, "rep_dim"), None, "encoder output width"),
     "model.proj_dim": (int, _default_arg(build_model, "proj_dim"), None, "projector width (2 FC layers)"),
@@ -69,8 +69,8 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "finetune.momentum": (float, _FINE.optimizer.momentum, None, "fine-tuning SGD momentum"),
     "finetune.freeze": (str, "auto", ("auto", FULL_HEAD, LAST_LAYER_ONLY), "freeze policy override"),
     "finetune.tau": (str, "auto", None, "SuperLoss threshold; 'auto' means log(C)"),
-    "finetune.lambda": (float, _FINE.superloss_lambda, None, "SuperLoss regularization"),
-    "finetune.clamp_mode": (str, _FINE.clamp_mode, CLAMP_MODES, "SuperLoss clamp direction"),
+    "finetune.lambda": (float, _FINE.superloss.lam, None, "SuperLoss regularization"),
+    "finetune.clamp_mode": (str, _FINE.superloss.clamp_mode, CLAMP_MODES, "SuperLoss clamp direction"),
     "single_stage.epochs": (int, 60, None, "epochs for the from-scratch baseline"),
     "eval.knn_k": (int, _KNN.k, None, "kNN proxy neighbor count"),
     "eval.knn_metric": (str, _KNN.metric, KNN_METRICS, "kNN distance"),

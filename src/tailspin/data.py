@@ -200,19 +200,11 @@ def inject_symmetric_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
     return Dataset(ds.features.copy(), observed, ds.labels_true.copy(), ds.num_classes, split=ds.split)
 
 
-def estimate_priors(ds: Dataset, floor: bool = True) -> Priors:
+def estimate_priors(ds: Dataset) -> Priors:
     """Observed class frequencies; floored at 1/(10N) and renormalized so log(pi) stays finite."""
-    counts = ds.observed_counts().astype(np.float64)
     n = ds.num_samples
-    if not floor and counts.min() == 0:
-        raise ValidationError(
-            f"class {int(np.argmin(counts))} has no observed samples and the prior floor is disabled"
-        )
-    pi = counts / n
-    if floor:
-        pi = np.maximum(pi, 1.0 / (10.0 * n))
-        pi = pi / pi.sum()
-    return Priors(pi)
+    pi = np.maximum(ds.observed_counts().astype(np.float64) / n, 1.0 / (10.0 * n))
+    return Priors(pi / pi.sum())
 
 
 def augment(sample: np.ndarray, spec: AugmentationSpec, draw_seed: int) -> np.ndarray:

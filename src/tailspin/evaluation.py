@@ -44,7 +44,7 @@ class EmbeddingSet:
         return self.embeddings.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KNNConfig:
     k: int = 20
     metric: str = "cosine"
@@ -81,19 +81,18 @@ class MetricsRecord:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
-def embed(dataset: Dataset, model: Model, layer: str = "encoder", use_true_labels: bool = True) -> EmbeddingSet:
+def embed(dataset: Dataset, model: Model, layer: str = "encoder") -> EmbeddingSet:
     """Deterministic forward pass with augmentations disabled.
 
-    By default returns the encoder output (pre-projector); evaluation labels
-    are the hidden true labels.
+    By default returns the encoder output (pre-projector); the labels are
+    the hidden true labels, which only evaluation reads.
     """
     if layer not in EMBED_LAYERS:
         raise ValidationError(f"layer must be one of {EMBED_LAYERS}, got '{layer}'")
     reps = encoder_outputs(model, dataset)
     if layer == "projector":
         reps = model.projector(Tensor(reps)).data
-    labels = dataset.labels_true if use_true_labels else dataset.labels_observed
-    return EmbeddingSet(reps.astype(np.float32), labels.copy(), dataset.num_classes, split=dataset.split)
+    return EmbeddingSet(reps.astype(np.float32), dataset.labels_true.copy(), dataset.num_classes, split=dataset.split)
 
 
 def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:

@@ -23,8 +23,7 @@ def _loss_case(name: str, rng, batch: int = 5, classes: int = 4) -> float:
     logits = Tensor(rng.uniform(-2.0, 2.0, size=(batch, classes)), requires_grad=True)
     labels = rng.integers(0, classes, size=batch)
     priors = _random_priors(rng, classes)
-    params = SuperLossParams(tau=float(np.log(classes)), lam=4.0)
-    return finite_diff_check(lambda: batch_loss(name, logits, labels, priors, params)[0], [logits])
+    return finite_diff_check(lambda: batch_loss(name, logits, labels, priors, SuperLossParams())[0], [logits])
 
 
 def _relu_margin(mlp, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -78,11 +77,8 @@ def _conditioned(name: str, model, view_a: Tensor, view_b: Tensor) -> bool:
 
 def _ssl_case(name: str, rng, batch: int = 5, dim: int = 4) -> float:
     for _ in range(100):
-        model = build_model(
-            "byol" if name == "byol" else "simsiam",
-            input_dim=dim, hidden_dim=6, rep_dim=4, proj_dim=4, pred_hidden=6,
-            seed=int(rng.integers(0, 2**63 - 1)),
-        )
+        model = build_model(name, input_dim=dim, hidden_dim=6, rep_dim=4, proj_dim=4, pred_hidden=6,
+                            seed=int(rng.integers(0, 2**63 - 1)))
         view_a = Tensor(rng.uniform(-2.0, 2.0, size=(batch, dim)))
         view_b = Tensor(rng.uniform(-2.0, 2.0, size=(batch, dim)))
         if _conditioned(name, model, view_a, view_b):
@@ -90,10 +86,8 @@ def _ssl_case(name: str, rng, batch: int = 5, dim: int = 4) -> float:
     # stop-gradient off: SimSiam's stop-gradient update is a semi-gradient,
     # the derivative of no function, so the row checks the full graph's
     # true derivative instead
-    return finite_diff_check(
-        lambda: method_loss(model, SSLMethod(name), view_a.data, view_b.data, stop_grad=False),
-        model.trainable_parameters(),
-    )
+    method = SSLMethod(name, stop_gradient=False)
+    return finite_diff_check(lambda: method_loss(model, method, view_a.data, view_b.data), model.trainable_parameters())
 
 
 def battery(instances: int = 5, seed: int = 0) -> list[tuple[str, float]]:

@@ -7,17 +7,19 @@ the base loss equals sigma*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ContractError, ShapeError, ValidationError
 from .tensor import Tensor, add, gather_rows, log_sum_exp, mean, mul, sub, _as_tensor
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
 
 CLAMP_MODES = ("lower_bound", "as_written")
 LOSS_KINDS = ("ce", "ce_sl", "la", "la_sl")
+# 2**-32 of the float64 range: the bound on SuperLoss's per-sample terms for a base loss of 1
+_LOSS_LIMIT = float(np.finfo(np.float64).max) / 2.0**32
 
 
 def lambert_w0(x):
@@ -87,24 +89,26 @@ class Priors:
 
 @dataclass
 class SuperLossParams:
-    """Threshold tau (expected average-sample loss) and regularization lambda."""
+    """Threshold tau (expected average-sample loss; None means log(C), the loss of a
+    uniform prediction, which ``batch_loss`` resolves) and regularization lambda."""
 
-    tau: float
+    tau: float | None = None
     lam: float = 4.0
     clamp_mode: str = "lower_bound"
 
     def __post_init__(self):
-        if not np.isfinite(self.tau):
-            raise ValidationError("superloss tau must be finite")
-        if self.lam <= 0:
-            raise ValidationError(f"superloss lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValidationError(f"superloss lambda must be positive and finite, got {self.lam}")
         if self.clamp_mode not in CLAMP_MODES:
             raise ValidationError(f"clamp_mode must be one of {CLAMP_MODES}, got '{self.clamp_mode}'")
-
-    @classmethod
-    def for_classes(cls, num_classes: int, **fields) -> "SuperLossParams":
-        """tau = log(num_classes), the loss of a uniform prediction; ``fields`` sets the others."""
-        return cls(tau=float(np.log(num_classes)), **fields)
+        # |l - tau| / lambda and |l - tau| * sigma* (sigma* <= e) stay below (1 + l) * _LOSS_LIMIT,
+        # room for large base losses l and for sums over batches; a bound on |tau| cannot overflow
+        tau = 0.0 if self.tau is None else self.tau
+        if not abs(tau) + 1.0 <= _LOSS_LIMIT * min(self.lam, 1.0 / np.e):
+            raise ValidationError(
+                f"superloss tau={self.tau} with lambda={self.lam} overflows (l - tau) / lambda or "
+                f"(l - tau) * sigma*: need a finite |tau| + 1 <= {_LOSS_LIMIT:.3g} * min(lambda, 1/e)"
+            )
 
 
 @dataclass
@@ -146,6 +150,8 @@ def superloss_sigma(base_loss, params: SuperLossParams):
     sigma* ranges over (0, e]; as_written mode clamps at +2/e, reproducing the
     printed formula, which caps sigma* near 0.757 and never exceeds it.
     """
+    if params.tau is None:
+        raise ContractError("superloss_sigma: tau is unresolved; batch_loss sets it to log(C)")
     ell = np.asarray(base_loss, dtype=np.float64)
     if not np.all(np.isfinite(ell)):
         raise ValidationError("superloss_sigma: base loss must be finite")
@@ -176,12 +182,14 @@ def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
 
 def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperLossParams) -> tuple[Tensor, ConfidenceReport | None]:
     """The configured fine-tuning loss: cross-entropy (``ce*``) or logit-adjusted
-    (``la*``), wrapped in SuperLoss for the ``*_sl`` kinds; returns (scalar mean
-    loss, report or None)."""
+    (``la*``), wrapped in SuperLoss for the ``*_sl`` kinds, whose threshold
+    defaults to log(C); returns (scalar mean loss, report or None)."""
     if kind not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
     base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
     if not kind.endswith("_sl"):
         return mean(base), None
+    if params.tau is None:
+        params = replace(params, tau=float(np.log(priors.num_classes)))
     report = superloss(base, params)
     return report.loss, report

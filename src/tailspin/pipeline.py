@@ -7,7 +7,7 @@ consumed exclusively by evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
 )
 from .errors import ConfigError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
-from .losses import CLAMP_MODES, LOSS_KINDS, SuperLossParams, batch_loss
+from .losses import LOSS_KINDS, SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model, build_model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
@@ -90,7 +90,6 @@ class PretrainSettings:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     augmentation: AugmentationSpec = field(default_factory=lambda: AugmentationSpec(gaussian_sigma=0.4, scale_jitter=0.2))
-    disable_stop_gradient: bool = False
 
     def __post_init__(self):
         if self.optimizer.batch_size < 2:
@@ -103,20 +102,13 @@ class FinetuneSettings:
     loss: str = "la_sl"
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(kind="adam", base_lr=0.003, weight_decay=0.0))
     epochs: int = 25
-    superloss_lambda: float = 4.0
-    superloss_tau: float | None = None  # None means log(num_classes)
-    clamp_mode: str = "lower_bound"
-    freeze_override: str | None = None  # None means select by method and nu
+    superloss: SuperLossParams = field(default_factory=SuperLossParams)
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind '{self.loss}', expected one of {LOSS_KINDS}")
-        if self.clamp_mode not in CLAMP_MODES:
-            raise ValidationError(f"clamp_mode must be one of {CLAMP_MODES}, got '{self.clamp_mode}'")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.superloss_lambda <= 0:
-            raise ValidationError(f"superloss lambda must be positive, got {self.superloss_lambda}")
 
 
 def _run_epochs(stage: str, epochs: int, run_seed: int, sink, epoch_fn) -> list[MetricsRecord]:
@@ -136,12 +128,13 @@ def pretrain(
     dataset: Dataset,
     settings: PretrainSettings,
     run_seed: int,
-    knn_cfg: KNNConfig | None = None,
+    knn_cfg: KNNConfig = KNNConfig(),
     test_set: Dataset | None = None,
     sink=None,
 ) -> list[MetricsRecord]:
-    """Run the self-supervised stage; one record per epoch, kNN proxy on the last, whose k is checked before epoch 0."""
-    if knn_cfg is not None and test_set is not None:
+    """Run the self-supervised stage; one record per epoch. Given a ``test_set``, the
+    last record carries the kNN proxy accuracy, whose k is checked before epoch 0."""
+    if test_set is not None:
         knn_cfg.check_reference(dataset.num_samples)
     opt = make_optimizer(settings.optimizer, model.trainable_parameters())
     effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
@@ -149,22 +142,10 @@ def pretrain(
 
     def epoch_fn(epoch: int):
         lr = lr_at(settings.schedule, epoch, effective)
-        loss = pretrain_epoch(
-            model,
-            dataset,
-            settings.method,
-            opt,
-            lr,
-            epoch,
-            run_seed,
-            settings.augmentation,
-            settings.optimizer.batch_size,
-            disable_stop_gradient=settings.disable_stop_gradient,
-        )
-        knn_acc = None
-        if epoch == epochs - 1 and knn_cfg is not None and test_set is not None:
-            knn_acc = knn_proxy_accuracy(model, dataset, test_set, knn_cfg)
-        return loss, lr, {"knn_accuracy": knn_acc}
+        loss = pretrain_epoch(model, dataset, settings.method, opt, lr, epoch, run_seed,
+                              settings.augmentation, settings.optimizer.batch_size)
+        last = epoch == epochs - 1 and test_set is not None
+        return loss, lr, {"knn_accuracy": knn_proxy_accuracy(model, dataset, test_set, knn_cfg) if last else None}
 
     return _run_epochs("pretrain", epochs, run_seed, sink, epoch_fn)
 
@@ -178,14 +159,10 @@ def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg:
 
 
 def _supervised_loss(fine: FinetuneSettings, dataset: Dataset, logits_of: Callable[[np.ndarray], Tensor]):
-    """Minibatch loss on the observed labels of ``dataset``, with priors from
-    those labels; the SuperLoss threshold defaults to log(C)."""
+    """Minibatch loss on the observed labels of ``dataset``, with priors from those labels."""
     priors = estimate_priors(dataset)
-    sl_params = SuperLossParams.for_classes(dataset.num_classes, lam=fine.superloss_lambda, clamp_mode=fine.clamp_mode)
-    if fine.superloss_tau is not None:
-        sl_params = replace(sl_params, tau=fine.superloss_tau)
     labels = dataset.labels_observed
-    return lambda idx: batch_loss(fine.loss, logits_of(idx), labels[idx], priors, sl_params)[0]
+    return lambda idx: batch_loss(fine.loss, logits_of(idx), labels[idx], priors, fine.superloss)[0]
 
 
 def finetune(

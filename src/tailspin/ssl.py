@@ -44,6 +44,7 @@ class SSLMethod:
     temperature: float = 0.5
     ema_momentum: float = 0.99
     lambda_bt: float = 0.005
+    stop_gradient: bool = True  # SimSiam's; off is the collapse ablation
 
     def __post_init__(self):
         if self.name not in SSL_METHODS:
@@ -124,11 +125,11 @@ def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1
     return add(invariance, mul(redundancy, _as_tensor(lambda_bt)))
 
 
-def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray, stop_grad: bool) -> Tensor:
+def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
     """The configured objective on two views of one minibatch; labels are never consulted.
 
-    ``stop_grad`` is SimSiam's stop-gradient (off is the collapse ablation);
-    BYOL's target branch is the EMA network, which never takes a gradient.
+    SimSiam applies ``method.stop_gradient``; BYOL's target branch is the EMA
+    network, which never takes a gradient.
     """
     if method.name == "byol" and not model.has_ema():
         raise ConfigError("byol requires a model with an EMA target")
@@ -140,7 +141,7 @@ def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.
         return barlow_twins_loss(z_a, z_b, method.lambda_bt)
     p_a, p_b = model.predictor(z_a), model.predictor(z_b)
     if method.name == "simsiam":
-        return simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=stop_grad)
+        return simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=method.stop_gradient)
     t_a = model.ema_projector(model.ema_encoder(Tensor(view_a)))
     t_b = model.ema_projector(model.ema_encoder(Tensor(view_b)))
     return simsiam_loss(p_a, t_a, p_b, t_b, stop_grad=False)
@@ -156,7 +157,6 @@ def pretrain_epoch(
     run_seed: int,
     aug: AugmentationSpec,
     batch_size: int,
-    disable_stop_gradient: bool = False,
 ) -> float:
     """One shuffled pass over the dataset; returns the mean minibatch loss.
 
@@ -165,7 +165,7 @@ def pretrain_epoch(
     """
     def loss_fn(idx: np.ndarray) -> Tensor:
         views = build_views(dataset.features[idx], idx, aug, run_seed, epoch)
-        return method_loss(model, method, *views, stop_grad=not disable_stop_gradient)
+        return method_loss(model, method, *views)
 
     after_step = (lambda: ema_update(model, method.ema_momentum)) if method.name == "byol" else None
     return train_epoch(optimizer, lr, loss_fn, dataset.num_samples, batch_size, run_seed, "pretrain", epoch,

@@ -44,9 +44,9 @@ def report(n: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {n:2d} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def desk_pretrain_settings(epochs=200):
+def desk_pretrain_settings(epochs=200, stop_gradient=True):
     return PretrainSettings(
-        method=SSLMethod("simsiam"),
+        method=SSLMethod("simsiam", stop_gradient=stop_gradient),
         optimizer=OptimizerConfig(kind="sgd", base_lr=0.12, weight_decay=5e-4, momentum=0.9, batch_size=64),
         schedule=ScheduleConfig("cosine", warmup_epochs=10, total_epochs=epochs),
         augmentation=AugmentationSpec(0.4, 0.0, 0.2),
@@ -190,14 +190,13 @@ def anti_collapse_runs():
     out = {}
     for ablate in (False, True):
         model = build_model("simsiam", 8, seed=12)
-        settings = desk_pretrain_settings()
+        settings = desk_pretrain_settings(stop_gradient=not ablate)
         opt = make_optimizer(settings.optimizer, model.trainable_parameters())
         eff = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
         for epoch in range(settings.schedule.total_epochs):
             pretrain_epoch(
                 model, clusters, settings.method, opt, lr_at(settings.schedule, epoch, eff),
                 epoch, 2, settings.augmentation, settings.optimizer.batch_size,
-                disable_stop_gradient=ablate,
             )
         out["ablated" if ablate else "healthy"] = dispersion(model, clusters)
     return out

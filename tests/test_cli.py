@@ -9,7 +9,7 @@ import pytest
 
 from oracles import params_digest
 from tailspin.cli import _settings, main
-from tailspin.config import config_load
+from tailspin.config import _SPEC, _format_value, config_load
 from tailspin.evaluation import KNNConfig, embed
 from tailspin.io import dataset_provenance, load_checkpoint, load_dataset
 from tailspin.nn import build_model
@@ -217,6 +217,28 @@ class TestDefaults:
         assert _settings(cfg, "model") == {
             key: widths[key].default for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
 
+    @pytest.mark.parametrize("key", [
+        key for key in _SPEC
+        if key.split(".")[0] in ("pretrain", "finetune", "model") and key != "finetune.freeze"
+        or key.startswith("eval.knn_")
+    ])
+    def test_every_key_reaches_its_settings(self, key):
+        # a key that is accepted and then dropped leaves the settings at their defaults
+        kind, default, allowed, _ = _SPEC[key]
+        if allowed:
+            value = next(v for v in allowed if v != default)
+        elif kind is bool:
+            value = not default
+        elif kind is int:
+            value = default + 1
+        elif kind is float:
+            value = default / 2 if default else 0.1
+        else:  # finetune.tau: a number in place of 'auto'
+            value = "0.5"
+        prefix = key.split(".")[0]
+        changed = config_load(None, [f"{key}={_format_value(value)}"])
+        assert _settings(changed, prefix) != _settings(config_load(None), prefix)
+
     def test_defaults_taken_from_function_signatures(self):
         cfg = config_load(None)
         assert cfg["data.test_per_class"] == inspect.signature(make_datasets).parameters["test_per_class"].default
@@ -262,6 +284,9 @@ class TestErrorReporting:
             ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),
             ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
             ("finetune.lambda=0", 1, "validation-error", ["run"], "lambda"),
+            # finite, but SuperLoss's (l - tau) * sigma* or (l - tau) / lambda overflows
+            ("finetune.tau=1e308", 1, "validation-error", ["run", "run-single-stage"], "tau"),
+            ("finetune.tau=-1e300 finetune.lambda=1e-300", 1, "validation-error", ["run", "run-single-stage"], "tau"),
             # per_class=30 at gamma=1000 gives the profile [30, 1, 0]
             ("data.gamma=1000", 1, "validation-error", ["run", "run-single-stage"], "gamma"),
             ("data.nu=2.0", 1, "validation-error", ["run-single-stage"], "nu"),

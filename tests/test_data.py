@@ -184,8 +184,6 @@ class TestPriors:
         ds = Dataset(feats, observed, true, 3)
         pri = estimate_priors(ds)
         assert np.all(pri.pi > 0)
-        with pytest.raises(ValidationError):
-            estimate_priors(ds, floor=False)
 
 
 class TestAugment:

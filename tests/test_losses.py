@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import explicit_softmax_nll, golden_section_sigma, newton_lambert
-from tailspin.errors import ShapeError, ValidationError
+from tailspin.errors import ContractError, ShapeError, ValidationError
 from tailspin.losses import (
     Priors,
     SuperLossParams,
@@ -193,7 +193,7 @@ class TestComposedLoss:
         c = 4
         logits = Tensor(np.zeros((5, c)))  # every sample sits at loss log(C) = tau
         labels = np.zeros(5, dtype=int)
-        _, report = batch_loss("la_sl", logits, labels, Priors.uniform(c), SuperLossParams.for_classes(c))
+        _, report = batch_loss("la_sl", logits, labels, Priors.uniform(c), SuperLossParams())
         assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_sigma_ordering_reverses_base_loss_ordering(self):
@@ -202,7 +202,7 @@ class TestComposedLoss:
         labels = rng.integers(0, 10, size=12)
         raw = rng.uniform(0.2, 3.0, size=10)
         pri = Priors(raw / raw.sum())
-        _, report = batch_loss("la_sl", logits, labels, pri, SuperLossParams.for_classes(10))
+        _, report = batch_loss("la_sl", logits, labels, pri, SuperLossParams())
         order_base = np.argsort(report.base_losses)
         order_sigma = np.argsort(-report.sigma, kind="stable")
         assert np.array_equal(
@@ -220,7 +220,7 @@ class TestComposedLoss:
         labels = rng.integers(0, 5, size=6)
         raw = rng.uniform(0.5, 2.0, size=5)
         pri = Priors(raw / raw.sum())
-        params = SuperLossParams.for_classes(5)
+        params = SuperLossParams()  # tau = log(5)
 
         def f():
             return batch_loss(kind, logits, labels, pri, params)[0]
@@ -253,3 +253,20 @@ class TestParamValidation:
     def test_clamp_mode_checked(self):
         with pytest.raises(ValidationError):
             SuperLossParams(tau=1.0, lam=1.0, clamp_mode="sideways")
+
+    # the first overflows (l - tau) * sigma*, the second (l - tau) / lambda
+    @pytest.mark.parametrize("tau, lam", [(1e308, 4.0), (-1e300, 1e-300), (float("nan"), 4.0)])
+    def test_tau_that_overflows_the_loss_rejected(self, tau, lam):
+        with pytest.raises(ValidationError, match=r"\btau\b"):
+            SuperLossParams(tau=tau, lam=lam)
+
+    def test_default_tau_is_log_num_classes(self):
+        rng = np.random.default_rng(13)
+        logits = Tensor(rng.normal(size=(6, 5)))
+        labels = rng.integers(0, 5, size=6)
+        pri = Priors.uniform(5)
+        _, default = batch_loss("la_sl", logits, labels, pri, SuperLossParams())
+        _, explicit = batch_loss("la_sl", logits, labels, pri, SuperLossParams(tau=float(np.log(5))))
+        assert np.array_equal(default.per_sample, explicit.per_sample)
+        with pytest.raises(ContractError):
+            superloss_sigma(1.0, SuperLossParams())

@@ -112,7 +112,7 @@ class TestFinetune:
         records = finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, run_seed=5, test_set=test)
         assert records[-1].per_class_accuracy == evaluate_classifier(model, head, test).per_class_json()
 
-    @pytest.mark.parametrize("field", [{"loss": "la-sl"}, {"clamp_mode": "sideways"}])
+    @pytest.mark.parametrize("field", [{"loss": "la-sl"}])
     def test_misspelt_settings_rejected_at_construction(self, field):
         with pytest.raises(ValidationError, match=next(iter(field.values()))):
             FinetuneSettings(**field)

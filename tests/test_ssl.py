@@ -243,7 +243,7 @@ class TestPretrainEpoch:
         n, seed, epoch = dataset.num_samples, 7, 2
         order = rng_for(seed, "shuffle", "pretrain", epoch).permutation(n)
         views = build_views(dataset.features[order], order, aug, seed, epoch)
-        want = method_loss(model, ssl_method, *views, stop_grad=True).item()
+        want = method_loss(model, ssl_method, *views).item()
         opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=n),
                              model.trainable_parameters())
         assert pretrain_epoch(model, dataset, ssl_method, opt, 0.002, epoch, seed, aug, n) == want
