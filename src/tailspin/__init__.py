@@ -55,7 +55,6 @@ from .optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optim
 from .pipeline import (
     FinetuneSettings,
     PretrainSettings,
-    RunResult,
     build_finetune_head,
     finetune,
     make_datasets,

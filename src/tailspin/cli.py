@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import io as tio
-from .config import ExperimentConfig, config_load, describe_defaults, summary_payload, write_resolved
+from .config import ExperimentConfig, config_load, describe_defaults, write_resolved
 from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec, exponential_profile
 from .errors import ConfigError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
@@ -34,7 +34,6 @@ from .pipeline import (
     pretrain,
     run_single_stage,
     select_freeze_policy,
-    summarize,
 )
 from .seeding import derive
 from .ssl import SSLMethod
@@ -149,6 +148,27 @@ def _train_dir(out: Path) -> Path:
     return corrupted if (corrupted / "manifest.json").is_file() else out / "data" / "train"
 
 
+def _save_and_summarize(cfg: ExperimentConfig, model, head, test: Dataset, stages: dict,
+                        knn_accuracy: float | None = None) -> None:
+    """The last step of both supervised stages, named by the last key of ``stages``:
+    checkpoints/finetuned, the classifier's test accuracy and summary.json."""
+    out = cfg.output_dir
+    stage = list(stages)[-1]
+    tio.save_checkpoint(out / "checkpoints" / "finetuned", model, head, extra={"stage": stage})
+    report = evaluate_classifier(model, head, test)
+    summary = {
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.seed,
+        "overall_accuracy": report.overall,
+        "balanced_accuracy": report.balanced,
+        "per_class_accuracy": report.per_class_json(),
+        "knn_accuracy": knn_accuracy,
+        "stages": stages,
+    }
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    log.info("%s done: balanced accuracy %.4f", stage, report.balanced)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -194,12 +214,8 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
     head = build_finetune_head(model, train.num_classes, method, derive(cfg.seed, "model"))
     with tio.MetricsWriter(out / "metrics.jsonl") as sink:
         finetune(model, head, train, settings, policy, cfg.seed, test_set=test, sink=sink)
-    tio.save_checkpoint(out / "checkpoints" / "finetuned", model, head, extra={"stage": "finetune"})
-    report = evaluate_classifier(model, head, test)
     stages = {"pretrain": pretrained.get("epochs"), "finetune": settings.epochs}
-    summary = summarize(report, pretrained.get("knn_accuracy"), cfg.seed, stages)
-    (out / "summary.json").write_text(summary_payload(cfg, summary))
-    log.info("finetune done: balanced accuracy %.4f", report.balanced)
+    _save_and_summarize(cfg, model, head, test, stages, pretrained.get("knn_accuracy"))
 
 
 def _cmd_run(cfg: ExperimentConfig) -> None:
@@ -214,17 +230,22 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
+    """The baseline trains a SimSiam-shaped encoder and head from scratch; it
+    reads no pretrain.* key, and it trains every layer, so a freeze policy is an error."""
     out = cfg.output_dir
     settings, dims = _settings(cfg, "single_stage"), _settings(cfg, "model")
+    if not cfg.is_default("finetune.freeze"):
+        raise ConfigError(f"finetune.freeze={cfg['finetune.freeze']} does not apply to run-single-stage, "
+                          "which trains the encoder and the whole head")
     _corrupted_size(cfg)
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
+    model = build_model("simsiam", train.feature_dim, seed=derive(cfg.seed, "model"), **dims)
+    head = build_finetune_head(model, train.num_classes, "simsiam", derive(cfg.seed, "model"))
     with _fresh_metrics(out) as sink:
-        result = run_single_stage(train, test, cfg["pretrain.method"], settings, cfg.seed, sink=sink, model_dims=dims)
-    tio.save_checkpoint(out / "checkpoints" / "finetuned", result.model, result.head, extra={"stage": "single_stage"})
-    (out / "summary.json").write_text(summary_payload(cfg, result.summary))
-    log.info("single-stage run done: balanced accuracy %.4f", result.report.balanced)
+        run_single_stage(model, head, train, settings, cfg.seed, sink=sink)
+    _save_and_summarize(cfg, model, head, test, {"single_stage": settings.epochs})
 
 
 def _cmd_eval(cfg: ExperimentConfig) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import difflib
 import hashlib
 import inspect
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,8 +208,3 @@ def describe_defaults() -> str:
         extra = f" choices={list(allowed)}" if allowed else ""
         lines.append(f"{key} ({kind.__name__}, default {_format_value(default)}){extra}: {help_text}")
     return "\n".join(lines)
-
-
-def summary_payload(cfg: ExperimentConfig, summary: dict) -> str:
-    payload = {"config_hash": cfg.config_hash(), **summary}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"

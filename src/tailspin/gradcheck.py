@@ -83,10 +83,10 @@ def _ssl_case(name: str, rng, batch: int = 5, dim: int = 4) -> float:
         view_b = Tensor(rng.uniform(-2.0, 2.0, size=(batch, dim)))
         if _conditioned(name, model, view_a, view_b):
             break
-    # stop-gradient off: SimSiam's stop-gradient update is a semi-gradient,
-    # the derivative of no function, so the row checks the full graph's
-    # true derivative instead
-    method = SSLMethod(name, stop_gradient=False)
+    # SimSiam's stop-gradient update is a semi-gradient, the derivative of no
+    # function, so its row turns stop-gradient off and checks the full graph's
+    # true derivative instead; no other method has the switch
+    method = SSLMethod(name, stop_gradient=name != "simsiam")
     return finite_diff_check(lambda: method_loss(model, method, view_a.data, view_b.data), model.trainable_parameters())
 
 

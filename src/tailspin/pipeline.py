@@ -25,7 +25,7 @@ from .data import (
 from .errors import ConfigError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
-from .nn import Linear, Mlp, Model, build_model
+from .nn import Linear, Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
@@ -197,13 +197,27 @@ def finetune(
     return _run_epochs("finetune", settings.epochs, run_seed, sink, epoch_fn)
 
 
-@dataclass
-class RunResult:
-    model: Model
-    head: Mlp
-    records: list[MetricsRecord]
-    report: AccuracyReport
-    summary: dict
+def run_single_stage(
+    model: Model,
+    head: Mlp,
+    train_set: Dataset,
+    settings: FinetuneSettings,
+    run_seed: int,
+    sink=None,
+) -> list[MetricsRecord]:
+    """Supervised baseline, the ablation that removes pretraining: the encoder and
+    head train end to end from their initial weights with the configured loss."""
+    opt = make_optimizer(settings.optimizer, model.encoder.parameters() + head.parameters())
+    features = train_set.features.astype(np.float64)
+    loss_fn = _supervised_loss(settings, train_set, lambda idx: head(model.encoder(Tensor(features[idx]))))
+    lr = settings.optimizer.base_lr
+
+    def epoch_fn(epoch: int):
+        loss = train_epoch(opt, lr, loss_fn, train_set.num_samples, settings.optimizer.batch_size,
+                           run_seed, "single_stage", epoch)
+        return loss, lr, {}
+
+    return _run_epochs("single_stage", settings.epochs, run_seed, sink, epoch_fn)
 
 
 def corrupt_train(train: Dataset, gamma: float, nu: float, run_seed: int) -> Dataset:
@@ -238,43 +252,3 @@ def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyR
     reps = encoder_outputs(model, test_set)
     preds = np.argmax(head(Tensor(reps)).data, axis=1)
     return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
-
-
-def run_single_stage(
-    train_set: Dataset,
-    test_set: Dataset,
-    method_name: str,
-    fine: FinetuneSettings,
-    run_seed: int,
-    sink=None,
-    model_dims: dict | None = None,
-) -> RunResult:
-    """Supervised baseline: encoder + head trained end-to-end from scratch
-    with the configured loss; the ablation that removes pretraining."""
-    model = build_model("simsiam" if method_name == "simclr" else method_name,
-                        train_set.feature_dim, seed=derive(run_seed, "model"), **(model_dims or {}))
-    head = build_finetune_head(model, train_set.num_classes, "single_stage", derive(run_seed, "model"))
-    opt = make_optimizer(fine.optimizer, model.encoder.parameters() + head.parameters())
-    features = train_set.features.astype(np.float64)
-    loss_fn = _supervised_loss(fine, train_set, lambda idx: head(model.encoder(Tensor(features[idx]))))
-    lr = fine.optimizer.base_lr
-    records = _run_epochs("single_stage", fine.epochs, run_seed, sink, lambda epoch: (
-        train_epoch(opt, lr, loss_fn, train_set.num_samples, fine.optimizer.batch_size, run_seed, "single_stage", epoch),
-        lr,
-        {},
-    ))
-    report = evaluate_classifier(model, head, test_set)
-    summary = summarize(report, None, run_seed, {"single_stage": fine.epochs})
-    return RunResult(model, head, records, report, summary)
-
-
-def summarize(report: AccuracyReport, knn_acc: float | None, seed: int, stages: dict) -> dict:
-    """The body of summary.json: final accuracies, kNN proxy and epochs per stage."""
-    return {
-        "seed": seed,
-        "overall_accuracy": report.overall,
-        "balanced_accuracy": report.balanced,
-        "per_class_accuracy": report.per_class_json(),
-        "knn_accuracy": knn_acc,
-        "stages": stages,
-    }

@@ -44,7 +44,7 @@ class SSLMethod:
     temperature: float = 0.5
     ema_momentum: float = 0.99
     lambda_bt: float = 0.005
-    stop_gradient: bool = True  # SimSiam's; off is the collapse ablation
+    stop_gradient: bool = True  # SimSiam only; off is the collapse ablation
 
     def __post_init__(self):
         if self.name not in SSL_METHODS:
@@ -55,6 +55,9 @@ class SSLMethod:
             raise ValidationError(f"ema momentum must lie in [0, 1], got {self.ema_momentum}")
         if self.lambda_bt <= 0:
             raise ValidationError(f"lambda_bt must be positive, got {self.lambda_bt}")
+        if not self.stop_gradient and self.name != "simsiam":
+            raise ValidationError(f"stop_gradient=False is SimSiam's collapse ablation; "
+                                  f"{self.name} has no stop-gradient to turn off")
 
 
 def build_views(

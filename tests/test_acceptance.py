@@ -23,7 +23,7 @@ from tailspin.evaluation import EmbeddingSet, KNNConfig, knn_classify
 from tailspin.gradcheck import battery
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, cross_entropy, la_loss, lambert_w0, superloss_sigma
 from tailspin.nn import SSL_METHODS, build_model
-from tailspin.optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr
+from tailspin.optim import OptimizerConfig, ScheduleConfig, make_optimizer
 from tailspin.pipeline import (
     FinetuneSettings,
     PretrainSettings,
@@ -190,14 +190,7 @@ def anti_collapse_runs():
     out = {}
     for ablate in (False, True):
         model = build_model("simsiam", 8, seed=12)
-        settings = desk_pretrain_settings(stop_gradient=not ablate)
-        opt = make_optimizer(settings.optimizer, model.trainable_parameters())
-        eff = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
-        for epoch in range(settings.schedule.total_epochs):
-            pretrain_epoch(
-                model, clusters, settings.method, opt, lr_at(settings.schedule, epoch, eff),
-                epoch, 2, settings.augmentation, settings.optimizer.batch_size,
-            )
+        pretrain(model, clusters, desk_pretrain_settings(stop_gradient=not ablate), 2)
         out["ablated" if ablate else "healthy"] = dispersion(model, clusters)
     return out
 
@@ -234,12 +227,12 @@ def fig2_runs():
         head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
         finetune(model, head, clean_train, desk_finetune_settings("la_sl"), "full_head", seed)
         row["two_clean_la_sl"] = evaluate_classifier(model, head, test).balanced
-        row["single_noisy_ce"] = run_single_stage(
-            noisy_train, test, "simsiam", desk_finetune_settings("ce", epochs=60), seed
-        ).report.balanced
-        row["single_clean_la_sl"] = run_single_stage(
-            clean_train, test, "simsiam", desk_finetune_settings("la_sl", epochs=60), seed
-        ).report.balanced
+        for name, single_train, loss in (("single_noisy_ce", noisy_train, "ce"),
+                                         ("single_clean_la_sl", clean_train, "la_sl")):
+            baseline = build_model("simsiam", 8, seed=derive(seed, "model"))
+            head = build_finetune_head(baseline, 3, "simsiam", derive(seed, "model"))
+            run_single_stage(baseline, head, single_train, desk_finetune_settings(loss, epochs=60), seed)
+            row[name] = evaluate_classifier(baseline, head, test).balanced
         rows.append(row)
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
     means["elapsed"] = time.perf_counter() - start

@@ -198,6 +198,18 @@ class TestStagewiseCommands:
         assert run_cli("eval", "--seed", "9", "--output", str(out), *FAST, "--set", "finetune.loss=ce") == 0
         assert "balanced_accuracy" in json.loads((out / "eval.json").read_text())
 
+    def test_single_stage_reads_no_pretrain_method(self, tmp_path):
+        # the baseline is a SimSiam-shaped encoder and head whatever pretrain.method names
+        written = {}
+        for method in SSL_METHODS:
+            out = tmp_path / method
+            assert run_cli("run-single-stage", "--seed", "9", "--output", str(out), *FAST,
+                           "--set", f"pretrain.method={method}") == 0
+            written[method] = [(out / name).read_bytes() for name in (
+                "metrics.jsonl", "checkpoints/finetuned/params.bin", "checkpoints/finetuned/manifest.json")]
+        for method in SSL_METHODS[1:]:
+            assert written[method] == written["simsiam"], method
+
 
 class TestDefaults:
     """The config's defaults are the library's: a config left at its defaults
@@ -284,6 +296,9 @@ class TestErrorReporting:
             ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),
             ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
             ("finetune.lambda=0", 1, "validation-error", ["run"], "lambda"),
+            # only SimSiam has a stop-gradient; only the training loop reads a freeze policy
+            ("pretrain.method=byol pretrain.disable_stop_gradient=true", 1, "validation-error", ["run"], "stop_gradient"),
+            ("finetune.freeze=last_layer_only", 2, "config-error", ["run-single-stage"], "finetune.freeze"),
             # finite, but SuperLoss's (l - tau) * sigma* or (l - tau) / lambda overflows
             ("finetune.tau=1e308", 1, "validation-error", ["run", "run-single-stage"], "tau"),
             ("finetune.tau=-1e300 finetune.lambda=1e-300", 1, "validation-error", ["run", "run-single-stage"], "tau"),

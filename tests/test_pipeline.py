@@ -14,6 +14,7 @@ from tailspin.pipeline import (
     PretrainSettings,
     build_finetune_head,
     corrupt_train,
+    evaluate_classifier,
     finetune,
     make_datasets,
     pretrain,
@@ -91,7 +92,6 @@ class TestFinetune:
         train, _, model = setup
         head = build_finetune_head(model, 3, "simsiam", seed=4)
         finetune(model, head, train, fast_finetune(loss="ce", epochs=10), FULL_HEAD, run_seed=5)
-        from tailspin.pipeline import evaluate_classifier
 
         report = evaluate_classifier(model, head, train)
         assert report.overall >= 0.95
@@ -105,8 +105,6 @@ class TestFinetune:
         assert all(r.stage == "finetune" for r in records)
 
     def test_per_epoch_accuracy_is_the_classifier_evaluation(self, setup):
-        from tailspin.pipeline import evaluate_classifier
-
         train, test, model = setup
         head = build_finetune_head(model, 3, "simsiam", seed=4)
         records = finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, run_seed=5, test_set=test)
@@ -126,8 +124,6 @@ class TestFinetune:
 @pytest.fixture(scope="module")
 def two_stage():
     # the library composition README's "Library use" documents
-    from tailspin.pipeline import evaluate_classifier
-
     train, test = make_datasets(3, 60, 8, 6.0, run_seed=11, test_per_class=40)
     train = corrupt_train(train, 5.0, 0.3, 11)
     model = build_model("simsiam", 8, seed=derive(11, "model"))
@@ -154,18 +150,39 @@ class TestTwoStage:
 
 
 class TestSingleStage:
+    @staticmethod
+    def trained(train, settings, seed):
+        """The baseline's call shape: build the model and head, then train them together."""
+        model = build_model("simsiam", train.feature_dim, seed=derive(seed, "model"))
+        head = build_finetune_head(model, train.num_classes, "simsiam", derive(seed, "model"))
+        return model, head, run_single_stage(model, head, train, settings, seed)
+
     def test_runs_and_is_deterministic(self):
         train, test = make_datasets(3, 40, 8, 6.0, run_seed=13, test_per_class=30)
-        a = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=5), run_seed=13)
-        b = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=5), run_seed=13)
-        assert [r.to_json_line() for r in a.records] == [r.to_json_line() for r in b.records]
-        assert a.summary == b.summary
-        assert len(a.records) == 5
+        runs = [self.trained(train, fast_finetune(loss="ce", epochs=5), 13) for _ in range(2)]
+        (model_a, head_a, a), (model_b, head_b, b) = runs
+        assert [r.to_json_line() for r in a] == [r.to_json_line() for r in b]
+        assert params_digest(model_a.encoder.parameters() + head_a.parameters()) == params_digest(
+            model_b.encoder.parameters() + head_b.parameters())
+        assert (evaluate_classifier(model_a, head_a, test).per_class_json()
+                == evaluate_classifier(model_b, head_b, test).per_class_json())
+        assert len(a) == 5 and {r.stage for r in a} == {"single_stage"}
+
+    def test_trains_the_encoder_and_head_it_is_given(self):
+        train, _ = make_datasets(3, 40, 8, 6.0, run_seed=13, test_per_class=30)
+        model = build_model("simsiam", train.feature_dim, seed=derive(13, "model"))
+        head = build_finetune_head(model, train.num_classes, "simsiam", derive(13, "model"))
+        before = [p.data.copy() for p in model.encoder.parameters() + head.parameters()]
+        untouched = params_digest(model.projector.parameters() + model.predictor.parameters())
+        run_single_stage(model, head, train, fast_finetune(loss="ce", epochs=2), 13)
+        after = model.encoder.parameters() + head.parameters()
+        assert all(not np.array_equal(b, p.data) for b, p in zip(before, after))
+        assert params_digest(model.projector.parameters() + model.predictor.parameters()) == untouched
 
     def test_clean_data_trains_well(self):
         train, test = make_datasets(3, 60, 8, 6.0, run_seed=17, test_per_class=40)
-        result = run_single_stage(train, test, "simsiam", fast_finetune(loss="ce", epochs=30), run_seed=17)
-        assert result.report.balanced >= 0.9
+        model, head, _ = self.trained(train, fast_finetune(loss="ce", epochs=30), 17)
+        assert evaluate_classifier(model, head, test).balanced >= 0.9
 
 
 class TestCleanBalancedRegime:
@@ -177,8 +194,6 @@ class TestCleanBalancedRegime:
             train, test = make_datasets(3, 80, 8, 3.0, run_seed=seed, test_per_class=50)
             model = build_model("simsiam", 8, seed=seed)
             pre = fast_pretrain(epochs=30)
-            from tailspin.pipeline import evaluate_classifier
-
             pretrain(model, train, pre, seed)
             accs = {}
             for loss in ("la_sl", "ce"):

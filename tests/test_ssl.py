@@ -268,6 +268,12 @@ class TestMethodValidation:
         with pytest.raises(ConfigError, match="unknown SSL method 'simsam'"):
             SSLMethod("simsam")
 
+    @pytest.mark.parametrize("method", ["simclr", "byol", "barlow_twins"])
+    def test_stop_gradient_switch_is_simsiam_only(self, method):
+        with pytest.raises(ValidationError, match=r"\bstop_gradient\b"):
+            SSLMethod(method, stop_gradient=False)
+        assert not SSLMethod("simsiam", stop_gradient=False).stop_gradient
+
 
 def test_l2_normalize_rows_unit_norm():
     z = Tensor(rand((6, 5), 40))
