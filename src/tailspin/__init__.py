@@ -30,14 +30,12 @@ from .errors import (
 )
 from .evaluation import (
     AccuracyReport,
-    EmbeddingSet,
     KNNConfig,
     MetricsRecord,
     accuracy_suite,
     embed,
     export_embeddings,
     knn_classify,
-    load_embeddings,
 )
 from .losses import (
     ConfidenceReport,

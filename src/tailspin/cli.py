@@ -148,6 +148,14 @@ def _train_dir(out: Path) -> Path:
     return corrupted if (corrupted / "manifest.json").is_file() else out / "data" / "train"
 
 
+# the config keys each supervised stage's command never reads, left out of
+# summary.json's config_hash; a key not listed is hashed
+_UNREAD = {
+    "finetune": ("single_stage", "eval.embedding_layer", "eval.export_embeddings"),
+    "single_stage": ("pretrain", "eval", "finetune.epochs"),
+}
+
+
 def _save_and_summarize(cfg: ExperimentConfig, model, head, test: Dataset, stages: dict,
                         knn_accuracy: float | None = None) -> None:
     """The last step of both supervised stages, named by the last key of ``stages``:
@@ -157,7 +165,7 @@ def _save_and_summarize(cfg: ExperimentConfig, model, head, test: Dataset, stage
     tio.save_checkpoint(out / "checkpoints" / "finetuned", model, head, extra={"stage": stage})
     report = evaluate_classifier(model, head, test)
     summary = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": cfg.config_hash(_UNREAD[stage]),
         "seed": cfg.seed,
         "overall_accuracy": report.overall,
         "balanced_accuracy": report.balanced,
@@ -257,7 +265,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> None:
     reference = embed(train, model, layer=layer)
     queries = embed(test, model, layer=layer)
     knn_preds = knn_classify(reference, queries, _settings(cfg, "eval"))
-    knn_report = accuracy_suite(knn_preds, queries.labels, test.num_classes)
+    knn_report = accuracy_suite(knn_preds, queries.labels_true, test.num_classes)
     payload = {"knn_accuracy": knn_report.overall, "knn_balanced_accuracy": knn_report.balanced}
     if head is not None:
         report = evaluate_classifier(model, head, test)

@@ -103,13 +103,15 @@ class ExperimentConfig:
         lines = [f"{key} = {_format_value(self.values[key])}" for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
-    def config_hash(self) -> str:
-        """SHA-256 over every resolved key except run.output_dir, which names
-        where results land rather than what the experiment is; identical
-        experiments written to different directories hash identically."""
-        lines = self.resolved_text().splitlines(keepends=True)
-        kept = "".join(line for line in lines if not line.startswith("run.output_dir = "))
-        return hashlib.sha256(kept.encode("utf-8")).hexdigest()
+    def config_hash(self, unread: tuple[str, ...] = ()) -> str:
+        """SHA-256 over the resolved keys, leaving out run.output_dir, which names
+        where results land rather than what the experiment is, and the keys in
+        ``unread``, where a name without a dot stands for every key of its group
+        ("pretrain" for pretrain.*); identical experiments hash identically."""
+        dropped = ("run.output_dir", *unread)
+        kept = {key: value for key, value in self.values.items()
+                if not any(key == name or key.startswith(name + ".") for name in dropped)}
+        return hashlib.sha256(ExperimentConfig(kept).resolved_text().encode("utf-8")).hexdigest()
 
     def superloss_tau(self) -> float | None:
         raw = self.values["finetune.tau"]

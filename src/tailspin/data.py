@@ -98,10 +98,11 @@ class AugmentationSpec:
     scale_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0 or self.scale_jitter < 0:
-            raise ValidationError("augmentation scales must be non-negative")
-        if self.scale_jitter > 1.0:
-            raise ValidationError(f"scale_jitter above 1 gives negative scale factors, got {self.scale_jitter}")
+        if self.gaussian_sigma < 0:
+            raise ValidationError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
+        if not 0.0 <= self.scale_jitter <= 1.0:
+            raise ValidationError(f"scale_jitter must lie in [0, 1], since above 1 scale factors go negative, "
+                                  f"got {self.scale_jitter}")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ValidationError(f"mask_prob must lie in [0, 1), got {self.mask_prob}")
 
@@ -135,8 +136,10 @@ def generate_synthetic(
         for j in range(i + 1, num_classes)
     ]
     closest = min(dists)
-    if closest < cluster_separation:
-        means = means * (cluster_separation / closest)
+    scale = max(float(cluster_separation) / closest, 1.0)  # spreads the means apart, never together
+    if float(np.abs(means).max()) * scale > np.finfo(np.float32).max.item():  # Python floats: no overflow warning
+        raise ValidationError(f"cluster_separation={cluster_separation} puts the class means beyond float32 range")
+    means = means * scale
 
     rng = rng_for(seed, "samples", split)
     blocks = [means[c] + rng.normal(size=(per_class, dim)) for c in range(num_classes)]

@@ -2,46 +2,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ContractError, ValidationError
-from .io import load_arrays, save_arrays
+from .io import save_arrays
 from .nn import Model
 from .tensor import Tensor
 
 KNN_METRICS = ("cosine", "euclidean")
 KNN_WEIGHTINGS = ("uniform", "similarity")
 EMBED_LAYERS = ("encoder", "projector")
-
-
-@dataclass
-class EmbeddingSet:
-    """Frozen representations with aligned labels, produced without augmentation."""
-
-    embeddings: np.ndarray  # (N, r) float32
-    labels: np.ndarray  # (N,) int64
-    num_classes: int
-    split: str = "train"
-
-    def __post_init__(self):
-        self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.embeddings.shape[0] != self.labels.shape[0]:
-            raise ValidationError(
-                f"embedding rows ({self.embeddings.shape[0]}) != labels ({self.labels.shape[0]})"
-            )
-
-    @property
-    def num_samples(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
 
 
 @dataclass(frozen=True)
@@ -81,18 +55,18 @@ class MetricsRecord:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
-def embed(dataset: Dataset, model: Model, layer: str = "encoder") -> EmbeddingSet:
-    """Deterministic forward pass with augmentations disabled.
-
-    By default returns the encoder output (pre-projector); the labels are
-    the hidden true labels, which only evaluation reads.
+def embed(dataset: Dataset, model: Model, layer: str = "encoder") -> Dataset:
+    """Deterministic forward pass with augmentations disabled: a Dataset whose
+    features are the float32 representations, by default the encoder output
+    (pre-projector), with ``dataset``'s own label tracks and split.
     """
     if layer not in EMBED_LAYERS:
         raise ValidationError(f"layer must be one of {EMBED_LAYERS}, got '{layer}'")
     reps = encoder_outputs(model, dataset)
     if layer == "projector":
         reps = model.projector(Tensor(reps)).data
-    return EmbeddingSet(reps.astype(np.float32), dataset.labels_true.copy(), dataset.num_classes, split=dataset.split)
+    return Dataset(reps.astype(np.float32), dataset.labels_observed, dataset.labels_true, dataset.num_classes,
+                   split=dataset.split)
 
 
 def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:
@@ -101,15 +75,16 @@ def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:
     return model.encoder(Tensor(dataset.features.astype(np.float64))).data
 
 
-def knn_classify(reference: EmbeddingSet, queries: EmbeddingSet, cfg: KNNConfig) -> np.ndarray:
-    """Vote among the k nearest reference embeddings; ties go to the smallest class index.
+def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.ndarray:
+    """Vote among the k nearest reference rows with their true labels; ties go to
+    the smallest class index.
 
     Similarity weighting uses (1 + cosine) for the cosine metric and
     1 / (distance + 1e-12) for the euclidean metric.
     """
     cfg.check_reference(reference.num_samples)
-    ref = reference.embeddings.astype(np.float64)
-    qry = queries.embeddings.astype(np.float64)
+    ref = reference.features.astype(np.float64)
+    qry = queries.features.astype(np.float64)
 
     if cfg.metric == "cosine":
         ref_n = _unit_rows(ref)
@@ -131,7 +106,7 @@ def knn_classify(reference: EmbeddingSet, queries: EmbeddingSet, cfg: KNNConfig)
     if cfg.weighting == "uniform":
         weights = np.ones_like(weights)
 
-    neighbor_labels = reference.labels[order]
+    neighbor_labels = reference.labels_true[order]
     votes = np.zeros((queries.num_samples, reference.num_classes))
     for c in range(reference.num_classes):
         votes[:, c] = np.sum(weights * (neighbor_labels == c), axis=1)
@@ -149,7 +124,6 @@ class AccuracyReport:
     per_class: np.ndarray  # NaN for classes absent from the test set
     balanced: float
     confusion: np.ndarray  # rows normalized by true-class counts
-    missing_classes: list[int] = field(default_factory=list)
 
     def per_class_json(self) -> list[float | None]:
         """Per-class accuracies for JSON output, NaN (class absent) as None."""
@@ -169,25 +143,19 @@ def accuracy_suite(predictions: np.ndarray, labels_true: np.ndarray, num_classes
     overall = float(np.mean(predictions == labels_true))
     per_class = np.full(num_classes, np.nan)
     confusion = np.zeros((num_classes, num_classes))
-    missing = []
     for c in range(num_classes):
         members = labels_true == c
         count = int(members.sum())
         if count == 0:
-            missing.append(c)
             continue
         per_class[c] = float(np.mean(predictions[members] == c))
         confusion[c] = np.bincount(predictions[members], minlength=num_classes) / count
     balanced = float(np.nanmean(per_class))
-    return AccuracyReport(overall, per_class, balanced, confusion, missing)
+    return AccuracyReport(overall, per_class, balanced, confusion)
 
 
-def export_embeddings(es: EmbeddingSet, directory: str | Path) -> Path:
-    """Write embeddings with their labels alongside, as an ``embeddings`` array directory."""
-    meta = {"num_samples": es.num_samples, "dim": es.dim, "num_classes": es.num_classes, "split": es.split}
-    return save_arrays(directory, "embeddings", {"embeddings": es.embeddings, "labels": es.labels}, meta)
-
-
-def load_embeddings(directory: str | Path) -> EmbeddingSet:
-    arrays, manifest = load_arrays(directory, "embeddings")
-    return EmbeddingSet(**arrays, num_classes=manifest["num_classes"], split=manifest["split"])
+def export_embeddings(ds: Dataset, directory: str | Path) -> Path:
+    """Write an ``embed`` result's features with its true labels alongside, as an
+    ``embeddings`` array directory that ``io.load_arrays(directory, "embeddings")`` reads back."""
+    meta = {"num_samples": ds.num_samples, "dim": ds.feature_dim, "num_classes": ds.num_classes, "split": ds.split}
+    return save_arrays(directory, "embeddings", {"embeddings": ds.features, "labels": ds.labels_true}, meta)

@@ -84,10 +84,10 @@ class _Optimizer:
         self.weight_decay = weight_decay
 
     def _grad(self, p: Tensor) -> np.ndarray:
-        g = p.grad
+        g = p.grad + self.weight_decay * p.data if self.weight_decay else p.grad
         if not np.all(np.isfinite(g)):
-            raise NumericError("optimizer step: gradient contains NaN or Inf, aborting run")
-        return g + self.weight_decay * p.data if self.weight_decay else g
+            raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
+        return g
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -126,11 +126,14 @@ class Adam(_Optimizer):
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = self._grad(p)
+            with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
+                g = self._grad(p)
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+            if not np.all(np.isfinite(v)):  # v = inf would leave p unmoved
+                raise NumericError("adam step: the squared gradient overflows float64, aborting run")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
             p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 

@@ -152,17 +152,30 @@ def pretrain(
 
 def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg: KNNConfig) -> float:
     """kNN accuracy on frozen encoder outputs: train embeddings vote for test queries."""
-    reference = embed(train_set, model)
-    queries = embed(test_set, model)
-    preds = knn_classify(reference, queries, cfg)
-    return accuracy_suite(preds, queries.labels, test_set.num_classes).overall
+    preds = knn_classify(embed(train_set, model), embed(test_set, model), cfg)
+    return accuracy_suite(preds, test_set.labels_true, test_set.num_classes).overall
 
 
-def _supervised_loss(fine: FinetuneSettings, dataset: Dataset, logits_of: Callable[[np.ndarray], Tensor]):
-    """Minibatch loss on the observed labels of ``dataset``, with priors from those labels."""
+def _train_supervised(stage: str, params: list[Tensor], logits_of: Callable[[np.ndarray], Tensor], dataset: Dataset,
+                      settings: FinetuneSettings, run_seed: int, sink=None,
+                      extra: Callable[[], dict] = dict) -> list[MetricsRecord]:
+    """Train ``params`` on the observed labels of ``dataset``, with priors from those
+    labels, for ``settings.epochs`` epochs; ``logits_of(batch indices)`` is the
+    forward pass and ``extra()`` the further fields of each epoch's record."""
+    opt = make_optimizer(settings.optimizer, params)
     priors = estimate_priors(dataset)
     labels = dataset.labels_observed
-    return lambda idx: batch_loss(fine.loss, logits_of(idx), labels[idx], priors, fine.superloss)[0]
+    lr = settings.optimizer.base_lr
+
+    def loss_fn(idx: np.ndarray) -> Tensor:
+        return batch_loss(settings.loss, logits_of(idx), labels[idx], priors, settings.superloss)[0]
+
+    def epoch_fn(epoch: int):
+        loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
+                           run_seed, stage, epoch)
+        return loss, lr, extra()
+
+    return _run_epochs(stage, settings.epochs, run_seed, sink, epoch_fn)
 
 
 def finetune(
@@ -177,24 +190,17 @@ def finetune(
 ) -> list[MetricsRecord]:
     """Train the head on frozen-encoder representations with the configured loss.
 
-    The encoder is frozen (its outputs are precomputed once), priors come
-    from the observed labels, and per-epoch test accuracy is recorded when a
-    test set is supplied.
+    The encoder is frozen (its outputs are computed once, outside any tape),
+    and per-epoch test accuracy is recorded when a test set is supplied.
     """
-    for p in model.trainable_parameters():
-        p.requires_grad = False
-    opt = make_optimizer(settings.optimizer, _head_trainable(head, policy))
     reps = encoder_outputs(model, dataset)
-    loss_fn = _supervised_loss(settings, dataset, lambda idx: head(Tensor(reps[idx])))
-    lr = settings.optimizer.base_lr
 
-    def epoch_fn(epoch: int):
-        loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
-                           run_seed, "finetune", epoch)
-        per_class = None if test_set is None else evaluate_classifier(model, head, test_set).per_class_json()
-        return loss, lr, {"per_class_accuracy": per_class}
+    def per_class() -> dict:
+        return {"per_class_accuracy": None if test_set is None else
+                evaluate_classifier(model, head, test_set).per_class_json()}
 
-    return _run_epochs("finetune", settings.epochs, run_seed, sink, epoch_fn)
+    return _train_supervised("finetune", _head_trainable(head, policy), lambda idx: head(Tensor(reps[idx])),
+                             dataset, settings, run_seed, sink, per_class)
 
 
 def run_single_stage(
@@ -207,17 +213,10 @@ def run_single_stage(
 ) -> list[MetricsRecord]:
     """Supervised baseline, the ablation that removes pretraining: the encoder and
     head train end to end from their initial weights with the configured loss."""
-    opt = make_optimizer(settings.optimizer, model.encoder.parameters() + head.parameters())
     features = train_set.features.astype(np.float64)
-    loss_fn = _supervised_loss(settings, train_set, lambda idx: head(model.encoder(Tensor(features[idx]))))
-    lr = settings.optimizer.base_lr
-
-    def epoch_fn(epoch: int):
-        loss = train_epoch(opt, lr, loss_fn, train_set.num_samples, settings.optimizer.batch_size,
-                           run_seed, "single_stage", epoch)
-        return loss, lr, {}
-
-    return _run_epochs("single_stage", settings.epochs, run_seed, sink, epoch_fn)
+    return _train_supervised("single_stage", model.encoder.parameters() + head.parameters(),
+                             lambda idx: head(model.encoder(Tensor(features[idx]))),
+                             train_set, settings, run_seed, sink)
 
 
 def corrupt_train(train: Dataset, gamma: float, nu: float, run_seed: int) -> Dataset:

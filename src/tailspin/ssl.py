@@ -52,7 +52,7 @@ class SSLMethod:
         if self.temperature <= 0:
             raise ValidationError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ValidationError(f"ema momentum must lie in [0, 1], got {self.ema_momentum}")
+            raise ValidationError(f"ema_momentum must lie in [0, 1], got {self.ema_momentum}")
         if self.lambda_bt <= 0:
             raise ValidationError(f"lambda_bt must be positive, got {self.lambda_bt}")
         if not self.stop_gradient and self.name != "simsiam":

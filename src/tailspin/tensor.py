@@ -265,8 +265,13 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Unit-normalize along one axis; vectors with norm < 1e-12 map to zero."""
-    norm = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
+    """Unit-normalize along one axis; vectors with norm < 1e-12 map to zero. A
+    squared norm beyond float64 range is a NumericError, not a zero vector."""
+    with np.errstate(over="ignore"):
+        squared = np.sum(a.data * a.data, axis=axis, keepdims=True)
+    if not np.all(np.isfinite(squared)):
+        raise NumericError("l2_normalize: squared norm overflows float64")
+    norm = np.sqrt(squared)
     degenerate = norm < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norm)
     y = np.where(degenerate, 0.0, a.data / safe)

@@ -19,7 +19,7 @@ from tailspin.data import (
     generate_synthetic,
     inject_symmetric_noise,
 )
-from tailspin.evaluation import EmbeddingSet, KNNConfig, knn_classify
+from tailspin.evaluation import KNNConfig, knn_classify
 from tailspin.gradcheck import battery
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, cross_entropy, la_loss, lambert_w0, superloss_sigma
 from tailspin.nn import SSL_METHODS, build_model
@@ -267,12 +267,15 @@ def test_criterion_9_loss_ablation(fig2_runs):
 
 def test_criterion_10_knn_exactness():
     rng = np.random.default_rng(110)
-    ref = EmbeddingSet(rng.normal(size=(1000, 8)), rng.integers(0, 5, size=1000), 5)
-    qry = EmbeddingSet(rng.normal(size=(1000, 8)), np.zeros(1000, dtype=int), 5)
+    # the same draws in the same order; each set's one label draw fills both tracks
+    ref_features, ref_labels = rng.normal(size=(1000, 8)), rng.integers(0, 5, size=1000)
+    ref = Dataset(ref_features, ref_labels, ref_labels, 5)
+    qry_labels = np.zeros(1000, dtype=int)
+    qry = Dataset(rng.normal(size=(1000, 8)), qry_labels, qry_labels, 5)
     mismatches = {}
     for k in (1, 5, 20):
         got = knn_classify(ref, qry, KNNConfig(k=k, metric="cosine", weighting="similarity"))
-        want = brute_knn(ref.embeddings, ref.labels, qry.embeddings, k, 5)
+        want = brute_knn(ref.features, ref.labels_true, qry.features, k, 5)
         mismatches[k] = int(np.sum(got != want))
     ok = all(v == 0 for v in mismatches.values())
     report(10, ok, f"1000-point sets, k in (1, 5, 20): prediction mismatches vs oracle {mismatches}")

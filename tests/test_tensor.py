@@ -76,6 +76,11 @@ class TestForwardValues:
         assert np.allclose(out.data[0], 0.0)
         assert np.allclose(out.data[1], [0.6, 0.8, 0.0])
 
+    def test_l2_normalize_overflowing_norm_rejected(self):
+        # a finite row whose squared norm overflows must not map to zero
+        with pytest.raises(NumericError, match="l2_normalize"):
+            l2_normalize(Tensor([[1e200, 1e200]]))
+
 
 class TestBackward:
     def test_sum_of_squares_gradient(self):
