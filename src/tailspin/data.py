@@ -6,13 +6,14 @@ frozen after construction, and corruption ops return new Dataset objects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ValidationError
 from .losses import Priors
-from .seeding import derive, rng_for
+from .seeding import derive, rng_for, splitmix64_array
 
 
 def _round_half_up(x: float) -> int:
@@ -210,22 +211,42 @@ def estimate_priors(ds: Dataset) -> Priors:
     return Priors(pi / pi.sum())
 
 
-def augment(sample: np.ndarray, spec: AugmentationSpec, draw_seed: int) -> np.ndarray:
-    """One augmented view: scale jitter, then Gaussian noise, then masking.
+def augment(rows: np.ndarray, spec: AugmentationSpec, seeds: np.ndarray) -> np.ndarray:
+    """One augmented view of each row: scale jitter, then Gaussian noise, then masking.
 
-    Pure in ``draw_seed``; two calls with distinct seeds form the two views
-    of a positive pair.
+    Row r draws only from ``seeds[r]``: its uniform in slot k is
+    ``(splitmix64(seeds[r] ^ k) >> 11) * 2**-53``. Slot 0 sets the scale
+    factor, the next ceil(d/2) + ceil(d/2) slots the Box-Muller radii and
+    angles, the last d the mask. Two calls with distinct seeds form the two
+    views of a positive pair.
     """
-    x = np.asarray(sample, dtype=np.float64)
+    x = np.asarray(rows, dtype=np.float64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if x.ndim != 2 or seeds.shape != x.shape[:1]:
+        raise ContractError(f"augment: needs (B, d) rows and B seeds, got shapes {x.shape} and {seeds.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("augment: input contains NaN or Inf")
-    rng = np.random.default_rng(draw_seed)
-    y = x * rng.uniform(1.0 - spec.scale_jitter, 1.0 + spec.scale_jitter)
-    y = y + spec.gaussian_sigma * rng.standard_normal(x.shape)
-    y[rng.random(x.shape) < spec.mask_prob] = 0.0
+    d = x.shape[1]
+    h = (d + 1) // 2
+    slots = np.arange(1 + 2 * h + d, dtype=np.uint64)
+    u = (splitmix64_array(seeds[:, None] ^ slots) >> np.uint64(11)) * 2.0 ** -53
+    radius_u, angle_u, mask_u = u[:, 1 : 1 + h], u[:, 1 + h : 1 + 2 * h], u[:, 1 + 2 * h :]
+    # math.log, not np.log: NumPy's AVX-512 log differs from the C library's in
+    # the last bit for some arguments, which would make the stream CPU-dependent
+    log_u = np.fromiter(map(math.log, (1.0 - radius_u).ravel().tolist()), np.float64).reshape(radius_u.shape)
+    radius = np.sqrt(-2.0 * log_u)
+    angle = 2.0 * math.pi * angle_u
+    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :d]
+    lo, hi = 1.0 - spec.scale_jitter, 1.0 + spec.scale_jitter
+    y = x * (lo + (hi - lo) * u[:, :1])
+    y = y + spec.gaussian_sigma * normals
+    y[mask_u < spec.mask_prob] = 0.0
     return y
 
 
-def view_seed(run_seed: int, epoch: int, sample_index: int, view_index: int) -> int:
-    """Augmentation seed independent of data ordering within the epoch."""
-    return derive(run_seed, "augment", epoch, sample_index, view_index)
+def view_seed(run_seed: int, epoch: int, sample_indices: np.ndarray, view_index: int) -> np.ndarray:
+    """Per-sample augmentation seeds, independent of data ordering within the epoch:
+    element i is ``derive(run_seed, "augment", epoch, sample_indices[i], view_index)``."""
+    prefix = np.uint64(derive(run_seed, "augment", epoch))
+    state = splitmix64_array(prefix ^ np.asarray(sample_indices).astype(np.uint64))
+    return splitmix64_array(state ^ np.asarray(view_index).astype(np.uint64))

@@ -157,19 +157,23 @@ def train_epoch(
 ) -> float:
     """One pass in ("shuffle", stage, epoch) order: tape ``loss_fn(batch indices)``,
     backpropagate, step at ``lr``, zero the gradients; returns the mean loss.
-    Batches under ``min_batch`` are skipped; ``after_step`` runs after each step."""
+    Batches under ``min_batch`` are skipped; ``after_step`` runs after each step.
+
+    NumPy's floating-point warnings are off for the epoch: a value that
+    overflows fails as the ``NumericError`` of the op or step that made it."""
     order = rng_for(run_seed, "shuffle", stage, epoch).permutation(num_samples)
     losses = []
-    for start in range(0, num_samples, batch_size):
-        idx = order[start : start + batch_size]
-        if idx.size < min_batch:
-            continue
-        with Tape() as tape:
-            loss = loss_fn(idx)
-            tape.backward(loss)
-        optimizer.step(lr)
-        optimizer.zero_grad()
-        if after_step is not None:
-            after_step()
-        losses.append(loss.item())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, num_samples, batch_size):
+            idx = order[start : start + batch_size]
+            if idx.size < min_batch:
+                continue
+            with Tape() as tape:
+                loss = loss_fn(idx)
+                tape.backward(loss)
+            optimizer.step(lr)
+            optimizer.zero_grad()
+            if after_step is not None:
+                after_step()
+            losses.append(loss.item())
     return float(np.mean(losses))

@@ -1,16 +1,19 @@
 """Deterministic derivation of per-purpose random streams from one run seed.
 
-All randomness in a run (data generation, corruption, init, shuffling,
-augmentation) is drawn from numpy generators seeded with values derived here,
-so any stage is reproducible in isolation. The mixing function is splitmix64;
-string labels are folded in via FNV-1a. Both are documented in the README so
-alternate implementations can reproduce the streams.
+All randomness in a run is derived here, so any stage is reproducible in
+isolation. Data generation, corruption, init and shuffling draw from numpy
+generators seeded with ``derive``; augmentation draws are counter-based,
+``splitmix64_array`` of a per-view seed and a slot number. The mixing
+function is splitmix64; string labels are folded in via FNV-1a. Both are
+documented in the README so alternate implementations can reproduce the
+streams.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64(x: int) -> int:
@@ -19,6 +22,18 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``splitmix64`` of a uint64 array; arithmetic wraps mod 2^64."""
+    z = np.array(x, dtype=np.uint64)
+    z += _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def fnv1a64(s: str) -> int:

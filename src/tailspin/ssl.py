@@ -71,10 +71,8 @@ def build_views(
     so data ordering never changes the views a sample receives."""
     if len(indices) == 0:
         raise ContractError("build_views: empty batch")
-    rows = np.asarray(features, dtype=np.float64)
-    view_a = np.stack([augment(rows[j], aug, view_seed(run_seed, epoch, int(i), 0)) for j, i in enumerate(indices)])
-    view_b = np.stack([augment(rows[j], aug, view_seed(run_seed, epoch, int(i), 1)) for j, i in enumerate(indices)])
-    return view_a, view_b
+    return (augment(features, aug, view_seed(run_seed, epoch, indices, 0)),
+            augment(features, aug, view_seed(run_seed, epoch, indices, 1)))
 
 
 def simsiam_loss(p_a: Tensor, z_a: Tensor, p_b: Tensor, z_b: Tensor, stop_grad: bool = True) -> Tensor:

@@ -3,11 +3,13 @@
 Each oracle recomputes an expected value by a different route than the
 library (Newton instead of Halley, golden-section instead of closed form,
 explicit softmax instead of log-sum-exp, python loops instead of matrix
-algebra) so agreement is meaningful. The helpers compare parameters and read
+algebra, Python integers instead of uint64 arrays) so agreement is
+meaningful. The helpers compare parameters and read
 metrics lines back.
 """
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -149,3 +151,45 @@ def brute_knn(
             votes[ref_labels[ri]] += w if weighting == "similarity" else 1.0
         preds[qi] = int(np.argmax(votes))
     return preds
+
+
+_M64 = (1 << 64) - 1
+
+
+def splitmix64_int(x: int) -> int:
+    """splitmix64 as the README writes it, on Python integers reduced mod 2^64."""
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def reference_view_seed(run_seed: int, epoch: int, sample_index: int, view_index: int) -> int:
+    """The README's ("augment", epoch, sample_index, view_index) chain, one part at a time."""
+    label = 0xCBF29CE484222325
+    for byte in b"augment":  # FNV-1a 64
+        label = ((label ^ byte) * 0x100000001B3) & _M64
+    state = splitmix64_int(run_seed & _M64)
+    for part in (label, epoch, sample_index, view_index):
+        state = splitmix64_int(state ^ (part & _M64))
+    return state
+
+
+def reference_augment(row, gaussian_sigma: float, mask_prob: float, scale_jitter: float, seed: int) -> list[float]:
+    """One augmented view of one row, following the README's slot layout with
+    Python floats: slot 0 scales, slots 1..h and h+1..2h are the Box-Muller
+    radii and angles (cosines fill coordinates 0..h-1, sines h..d-1), and the
+    last d slots mask."""
+    d = len(row)
+    h = (d + 1) // 2
+    u = [(splitmix64_int(seed ^ k) >> 11) * 2.0 ** -53 for k in range(1 + 2 * h + d)]
+    lo, hi = 1.0 - scale_jitter, 1.0 + scale_jitter
+    scale = lo + (hi - lo) * u[0]
+    radius = [math.sqrt(-2.0 * math.log(1.0 - u[1 + k])) for k in range(h)]
+    angle = [2.0 * math.pi * u[1 + h + k] for k in range(h)]
+    normals = [r * math.cos(t) for r, t in zip(radius, angle)] + [r * math.sin(t) for r, t in zip(radius, angle)]
+    out = []
+    for i, x in enumerate(row):
+        y = float(x) * scale + gaussian_sigma * normals[i]
+        out.append(0.0 if u[1 + 2 * h + i] < mask_prob else y)
+    return out

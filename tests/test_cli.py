@@ -356,6 +356,15 @@ class TestErrorReporting:
         lines = capsys.readouterr().err.strip().splitlines()
         assert [line for line in lines if line.startswith("numeric-error:")] == lines[-1:]
 
+    # the parameters reach ~1e300 and the next forward matmul overflows; that must be
+    # one numeric-error line, with no NumPy warning (an error under the suite's filter)
+    @pytest.mark.parametrize("override", ["finetune.lr=1e300", "pretrain.base_lr=1e300", "pretrain.weight_decay=1e300"])
+    def test_overflowing_parameters_are_one_numeric_error(self, capsys, tmp_path, override):
+        assert run_cli("run", "--output", str(tmp_path), *FAST, "--set", override) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if re.match(r"[a-z-]+-error:", line)] == lines[-1:]
+        assert lines[-1].startswith("numeric-error:")
+
     def test_truncated_checkpoint_is_validation_error(self, capsys, tmp_path):
         out = tmp_path / "cut"
         assert run_cli("run", "--output", str(out), *FAST) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_augment, reference_view_seed, splitmix64_int
 from tailspin.data import (
     AugmentationSpec,
     Dataset,
@@ -13,9 +14,11 @@ from tailspin.data import (
     generate_synthetic,
     inject_symmetric_noise,
     noise_selection,
+    view_seed,
 )
-from tailspin.errors import ContractError, ValidationError
+from tailspin.errors import ContractError, NumericError, ValidationError
 from tailspin.evaluation import KNNConfig, knn_classify
+from tailspin.seeding import derive, splitmix64, splitmix64_array
 
 
 @pytest.fixture(scope="module")
@@ -184,36 +187,96 @@ class TestPriors:
         assert np.all(pri.pi > 0)
 
 
+def _seeds(n, view=0):
+    return view_seed(0, 0, np.arange(n), view)
+
+
 class TestAugment:
     def test_all_zero_spec_is_identity(self):
-        x = np.random.default_rng(1).normal(size=12)
-        out = augment(x, AugmentationSpec(), draw_seed=77)
+        x = np.random.default_rng(1).normal(size=(4, 12))
+        out = augment(x, AugmentationSpec(), _seeds(4))
         assert np.array_equal(out, x)
 
     def test_fixed_seed_reproducible(self):
-        x = np.random.default_rng(2).normal(size=12)
+        x = np.random.default_rng(2).normal(size=(3, 12))
         spec = AugmentationSpec(gaussian_sigma=0.5, mask_prob=0.2, scale_jitter=0.1)
-        a = augment(x, spec, draw_seed=5)
-        b = augment(x, spec, draw_seed=5)
+        seeds = np.array([5, 5, 5], dtype=np.uint64)
+        a = augment(x, spec, seeds)
+        b = augment(x, spec, seeds)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, augment(x, spec, draw_seed=6))
+        other = augment(x, spec, seeds + np.uint64(1))
+        assert all(not np.array_equal(a[r], other[r]) for r in range(3))
 
     def test_heavy_masking_survival_rate(self):
         # expected surviving coordinates ~= eps * d, Monte-Carlo over 10^4 draws
         eps = 0.05
         d = 16
         spec = AugmentationSpec(mask_prob=1 - eps)
-        x = np.ones(d)
-        survived = sum(np.count_nonzero(augment(x, spec, draw_seed=s)) for s in range(10_000))
+        x = np.ones((10_000, d))
+        survived = np.count_nonzero(augment(x, spec, _seeds(10_000)))
         expected = eps * d * 10_000
         sd = np.sqrt(10_000 * d * eps * (1 - eps))
         assert abs(survived - expected) <= 4 * sd
+
+    def test_scale_factors_stay_in_jitter_range(self):
+        j = 0.3
+        factors = augment(np.ones((20_000, 3)), AugmentationSpec(scale_jitter=j), _seeds(20_000))
+        assert np.all(factors == factors[:, :1])  # one factor per row
+        assert factors.min() >= 1 - j and factors.max() <= 1 + j
+        assert factors.min() < 1 - 0.99 * j and factors.max() > 1 + 0.99 * j
+
+    @pytest.mark.parametrize("d", [8, 5])
+    def test_noise_mean_and_std(self, d):
+        # 10^5 draws; an odd width drops the last pair's sine
+        sigma, n = 0.7, 100_000
+        noise = augment(np.zeros((n // d, d)), AugmentationSpec(gaussian_sigma=sigma), _seeds(n // d)).ravel()
+        assert abs(noise.mean()) <= 4 * sigma / np.sqrt(n)
+        assert abs(noise.std() - sigma) <= 4 * sigma / np.sqrt(2 * n)
+
+    def test_bad_input_rejected(self):
+        x = np.ones((2, 3))
+        with pytest.raises(ContractError):
+            augment(x[0], AugmentationSpec(), _seeds(1))
+        with pytest.raises(ContractError):
+            augment(x, AugmentationSpec(), _seeds(3))
+        x[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            augment(x, AugmentationSpec(), _seeds(2))
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             AugmentationSpec(gaussian_sigma=-1.0)
         with pytest.raises(ValidationError):
             AugmentationSpec(mask_prob=1.0)
+
+
+class TestReferenceStream:
+    """The counter-based augmentation stream against a pure-Python reading of the README."""
+
+    def test_array_splitmix64_matches_scalar(self):
+        values = [0, 2**64 - 1, *np.random.default_rng(5).integers(0, 2**64 - 1, size=50, dtype=np.uint64).tolist()]
+        got = splitmix64_array(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [splitmix64(v) for v in values] == [splitmix64_int(v) for v in values]
+
+    def test_view_seed_matches_reference(self):
+        indices = np.array([0, 1, 424, 2**63, 2**64 - 1], dtype=np.uint64)
+        for run_seed, epoch, view in ((0, 0, 0), (7, 3, 1), (2**64 - 1, 199, 1)):
+            got = view_seed(run_seed, epoch, indices, view).tolist()
+            assert got == [reference_view_seed(run_seed, epoch, int(i), view) for i in indices.tolist()]
+            assert got == [derive(run_seed, "augment", epoch, int(i), view) for i in indices.tolist()]
+
+    @pytest.mark.parametrize("d", [8, 5])
+    def test_augment_matches_reference_bit_for_bit(self, d):
+        spec = AugmentationSpec(gaussian_sigma=0.4, mask_prob=0.3, scale_jitter=0.2)
+        # enough rows (about 2,000 logarithms) that a vectorised log off by an ulp would show
+        rows = np.random.default_rng(d).normal(size=(300, d))
+        indices = np.array([0, 3, 2**63, *range(11, 308)], dtype=np.uint64)
+        for view in (0, 1):
+            seeds = view_seed(9, 2, indices, view)
+            got = augment(rows, spec, seeds)
+            want = [reference_augment(r.tolist(), 0.4, 0.3, 0.2, int(s)) for r, s in zip(rows, seeds.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestDatasetInvariants:

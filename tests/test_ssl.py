@@ -43,6 +43,28 @@ class TestBuildViews:
         assert np.array_equal(va1, va2)
         assert np.array_equal(vb1, vb2)
         assert not np.array_equal(va1, vb1)
+        va3, _ = build_views(feats, np.arange(5), aug, 43, 3)
+        assert all(not np.array_equal(va1[r], va3[r]) for r in range(5))
+
+    def test_views_independent_of_batch_order_and_company(self):
+        feats = rand((12, 6), 3)
+        aug = AugmentationSpec(0.5, 0.3, 0.2)
+        shuffled = np.random.default_rng(4).permutation(12)
+
+        def views_of(idx):
+            return dict(zip(idx.tolist(), zip(*build_views(feats[idx], idx, aug, 42, 3))))
+
+        in_order, in_shuffle = views_of(np.arange(12)), views_of(shuffled)
+        in_other = {**views_of(shuffled[:5]), **views_of(shuffled[5:])}
+        for i in range(12):
+            alone = views_of(np.array([i]))[i]
+            for views in (in_order[i], in_shuffle[i], in_other[i]):
+                assert alone[0].tobytes() == views[0].tobytes()
+                assert alone[1].tobytes() == views[1].tobytes()
+
+    def test_empty_batch_is_contract_error(self):
+        with pytest.raises(ContractError):
+            build_views(rand((0, 6), 1), np.arange(0), AugmentationSpec(), 0, 0)
 
 
 class TestSimsiamLoss:
