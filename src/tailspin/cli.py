@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as tio
 from .config import ExperimentConfig, config_load, describe_defaults, write_resolved
 from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec, exponential_profile
@@ -337,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
             write_resolved(cfg, cfg.output_dir)
             if args.config is not None:
                 (cfg.output_dir / "config.input").write_text(Path(args.config).read_text())
-        _COMMANDS[args.command](cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow fails as one NumericError line
+            _COMMANDS[args.command](cfg)
     except TailspinError as exc:
         print(f"{exc.cli_class}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

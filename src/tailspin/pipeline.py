@@ -22,14 +22,14 @@ from .data import (
     generate_synthetic,
     inject_symmetric_noise,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
 from .nn import Linear, Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
-from .tensor import Tensor
+from .tensor import Tensor, relu
 
 FULL_HEAD = "full_head"
 LAST_LAYER_ONLY = "last_layer_only"
@@ -66,20 +66,6 @@ def build_finetune_head(model: Model, num_classes: int, method: str, seed: int) 
     first = model.projector.layers[0].copy(requires_grad=True)
     out_dim = first.weight.shape[1]
     return Mlp([first, Linear.init(out_dim, num_classes, rng)])
-
-
-def _head_trainable(head: Mlp, policy: str) -> list:
-    if policy == LAST_LAYER_ONLY:
-        layers = head.layers[-1:]
-    elif policy == FULL_HEAD:
-        layers = head.layers
-    else:
-        raise ConfigError(f"unknown freeze policy '{policy}'")
-    selected = [p for layer in layers for p in layer.parameters()]
-    for layer in head.layers:
-        for p in layer.parameters():
-            p.requires_grad = any(p is q for q in selected)
-    return selected
 
 
 @dataclass
@@ -162,6 +148,8 @@ def _train_supervised(stage: str, params: list[Tensor], logits_of: Callable[[np.
     """Train ``params`` on the observed labels of ``dataset``, with priors from those
     labels, for ``settings.epochs`` epochs; ``logits_of(batch indices)`` is the
     forward pass and ``extra()`` the further fields of each epoch's record."""
+    if not all(p.requires_grad for p in params):
+        raise ContractError(f"{stage}: a parameter to train does not require grad")
     opt = make_optimizer(settings.optimizer, params)
     priors = estimate_priors(dataset)
     labels = dataset.labels_observed
@@ -190,16 +178,23 @@ def finetune(
 ) -> list[MetricsRecord]:
     """Train the head on frozen-encoder representations with the configured loss.
 
-    The encoder is frozen (its outputs are computed once, outside any tape),
-    and per-epoch test accuracy is recorded when a test set is supplied.
+    The encoder, and under ``last_layer_only`` every head layer but the last (with
+    its ReLU), are frozen: computed once, outside any tape. No ``requires_grad``
+    flag changes. Per-epoch test accuracy is recorded when a test set is supplied.
     """
+    if policy not in (FULL_HEAD, LAST_LAYER_ONLY):
+        raise ConfigError(f"unknown freeze policy '{policy}'")
+    frozen = len(head.layers) - 1 if policy == LAST_LAYER_ONLY else 0
     reps = encoder_outputs(model, dataset)
+    for layer in head.layers[:frozen]:
+        reps = relu(layer(Tensor(reps))).data
+    trained = Mlp(head.layers[frozen:])
 
     def per_class() -> dict:
         return {"per_class_accuracy": None if test_set is None else
                 evaluate_classifier(model, head, test_set).per_class_json()}
 
-    return _train_supervised("finetune", _head_trainable(head, policy), lambda idx: head(Tensor(reps[idx])),
+    return _train_supervised("finetune", trained.parameters(), lambda idx: trained(Tensor(reps[idx])),
                              dataset, settings, run_seed, sink, per_class)
 
 

@@ -23,7 +23,7 @@ from tailspin.evaluation import KNNConfig, knn_classify
 from tailspin.gradcheck import battery
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, cross_entropy, la_loss, lambert_w0, superloss_sigma
 from tailspin.nn import SSL_METHODS, build_model
-from tailspin.optim import OptimizerConfig, ScheduleConfig, make_optimizer
+from tailspin.optim import OptimizerConfig, make_optimizer
 from tailspin.pipeline import (
     FinetuneSettings,
     PretrainSettings,
@@ -42,23 +42,6 @@ from tailspin.tensor import Tensor
 
 def report(n: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {n:2d} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def desk_pretrain_settings(epochs=200, stop_gradient=True):
-    return PretrainSettings(
-        method=SSLMethod("simsiam", stop_gradient=stop_gradient),
-        optimizer=OptimizerConfig(kind="sgd", base_lr=0.12, weight_decay=5e-4, momentum=0.9, batch_size=64),
-        schedule=ScheduleConfig("cosine", warmup_epochs=10, total_epochs=epochs),
-        augmentation=AugmentationSpec(0.4, 0.0, 0.2),
-    )
-
-
-def desk_finetune_settings(loss, epochs=25):
-    return FinetuneSettings(
-        loss=loss,
-        optimizer=OptimizerConfig(kind="adam", base_lr=0.003, weight_decay=0.0, batch_size=64),
-        epochs=epochs,
-    )
 
 
 def test_criterion_1_superloss_closed_form_vs_golden_section():
@@ -190,7 +173,7 @@ def anti_collapse_runs():
     out = {}
     for ablate in (False, True):
         model = build_model("simsiam", 8, seed=12)
-        pretrain(model, clusters, desk_pretrain_settings(stop_gradient=not ablate), 2)
+        pretrain(model, clusters, PretrainSettings(SSLMethod("simsiam", stop_gradient=not ablate)), 2)
         out["ablated" if ablate else "healthy"] = dispersion(model, clusters)
     return out
 
@@ -218,20 +201,20 @@ def fig2_runs():
         noisy_train = corrupt_train(train, 10.0, 0.4, seed)
         clean_train = corrupt_train(train, 10.0, 0.0, seed)
         model = build_model("simsiam", 8, seed=derive(seed, "model"))
-        pretrain(model, noisy_train, desk_pretrain_settings(), seed)  # labels unread; shared across nu
+        pretrain(model, noisy_train, PretrainSettings(), seed)  # labels unread; shared across nu
         row = {}
         for loss in ("la_sl", "ce", "ce_sl", "la"):
             head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
-            finetune(model, head, noisy_train, desk_finetune_settings(loss), "full_head", seed)
+            finetune(model, head, noisy_train, FinetuneSettings(loss=loss), "full_head", seed)
             row[f"two_noisy_{loss}"] = evaluate_classifier(model, head, test).balanced
         head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
-        finetune(model, head, clean_train, desk_finetune_settings("la_sl"), "full_head", seed)
+        finetune(model, head, clean_train, FinetuneSettings(loss="la_sl"), "full_head", seed)
         row["two_clean_la_sl"] = evaluate_classifier(model, head, test).balanced
         for name, single_train, loss in (("single_noisy_ce", noisy_train, "ce"),
                                          ("single_clean_la_sl", clean_train, "la_sl")):
             baseline = build_model("simsiam", 8, seed=derive(seed, "model"))
             head = build_finetune_head(baseline, 3, "simsiam", derive(seed, "model"))
-            run_single_stage(baseline, head, single_train, desk_finetune_settings(loss, epochs=60), seed)
+            run_single_stage(baseline, head, single_train, FinetuneSettings(loss=loss, epochs=60), seed)
             row[name] = evaluate_classifier(baseline, head, test).balanced
         rows.append(row)
     means = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}

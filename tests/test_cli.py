@@ -11,7 +11,7 @@ from oracles import params_digest
 from tailspin.cli import _settings, main
 from tailspin.config import _SPEC, _format_value, config_load
 from tailspin.evaluation import KNNConfig, embed
-from tailspin.io import dataset_provenance, load_checkpoint, load_dataset
+from tailspin.io import dataset_provenance, load_checkpoint, load_dataset, save_dataset
 from tailspin.nn import build_model
 from tailspin.pipeline import FinetuneSettings, PretrainSettings, make_datasets
 from tailspin.ssl import SSLMethod
@@ -52,6 +52,14 @@ class TestRunDeterminism:
         assert 0.0 <= summary["balanced_accuracy"] <= 1.0 and summary["knn_accuracy"] is not None
         resolved = (out / "config.resolved").read_text()
         assert "run.seed = 3" in resolved
+
+    def test_config_file_copied_byte_for_byte(self, tmp_path):
+        text = "# desk run\ndata.per_class = 30\n\ndata.test_per_class=20   \npretrain.epochs = 3"
+        (tmp_path / "exp.cfg").write_text(text)
+        out = tmp_path / "run"
+        assert run_cli("generate", "--config", str(tmp_path / "exp.cfg"), "--output", str(out)) == 0
+        assert (out / "config.input").read_bytes() == text.encode()
+        assert "data.per_class = 30" in (out / "config.resolved").read_text()
 
     def test_model_widths_come_from_config(self, tmp_path):
         widths = ["--set", "model.hidden_dim=16", "--set", "model.rep_dim=8",
@@ -136,6 +144,29 @@ class TestStagewiseCommands:
             assert run_cli("finetune", *base, "--set", override) == 2
             assert capsys.readouterr().err.strip().splitlines()[-1].startswith("config-error:")
         assert (out / "metrics.jsonl").read_text() == records
+
+    def test_finetune_without_recorded_nu_fails_before_training(self, capsys, tmp_path):
+        out = tmp_path / "unrecorded"
+        base = ["--seed", "4", "--output", str(out), *FAST]
+        for cmd in ("generate", "corrupt", "pretrain"):
+            assert run_cli(cmd, *base) == 0
+        corrupted = out / "data" / "train-corrupted"
+        save_dataset(load_dataset(corrupted), corrupted, provenance={"seed": 4})
+        records = (out / "metrics.jsonl").read_text()
+        capsys.readouterr()
+        assert run_cli("finetune", *base) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation-error:")
+        assert "records no value for data.nu" in lines[0]
+        assert (out / "metrics.jsonl").read_text() == records
+
+    def test_constant_schedule_holds_the_lr_after_warmup(self, tmp_path):
+        base = ["--output", str(tmp_path), *FAST]
+        assert run_cli("generate", *base) == 0
+        assert run_cli("pretrain", *base, "--set", "pretrain.schedule=constant", "--set", "pretrain.epochs=5",
+                       "--set", "pretrain.warmup_epochs=2", "--set", "pretrain.batch_size=64") == 0
+        records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert [r["lr"] for r in records] == [0.015, 0.03, 0.03, 0.03, 0.03]
 
     def test_pretrain_rerun_starts_metrics_over(self, tmp_path):
         out = tmp_path / "again"
@@ -357,10 +388,22 @@ class TestErrorReporting:
         assert [line for line in lines if line.startswith("numeric-error:")] == lines[-1:]
 
     # the parameters reach ~1e300 and the next forward matmul overflows; that must be
-    # one numeric-error line, with no NumPy warning (an error under the suite's filter)
-    @pytest.mark.parametrize("override", ["finetune.lr=1e300", "pretrain.base_lr=1e300", "pretrain.weight_decay=1e300"])
-    def test_overflowing_parameters_are_one_numeric_error(self, capsys, tmp_path, override):
-        assert run_cli("run", "--output", str(tmp_path), *FAST, "--set", override) == 1
+    # one numeric-error line, with no NumPy warning (an error under the suite's filter).
+    # With one batch per epoch the overflow first shows outside a training epoch: in the
+    # per-epoch test evaluation, the kNN proxy's embed, or the final evaluation.
+    @pytest.mark.parametrize("command, override", [
+        pytest.param(command, override, id=override) for command, override in (
+            ("run", "finetune.lr=1e300"),
+            ("run", "pretrain.base_lr=1e300"),
+            ("run", "pretrain.weight_decay=1e300"),
+            ("run", "finetune.epochs=1 finetune.batch_size=128 finetune.lr=1e300"),
+            ("run", "pretrain.epochs=1 pretrain.batch_size=128 pretrain.base_lr=1e300"),
+            ("run-single-stage", "single_stage.epochs=1 finetune.batch_size=128 finetune.lr=1e300"),
+        )
+    ])
+    def test_overflowing_parameters_are_one_numeric_error(self, capsys, tmp_path, command, override):
+        settings = [arg for item in override.split() for arg in ("--set", item)]
+        assert run_cli(command, "--output", str(tmp_path), *FAST, *settings) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert [line for line in lines if re.match(r"[a-z-]+-error:", line)] == lines[-1:]
         assert lines[-1].startswith("numeric-error:")
@@ -402,6 +445,12 @@ class TestErrorReporting:
         path.write_text("{not json")
         assert run_cli("eval", "--output", str(out), *FAST) == 1
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith("validation-error:")
+
+    def test_unwritable_output_is_one_io_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert run_cli("generate", "--output", str(tmp_path / "file" / "sub")) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("io-error:")
 
     def test_missing_dataset_reported(self, capsys, tmp_path):
         code = run_cli("pretrain", "--output", str(tmp_path / "nothing"))

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
-from tailspin.errors import ConfigError, ValidationError
+from tailspin.errors import ConfigError, ContractError, ValidationError
 from tailspin.evaluation import KNNConfig
 from tailspin.nn import build_model
 from tailspin.optim import OptimizerConfig, ScheduleConfig
@@ -87,6 +87,34 @@ class TestFinetune:
         finetune(model, head, train, fast_finetune(), LAST_LAYER_ONLY, run_seed=5)
         assert params_digest(head.layers[0].parameters()) == first_before
         assert params_digest(head.layers[-1].parameters()) != last_before
+
+    @pytest.mark.parametrize("policy", [FULL_HEAD, LAST_LAYER_ONLY])
+    def test_requires_grad_left_as_found(self, setup, policy):
+        # freezing is positional: the optimizer's parameter list alone says what trains
+        train, _, model = setup
+        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        tensors = model.encoder.parameters() + head.parameters()
+        before = [p.requires_grad for p in tensors]
+        finetune(model, head, train, fast_finetune(epochs=1), policy, run_seed=5)
+        assert [p.requires_grad for p in tensors] == before
+
+    def test_unknown_policy_rejected_before_any_epoch(self, setup):
+        train, _, model = setup
+        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        before = params_digest(head.parameters())
+        records = []
+        with pytest.raises(ConfigError, match="last_layer"):
+            finetune(model, head, train, fast_finetune(), "last_layer", run_seed=5, sink=records.append)
+        assert records == []
+        assert params_digest(head.parameters()) == before
+
+    def test_head_that_cannot_train_rejected_before_any_epoch(self, setup):
+        train, _, model = setup
+        head = build_finetune_head(model, 3, "simsiam", seed=4).copy(requires_grad=False)
+        records = []
+        with pytest.raises(ContractError, match="does not require grad"):
+            finetune(model, head, train, fast_finetune(), LAST_LAYER_ONLY, run_seed=5, sink=records.append)
+        assert records == []
 
     def test_clean_balanced_reaches_95_percent_train_accuracy(self, setup):
         train, _, model = setup
