@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "gradcheck":
             write_resolved(cfg, cfg.output_dir)
             if args.config is not None:
-                (cfg.output_dir / "config.input").write_text(Path(args.config).read_text())
+                (cfg.output_dir / "config.input").write_bytes(Path(args.config).read_bytes())
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow fails as one NumericError line
             _COMMANDS[args.command](cfg)
     except TailspinError as exc:

@@ -167,8 +167,12 @@ def _reject_unknown(key: str) -> None:
 
 
 def _parse_file(path: Path) -> dict:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
     entries = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

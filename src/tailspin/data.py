@@ -52,7 +52,7 @@ class Dataset:
         for track in (self.labels_observed, self.labels_true):
             if track.min() < 0 or track.max() >= self.num_classes:
                 raise ValidationError("label index outside [0, num_classes)")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise NumericError("features contain NaN or Inf")
 
     @property
@@ -224,7 +224,7 @@ def augment(rows: np.ndarray, spec: AugmentationSpec, seeds: np.ndarray) -> np.n
     seeds = np.asarray(seeds, dtype=np.uint64)
     if x.ndim != 2 or seeds.shape != x.shape[:1]:
         raise ContractError(f"augment: needs (B, d) rows and B seeds, got shapes {x.shape} and {seeds.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("augment: input contains NaN or Inf")
     d = x.shape[1]
     h = (d + 1) // 2

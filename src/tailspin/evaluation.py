@@ -80,37 +80,76 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
     the smallest class index.
 
     Similarity weighting uses (1 + cosine) for the cosine metric and
-    1 / (distance + 1e-12) for the euclidean metric.
+    1 / (distance + 1e-12) for the euclidean metric. Queries are scored in
+    blocks of rows (``_query_blocks``), so memory grows with the block size
+    times the reference size, not with Q x R; the neighbours are exactly those
+    of a stable sort on (score, reference index).
     """
     cfg.check_reference(reference.num_samples)
     ref = reference.features.astype(np.float64)
     qry = queries.features.astype(np.float64)
-
     if cfg.metric == "cosine":
-        ref_n = _unit_rows(ref)
-        qry_n = _unit_rows(qry)
-        sims = qry_n @ ref_n.T
-        order = np.argsort(-sims, axis=1, kind="stable")[:, : cfg.k]
-        strengths = np.take_along_axis(sims, order, axis=1)
-        weights = 1.0 + strengths
+        ref, qry = _unit_rows(ref), _unit_rows(qry)
     else:
-        d2 = (
-            np.sum(qry * qry, axis=1, keepdims=True)
-            - 2.0 * qry @ ref.T
-            + np.sum(ref * ref, axis=1)
-        )
-        dists = np.sqrt(np.maximum(d2, 0.0))
-        order = np.argsort(dists, axis=1, kind="stable")[:, : cfg.k]
-        weights = 1.0 / (np.take_along_axis(dists, order, axis=1) + 1e-12)
+        qry_sq = np.sum(qry * qry, axis=1, keepdims=True)
+        ref_sq = np.sum(ref * ref, axis=1)
+
+    order = np.empty((queries.num_samples, cfg.k), dtype=np.intp)
+    nearest = np.empty((queries.num_samples, cfg.k))
+    for start, stop in _query_blocks(queries.num_samples, reference.num_samples):
+        if cfg.metric == "cosine":
+            scores = qry[start:stop] @ ref.T
+            np.negative(scores, out=scores)  # score = -similarity
+        else:  # score = distance, computed in place as sqrt(max(|q|^2 - 2 q.r + |r|^2, 0))
+            scores = 2.0 * qry[start:stop] @ ref.T
+            np.subtract(qry_sq[start:stop], scores, out=scores)
+            scores += ref_sq
+            np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
+        order[start:stop], nearest[start:stop] = _smallest_k(scores, cfg.k)
 
     if cfg.weighting == "uniform":
-        weights = np.ones_like(weights)
+        weights = np.ones_like(nearest)
+    elif cfg.metric == "cosine":
+        weights = 1.0 - nearest  # 1 + similarity
+    else:
+        weights = 1.0 / (nearest + 1e-12)
 
     neighbor_labels = reference.labels_true[order]
     votes = np.zeros((queries.num_samples, reference.num_classes))
     for c in range(reference.num_classes):
         votes[:, c] = np.sum(weights * (neighbor_labels == c), axis=1)
     return np.argmax(votes, axis=1).astype(np.int64)  # argmax takes the smallest index on ties
+
+
+# Each block's score matrix holds about this many float64s (4 MB).
+_KNN_BLOCK_ELEMENTS = 1 << 19
+
+
+def _query_blocks(num_queries: int, num_references: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) row ranges covering the queries. No range has
+    one row unless there is one query: BLAS computes a one-row product with
+    another kernel, whose last bits differ from the same row of a taller one,
+    so a lone last row joins the block before it."""
+    rows = max(2, _KNN_BLOCK_ELEMENTS // num_references)
+    bounds = [*range(0, num_queries, rows), num_queries]
+    if num_queries > 1 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _smallest_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of each row's k smallest scores, ordered by
+    (score, column): the first k columns of a stable argsort, without sorting
+    whole rows. Every candidate at or below the k-th smallest score is kept,
+    so ties at the boundary go to the lowest columns."""
+    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(scores <= kth)
+    values = scores[rows, cols]
+    ranked = np.lexsort((cols, values, rows))  # rows stay grouped, in order
+    counts = np.bincount(rows, minlength=len(scores))
+    starts = np.cumsum(counts) - counts
+    pick = ranked[starts[:, None] + np.arange(k)]
+    return cols[pick], values[pick]
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ def lambert_w0(x):
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     z = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValidationError("lambert_w0: argument must be finite")
     if np.any(z < _BRANCH_POINT - 1e-12):
         raise ValidationError(f"lambert_w0: argument below -1/e (min was {z.min()!r})")
@@ -153,7 +153,7 @@ def superloss_sigma(base_loss, params: SuperLossParams):
     if params.tau is None:
         raise ContractError("superloss_sigma: tau is unresolved; batch_loss sets it to log(C)")
     ell = np.asarray(base_loss, dtype=np.float64)
-    if not np.all(np.isfinite(ell)):
+    if not np.isfinite(ell).all():
         raise ValidationError("superloss_sigma: base loss must be finite")
     beta = (ell - params.tau) / params.lam
     bound = 2.0 / np.e

@@ -85,7 +85,7 @@ class _Optimizer:
 
     def _grad(self, p: Tensor) -> np.ndarray:
         g = p.grad + self.weight_decay * p.data if self.weight_decay else p.grad
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
         return g
 
@@ -130,7 +130,7 @@ class Adam(_Optimizer):
                 g = self._grad(p)
                 v *= self.beta2
                 v += (1.0 - self.beta2) * g * g
-            if not np.all(np.isfinite(v)):  # v = inf would leave p unmoved
+            if not np.isfinite(v).all():  # v = inf would leave p unmoved
                 raise NumericError("adam step: the squared gradient overflows float64, aborting run")
             m *= self.beta1
             m += (1.0 - self.beta1) * g

@@ -80,7 +80,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor creation: data contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -147,7 +147,7 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     gradient, in argument order, and never calls the vjp of any other input.
     """
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name}: produced non-finite values")
     live = [(t, vjp) for t, vjp in inputs if t.requires_grad]
     out = Tensor.__new__(Tensor)
@@ -269,7 +269,7 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     squared norm beyond float64 range is a NumericError, not a zero vector."""
     with np.errstate(over="ignore"):
         squared = np.sum(a.data * a.data, axis=axis, keepdims=True)
-    if not np.all(np.isfinite(squared)):
+    if not np.isfinite(squared).all():
         raise NumericError("l2_normalize: squared norm overflows float64")
     norm = np.sqrt(squared)
     degenerate = norm < _NORM_FLOOR

@@ -153,6 +153,46 @@ def brute_knn(
     return preds
 
 
+def full_matrix_knn(reference, queries, cfg) -> np.ndarray:
+    """``knn_classify`` as it was before query blocks: the whole Q x R score
+    matrix, a full stable argsort, then the first k columns. The block path
+    must give the same predictions bit for bit."""
+    cfg.check_reference(reference.num_samples)
+    ref = reference.features.astype(np.float64)
+    qry = queries.features.astype(np.float64)
+
+    if cfg.metric == "cosine":
+        ref_n = _unit_rows(ref)
+        qry_n = _unit_rows(qry)
+        sims = qry_n @ ref_n.T
+        order = np.argsort(-sims, axis=1, kind="stable")[:, : cfg.k]
+        strengths = np.take_along_axis(sims, order, axis=1)
+        weights = 1.0 + strengths
+    else:
+        d2 = (
+            np.sum(qry * qry, axis=1, keepdims=True)
+            - 2.0 * qry @ ref.T
+            + np.sum(ref * ref, axis=1)
+        )
+        dists = np.sqrt(np.maximum(d2, 0.0))
+        order = np.argsort(dists, axis=1, kind="stable")[:, : cfg.k]
+        weights = 1.0 / (np.take_along_axis(dists, order, axis=1) + 1e-12)
+
+    if cfg.weighting == "uniform":
+        weights = np.ones_like(weights)
+
+    neighbor_labels = reference.labels_true[order]
+    votes = np.zeros((queries.num_samples, reference.num_classes))
+    for c in range(reference.num_classes):
+        votes[:, c] = np.sum(weights * (neighbor_labels == c), axis=1)
+    return np.argmax(votes, axis=1).astype(np.int64)  # argmax takes the smallest index on ties
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.where(norms < 1e-12, 0.0, x / np.where(norms < 1e-12, 1.0, norms))
+
+
 _M64 = (1 << 64) - 1
 
 

@@ -452,6 +452,22 @@ class TestErrorReporting:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("io-error:")
 
+    def test_config_file_not_utf8_is_one_config_error(self, capsys, tmp_path):
+        (tmp_path / "bad.cfg").write_bytes(b"data.per_class = 30\n# caf\xe9\n")
+        out = tmp_path / "out"
+        assert run_cli("generate", "--config", str(tmp_path / "bad.cfg"), "--output", str(out)) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config-error:")
+        assert "bad.cfg" in lines[0] and "offset 25" in lines[0]
+        assert not out.exists()
+
+    def test_utf8_config_file_with_crlf_copied_byte_for_byte(self, tmp_path):
+        raw = "# caf\u00e9 \u2014 desk run\r\ndata.per_class = 30\r\n".encode("utf-8")
+        (tmp_path / "exp.cfg").write_bytes(raw)
+        out = tmp_path / "out"
+        assert run_cli("generate", "--config", str(tmp_path / "exp.cfg"), "--output", str(out)) == 0
+        assert (out / "config.input").read_bytes() == raw
+
     def test_missing_dataset_reported(self, capsys, tmp_path):
         code = run_cli("pretrain", "--output", str(tmp_path / "nothing"))
         assert code == 1

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import brute_knn, record_from_json_line
+from oracles import brute_knn, full_matrix_knn, record_from_json_line
+from tailspin import evaluation
 from tailspin.data import Dataset, generate_synthetic
 from tailspin.errors import ContractError, ValidationError
 from tailspin.evaluation import (
@@ -105,6 +108,69 @@ class TestKnn:
             KNNConfig(k=0)
         with pytest.raises(ValidationError):
             KNNConfig(metric="manhattan")
+
+
+BLOCK_REFS, BLOCK_ROWS = 60, 8
+
+
+def tie_heavy(rng, rows, num_classes):
+    """Rounded features in three dimensions, so many scores tie exactly, with
+    every fifth row all zero (the cosine zero-norm branch)."""
+    x = np.round(rng.normal(size=(rows, 3)))
+    x[::5] = 0.0
+    return labelled(x, rng.integers(0, num_classes, size=rows), num_classes)
+
+
+class TestKnnBlocks:
+    """The block path against the full-matrix stable argsort, across block boundaries."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK_ELEMENTS", BLOCK_ROWS * BLOCK_REFS)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("weighting", ["uniform", "similarity"])
+    @pytest.mark.parametrize("k", [1, 5, 20, BLOCK_REFS])
+    def test_matches_full_matrix_argsort(self, small_blocks, metric, weighting, k):
+        rng = np.random.default_rng(k * 7 + len(metric) + len(weighting))
+        base = tie_heavy(rng, BLOCK_REFS - 12, 4)
+        ref = labelled(  # the first 12 rows twice: duplicated references tie on every query
+            np.vstack([base.features, base.features[:12]]), np.concatenate([base.labels_true, rng.integers(0, 4, 12)]), 4
+        )
+        cfg = KNNConfig(k=k, metric=metric, weighting=weighting)
+        for q in (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            qry = tie_heavy(rng, q, 4)
+            qry = labelled(np.vstack([qry.features[: q // 2], ref.features[: q - q // 2]]), qry.labels_true, 4)
+            assert np.array_equal(knn_classify(ref, qry, cfg), full_matrix_knn(ref, qry, cfg)), q
+
+    def test_blocks_follow_the_constant_and_absorb_a_lone_last_row(self, small_blocks):
+        assert evaluation._query_blocks(2 * BLOCK_ROWS + 3, BLOCK_REFS) == [(0, 8), (8, 16), (16, 19)]
+        assert evaluation._query_blocks(2 * BLOCK_ROWS + 1, BLOCK_REFS) == [(0, 8), (8, 17)]
+        assert evaluation._query_blocks(1, BLOCK_REFS) == [(0, 1)]
+
+    @pytest.mark.parametrize("budget", [1, 8, 64, 1 << 19])
+    def test_no_one_row_block_unless_one_query(self, monkeypatch, budget):
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK_ELEMENTS", budget)
+        for refs in (1, 3, 7, 12_408):
+            for queries in range(1, 40):
+                blocks = evaluation._query_blocks(queries, refs)
+                assert blocks[0][0] == 0 and blocks[-1][1] == queries
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                sizes = [stop - start for start, stop in blocks]
+                assert min(sizes) >= 2 or queries == 1, (queries, refs, sizes)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_memory_bounded_by_the_block_not_the_matrix(self, metric):
+        rng = np.random.default_rng(5)
+        ref = labelled(rng.normal(size=(4000, 16)), rng.integers(0, 5, size=4000), 5)
+        qry = labelled(rng.normal(size=(2000, 16)), rng.integers(0, 5, size=2000), 5)
+        tracemalloc.start()
+        try:
+            knn_classify(ref, qry, KNNConfig(k=20, metric=metric))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
 
 
 class TestAccuracySuite:
