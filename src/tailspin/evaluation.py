@@ -11,7 +11,7 @@ from .data import Dataset
 from .errors import ContractError, ValidationError
 from .io import save_arrays
 from .nn import Model
-from .tensor import Tensor
+from .tensor import Tensor, l2_normalize
 
 KNN_METRICS = ("cosine", "euclidean")
 KNN_WEIGHTINGS = ("uniform", "similarity")
@@ -89,7 +89,7 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
     ref = reference.features.astype(np.float64)
     qry = queries.features.astype(np.float64)
     if cfg.metric == "cosine":
-        ref, qry = _unit_rows(ref), _unit_rows(qry)
+        ref, qry = l2_normalize(Tensor(ref)).data, l2_normalize(Tensor(qry)).data
     else:
         qry_sq = np.sum(qry * qry, axis=1, keepdims=True)
         ref_sq = np.sum(ref * ref, axis=1)
@@ -150,11 +150,6 @@ def _smallest_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     starts = np.cumsum(counts) - counts
     pick = ranked[starts[:, None] + np.arange(k)]
     return cols[pick], values[pick]
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.where(norms < 1e-12, 0.0, x / np.where(norms < 1e-12, 1.0, norms))
 
 
 @dataclass

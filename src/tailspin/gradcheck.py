@@ -26,53 +26,33 @@ def _loss_case(name: str, rng, batch: int = 5, classes: int = 4) -> float:
     return finite_diff_check(lambda: batch_loss(name, logits, labels, priors, SuperLossParams())[0], [logits])
 
 
-def _relu_margin(mlp, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest |preactivation| feeding a ReLU, plus the MLP output."""
-    margin = np.inf
-    h = x
-    for i, layer in enumerate(mlp.layers):
-        pre = h @ layer.weight.data + layer.bias.data
-        if i < len(mlp.layers) - 1:
-            margin = min(margin, float(np.min(np.abs(pre))))
-            h = np.maximum(pre, 0.0)
-        else:
-            h = pre
-    return margin, h
-
-
 def _conditioned(name: str, model, view_a: Tensor, view_b: Tensor) -> bool:
-    """Reject draws where finite differences are meaningless: a cosine input
-    with (near-)zero norm, a Barlow column with (near-)zero variance, or any
-    ReLU preactivation within 1e-3 of its kink (a perturbed forward pass
-    would cross a non-differentiable point)."""
-    margins = []
-    z = {}
-    p = {}
-    for tag, view in (("a", view_a), ("b", view_b)):
-        enc_margin, enc_out = _relu_margin(model.encoder, view.data)
-        proj_margin, proj_out = _relu_margin(model.projector, enc_out)
-        margins += [enc_margin, proj_margin]
-        z[tag] = proj_out
-        if name in ("simsiam", "byol"):
-            pred_margin, pred_out = _relu_margin(model.predictor, proj_out)
-            margins.append(pred_margin)
-            p[tag] = pred_out
-    if min(margins) <= 1e-3:
+    """Reject draws where finite differences are meaningless: any ReLU
+    preactivation within 1e-3 of its kink (a perturbed forward pass would
+    cross a non-differentiable point), a Barlow column with (near-)zero
+    variance, or a cosine input with (near-)zero norm. Each view passes once
+    through the model's encoder, projector and predictor; BYOL's target
+    branch is a copy of the online one when ``_ssl_case`` builds the model,
+    so the projector outputs stand for the target's."""
+    margin = np.inf
+    outputs = []  # every projector and predictor output
+    for view in (view_a, view_b):
+        h = view.data
+        for mlp in (model.encoder, model.projector, model.predictor):
+            if mlp is None:
+                continue
+            for i, layer in enumerate(mlp.layers):
+                h = h @ layer.weight.data + layer.bias.data
+                if i < len(mlp.layers) - 1:
+                    margin = min(margin, float(np.min(np.abs(h))))
+                    h = np.maximum(h, 0.0)
+            if mlp is not model.encoder:
+                outputs.append(h)
+    if margin <= 1e-3:
         return False
     if name == "barlow_twins":
-        return min(z["a"].std(axis=0).min(), z["b"].std(axis=0).min()) > 0.05
-    if name == "simclr":
-        rows = [z["a"], z["b"]]
-    elif name == "simsiam":
-        rows = [z["a"], z["b"], p["a"], p["b"]]
-    else:  # byol
-        rows = [
-            p["a"],
-            p["b"],
-            model.ema_projector(model.ema_encoder(view_a)).data,
-            model.ema_projector(model.ema_encoder(view_b)).data,
-        ]
-    return min(np.linalg.norm(r, axis=1).min() for r in rows) > 0.05
+        return min(z.std(axis=0).min() for z in outputs) > 0.05
+    return min(np.linalg.norm(z, axis=1).min() for z in outputs) > 0.05
 
 
 def _ssl_case(name: str, rng, batch: int = 5, dim: int = 4) -> float:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, ValidationError
 from .seeding import rng_for
 from .tensor import Tensor, add, matmul, relu
 
@@ -49,6 +49,8 @@ class Mlp:
     def init(cls, dims: list[int], rng: np.random.Generator) -> "Mlp":
         if len(dims) < 2:
             raise ConfigError(f"mlp needs at least two dims, got {dims}")
+        if min(dims) < 1:
+            raise ValidationError(f"mlp widths must be >= 1, got {dims}")
         return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -136,13 +138,8 @@ def ema_update(model: Model, momentum: float) -> None:
         raise ConfigError("ema_update: model has no EMA target")
     if not 0.0 <= momentum <= 1.0:
         raise ConfigError(f"ema momentum must be in [0, 1], got {momentum}")
-    if momentum == 1.0:
-        return
     online = model.encoder.parameters() + model.projector.parameters()
     target = model.ema_encoder.parameters() + model.ema_projector.parameters()
     for xi, theta in zip(target, online):
-        if momentum == 0.0:
-            xi.data[...] = theta.data
-        else:
-            xi.data *= momentum
-            xi.data += (1.0 - momentum) * theta.data
+        xi.data *= momentum
+        xi.data += (1.0 - momentum) * theta.data

@@ -49,8 +49,8 @@ class SSLMethod:
     def __post_init__(self):
         if self.name not in SSL_METHODS:
             raise ConfigError(f"unknown SSL method '{self.name}', expected one of {SSL_METHODS}")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+        if not (self.temperature > 0 and np.isfinite(1.0 / self.temperature)):
+            raise ValidationError(f"temperature must be positive with a finite reciprocal, got {self.temperature}")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum must lie in [0, 1], got {self.ema_momentum}")
         if self.lambda_bt <= 0:

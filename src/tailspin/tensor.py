@@ -1,11 +1,12 @@
 """Dense double-precision tensors with reverse-mode automatic differentiation.
 
 Define-by-run: every operation builds its output through ``_op``, which,
-while a Tape is active, appends one pullback closure to it. ``Tape.backward``
-walks the records in exact reverse execution order, accumulates gradients
-into participating tensors and then drops the records, so the graph is freed
-as soon as the caller lets go of it. Tensors and tapes are confined to a
-single thread; there is no locking.
+while a Tape is active, appends one (output, inputs) record to it: the op's
+output and the (input, vjp) pairs of its inputs that require a gradient.
+``Tape.backward`` walks the records in exact reverse execution order, adds
+each vjp(output gradient) into its input and then drops the records, so the
+graph is freed as soon as the caller lets go of it. Tensors and tapes are
+confined to a single thread; there is no locking.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def _active_tape() -> "Tape | None":
 
 
 class Tape:
-    """Execution-ordered record of operations with their pullback closures.
+    """Execution-ordered (output, inputs) records, one per operation.
 
     Backward traverses the records in exact reverse order. A tape is spent
     after one backward pass; reusing it raises TapeError.
@@ -44,7 +45,7 @@ class Tape:
     __slots__ = ("_records", "_spent")
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -56,7 +57,10 @@ class Tape:
         return False
 
     def backward(self, output: "Tensor") -> None:
-        """Seed the scalar output with gradient 1 and replay pullbacks in reverse."""
+        """Seed the scalar output with gradient 1 and apply the records in reverse.
+
+        A tensor used by several ops sums its contributions in reverse
+        execution order: (c3 + c2) + c1 for uses 1, 2, 3."""
         if self._spent:
             raise TapeError("backward already ran on this tape; re-execute the graph first")
         if output.data.size != 1:
@@ -68,9 +72,10 @@ class Tape:
         # this tape, so a kept list would hold the whole graph until the cyclic GC
         records, self._records = self._records, []
         output._grad = np.ones_like(output.data)
-        for node, pullback in reversed(records):
+        for node, inputs in reversed(records):
             if node._grad is not None:
-                pullback(node._grad)
+                for t, vjp in inputs:
+                    _accum(t, vjp(node._grad))
 
 
 class Tensor:
@@ -143,8 +148,8 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     """Output of op ``name`` with forward ``value`` and one (input, vjp) pair per input.
 
     The output requires a gradient if any input does. While a tape is active,
-    one pullback is recorded; it adds vjp(g) into each input that requires a
-    gradient, in argument order, and never calls the vjp of any other input.
+    one (output, inputs) record keeps the pairs whose input requires a
+    gradient, in argument order; backward never calls any other input's vjp.
     """
     arr = np.ascontiguousarray(value, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -157,13 +162,8 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     out._tape = None
     tape = _active_tape()
     if tape is not None and live:
-
-        def pull(g):
-            for t, vjp in live:
-                _accum(t, vjp(g))
-
         out._tape = tape
-        tape._records.append((out, pull))
+        tape._records.append((out, live))
     return out
 
 

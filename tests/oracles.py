@@ -4,8 +4,9 @@ Each oracle recomputes an expected value by a different route than the
 library (Newton instead of Halley, golden-section instead of closed form,
 explicit softmax instead of log-sum-exp, python loops instead of matrix
 algebra, Python integers instead of uint64 arrays) so agreement is
-meaningful. The helpers compare parameters and read
-metrics lines back.
+meaningful. A few keep a library function's former body verbatim, as the
+reference its replacement must match bit for bit. The helpers compare
+parameters and read metrics lines back.
 """
 import hashlib
 import json
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from tailspin.evaluation import MetricsRecord
+from tailspin.tensor import Tensor
 
 
 def params_digest(params) -> str:
@@ -191,6 +193,60 @@ def full_matrix_knn(reference, queries, cfg) -> np.ndarray:
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return np.where(norms < 1e-12, 0.0, x / np.where(norms < 1e-12, 1.0, norms))
+
+
+# ``gradcheck``'s draw conditioning as it was before one pass per view took its
+# place: a margin walk per network and a table of cosine inputs per method,
+# with BYOL's target rows from a separate EMA forward. The new conditioning
+# must accept and reject exactly the same draws.
+
+def _relu_margin(mlp, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest |preactivation| feeding a ReLU, plus the MLP output."""
+    margin = np.inf
+    h = x
+    for i, layer in enumerate(mlp.layers):
+        pre = h @ layer.weight.data + layer.bias.data
+        if i < len(mlp.layers) - 1:
+            margin = min(margin, float(np.min(np.abs(pre))))
+            h = np.maximum(pre, 0.0)
+        else:
+            h = pre
+    return margin, h
+
+
+def _conditioned(name: str, model, view_a: Tensor, view_b: Tensor) -> bool:
+    """Reject draws where finite differences are meaningless: a cosine input
+    with (near-)zero norm, a Barlow column with (near-)zero variance, or any
+    ReLU preactivation within 1e-3 of its kink (a perturbed forward pass
+    would cross a non-differentiable point)."""
+    margins = []
+    z = {}
+    p = {}
+    for tag, view in (("a", view_a), ("b", view_b)):
+        enc_margin, enc_out = _relu_margin(model.encoder, view.data)
+        proj_margin, proj_out = _relu_margin(model.projector, enc_out)
+        margins += [enc_margin, proj_margin]
+        z[tag] = proj_out
+        if name in ("simsiam", "byol"):
+            pred_margin, pred_out = _relu_margin(model.predictor, proj_out)
+            margins.append(pred_margin)
+            p[tag] = pred_out
+    if min(margins) <= 1e-3:
+        return False
+    if name == "barlow_twins":
+        return min(z["a"].std(axis=0).min(), z["b"].std(axis=0).min()) > 0.05
+    if name == "simclr":
+        rows = [z["a"], z["b"]]
+    elif name == "simsiam":
+        rows = [z["a"], z["b"], p["a"], p["b"]]
+    else:  # byol
+        rows = [
+            p["a"],
+            p["b"],
+            model.ema_projector(model.ema_encoder(view_a)).data,
+            model.ema_projector(model.ema_encoder(view_b)).data,
+        ]
+    return min(np.linalg.norm(r, axis=1).min() for r in rows) > 0.05
 
 
 _M64 = (1 << 64) - 1

@@ -343,6 +343,8 @@ class TestErrorReporting:
             ("finetune.lr=nan", 2, "config-error", ["run"], "finetune.lr"),
             ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),
             ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
+            # positive, but 1/temperature overflows to inf
+            ("pretrain.method=simclr pretrain.temperature=1e-310", 1, "validation-error", ["run"], "temperature"),
             ("finetune.lambda=0", 1, "validation-error", ["run"], "lambda"),
             # only SimSiam has a stop-gradient; only the training loop reads a freeze policy
             ("pretrain.method=byol pretrain.disable_stop_gradient=true", 1, "validation-error", ["run"], "stop_gradient"),

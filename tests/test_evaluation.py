@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_knn, full_matrix_knn, record_from_json_line
+from oracles import _unit_rows, brute_knn, full_matrix_knn, record_from_json_line
 from tailspin import evaluation
 from tailspin.data import Dataset, generate_synthetic
 from tailspin.errors import ContractError, ValidationError
@@ -18,6 +18,7 @@ from tailspin.evaluation import (
 )
 from tailspin.io import load_arrays
 from tailspin.nn import build_model
+from tailspin.tensor import Tensor, l2_normalize
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,15 @@ class TestKnn:
             ref.features, ref_labels, qry.features, k, 4, metric=metric, weighting=weighting
         )
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (7, 16), (40, 32), (5, 1000), (64, 2)])
+    def test_cosine_rows_normalised_bit_for_bit_as_before(self, rows, cols):
+        # cosine kNN normalises with l2_normalize; the former _unit_rows is the reference
+        rng = np.random.default_rng(rows * cols)
+        x = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-14.0, 100.0, size=(rows, 1))
+        x[::3] = 0.0
+        x[1::4] *= 1e-12 / max(np.abs(x[1::4]).max(initial=0.0), 1e-300)  # rows at the 1e-12 floor
+        assert l2_normalize(Tensor(x)).data.tobytes() == _unit_rows(x).tobytes()
 
     def test_k_larger_than_reference_rejected(self):
         ref = labelled(np.zeros((3, 2)), np.zeros(3, dtype=int), 2)

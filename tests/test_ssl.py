@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,21 @@ class TestMethodValidation:
     def test_temperature_positive(self):
         with pytest.raises(ValidationError):
             SSLMethod("simclr", temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), 1e-310])
+    def test_temperature_reciprocal_finite(self, temperature):
+        with pytest.raises(ValidationError, match=r"\btemperature\b"):
+            SSLMethod("simclr", temperature=temperature)
+
+    @pytest.mark.parametrize("key, width, dims", [
+        ("hidden_dim", 0, "[8, 0, 32]"),
+        ("rep_dim", 0, "[8, 64, 0]"),
+        ("input_dim", 0, "[0, 64, 32]"),
+        ("proj_dim", -1, "[32, -1, -1]"),
+    ])
+    def test_nonpositive_width_rejected_at_model_build(self, key, width, dims):
+        with pytest.raises(ValidationError, match=re.escape(f"widths must be >= 1, got {dims}")):
+            build_model("simsiam", **{"input_dim": 8, key: width})
 
     def test_unknown_method_rejected_at_model_build(self):
         with pytest.raises(ConfigError):

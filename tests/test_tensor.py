@@ -90,6 +90,16 @@ class TestBackward:
             tape.backward(out)
         assert x.grad.tolist() == [2.0, 4.0]
 
+    @pytest.mark.parametrize("contributions, total", [((1.0, 1e16, -1e16), 1.0), ((-1e16, 1e16, 1.0), 0.0)])
+    def test_leaf_sums_contributions_in_reverse_execution_order(self, contributions, total):
+        # c1, c2, c3 from three ops in that order: the leaf gets (c3 + c2) + c1,
+        # which is 1 for (1, 1e16, -1e16) while c1 + c2 + c3 is 0
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            uses = [mul(x, Tensor([c])) for c in contributions]
+            tape.backward(tensor_sum(add(add(uses[0], uses[1]), uses[2])))
+        assert x.grad.tolist() == [total]
+
     def test_stop_gradient_values_bitwise_equal(self):
         x = Tensor(rand((3, 4), 2))
         sg = stop_gradient(x)
