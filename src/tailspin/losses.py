@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ShapeError, ValidationError
-from .tensor import Tensor, add, gather_rows, log_sum_exp, mean, mul, sub, _as_tensor
+from .tensor import Tensor, add, mean, softmax_nll, _as_tensor, _op
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
 
@@ -90,7 +90,7 @@ class Priors:
 @dataclass
 class SuperLossParams:
     """Threshold tau (expected average-sample loss; None means log(C), the loss of a
-    uniform prediction, which ``batch_loss`` resolves) and regularization lambda."""
+    uniform prediction, which ``resolved`` fills in) and regularization lambda."""
 
     tau: float | None = None
     lam: float = 4.0
@@ -110,6 +110,10 @@ class SuperLossParams:
                 f"(l - tau) * sigma*: need a finite |tau| + 1 <= {_LOSS_LIMIT:.3g} * min(lambda, 1/e)"
             )
 
+    def resolved(self, num_classes: int) -> "SuperLossParams":
+        """These settings with tau None replaced by log(num_classes)."""
+        return self if self.tau is not None else replace(self, tau=float(np.log(num_classes)))
+
 
 @dataclass
 class ConfidenceReport:
@@ -121,26 +125,28 @@ class ConfidenceReport:
     loss: Tensor  # batch mean, differentiable through the base losses only
 
 
+def _log_priors(logits: Tensor, priors: Priors) -> np.ndarray:
+    if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
+        raise ShapeError(f"logit_adjust: logits {logits.shape} vs {priors.num_classes} priors")
+    return np.log(priors.pi)
+
+
 def logit_adjust(logits: Tensor, priors: Priors) -> Tensor:
     """Add log(pi_y) to column y of every row; identity Jacobian w.r.t. logits."""
     logits = _as_tensor(logits)
-    if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
-        raise ShapeError(f"logit_adjust: logits {logits.shape} vs {priors.num_classes} priors")
-    return add(logits, Tensor(np.log(priors.pi)))
-
-
-def _nll(adjusted: Tensor, labels: np.ndarray) -> Tensor:
-    return sub(log_sum_exp(adjusted, axis=-1), gather_rows(adjusted, labels))
+    return add(logits, Tensor(_log_priors(logits, priors)))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Per-sample softmax cross-entropy via log-sum-exp."""
-    return _nll(_as_tensor(logits), np.asarray(labels))
+    """Per-sample softmax cross-entropy via log-sum-exp, one tape record."""
+    return softmax_nll(_as_tensor(logits), np.asarray(labels))
 
 
 def la_loss(logits: Tensor, labels, priors: Priors) -> Tensor:
-    """Per-sample logit-adjusted cross-entropy."""
-    return _nll(logit_adjust(logits, priors), np.asarray(labels))
+    """Per-sample logit-adjusted cross-entropy: the adjustment and the
+    cross-entropy are one tape record, bit-equal to cross_entropy(logit_adjust(...))."""
+    logits = _as_tensor(logits)
+    return softmax_nll(logits, np.asarray(labels), _log_priors(logits, priors))
 
 
 def superloss_sigma(base_loss, params: SuperLossParams):
@@ -165,18 +171,21 @@ def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
     """Wrap per-sample base losses: (l - tau) * sigma* + lambda * log(sigma*)^2.
 
     sigma* enters as a constant (envelope theorem), so d(loss)/d(l) = sigma*.
+    The wrap and its batch mean are one tape record whose vjp,
+    (g / n) * sigma*, is bit-equal to the sub, mul, add and mean chain.
     """
     ell = _as_tensor(base_losses)
     sigma = np.atleast_1d(superloss_sigma(ell.data, params))
     log_sigma = np.log(sigma)
-    sigma_t = Tensor(sigma.reshape(ell.shape))
-    reg = Tensor((params.lam * log_sigma * log_sigma).reshape(ell.shape))
-    per_sample = add(mul(sub(ell, _as_tensor(params.tau)), sigma_t), reg)
+    weight = sigma.reshape(ell.shape)
+    per_sample = (ell.data - params.tau) * weight + (params.lam * log_sigma * log_sigma).reshape(ell.shape)
+    inv_n = 1.0 / per_sample.size
+    loss = _op("superloss", np.sum(per_sample) * inv_n, (ell, lambda g: g * inv_n * weight))
     return ConfidenceReport(
         base_losses=np.atleast_1d(ell.data.copy()),
         sigma=sigma.copy(),
-        per_sample=np.atleast_1d(per_sample.data.copy()),
-        loss=mean(per_sample),
+        per_sample=per_sample,
+        loss=loss,
     )
 
 
@@ -189,7 +198,5 @@ def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperL
     base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
     if not kind.endswith("_sl"):
         return mean(base), None
-    if params.tau is None:
-        params = replace(params, tau=float(np.log(priors.num_classes)))
-    report = superloss(base, params)
+    report = superloss(base, params.resolved(priors.num_classes))
     return report.loss, report

@@ -5,13 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ValidationError
 from .seeding import rng_for
-from .tensor import Tensor, add, matmul, relu
+from .tensor import Tensor, linear
 
 
 class Linear:
-    """Fully-connected layer: x @ W + b, with He-normal weight init."""
+    """Fully-connected layer: x @ W + b, optionally followed by a ReLU, as one
+    tape record; He-normal weight init."""
 
     def __init__(self, weight: Tensor, bias: Tensor):
         self.weight = weight
@@ -24,10 +25,8 @@ class Linear:
         b = Tensor(np.zeros(fan_out), requires_grad=True)
         return cls(w, b)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
-            raise ShapeError(f"linear: input {x.shape} vs weight {self.weight.shape}")
-        return add(matmul(x, self.weight), self.bias)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return linear(x, self.weight, self.bias, relu)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -54,10 +53,9 @@ class Mlp:
         return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     def __call__(self, x: Tensor) -> Tensor:
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = relu(x)
+            x = layer(x, relu=i < last)
         return x
 
     def parameters(self) -> list[Tensor]:

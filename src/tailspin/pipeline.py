@@ -29,7 +29,7 @@ from .nn import Linear, Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
-from .tensor import Tensor, relu
+from .tensor import Tensor
 
 FULL_HEAD = "full_head"
 LAST_LAYER_ONLY = "last_layer_only"
@@ -154,9 +154,10 @@ def _train_supervised(stage: str, params: list[Tensor], logits_of: Callable[[np.
     priors = estimate_priors(dataset)
     labels = dataset.labels_observed
     lr = settings.optimizer.base_lr
+    superloss = settings.superloss.resolved(priors.num_classes)
 
     def loss_fn(idx: np.ndarray) -> Tensor:
-        return batch_loss(settings.loss, logits_of(idx), labels[idx], priors, settings.superloss)[0]
+        return batch_loss(settings.loss, logits_of(idx), labels[idx], priors, superloss)[0]
 
     def epoch_fn(epoch: int):
         loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
@@ -179,20 +180,27 @@ def finetune(
     """Train the head on frozen-encoder representations with the configured loss.
 
     The encoder, and under ``last_layer_only`` every head layer but the last (with
-    its ReLU), are frozen: computed once, outside any tape. No ``requires_grad``
-    flag changes. Per-epoch test accuracy is recorded when a test set is supplied.
+    its ReLU), are frozen: computed once, outside any tape, for the training set
+    and for the test set. No ``requires_grad`` flag changes. Per-epoch test
+    accuracy is recorded when a test set is supplied.
     """
     if policy not in (FULL_HEAD, LAST_LAYER_ONLY):
         raise ConfigError(f"unknown freeze policy '{policy}'")
     frozen = len(head.layers) - 1 if policy == LAST_LAYER_ONLY else 0
-    reps = encoder_outputs(model, dataset)
-    for layer in head.layers[:frozen]:
-        reps = relu(layer(Tensor(reps))).data
+
+    def frozen_outputs(data: Dataset) -> np.ndarray:
+        reps = encoder_outputs(model, data)
+        for layer in head.layers[:frozen]:
+            reps = layer(Tensor(reps), relu=True).data
+        return reps
+
+    reps = frozen_outputs(dataset)
     trained = Mlp(head.layers[frozen:])
+    test_reps = None if test_set is None else frozen_outputs(test_set)
 
     def per_class() -> dict:
         return {"per_class_accuracy": None if test_set is None else
-                evaluate_classifier(model, head, test_set).per_class_json()}
+                _classify(trained, test_reps, test_set).per_class_json()}
 
     return _train_supervised("finetune", trained.parameters(), lambda idx: trained(Tensor(reps[idx])),
                              dataset, settings, run_seed, sink, per_class)
@@ -242,7 +250,10 @@ def make_datasets(
     return train, test
 
 
-def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
-    reps = encoder_outputs(model, test_set)
+def _classify(head: Mlp, reps: np.ndarray, test_set: Dataset) -> AccuracyReport:
     preds = np.argmax(head(Tensor(reps)).data, axis=1)
     return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
+
+
+def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
+    return _classify(head, encoder_outputs(model, test_set), test_set)

@@ -18,13 +18,12 @@ from .tensor import (
     Tensor,
     add,
     concat_rows,
-    gather_rows,
     l2_normalize,
-    log_sum_exp,
     matmul,
     mean,
     mul,
     negative_cosine_similarity,
+    softmax_nll,
     standardize_columns,
     stop_gradient,
     sub,
@@ -34,6 +33,9 @@ from .tensor import (
 )
 
 _NEG_MASK = -1e9  # finite stand-in for -inf when masking self-similarities
+# NT-Xent's logits are cosines / temperature and its gradients grow as 1 / temperature;
+# below this floor the softmax is a hard argmax, and by 1e-50 a run overflows float64
+_MIN_TEMPERATURE = 1e-4
 
 
 @dataclass
@@ -49,12 +51,12 @@ class SSLMethod:
     def __post_init__(self):
         if self.name not in SSL_METHODS:
             raise ConfigError(f"unknown SSL method '{self.name}', expected one of {SSL_METHODS}")
-        if not (self.temperature > 0 and np.isfinite(1.0 / self.temperature)):
-            raise ValidationError(f"temperature must be positive with a finite reciprocal, got {self.temperature}")
+        if not self.temperature >= _MIN_TEMPERATURE:
+            raise ValidationError(f"temperature must be >= {_MIN_TEMPERATURE:g}, got {self.temperature}")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum must lie in [0, 1], got {self.ema_momentum}")
-        if self.lambda_bt <= 0:
-            raise ValidationError(f"lambda_bt must be positive, got {self.lambda_bt}")
+        if not 0.0 < self.lambda_bt < np.inf:
+            raise ValidationError(f"lambda_bt must be positive and finite, got {self.lambda_bt}")
         if not self.stop_gradient and self.name != "simsiam":
             raise ValidationError(f"stop_gradient=False is SimSiam's collapse ablation; "
                                   f"{self.name} has no stop-gradient to turn off")
@@ -103,9 +105,8 @@ def nt_xent_loss(z_a: Tensor, z_b: Tensor, temperature: float) -> Tensor:
         raise ContractError("nt_xent: batch size must be >= 2, negatives are undefined otherwise")
     z = l2_normalize(concat_rows(z_a, z_b))
     sims = mul(matmul(z, transpose(z)), _as_tensor(1.0 / temperature))
-    masked = add(sims, Tensor(np.eye(2 * b) * _NEG_MASK))
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
-    return mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))
+    return mean(softmax_nll(sims, positives, np.eye(2 * b) * _NEG_MASK))
 
 
 def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:

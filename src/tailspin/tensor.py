@@ -131,6 +131,8 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, s in enumerate(shape):
@@ -144,15 +146,18 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t._grad = g.copy() if t._grad is None else t._grad + g
 
 
-def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]],
+        checked: np.ndarray | None = None) -> Tensor:
     """Output of op ``name`` with forward ``value`` and one (input, vjp) pair per input.
 
     The output requires a gradient if any input does. While a tape is active,
     one (output, inputs) record keeps the pairs whose input requires a
     gradient, in argument order; backward never calls any other input's vjp.
+    The finiteness check reads ``checked`` in place of the output when given:
+    a fused op passes the intermediate that a later step could hide.
     """
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr if checked is None else checked).all():
         raise NumericError(f"{name}: produced non-finite values")
     live = [(t, vjp) for t, vjp in inputs if t.requires_grad]
     out = Tensor.__new__(Tensor)
@@ -199,6 +204,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """x @ W + b, then max(., 0) if ``relu``, as one record with (x, W, b) pairs.
+
+    Values and gradients equal relu(add(matmul(x, W), b)) bit for bit: each
+    vjp starts from g * (pre > 0), the product relu's vjp formed, and the
+    bias gradient is summed over rows by ``_accum`` as add's was. The
+    finiteness check reads the pre-activation, since max(-inf, 0) hides an
+    overflow.
+    """
+    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} vs weight {weight.shape}")
+    try:
+        pre = x.data @ weight.data + bias.data
+    except ValueError:
+        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {(x.shape[0], weight.shape[1])}") from None
+    if not relu:
+        return _op("linear", pre, (x, lambda g: g @ weight.data.T), (weight, lambda g: x.data.T @ g), (bias, lambda g: g))
+    active = pre > 0.0
+    shared = []  # the pre-activation gradient, formed once for the three vjps
+
+    def masked(g):
+        if not shared:
+            shared.append(g * active)
+        return shared[0]
+
+    return _op("linear", np.maximum(pre, 0.0), (x, lambda g: masked(g) @ weight.data.T),
+               (weight, lambda g: x.data.T @ masked(g)), (bias, masked), checked=pre)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
@@ -225,8 +259,15 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
+    """Sum times 1/n in one record, bit-equal to mul(tensor_sum(a), 1/n)."""
+    inv_n = 1.0 / (a.size if axis is None else a.shape[axis])
+
+    def vjp(g):
+        g = g * inv_n
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape)
+
+    # 0 < 1/n <= 1, so the product is finite exactly when the sum is
+    return _op("mean", np.sum(a.data, axis=axis, keepdims=keepdims) * inv_n, (a, vjp))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -244,6 +285,39 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return z
 
     return _op("gather_rows", a.data[rows, idx], (a, vjp))
+
+
+def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
+    """Per-row -log softmax(s)[indices] with s = a + shift, as one record.
+
+    Values and gradient equal sub(log_sum_exp(s), gather_rows(s, indices))
+    with s = add(a, Tensor(shift)) bit for bit: the vjp is z + softmax * g,
+    where z scatters -g into the gathered entries, the sum that gather_rows'
+    and then log_sum_exp's vjps left in s. A finite s gives a finite
+    log-sum-exp, so the checks are on s and on the result.
+    """
+    idx = np.asarray(indices)
+    if a.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
+        raise ShapeError(f"softmax_nll: tensor shape {a.shape} vs index shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise ValidationError(f"softmax_nll: index out of range for {a.shape[1]} columns")
+    s = a.data
+    if shift is not None:
+        s = s + shift
+        if not np.isfinite(s).all():
+            raise NumericError("softmax_nll: the shifted input is non-finite")
+    m = np.max(s, axis=-1, keepdims=True)
+    shifted = np.exp(s - m)
+    total = np.sum(shifted, axis=-1, keepdims=True)
+    soft = shifted / total
+    rows = np.arange(a.shape[0])
+
+    def vjp(g):
+        z = np.zeros_like(soft)
+        np.add.at(z, (rows, idx), -g)
+        return z + soft * g[:, None]
+
+    return _op("softmax_nll", np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], (a, vjp))
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -15,7 +15,21 @@ import math
 import numpy as np
 
 from tailspin.evaluation import MetricsRecord
-from tailspin.tensor import Tensor
+from tailspin.losses import superloss_sigma
+from tailspin.tensor import (
+    Tensor,
+    add,
+    concat_rows,
+    gather_rows,
+    l2_normalize,
+    log_sum_exp,
+    matmul,
+    mul,
+    relu,
+    sub,
+    tensor_sum,
+    transpose,
+)
 
 
 def params_digest(params) -> str:
@@ -289,3 +303,56 @@ def reference_augment(row, gaussian_sigma: float, mask_prob: float, scale_jitter
         y = float(x) * scale + gaussian_sigma * normals[i]
         out.append(0.0 if u[1 + 2 * h + i] < mask_prob else y)
     return out
+
+
+# The tape's chains as they were before one record per layer and per loss
+# term: each step its own op and record. The fused ops must give the same
+# values and the same gradient in every leaf, bit for bit.
+
+def unfused_linear(x, weight, bias, use_relu: bool = False):
+    out = add(matmul(x, weight), bias)
+    return relu(out) if use_relu else out
+
+
+def unfused_mlp(mlp, x):
+    last = len(mlp.layers) - 1
+    for i, layer in enumerate(mlp.layers):
+        x = unfused_linear(x, layer.weight, layer.bias, i < last)
+    return x
+
+
+def unfused_mean(a, axis=None, keepdims=False):
+    n = a.size if axis is None else a.shape[axis]
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+
+
+def unfused_nll(logits, labels, shift=None):
+    """logit_adjust (an add of the constant shift), log_sum_exp, gather_rows, sub."""
+    adjusted = logits if shift is None else add(logits, Tensor(shift))
+    return sub(log_sum_exp(adjusted, axis=-1), gather_rows(adjusted, np.asarray(labels)))
+
+
+def unfused_superloss(base, params):
+    """SuperLoss's sub/mul/add chain and its batch mean: (per-sample values, loss)."""
+    sigma = np.atleast_1d(superloss_sigma(base.data, params))
+    log_sigma = np.log(sigma)
+    sigma_t = Tensor(sigma.reshape(base.shape))
+    reg = Tensor((params.lam * log_sigma * log_sigma).reshape(base.shape))
+    per_sample = add(mul(sub(base, Tensor(params.tau)), sigma_t), reg)
+    return per_sample.data, unfused_mean(per_sample)
+
+
+def unfused_batch_loss(kind, logits, labels, priors, params):
+    """``losses.batch_loss`` over the unfused chains; tau must be resolved for the ``*_sl`` kinds."""
+    base = unfused_nll(logits, labels, np.log(priors.pi) if kind.startswith("la") else None)
+    return unfused_superloss(base, params)[1] if kind.endswith("_sl") else unfused_mean(base)
+
+
+def unfused_nt_xent(z_a, z_b, temperature):
+    """``ssl.nt_xent_loss`` with its masked add, log_sum_exp, gather_rows, sub and mean."""
+    b = z_a.shape[0]
+    z = l2_normalize(concat_rows(z_a, z_b))
+    sims = mul(matmul(z, transpose(z)), Tensor(1.0 / temperature))
+    masked = add(sims, Tensor(np.eye(2 * b) * -1e9))
+    positives = np.concatenate([np.arange(b) + b, np.arange(b)])
+    return unfused_mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))

@@ -345,6 +345,9 @@ class TestErrorReporting:
             ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
             # positive, but 1/temperature overflows to inf
             ("pretrain.method=simclr pretrain.temperature=1e-310", 1, "validation-error", ["run"], "temperature"),
+            # finite reciprocals, but the gradients overflowed mid-run, after data/ was written
+            ("pretrain.method=simclr pretrain.temperature=1e-300", 1, "validation-error", ["run"], "temperature"),
+            ("pretrain.method=simclr pretrain.temperature=1e-100", 1, "validation-error", ["run"], "temperature"),
             ("finetune.lambda=0", 1, "validation-error", ["run"], "lambda"),
             # only SimSiam has a stop-gradient; only the training loop reads a freeze policy
             ("pretrain.method=byol pretrain.disable_stop_gradient=true", 1, "validation-error", ["run"], "stop_gradient"),
@@ -381,6 +384,13 @@ class TestErrorReporting:
             metrics = out / "metrics.jsonl"
             assert not metrics.exists() or metrics.read_text() == "", cmd
             assert not (out / "data").exists(), cmd
+
+    def test_temperature_at_floor_trains(self, tmp_path):
+        out = tmp_path / "floor"
+        assert run_cli("run", "--output", str(out), *FAST,
+                       "--set", "pretrain.method=simclr", "--set", "pretrain.temperature=1e-4") == 0
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert lines and all(np.isfinite(json.loads(line)["loss"]) for line in lines)
 
     def test_adam_overflow_is_one_numeric_error(self, capsys, tmp_path):
         # the squared weight-decayed gradient overflows; training must stop, not stall

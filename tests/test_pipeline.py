@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,31 @@ class TestFinetune:
         head = build_finetune_head(model, 3, "simsiam", seed=4)
         records = finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, run_seed=5, test_set=test)
         assert records[-1].per_class_accuracy == evaluate_classifier(model, head, test).per_class_json()
+
+    @pytest.mark.parametrize("policy", [FULL_HEAD, LAST_LAYER_ONLY])
+    def test_every_epoch_accuracy_is_the_classifier_evaluation(self, setup, policy):
+        # each record's accuracy equals a fresh evaluation after that epoch
+        train, test, model = setup
+        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        expected = []
+        records = finetune(model, head, train, fast_finetune(epochs=3), policy, run_seed=5, test_set=test,
+                           sink=lambda _: expected.append(evaluate_classifier(model, head, test).per_class_json()))
+        assert [r.per_class_accuracy for r in records] == expected
+
+    @pytest.mark.parametrize("policy", [FULL_HEAD, LAST_LAYER_ONLY])
+    def test_encoder_sees_each_set_once(self, setup, policy):
+        # the per-epoch test accuracy reuses the frozen outputs instead of rerunning the encoder
+        train, test, model = setup
+        batches = []
+
+        def encoder(x):
+            batches.append(x.shape[0])
+            return model.encoder(x)
+
+        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        finetune(replace(model, encoder=encoder), head, train, fast_finetune(epochs=3), policy, run_seed=5,
+                 test_set=test)
+        assert sorted(batches) == sorted([train.num_samples, test.num_samples])
 
     @pytest.mark.parametrize("field", [{"loss": "la-sl"}])
     def test_misspelt_settings_rejected_at_construction(self, field):

@@ -289,6 +289,20 @@ class TestMethodValidation:
         with pytest.raises(ValidationError, match=r"\btemperature\b"):
             SSLMethod("simclr", temperature=temperature)
 
+    # 1e-300 and 1e-100 have finite reciprocals but overflow the gradients mid-run
+    @pytest.mark.parametrize("temperature", [1e-300, 1e-100, 0.99e-4])
+    def test_temperature_below_floor_rejected(self, temperature):
+        with pytest.raises(ValidationError, match=r"\btemperature must be >= 0\.0001\b"):
+            SSLMethod("simclr", temperature=temperature)
+
+    def test_temperature_at_floor_accepted(self):
+        assert SSLMethod("simclr", temperature=1e-4).temperature == 1e-4
+
+    @pytest.mark.parametrize("lambda_bt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lambda_bt_positive_and_finite(self, lambda_bt):
+        with pytest.raises(ValidationError, match=r"\blambda_bt\b"):
+            SSLMethod("barlow_twins", lambda_bt=lambda_bt)
+
     @pytest.mark.parametrize("key, width, dims", [
         ("hidden_dim", 0, "[8, 0, 32]"),
         ("rep_dim", 0, "[8, 64, 0]"),
