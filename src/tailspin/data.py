@@ -99,8 +99,8 @@ class AugmentationSpec:
     scale_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0:
-            raise ValidationError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
+        if not 0.0 <= self.gaussian_sigma < np.inf:
+            raise ValidationError(f"gaussian_sigma must be >= 0 and finite, got {self.gaussian_sigma}")
         if not 0.0 <= self.scale_jitter <= 1.0:
             raise ValidationError(f"scale_jitter must lie in [0, 1], since above 1 scale factors go negative, "
                                   f"got {self.scale_jitter}")
@@ -127,7 +127,7 @@ def generate_synthetic(
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
     if dim < 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
-    if cluster_separation <= 0:
+    if not cluster_separation > 0:
         raise ValidationError(f"cluster_separation must be positive, got {cluster_separation}")
 
     means = rng_for(seed, "means").normal(size=(num_classes, dim))

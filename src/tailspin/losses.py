@@ -27,39 +27,55 @@ def lambert_w0(x):
 
     Accepts a scalar or array with x >= -1/e (values within 1e-12 below the
     branch point are clamped onto it). Halley iteration from a piecewise
-    initial guess; residual |w*exp(w) - x| <= 1e-12 * max(1, |x|).
+    initial guess; residual |w*exp(w) - x| <= 1e-12 * max(1, |x|). A branch
+    that no element needs (the near-branch series, the asymptotic guess, the
+    guard at w = -1, the clamp) is skipped; the skipped forms would give the
+    same bits.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     z = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.isfinite(z).all():
+    if z.size == 0:
+        return z.copy()
+    lo, hi = z.min(), z.max()  # NaN propagates into both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError("lambert_w0: argument must be finite")
-    if np.any(z < _BRANCH_POINT - 1e-12):
-        raise ValidationError(f"lambert_w0: argument below -1/e (min was {z.min()!r})")
-    z = np.maximum(z, _BRANCH_POINT)
+    if lo < _BRANCH_POINT - 1e-12:
+        raise ValidationError(f"lambert_w0: argument below -1/e (min was {lo!r})")
+    at_branch = lo <= _BRANCH_POINT
+    if at_branch:
+        z = np.maximum(z, _BRANCH_POINT)
 
     # initial guess: series near the branch point (evaluated only there, its
     # cube overflows for large z), w ~ z for small z, asymptotic
     # log(z) - log(log(z)) for large z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(np.where(z > 1.0, z, np.e))
-        big = lz - np.log(lz)
-    w = np.where(z <= np.e, z / (1.0 + z), big)
-    near = z < -0.25
-    p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
-    w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+    if hi > np.e:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lz = np.log(np.where(z > 1.0, z, np.e))
+            big = lz - np.log(lz)
+        w = np.where(z <= np.e, z / (1.0 + z), big)
+    else:
+        w = z / (1.0 + z)
+    if lo < -0.25:
+        near = z < -0.25
+        p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
+        w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
 
     for _ in range(64):
         ew = np.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
-        safe = np.abs(wp1) > 1e-12
-        denom = np.where(safe, ew * wp1 - (w + 2.0) * f / (2.0 * np.where(safe, wp1, 1.0)), 1.0)
+        if np.abs(wp1).min() > 1e-12:
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        else:
+            safe = np.abs(wp1) > 1e-12
+            denom = np.where(safe, ew * wp1 - (w + 2.0) * f / (2.0 * np.where(safe, wp1, 1.0)), 1.0)
         dw = np.where(f == 0.0, 0.0, f / denom)
         w = w - dw
         if np.all(np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))):
             break
 
-    w[z == _BRANCH_POINT] = -1.0
+    if at_branch:
+        w[z == _BRANCH_POINT] = -1.0
     return float(w[0]) if scalar else w
 
 
@@ -73,9 +89,9 @@ class Priors:
         self.pi = np.asarray(self.pi, dtype=np.float64)
         if self.pi.ndim != 1 or self.pi.size < 2:
             raise ValidationError(f"priors must be a vector over >= 2 classes, got shape {self.pi.shape}")
-        if np.any(self.pi <= 0.0):
+        if not np.all(self.pi > 0.0):
             raise ValidationError("priors must be strictly positive")
-        if abs(self.pi.sum() - 1.0) > 1e-12:
+        if not abs(self.pi.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"priors must sum to 1, got {self.pi.sum()!r}")
 
     @classmethod

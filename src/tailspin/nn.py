@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .seeding import rng_for
-from .tensor import Tensor, linear
+from .tensor import Tensor, flatten, linear
 
 
 class Linear:
@@ -131,13 +131,14 @@ def build_model(
 
 
 def ema_update(model: Model, momentum: float) -> None:
-    """Move every EMA target parameter toward the online one: xi <- m*xi + (1-m)*theta."""
+    """Move every EMA target parameter toward the online one: xi <- m*xi + (1-m)*theta,
+    over the flat vectors of both networks (the online one is usually a run of
+    the optimizer's vector)."""
     if not model.has_ema():
         raise ConfigError("ema_update: model has no EMA target")
     if not 0.0 <= momentum <= 1.0:
         raise ConfigError(f"ema momentum must be in [0, 1], got {momentum}")
-    online = model.encoder.parameters() + model.projector.parameters()
-    target = model.ema_encoder.parameters() + model.ema_projector.parameters()
-    for xi, theta in zip(target, online):
-        xi.data *= momentum
-        xi.data += (1.0 - momentum) * theta.data
+    xi = flatten(model.ema_encoder.parameters() + model.ema_projector.parameters())
+    theta = flatten(model.encoder.parameters() + model.projector.parameters())
+    xi *= momentum
+    xi += (1.0 - momentum) * theta

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ValidationError
 from .seeding import rng_for
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, flatten
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 SCHEDULE_KINDS = ("cosine", "constant")
@@ -28,10 +28,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer kind must be one of {OPTIMIZER_KINDS}, got '{self.kind}'")
-        if self.base_lr <= 0:
-            raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.base_lr < np.inf:
+            raise ValidationError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValidationError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
@@ -57,8 +57,9 @@ class ScheduleConfig:
 
 def scaled_lr(base_lr: float, batch_size: int) -> float:
     """Linear scaling rule: base_lr * batch_size / 256."""
-    if base_lr <= 0 or batch_size <= 0:
-        raise ValidationError("scaled_lr needs positive inputs")
+    if not (0.0 < base_lr < np.inf and batch_size > 0):
+        raise ValidationError(f"scaled_lr needs a positive finite base_lr and a positive batch_size, "
+                              f"got base_lr={base_lr}, batch_size={batch_size}")
     return base_lr * batch_size / 256.0
 
 
@@ -76,22 +77,42 @@ def lr_at(schedule: ScheduleConfig, epoch: int, effective_lr: float) -> float:
 
 
 class _Optimizer:
-    """Parameters plus the gradient both optimizers step on: checked finite,
-    with weight decay coupled (added to the gradient)."""
+    """Parameters as views into one flat vector ``data``, with a matching
+    gradient vector ``grad``: backward writes each parameter's gradient into
+    its slice, and a parameter no gradient reached keeps the zeros of the last
+    ``zero_grad``. Every step is a few whole-vector operations. Weight decay
+    is coupled (added to the gradient), and the gradient is checked finite."""
 
     def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
         self.weight_decay = weight_decay
+        self.data = flatten(self.params)
+        self.grad = np.zeros_like(self.data)
+        self._grad_views = []
+        at = 0
+        for p in self.params:
+            view = self.grad[at : at + p.data.size].reshape(p.data.shape)
+            at += p.data.size
+            if p._grad is not None:  # computed before this optimizer existed
+                view[...] = p._grad
+                p._grad = view
+            p._grad_view = view
+            self._grad_views.append(view)
 
-    def _grad(self, p: Tensor) -> np.ndarray:
-        g = p.grad + self.weight_decay * p.data if self.weight_decay else p.grad
+    def _gradient(self) -> np.ndarray:
+        for p, view in zip(self.params, self._grad_views):
+            if p._grad is not view and p._grad is not None:
+                raise ContractError("optimizer step: a parameter's gradient is not in this optimizer's "
+                                    "gradient vector (another optimizer's, or assigned to _grad)")
+        g = self.grad + self.weight_decay * self.data if self.weight_decay else self.grad
         if not np.isfinite(g).all():
             raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
         return g
 
     def zero_grad(self) -> None:
+        self.grad.fill(0.0)
         for p in self.params:
-            p.zero_grad()
+            p._grad = None
 
 
 class Sgd(_Optimizer):
@@ -100,13 +121,13 @@ class Sgd(_Optimizer):
     def __init__(self, params: list[Tensor], momentum: float = 0.0, weight_decay: float = 0.0):
         super().__init__(params, weight_decay)
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = np.zeros_like(self.data)
 
     def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += self._grad(p)
-            p.data -= lr * v
+        v = self.velocity
+        v *= self.momentum
+        v += self._gradient()
+        self.data -= lr * v
 
 
 class Adam(_Optimizer):
@@ -117,24 +138,24 @@ class Adam(_Optimizer):
 
     def __init__(self, params: list[Tensor], weight_decay: float = 0.0):
         super().__init__(params, weight_decay)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
-                g = self._grad(p)
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-            if not np.isfinite(v).all():  # v = inf would leave p unmoved
-                raise NumericError("adam step: the squared gradient overflows float64, aborting run")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
+            g = self._gradient()
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+        if not np.isfinite(v).all():  # v = inf would leave theta unmoved
+            raise NumericError("adam step: the squared gradient overflows float64, aborting run")
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        self.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):

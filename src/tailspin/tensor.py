@@ -79,9 +79,15 @@ class Tape:
 
 
 class Tensor:
-    """Row-major float64 array plus gradient slot and tape bookkeeping."""
+    """Row-major float64 array plus gradient slot and tape bookkeeping.
 
-    __slots__ = ("data", "requires_grad", "_grad", "_tape")
+    ``flatten`` can make ``data`` a view of one slice of a flat vector
+    (``_flat`` is then that vector and the slice's offset), and an optimizer
+    gives a parameter ``_grad_view``, its slice of the optimizer's gradient
+    vector, into which backward writes the gradient.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "_tape", "_flat", "_grad_view")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -91,6 +97,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
         self._tape: Tape | None = None
+        self._flat: tuple[np.ndarray, int] | None = None
+        self._grad_view: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,15 +114,20 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Accumulated gradient; exact zeros for a non-participating grad leaf."""
+        """Accumulated gradient; for an optimizer's parameter, its slice of the
+        gradient vector; exact zeros for a non-participating grad leaf."""
         if self._grad is not None:
             return self._grad
+        if self._grad_view is not None:
+            return self._grad_view
         if self.requires_grad:
             return np.zeros_like(self.data)
         return None
 
     def zero_grad(self) -> None:
         self._grad = None
+        if self._grad_view is not None:
+            self._grad_view.fill(0.0)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -142,8 +155,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add one contribution to t's gradient: the first is copied (into the
+    optimizer's gradient vector for a parameter), later ones are added in place."""
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    t._grad = g.copy() if t._grad is None else t._grad + g
+    if t._grad is not None:
+        t._grad += g
+    elif t._grad_view is not None:
+        t._grad_view[...] = g
+        t._grad = t._grad_view
+    else:
+        t._grad = g.copy()
+
+
+def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
+    """The float64 vector whose consecutive slices hold the tensors' data, in order.
+
+    If the tensors already tile one run of a vector made here, that run (a
+    view); otherwise a new vector holding their values, each tensor's data
+    becoming a view of its slice. Values, shapes and bits never change. A
+    tensor listed twice is a ContractError.
+    """
+    if tensors and tensors[0]._flat is not None:
+        vector, start = tensors[0]._flat
+        end = start
+        for t in tensors:
+            if t._flat is None or t._flat[0] is not vector or t._flat[1] != end or t.data.base is not vector:
+                break
+            end += t.data.size
+        else:
+            return vector[start:end]
+    if len({id(t) for t in tensors}) != len(tensors):
+        raise ContractError("flatten: a tensor is listed twice")
+    vector = np.concatenate([t.data.ravel() for t in tensors]) if tensors else np.zeros(0)
+    at = 0
+    for t in tensors:
+        t.data = vector[at : at + t.data.size].reshape(t.data.shape)
+        t._flat = (vector, at)
+        at += t.data.size
+    return vector
 
 
 def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]],
@@ -165,6 +214,8 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     out.requires_grad = bool(live)
     out._grad = None
     out._tape = None
+    out._flat = None
+    out._grad_view = None
     tape = _active_tape()
     if tape is not None and live:
         out._tape = tape
@@ -387,7 +438,7 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor], step: f
     tensor; determinism is verified by evaluating it twice. Error per
     coordinate is |analytic - fd| / max(1, |analytic|).
     """
-    if step <= 0:
+    if not step > 0:
         raise ValidationError("finite_diff_check: step must be positive")
 
     def value() -> float:

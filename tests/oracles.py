@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
+from tailspin.errors import NumericError, ValidationError
 from tailspin.evaluation import MetricsRecord
-from tailspin.losses import superloss_sigma
+from tailspin.losses import _BRANCH_POINT, superloss_sigma
 from tailspin.tensor import (
     Tensor,
     add,
@@ -356,3 +357,100 @@ def unfused_nt_xent(z_a, z_b, temperature):
     masked = add(sims, Tensor(np.eye(2 * b) * -1e9))
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
     return unfused_mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))
+
+
+# ``lambert_w0`` as it was before it skipped the branches no element needs:
+# every branch evaluated for every call. The trimmed body must give the same
+# bits, the same return type and the same errors.
+
+def reference_lambert_w0(x):
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    z = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(z).all():
+        raise ValidationError("lambert_w0: argument must be finite")
+    if np.any(z < _BRANCH_POINT - 1e-12):
+        raise ValidationError(f"lambert_w0: argument below -1/e (min was {z.min()!r})")
+    z = np.maximum(z, _BRANCH_POINT)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lz = np.log(np.where(z > 1.0, z, np.e))
+        big = lz - np.log(lz)
+    w = np.where(z <= np.e, z / (1.0 + z), big)
+    near = z < -0.25
+    p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
+    w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+
+    for _ in range(64):
+        ew = np.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        safe = np.abs(wp1) > 1e-12
+        denom = np.where(safe, ew * wp1 - (w + 2.0) * f / (2.0 * np.where(safe, wp1, 1.0)), 1.0)
+        dw = np.where(f == 0.0, 0.0, f / denom)
+        w = w - dw
+        if np.all(np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))):
+            break
+
+    w[z == _BRANCH_POINT] = -1.0
+    return float(w[0]) if scalar else w
+
+
+# The optimizers and the EMA update as they were before one flat vector per
+# optimizer: a loop over the parameters, each stepped on its own arrays. The
+# flat versions must leave every parameter with the same bits.
+
+class PerTensorSgd:
+    def __init__(self, params, momentum=0.0, weight_decay=0.0):
+        self.params = list(params)
+        self.weight_decay = weight_decay
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def _grad(self, p):
+        g = p.grad + self.weight_decay * p.data if self.weight_decay else p.grad
+        if not np.isfinite(g).all():
+            raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
+        return g
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self, lr):
+        for p, v in zip(self.params, self.velocity):
+            v *= self.momentum
+            v += self._grad(p)
+            p.data -= lr * v
+
+
+class PerTensorAdam(PerTensorSgd):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, weight_decay=0.0):
+        super().__init__(params, weight_decay=weight_decay)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
+
+    def step(self, lr):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            with np.errstate(over="ignore"):
+                g = self._grad(p)
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+            if not np.isfinite(v).all():
+                raise NumericError("adam step: the squared gradient overflows float64, aborting run")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def per_tensor_ema_update(model, momentum):
+    online = model.encoder.parameters() + model.projector.parameters()
+    target = model.ema_encoder.parameters() + model.ema_projector.parameters()
+    for xi, theta in zip(target, online):
+        xi.data *= momentum
+        xi.data += (1.0 - momentum) * theta.data

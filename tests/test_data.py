@@ -60,6 +60,8 @@ class TestGenerate:
             generate_synthetic(3, 10, 1, 6.0, seed=0)
         with pytest.raises(ValidationError):
             generate_synthetic(3, 10, 8, 0.0, seed=0)
+        with pytest.raises(ValidationError, match="cluster_separation"):
+            generate_synthetic(3, 10, 8, float("nan"), seed=0)
 
 
 class TestImbalance:
@@ -192,6 +194,11 @@ def _seeds(n, view=0):
 
 
 class TestAugment:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_gaussian_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="gaussian_sigma"):
+            AugmentationSpec(sigma, 0.1, 0.2)
+
     def test_all_zero_spec_is_identity(self):
         x = np.random.default_rng(1).normal(size=(4, 12))
         out = augment(x, AugmentationSpec(), _seeds(4))

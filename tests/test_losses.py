@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import explicit_softmax_nll, golden_section_sigma, newton_lambert
+from oracles import explicit_softmax_nll, golden_section_sigma, newton_lambert, reference_lambert_w0
 from tailspin.errors import ContractError, ShapeError, ValidationError
 from tailspin.losses import (
     Priors,
@@ -51,6 +53,81 @@ class TestLambertW:
         x = np.array([-np.exp(-1.0) + 1e-6, 1e300])
         w = lambert_w0(x)
         assert w == pytest.approx([newton_lambert(v) for v in x], rel=1e-10)
+
+
+def _superloss_arguments(clamp_mode):
+    """The arguments superloss_sigma hands lambert_w0 for a spread of base losses."""
+    rng = np.random.default_rng(21)
+    ell = np.concatenate([rng.uniform(0.0, 12.0, size=64), [0.0, np.log(5.0), 1e-9, 40.0]])
+    args = []
+    for lam in (0.5, 4.0):
+        beta = (ell - np.log(5.0)) / lam
+        bound = 2.0 / np.e
+        args.append(0.5 * (np.maximum(beta, -bound) if clamp_mode == "lower_bound" else np.maximum(beta, bound)))
+    return args
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLambertWBitEqual:
+    """lambert_w0 skips the branches no element needs; every result keeps the
+    bits of the full body in ``oracles.reference_lambert_w0``."""
+
+    @pytest.mark.parametrize("clamp_mode", ["lower_bound", "as_written"])
+    def test_superloss_arguments(self, clamp_mode):
+        for args in _superloss_arguments(clamp_mode):
+            _same_bits(lambert_w0(args), reference_lambert_w0(args))
+            for chunk in np.array_split(args, 7):  # batches with and without clamped samples
+                _same_bits(lambert_w0(chunk), reference_lambert_w0(chunk))
+
+    @pytest.mark.parametrize("x", [
+        [-np.exp(-1.0)],
+        [-np.exp(-1.0) - 1e-13],
+        [-np.exp(-1.0) - 1e-13, 0.3, 5.0],
+        np.linspace(-np.exp(-1.0), -0.25, 50)[1:],
+        np.linspace(-0.3, 0.2, 41),
+        np.geomspace(np.e, 1e300, 300),
+        [np.e],
+        [np.e, np.nextafter(np.e, 10.0)],
+        [-0.3, np.e, 1e300],
+        [0.0, -0.0],
+        [-0.0],
+        [-np.exp(-1.0), -0.2, 3.0, 1e10],  # w = -1 exactly takes the guarded Halley step
+    ])
+    def test_arrays_across_the_branches(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_batches_straddling_the_thresholds(self, seed):
+        # a few values each side of -1/e, -0.25 and e in one call, as a SuperLoss batch has
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.uniform(lo, hi, size=rng.integers(0, 3)) for lo, hi in
+                            ((-np.exp(-1.0), -0.25), (-0.25, np.e), (np.e, 3.0), (3.0, 1e3))])
+        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, np.e, 1e300, -np.exp(-1.0), -np.exp(-1.0) - 1e-13,
+                                   np.float64(0.5), np.array(-0.3), np.array([2.0]), 7])
+    def test_scalars_and_return_type(self, x):
+        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+
+    def test_matrix_and_empty_shapes(self):
+        x = np.linspace(-0.36, 30.0, 12).reshape(3, 4)
+        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+        _same_bits(lambert_w0(np.zeros((0, 3))), reference_lambert_w0(np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf], [-0.5, 1.0]])
+    def test_same_errors(self, x):
+        with pytest.raises(ValidationError) as want:
+            reference_lambert_w0(np.array(x))
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            lambert_w0(np.array(x))
 
 
 class TestLogitAdjust:
@@ -241,6 +318,11 @@ class TestParamValidation:
     def test_priors_must_be_positive(self):
         with pytest.raises(ValidationError):
             Priors(np.array([0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("pi", [[float("nan"), 0.5], [0.5, float("nan"), 0.5]])
+    def test_nan_priors_rejected(self, pi):
+        with pytest.raises(ValidationError, match="priors"):
+            Priors(np.array(pi))
 
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
+from oracles import PerTensorAdam, PerTensorSgd, per_tensor_ema_update
 from tailspin.errors import ContractError, NumericError, ValidationError
+from tailspin.nn import build_model, ema_update
 from tailspin.optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr
-from tailspin.tensor import Tape, Tensor, mul, tensor_sum
+from tailspin.seeding import rng_for
+from tailspin.ssl import SSLMethod, method_loss
+from tailspin.tensor import Tape, Tensor, add, flatten, linear, matmul, mul, tensor_sum, transpose
 
 
 class TestScaledLr:
+    @pytest.mark.parametrize("base_lr", [float("nan"), float("inf"), 0.0])
+    def test_nonpositive_or_non_finite_base_lr_rejected(self, base_lr):
+        with pytest.raises(ValidationError, match="base_lr"):
+            scaled_lr(base_lr, 64)
+
     def test_reference_operating_point(self):
         assert scaled_lr(0.03, 512) == pytest.approx(0.06, abs=1e-15)
 
@@ -61,11 +70,11 @@ class TestSgd:
     def test_momentum_and_weight_decay_formula(self):
         theta = Tensor([2.0], requires_grad=True)
         opt = Sgd([theta], momentum=0.9, weight_decay=0.01)
-        theta._grad = np.array([3.0])
+        opt.grad[:] = 3.0
         opt.step(0.1)
         v1 = 3.0 + 0.01 * 2.0
         assert theta.data[0] == pytest.approx(2.0 - 0.1 * v1, abs=1e-12)
-        theta._grad = np.array([1.0])
+        opt.grad[:] = 1.0
         new_theta = theta.data[0]
         opt.step(0.1)
         v2 = 0.9 * v1 + 1.0 + 0.01 * new_theta
@@ -92,10 +101,10 @@ class TestAdam:
         theta = Tensor([0.0], requires_grad=True)
         opt = Adam([theta])
         for _ in range(200):
-            theta._grad = np.array([2.0])
+            opt.grad[:] = 2.0
             opt.step(0.01)
         before = theta.data[0]
-        theta._grad = np.array([2.0])
+        opt.grad[:] = 2.0
         opt.step(0.01)
         assert before - theta.data[0] == pytest.approx(0.01, rel=1e-3)  # lr * sign(g)
 
@@ -111,7 +120,7 @@ class TestAdam:
     def test_coupled_weight_decay_enters_moments(self):
         theta = Tensor([10.0], requires_grad=True)
         opt = Adam([theta], weight_decay=0.1)
-        theta._grad = np.array([0.0])
+        opt.grad[:] = 0.0
         opt.step(0.001)
         g = 0.1 * 10.0
         assert theta.data[0] == pytest.approx(10.0 - 0.001 * g / (g + 1e-8), abs=1e-12)
@@ -121,3 +130,135 @@ def test_make_optimizer_dispatch():
     p = [Tensor([1.0], requires_grad=True)]
     assert isinstance(make_optimizer(OptimizerConfig(kind="sgd"), p), Sgd)
     assert isinstance(make_optimizer(OptimizerConfig(kind="adam"), p), Adam)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field, value", [("base_lr", float("nan")), ("base_lr", float("inf")),
+                                              ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            OptimizerConfig(**{field: value})
+
+
+def _leaves():
+    """W, b, c and z: W is used twice per graph, c takes a gradient on even
+    steps only, z holds signed zeros and its gradient is -0.0."""
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True),
+            Tensor(rng.normal(size=4), requires_grad=True), Tensor([-0.0, 0.0, -0.0], requires_grad=True)]
+
+
+def _backward(leaves, step):
+    w, b, c, z = leaves
+    x = Tensor(rng_for(0, "x", step).normal(size=(5, 3)))
+    with Tape() as tape:
+        h = matmul(linear(x, w, b, relu=True), transpose(w))
+        loss = add(tensor_sum(mul(h, h)), tensor_sum(mul(z, Tensor(-0.0))))
+        if step % 2 == 0:
+            loss = add(loss, tensor_sum(mul(c, c)))
+        tape.backward(loss)
+
+
+def _bits(arrays):
+    return b"".join(a.tobytes() for a in arrays)
+
+
+_FLAT = {"sgd": Sgd, "adam": Adam}
+_PER_TENSOR = {"sgd": PerTensorSgd, "adam": PerTensorAdam}
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("kind, kwargs", [("sgd", {"momentum": 0.9, "weight_decay": 0.01}),
+                                              ("sgd", {"momentum": 0.0, "weight_decay": 0.0}),
+                                              ("adam", {"weight_decay": 0.01}),
+                                              ("adam", {"weight_decay": 0.0})])
+    @pytest.mark.parametrize("built_after_backward", [False, True])
+    def test_fifty_steps_bit_equal_to_per_tensor_steps(self, kind, kwargs, built_after_backward):
+        flat_leaves, ref_leaves = _leaves(), _leaves()
+        if built_after_backward:  # step 0's gradients exist before either optimizer
+            _backward(flat_leaves, 0)
+            _backward(ref_leaves, 0)
+        flat, ref = _FLAT[kind](flat_leaves, **kwargs), _PER_TENSOR[kind](ref_leaves, **kwargs)
+        for step in range(50):
+            if step or not built_after_backward:
+                _backward(flat_leaves, step)
+                _backward(ref_leaves, step)
+            assert flat.grad.tobytes() == _bits(p.grad for p in ref_leaves)
+            assert np.signbit(flat_leaves[3].grad).all()
+            flat.step(1e-3)
+            ref.step(1e-3)
+            flat.zero_grad()
+            ref.zero_grad()
+            assert flat.data.tobytes() == _bits(p.data for p in ref_leaves)
+            assert _bits(p.data for p in flat_leaves) == _bits(p.data for p in ref_leaves)
+
+    def test_byol_steps_and_ema_bit_equal_to_per_tensor(self):
+        flat_model, ref_model = (build_model("byol", 5, hidden_dim=6, rep_dim=4, proj_dim=4, pred_hidden=3, seed=4)
+                                 for _ in range(2))
+        method = SSLMethod("byol")
+        flat = Sgd(flat_model.trainable_parameters(), momentum=0.9, weight_decay=5e-4)
+        ref = PerTensorSgd(ref_model.trainable_parameters(), momentum=0.9, weight_decay=5e-4)
+        for step in range(50):
+            rng = rng_for(0, "views", step)
+            views = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+            for model, opt, update in ((flat_model, flat, ema_update), (ref_model, ref, per_tensor_ema_update)):
+                with Tape() as tape:
+                    tape.backward(method_loss(model, method, *views))
+                opt.step(0.05)
+                opt.zero_grad()
+                update(model, 0.9)
+            for mlp in ("encoder", "projector", "predictor", "ema_encoder", "ema_projector"):
+                assert (_bits(p.data for p in getattr(flat_model, mlp).parameters())
+                        == _bits(p.data for p in getattr(ref_model, mlp).parameters()))
+
+    def test_parameters_are_views_of_one_vector(self):
+        leaves = _leaves()
+        values = [p.data.copy() for p in leaves]
+        opt = Sgd(leaves)
+        assert opt.data.tobytes() == _bits(values)
+        assert all(p.data.base is opt.data for p in leaves)
+        opt.data[0] = 7.0
+        assert leaves[0].data[0, 0] == 7.0
+
+    def test_parameter_listed_twice_is_contract_error(self):
+        theta = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ContractError, match="twice"):
+            Sgd([theta, Tensor([2.0], requires_grad=True), theta])
+
+    def test_gradient_assigned_after_construction_is_not_dropped(self):
+        theta = Tensor([1.0], requires_grad=True)
+        opt = Sgd([theta])
+        theta._grad = np.array([3.0])
+        with pytest.raises(ContractError, match="gradient vector"):
+            opt.step(0.1)
+
+    def test_gradient_of_another_optimizer_is_not_dropped(self):
+        theta = Tensor([1.0], requires_grad=True)
+        first, second = Sgd([theta]), Sgd([theta])
+        assert np.shares_memory(second.data, first.data)  # the same vector
+        with Tape() as tape:
+            tape.backward(tensor_sum(mul(theta, Tensor(2.0))))
+        assert second.grad[0] == 2.0
+        second.step(0.1)
+        with pytest.raises(ContractError, match="gradient vector"):
+            first.step(0.1)
+
+    def test_tensor_zero_grad_clears_its_slice(self):
+        a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0], requires_grad=True)
+        opt = Sgd([a, b])
+        with Tape() as tape:
+            tape.backward(tensor_sum(mul(a, b)))
+        assert opt.grad.tolist() == [3.0, 3.0, 3.0]
+        a.zero_grad()
+        assert opt.grad.tolist() == [0.0, 0.0, 3.0]
+        opt.step(1.0)
+        assert a.data.tolist() == [1.0, 2.0] and b.data.tolist() == [0.0]
+
+    def test_flatten_returns_the_run_the_tensors_tile(self):
+        leaves = _leaves()
+        vector = flatten(leaves)
+        run = flatten(leaves[1:3])
+        assert run.base is vector and run.size == 4 + 4
+        leaves[2].data = leaves[2].data.copy()  # no longer a view: the tensors tile nothing
+        fresh = flatten(leaves[1:3])
+        assert fresh.base is None and fresh.tobytes() == run.tobytes()

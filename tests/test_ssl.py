@@ -7,7 +7,8 @@ from oracles import barlow_direct, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, ValidationError
 from tailspin.nn import build_model, ema_update
-from tailspin.optim import OptimizerConfig, make_optimizer
+from tailspin import ssl
+from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
 from tailspin.seeding import rng_for
 from tailspin.ssl import (
     SSLMethod,
@@ -271,6 +272,37 @@ class TestPretrainEpoch:
         opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=n),
                              model.trainable_parameters())
         assert pretrain_epoch(model, dataset, ssl_method, opt, 0.002, epoch, seed, aug, n) == want
+
+    def test_epoch_views_sliced_per_batch_equal_build_views_on_the_batch(self, dataset):
+        aug = AugmentationSpec(0.4, 0.1, 0.1)
+        n = dataset.num_samples
+        for epoch in range(5):
+            whole = build_views(dataset.features, np.arange(n), aug, 7, epoch)
+            order = rng_for(7, "shuffle", "pretrain", epoch).permutation(n)
+            for start in range(0, n, 17):  # 120 = 7 * 17 + 1: the last batch holds one row
+                idx = order[start : start + 17]
+                for epoch_view, batch_view in zip(whole, build_views(dataset.features[idx], idx, aug, 7, epoch)):
+                    assert epoch_view[idx].tobytes() == batch_view.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [7, 1024])  # 120 rows: 18 blocks, or one
+    @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
+    def test_epoch_equals_per_batch_views_training(self, method, block_rows, dataset, monkeypatch):
+        monkeypatch.setattr(ssl, "_VIEW_BLOCK_ROWS", block_rows)
+        aug, n, cfg = AugmentationSpec(0.4, 0.1, 0.1), dataset.num_samples, OptimizerConfig(batch_size=17)
+        ssl_method = SSLMethod(method)
+        models = [build_model(method, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8, pred_hidden=4, seed=7)
+                  for _ in range(2)]
+        opts = [make_optimizer(cfg, m.trainable_parameters()) for m in models]
+        for epoch in range(2):
+            got = pretrain_epoch(models[0], dataset, ssl_method, opts[0], 0.03, epoch, 7, aug, 17)
+
+            def loss_fn(idx):
+                return method_loss(models[1], ssl_method, *build_views(dataset.features[idx], idx, aug, 7, epoch))
+
+            after = (lambda: ema_update(models[1], ssl_method.ema_momentum)) if method == "byol" else None
+            want = train_epoch(opts[1], 0.03, loss_fn, n, 17, 7, "pretrain", epoch, min_batch=2, after_step=after)
+            assert got == want
+        assert params_digest(models[0].trainable_parameters()) == params_digest(models[1].trainable_parameters())
 
     @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
     def test_label_tamper_leaves_parameters_bitwise_identical(self, method, dataset):
