@@ -44,7 +44,6 @@ from .losses import (
     cross_entropy,
     la_loss,
     lambert_w0,
-    logit_adjust,
     superloss,
     superloss_sigma,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ShapeError, ValidationError
-from .tensor import Tensor, add, mean, softmax_nll, _as_tensor, _op
+from .tensor import Tensor, mean, softmax_nll, _as_tensor, _op
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
 
@@ -141,28 +141,18 @@ class ConfidenceReport:
     loss: Tensor  # batch mean, differentiable through the base losses only
 
 
-def _log_priors(logits: Tensor, priors: Priors) -> np.ndarray:
-    if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
-        raise ShapeError(f"logit_adjust: logits {logits.shape} vs {priors.num_classes} priors")
-    return np.log(priors.pi)
-
-
-def logit_adjust(logits: Tensor, priors: Priors) -> Tensor:
-    """Add log(pi_y) to column y of every row; identity Jacobian w.r.t. logits."""
-    logits = _as_tensor(logits)
-    return add(logits, Tensor(_log_priors(logits, priors)))
-
-
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-sample softmax cross-entropy via log-sum-exp, one tape record."""
     return softmax_nll(_as_tensor(logits), np.asarray(labels))
 
 
 def la_loss(logits: Tensor, labels, priors: Priors) -> Tensor:
-    """Per-sample logit-adjusted cross-entropy: the adjustment and the
-    cross-entropy are one tape record, bit-equal to cross_entropy(logit_adjust(...))."""
+    """Per-sample logit-adjusted cross-entropy: log(pi_y) is added to column y
+    of every row as the shift of the one cross-entropy record."""
     logits = _as_tensor(logits)
-    return softmax_nll(logits, np.asarray(labels), _log_priors(logits, priors))
+    if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
+        raise ShapeError(f"la_loss: logits {logits.shape} vs {priors.num_classes} priors")
+    return softmax_nll(logits, np.asarray(labels), np.log(priors.pi))
 
 
 def superloss_sigma(base_loss, params: SuperLossParams):

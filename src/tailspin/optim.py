@@ -50,9 +50,8 @@ class ScheduleConfig:
         if self.total_epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ValidationError(
-                f"warmup_epochs ({self.warmup_epochs}) must be < total_epochs ({self.total_epochs})"
-            )
+            raise ValidationError(f"warmup_epochs must lie in [0, total_epochs) = [0, {self.total_epochs}), "
+                                  f"got {self.warmup_epochs}")
 
 
 def scaled_lr(base_lr: float, batch_size: int) -> float:
@@ -77,40 +76,27 @@ def lr_at(schedule: ScheduleConfig, epoch: int, effective_lr: float) -> float:
 
 
 class _Optimizer:
-    """Parameters as views into one flat vector ``data``, with a matching
-    gradient vector ``grad``: backward writes each parameter's gradient into
-    its slice, and a parameter no gradient reached keeps the zeros of the last
-    ``zero_grad``. Every step is a few whole-vector operations. Weight decay
-    is coupled (added to the gradient), and the gradient is checked finite."""
+    """Parameters as views into one flat vector ``data``. Each step gathers the
+    parameters' gradients into one vector, zeros where no gradient arrived,
+    and is a few whole-vector operations. Weight decay is coupled (added to
+    the gradient), and the gradient is checked finite."""
 
     def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
         self.weight_decay = weight_decay
         self.data = flatten(self.params)
-        self.grad = np.zeros_like(self.data)
-        self._grad_views = []
-        at = 0
-        for p in self.params:
-            view = self.grad[at : at + p.data.size].reshape(p.data.shape)
-            at += p.data.size
-            if p._grad is not None:  # computed before this optimizer existed
-                view[...] = p._grad
-                p._grad = view
-            p._grad_view = view
-            self._grad_views.append(view)
+        self._gathered = np.empty_like(self.data)
 
     def _gradient(self) -> np.ndarray:
-        for p, view in zip(self.params, self._grad_views):
-            if p._grad is not view and p._grad is not None:
-                raise ContractError("optimizer step: a parameter's gradient is not in this optimizer's "
-                                    "gradient vector (another optimizer's, or assigned to _grad)")
-        g = self.grad + self.weight_decay * self.data if self.weight_decay else self.grad
+        g = np.concatenate([p._grad.ravel() if p._grad is not None else np.zeros(p.data.size)
+                            for p in self.params], out=self._gathered)
+        if self.weight_decay:
+            g = g + self.weight_decay * self.data
         if not np.isfinite(g).all():
             raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
         return g
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
         for p in self.params:
             p._grad = None
 

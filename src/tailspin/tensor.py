@@ -19,20 +19,16 @@ from .errors import ContractError, NumericError, OracleError, ShapeError, TapeEr
 
 _NORM_FLOOR = 1e-12
 
-# one tape stack per thread: independent runs may train on separate threads
-_local = threading.local()
+
+class _TapeStack(threading.local):
+    """The active tapes of one thread, innermost last: independent runs may
+    train on separate threads."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = _local.tapes = []
-    return stack
-
-
-def _active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_stack = _TapeStack()
 
 
 class Tape:
@@ -49,11 +45,11 @@ class Tape:
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _stack.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _tape_stack().pop()
+        _stack.tapes.pop()
         return False
 
     def backward(self, output: "Tensor") -> None:
@@ -65,11 +61,12 @@ class Tape:
             raise TapeError("backward already ran on this tape; re-execute the graph first")
         if output.data.size != 1:
             raise ContractError(f"backward needs a scalar output, got shape {output.shape}")
-        if output._tape is not self:
+        # the loss is almost always the last record, so search from the end
+        if not any(node is output for node, _ in reversed(self._records)):
             raise TapeError("output was not produced on this tape (detached or foreign)")
         self._spent = True
-        # drop the records before replaying them: each output points back to
-        # this tape, so a kept list would hold the whole graph until the cyclic GC
+        # drop the records before replaying them, so the graph is freed as the
+        # gradients are applied even while the caller still holds this tape
         records, self._records = self._records, []
         output._grad = np.ones_like(output.data)
         for node, inputs in reversed(records):
@@ -79,15 +76,13 @@ class Tape:
 
 
 class Tensor:
-    """Row-major float64 array plus gradient slot and tape bookkeeping.
+    """Row-major float64 array plus its gradient slot. It holds no tape pointer.
 
     ``flatten`` can make ``data`` a view of one slice of a flat vector
-    (``_flat`` is then that vector and the slice's offset), and an optimizer
-    gives a parameter ``_grad_view``, its slice of the optimizer's gradient
-    vector, into which backward writes the gradient.
+    (``_flat`` is then that vector and the slice's offset).
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_tape", "_flat", "_grad_view")
+    __slots__ = ("data", "requires_grad", "_grad", "_flat")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -96,9 +91,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
-        self._tape: Tape | None = None
         self._flat: tuple[np.ndarray, int] | None = None
-        self._grad_view: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,20 +107,15 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Accumulated gradient; for an optimizer's parameter, its slice of the
-        gradient vector; exact zeros for a non-participating grad leaf."""
+        """Accumulated gradient; exact zeros for a non-participating grad leaf."""
         if self._grad is not None:
             return self._grad
-        if self._grad_view is not None:
-            return self._grad_view
         if self.requires_grad:
             return np.zeros_like(self.data)
         return None
 
     def zero_grad(self) -> None:
         self._grad = None
-        if self._grad_view is not None:
-            self._grad_view.fill(0.0)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -155,16 +143,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add one contribution to t's gradient: the first is copied (into the
-    optimizer's gradient vector for a parameter), later ones are added in place."""
+    """Add one contribution to t's gradient: the first is copied, later ones
+    are added in place."""
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    if t._grad is not None:
-        t._grad += g
-    elif t._grad_view is not None:
-        t._grad_view[...] = g
-        t._grad = t._grad_view
-    else:
+    if t._grad is None:
         t._grad = g.copy()
+    else:
+        t._grad += g
 
 
 def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
@@ -213,13 +198,9 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     out.data = arr
     out.requires_grad = bool(live)
     out._grad = None
-    out._tape = None
     out._flat = None
-    out._grad_view = None
-    tape = _active_tape()
-    if tape is not None and live:
-        out._tape = tape
-        tape._records.append((out, live))
+    if live and _stack.tapes:
+        _stack.tapes[-1]._records.append((out, live))
     return out
 
 

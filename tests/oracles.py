@@ -327,8 +327,13 @@ def unfused_mean(a, axis=None, keepdims=False):
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
+def logit_adjust(logits, priors):
+    """The former ``losses.logit_adjust``: log(pi_y) added to column y of every row."""
+    return add(logits, Tensor(np.log(priors.pi)))
+
+
 def unfused_nll(logits, labels, shift=None):
-    """logit_adjust (an add of the constant shift), log_sum_exp, gather_rows, sub."""
+    """The constant shift added as ``logit_adjust`` did, log_sum_exp, gather_rows, sub."""
     adjusted = logits if shift is None else add(logits, Tensor(shift))
     return sub(log_sum_exp(adjusted, axis=-1), gather_rows(adjusted, np.asarray(labels)))
 

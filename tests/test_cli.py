@@ -361,6 +361,9 @@ class TestErrorReporting:
             ("finetune.epochs=-1", 1, "validation-error", ["run"], "epochs"),
             ("single_stage.epochs=0", 1, "validation-error", ["run-single-stage"], "epochs"),
             ("pretrain.epochs=0", 1, "validation-error", ["run"], "epochs"),
+            # -1 is below the range, not above it: the message states [0, total_epochs)
+            ("pretrain.warmup_epochs=-1 pretrain.epochs=2", 1, "validation-error", ["run"],
+             "warmup_epochs must lie in [0, total_epochs) = [0, 2), got -1"),
             ("pretrain.momentum=5", 1, "validation-error", ["run"], "momentum"),
             ("finetune.optimizer=sgd finetune.momentum=-5", 1, "validation-error", ["run"], "momentum"),
             ("pretrain.weight_decay=-1", 1, "validation-error", ["run"], "weight_decay"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import explicit_softmax_nll, golden_section_sigma, newton_lambert, reference_lambert_w0
+from oracles import logit_adjust as oracle_logit_adjust
 from tailspin.errors import ContractError, ShapeError, ValidationError
 from tailspin.losses import (
     Priors,
@@ -14,7 +15,6 @@ from tailspin.losses import (
     cross_entropy,
     la_loss,
     lambert_w0,
-    logit_adjust,
     superloss,
     superloss_sigma,
 )
@@ -131,28 +131,43 @@ class TestLambertWBitEqual:
 
 
 class TestLogitAdjust:
+    """The prior shift, through ``la_loss`` and through the oracle copy of the
+    former ``logit_adjust``, which ``la_loss`` equals bit for bit."""
+
     def test_uniform_priors_shift_by_log_c(self):
         logits = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        adjusted = logit_adjust(logits, Priors.uniform(5))
+        adjusted = oracle_logit_adjust(logits, Priors.uniform(5))
         assert np.allclose(adjusted.data - logits.data, np.log(1 / 5), atol=1e-15)
+        labels = [0, 1, 4, 2]
+        assert (la_loss(logits, labels, Priors.uniform(5)).data.tobytes()
+                == cross_entropy(adjusted, labels).data.tobytes())
 
     def test_zero_row_becomes_log_priors(self):
         pri = Priors(np.array([0.5, 0.3, 0.2]))
-        adjusted = logit_adjust(Tensor([[0.0, 0.0, 0.0]]), pri)
+        adjusted = oracle_logit_adjust(Tensor([[0.0, 0.0, 0.0]]), pri)
         assert np.allclose(adjusted.data[0], np.log([0.5, 0.3, 0.2]), atol=1e-15)
+        # softmax(log pi) = pi, so the loss of each label y is -log(pi_y)
+        losses = la_loss(Tensor(np.zeros((3, 3))), [0, 1, 2], pri).data
+        assert np.allclose(-losses, np.log([0.5, 0.3, 0.2]), atol=1e-15)
 
     def test_rare_class_decision_flip(self):
         # evaluated numerically on both sides: argmax moves to the dominant class
         pri = Priors(np.array([0.9, 0.1]))
         raw = np.array([[1.0, 1.1]])
-        adjusted = logit_adjust(Tensor(raw), pri)
+        adjusted = oracle_logit_adjust(Tensor(raw), pri)
         expected = raw + np.log([0.9, 0.1])
         assert np.allclose(adjusted.data, expected, atol=1e-15)
         assert np.argmax(raw) == 1 and np.argmax(adjusted.data) == 0
+        # the label of least loss is the decision: it moves from 1 to 0 as well
+        both = Tensor(np.repeat(raw, 2, axis=0))
+        assert np.argmin(cross_entropy(both, [0, 1]).data) == 1
+        la = la_loss(both, [0, 1], pri).data
+        assert np.argmin(la) == 0
+        assert la[1] - la[0] == pytest.approx(expected[0, 0] - expected[0, 1], abs=1e-15)
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            logit_adjust(Tensor(np.zeros((2, 4))), Priors.uniform(3))
+        with pytest.raises(ShapeError, match="la_loss"):
+            la_loss(Tensor(np.zeros((2, 4))), [0, 1], Priors.uniform(3))
 
 
 class TestLaLoss:

@@ -100,6 +100,15 @@ class TestBackward:
             tape.backward(tensor_sum(add(add(uses[0], uses[1]), uses[2])))
         assert x.grad.tolist() == [total]
 
+    def test_first_contribution_is_copied(self):
+        # add's vjp hands both inputs the same upstream array; x's later
+        # in-place contribution must not reach y's gradient
+        x, y = Tensor([1.0], requires_grad=True), Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            tripled = mul(x, Tensor([3.0]))
+            tape.backward(tensor_sum(add(tripled, add(x, y))))
+        assert x.grad.tolist() == [4.0] and y.grad.tolist() == [1.0]
+
     def test_stop_gradient_values_bitwise_equal(self):
         x = Tensor(rand((3, 4), 2))
         sg = stop_gradient(x)
@@ -160,6 +169,41 @@ class TestBackward:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_graph_of_a_failed_forward_is_freed_with_its_tape(self):
+        # tensors hold no pointer back to their tape, so the records form no
+        # cycle and reference counting frees them when the tape goes
+        def forward_that_raises(tape, refs):
+            x = Tensor(rand((3, 4), 11), requires_grad=True)
+            with tape:
+                hidden = relu(matmul(x, Tensor(rand((4, 3), 12))))
+                refs.append(weakref.ref(hidden.data))
+                add(hidden, Tensor(np.zeros(5)))  # (3, 3) + (5,): ShapeError
+
+        refs = []
+        tape = Tape()
+        gc.disable()
+        try:
+            try:
+                forward_that_raises(tape, refs)
+            except ShapeError:
+                pass
+            assert refs[0]() is not None  # the tape's records hold the graph
+            del tape
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+
+    def test_output_of_another_tape_is_error(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as outer:
+            out = tensor_sum(mul(x, x))
+            with Tape() as inner:
+                tensor_sum(mul(x, x))
+                with pytest.raises(TapeError, match="not produced on this tape"):
+                    inner.backward(out)
+            outer.backward(out)
+        assert x.grad.tolist() == [2.0]
 
     def test_backward_linearity(self):
         # gradient of f + g equals gradient of f plus gradient of g
