@@ -174,8 +174,10 @@ def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, di
 # metrics: append-only JSON lines, flushed per record
 
 class MetricsWriter:
-    """Append-only metrics sink; one line per record, flushed immediately so
-    interrupted runs retain every completed epoch."""
+    """Append-only metrics sink; one line per record, flushed to the operating
+    system immediately, so a reader sees every completed line and a killed
+    run leaves every completed epoch. It does not fsync: the lines survive the
+    process, not a crash of the machine."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -185,7 +187,6 @@ class MetricsWriter:
     def __call__(self, record) -> None:
         self._fh.write(record.to_json_line() + "\n")
         self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         self._fh.close()

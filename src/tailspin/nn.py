@@ -25,8 +25,8 @@ class Linear:
         b = Tensor(np.zeros(fan_out), requires_grad=True)
         return cls(w, b)
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return linear(x, self.weight, self.bias, relu)
+    def __call__(self, x: Tensor, relu: bool = False, blocks: int = 1) -> Tensor:
+        return linear(x, self.weight, self.bias, relu, blocks)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -39,7 +39,10 @@ class Linear:
 
 
 class Mlp:
-    """Stack of Linear layers with ReLU between them (none after the last)."""
+    """Stack of Linear layers with ReLU between them (none after the last).
+
+    Called with ``blocks`` > 1, every layer forms its products per row block
+    (see ``tensor.linear``), so stacked views pass through as one batch."""
 
     def __init__(self, layers: list[Linear]):
         self.layers = layers
@@ -52,10 +55,10 @@ class Mlp:
             raise ValidationError(f"mlp widths must be >= 1, got {dims}")
         return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, blocks: int = 1) -> Tensor:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, relu=i < last)
+            x = layer(x, relu=i < last, blocks=blocks)
         return x
 
     def parameters(self) -> list[Tensor]:

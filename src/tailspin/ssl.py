@@ -11,26 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AugmentationSpec, Dataset, augment, view_seed
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ConfigError, ContractError, NumericError, ValidationError
 from .nn import SSL_METHODS, Model, ema_update
 from .optim import train_epoch
-from .tensor import (
-    Tensor,
-    add,
-    concat_rows,
-    l2_normalize,
-    matmul,
-    mean,
-    mul,
-    negative_cosine_similarity,
-    softmax_nll,
-    standardize_columns,
-    stop_gradient,
-    sub,
-    tensor_sum,
-    transpose,
-    _as_tensor,
-)
+from .tensor import Tensor, _op, _softmax_nll, _unit
 
 _NEG_MASK = -1e9  # finite stand-in for -inf when masking self-similarities
 # NT-Xent's logits are cosines / temperature and its gradients grow as 1 / temperature;
@@ -80,76 +64,160 @@ def build_views(
             augment(features, aug, view_seed(run_seed, epoch, indices, 1)))
 
 
-def simsiam_loss(p_a: Tensor, z_a: Tensor, p_b: Tensor, z_b: Tensor, stop_grad: bool = True) -> Tensor:
-    """-0.5 * [cos(p_a, sg(z_b)) + cos(p_b, sg(z_a))], batch-averaged.
+def _views(z: Tensor, name: str) -> int:
+    """B, for z holding two views of B >= 1 rows each stacked as (2B, d), view a first."""
+    if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2:
+        raise ContractError(f"{name}: expected two views stacked as (2B, d), got shape {z.shape}")
+    return z.shape[0] // 2
 
+
+def _swap(a: np.ndarray, b: int) -> np.ndarray:
+    """The other view of every row: view b's rows, then view a's."""
+    return np.concatenate([a[b:], a[:b]])
+
+
+def simsiam_loss(p: Tensor, z: Tensor, stop_grad: bool = True) -> Tensor:
+    """-0.5 * [cos(p_a, sg(z_b)) + cos(p_b, sg(z_a))], batch-averaged, as one record.
+
+    p and z are stacked views, (2B, d) with view a in rows [:B]. The value
+    and gradients equal the chain of l2-normalize, product, row sum, mean,
+    negation and halving per term that it replaced, bit for bit.
     ``stop_grad=False`` is the collapse-ablation switch; gradients then flow
     through both branches.
     """
-    t_b = stop_gradient(z_b) if stop_grad else z_b
-    t_a = stop_gradient(z_a) if stop_grad else z_a
-    half = _as_tensor(0.5)
-    return add(
-        mul(negative_cosine_similarity(p_a, t_b), half),
-        mul(negative_cosine_similarity(p_b, t_a), half),
-    )
+    if p.shape != z.shape:
+        raise ContractError(f"simsiam: predictor and target shapes differ, {p.shape} vs {z.shape}")
+    b = _views(p, "simsiam")
+    yp, p_vjp = _unit(p.data, -1, "simsiam")
+    yz, z_vjp = _unit(z.data, -1, "simsiam")
+    dots = np.sum(yp * _swap(yz, b), axis=-1)
+    inv_n = 1.0 / b
+
+    def scale(g):  # the halving, negation and mean vjps
+        return -(g * 0.5) * inv_n
+
+    value = -(np.sum(dots[:b]) * inv_n) * 0.5 + -(np.sum(dots[b:]) * inv_n) * 0.5
+    pairs = [(p, lambda g: p_vjp(scale(g) * _swap(yz, b)))]
+    if not stop_grad:
+        pairs.append((z, lambda g: z_vjp(scale(g) * _swap(yp, b))))
+    return _op("simsiam", value, *pairs)
 
 
-def nt_xent_loss(z_a: Tensor, z_b: Tensor, temperature: float) -> Tensor:
-    """Normalized-temperature cross-entropy over the 2B embeddings.
+def nt_xent_loss(z: Tensor, temperature: float) -> Tensor:
+    """Normalized-temperature cross-entropy over the 2B stacked embeddings, as one record.
 
-    For each anchor the positive is its other view; the remaining 2B - 2
-    embeddings act as negatives (the positive stays in the denominator).
+    z is (2B, d) with view a in rows [:B]. For each anchor the positive is
+    its other view; the remaining 2B - 2 embeddings act as negatives (the
+    positive stays in the denominator). The value and gradient equal the
+    chain of normalize, Gram matrix, 1/T scale, masked softmax-NLL and mean
+    that it replaced, bit for bit, the Gram matrix included: it multiplies
+    by a contiguous copy of the normalized z's transpose, as that chain's
+    transpose record did, since a product with the transposed view takes
+    another BLAS path.
     """
-    if z_a.shape != z_b.shape:
-        raise ContractError(f"nt_xent: view shapes differ, {z_a.shape} vs {z_b.shape}")
-    b = z_a.shape[0]
+    b = _views(z, "nt_xent")
     if b < 2:
         raise ContractError("nt_xent: batch size must be >= 2, negatives are undefined otherwise")
-    z = l2_normalize(concat_rows(z_a, z_b))
-    sims = mul(matmul(z, transpose(z)), _as_tensor(1.0 / temperature))
+    y, unit_vjp = _unit(z.data, -1, "nt_xent")
+    yt = np.ascontiguousarray(y.T)
+    inv_t = 1.0 / temperature
+    sims = (y @ yt) * inv_t
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
-    return mean(softmax_nll(sims, positives, np.eye(2 * b) * _NEG_MASK))
+    nll, nll_vjp = _softmax_nll(sims + np.eye(2 * b) * _NEG_MASK, positives)
+    inv_n = 1.0 / (2 * b)
+
+    def vjp(g):
+        grad_sims = nll_vjp(np.broadcast_to(g * inv_n, nll.shape)) * inv_t
+        # y is both Gram operands: the left one's gradient, then the transposed right one's
+        grad_y = grad_sims @ yt.T
+        grad_y += (y.T @ grad_sims).T
+        return unit_vjp(grad_y)
+
+    return _op("nt_xent", np.sum(nll) * inv_n, (z, vjp))
 
 
-def barlow_twins_loss(z_a: Tensor, z_b: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
-    """Redundancy reduction on the batch-standardized cross-correlation matrix."""
-    if z_a.shape != z_b.shape:
-        raise ContractError(f"barlow_twins: view shapes differ, {z_a.shape} vs {z_b.shape}")
-    if z_a.shape[0] < 2:
+def _standardize(a: np.ndarray, inv_b: float, eps: float):
+    """Zero-mean unit-variance columns of one view (biased variance) and their vjp,
+    with the mean, sub, square, mean, add and power steps of the chain it replaced."""
+    mu = np.sum(a, axis=0, keepdims=True) * inv_b
+    centered = a - mu
+    var = np.sum(centered * centered, axis=0, keepdims=True) * inv_b
+    if not np.isfinite(var).all():
+        raise NumericError("barlow_twins: a column's variance overflows float64")
+    shifted = var + eps
+    scale = shifted ** -0.5
+
+    def vjp(g):
+        grad_var = (g * centered).sum(axis=0, keepdims=True) * -0.5 * shifted ** -1.5
+        square = (grad_var * inv_b) * centered
+        # centered takes the scaled gradient, then the square's two factors in turn
+        grad = g * scale
+        grad += square
+        grad += square
+        return grad + (-grad).sum(axis=0, keepdims=True) * inv_b
+
+    return centered * scale, vjp
+
+
+def barlow_twins_loss(z: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
+    """Redundancy reduction on the batch-standardized cross-correlation matrix, as one record.
+
+    z is (2B, d) with view a in rows [:B]; each view is standardized on its
+    own. The value and gradient equal the chain of standardization,
+    cross-correlation and weighted squares that it replaced, bit for bit.
+    """
+    b = _views(z, "barlow_twins")
+    if b < 2:
         raise ContractError("barlow_twins: batch standardization needs batch size >= 2")
-    b, d = z_a.shape
-    za = standardize_columns(z_a, eps=eps)
-    zb = standardize_columns(z_b, eps=eps)
-    corr = mul(matmul(transpose(za), zb), _as_tensor(1.0 / b))
-    eye = np.eye(d)
-    diag_err = mul(sub(corr, Tensor(eye)), Tensor(eye))
-    off = mul(corr, Tensor(1.0 - eye))
-    invariance = tensor_sum(mul(diag_err, diag_err))
-    redundancy = tensor_sum(mul(off, off))
-    return add(invariance, mul(redundancy, _as_tensor(lambda_bt)))
+    inv_b = 1.0 / b
+    eye = np.eye(z.shape[1])
+    off_mask = 1.0 - eye
+    std_a, vjp_a = _standardize(z.data[:b], inv_b, eps)
+    std_b, vjp_b = _standardize(z.data[b:], inv_b, eps)
+    std_a_t = np.ascontiguousarray(std_a.T)
+    corr = (std_a_t @ std_b) * inv_b
+    diag_err = (corr - eye) * eye
+    off = corr * off_mask
+    value = np.sum(diag_err * diag_err) + np.sum(off * off) * lambda_bt
+
+    def vjp(g):
+        # each square's two factors add the same term, one after the other
+        off_term = (g * lambda_bt) * off
+        diag_term = g * diag_err
+        grad_corr = (off_term + off_term) * off_mask
+        grad_corr += (diag_term + diag_term) * eye
+        grad_corr *= inv_b
+        grad = np.empty_like(z.data)
+        grad[:b] = vjp_a((grad_corr @ std_b.T).T.copy())
+        grad[b:] = vjp_b(std_a_t.T @ grad_corr)
+        return grad
+
+    return _op("barlow_twins", value, (z, vjp))
 
 
 def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
     """The configured objective on two views of one minibatch; labels are never consulted.
 
-    SimSiam applies ``method.stop_gradient``; BYOL's target branch is the EMA
-    network, which never takes a gradient.
+    Both views pass through each network as one stacked (2B, d) batch, view
+    a in rows [:B], with every product formed per view (``linear``'s
+    blocks), so the loss and every gradient equal one pass per view bit for
+    bit. SimSiam applies ``method.stop_gradient``; BYOL's target branch is
+    the EMA network, which never takes a gradient.
     """
     if method.name == "byol" and not model.has_ema():
         raise ConfigError("byol requires a model with an EMA target")
-    z_a = model.projector(model.encoder(Tensor(view_a)))
-    z_b = model.projector(model.encoder(Tensor(view_b)))
+    if view_a.shape != view_b.shape:
+        raise ContractError(f"method_loss: view shapes differ, {view_a.shape} vs {view_b.shape}")
+    x = Tensor(np.concatenate([view_a, view_b]))
+    z = model.projector(model.encoder(x, 2), 2)
     if method.name == "simclr":
-        return nt_xent_loss(z_a, z_b, method.temperature)
+        return nt_xent_loss(z, method.temperature)
     if method.name == "barlow_twins":
-        return barlow_twins_loss(z_a, z_b, method.lambda_bt)
-    p_a, p_b = model.predictor(z_a), model.predictor(z_b)
+        return barlow_twins_loss(z, method.lambda_bt)
+    p = model.predictor(z, 2)
     if method.name == "simsiam":
-        return simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=method.stop_gradient)
-    t_a = model.ema_projector(model.ema_encoder(Tensor(view_a)))
-    t_b = model.ema_projector(model.ema_encoder(Tensor(view_b)))
-    return simsiam_loss(p_a, t_a, p_b, t_b, stop_grad=False)
+        return simsiam_loss(p, z, stop_grad=method.stop_gradient)
+    return simsiam_loss(p, model.ema_projector(model.ema_encoder(x, 2), 2), stop_grad=False)
 
 
 def pretrain_epoch(

@@ -182,11 +182,13 @@ def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
 
 def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]],
         checked: np.ndarray | None = None) -> Tensor:
-    """Output of op ``name`` with forward ``value`` and one (input, vjp) pair per input.
+    """Output of op ``name`` with forward ``value`` and (input, vjp) pairs, one or
+    more per input.
 
     The output requires a gradient if any input does. While a tape is active,
     one (output, inputs) record keeps the pairs whose input requires a
-    gradient, in argument order; backward never calls any other input's vjp.
+    gradient, in argument order, which is the order backward adds them in;
+    backward never calls any other input's vjp.
     The finiteness check reads ``checked`` in place of the output when given:
     a fused op passes the intermediate that a later step could hide.
     """
@@ -222,10 +224,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _op("sub", _broadcast_op(a, b, np.subtract, "sub"), (a, lambda g: g), (b, lambda g: -g))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _op("neg", -a.data, (a, lambda g: -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op("mul", _broadcast_op(a, b, np.multiply, "mul"), (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
@@ -236,33 +234,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
-    """x @ W + b, then max(., 0) if ``relu``, as one record with (x, W, b) pairs.
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False, blocks: int = 1) -> Tensor:
+    """x @ W + b, then max(., 0) if ``relu``, as one record.
 
-    Values and gradients equal relu(add(matmul(x, W), b)) bit for bit: each
-    vjp starts from g * (pre > 0), the product relu's vjp formed, and the
-    bias gradient is summed over rows by ``_accum`` as add's was. The
-    finiteness check reads the pre-activation, since max(-inf, 0) hides an
-    overflow.
+    x's rows are ``blocks`` equal row blocks, such as the two views of a
+    pretraining batch stacked view a first. Each product (x_k @ W, g_k @ W.T
+    and x_k.T @ g_k) is formed per block with the operands that one record
+    per block would use, and the record holds x's pair, then a W and a b
+    pair per block, last block first: the order in which the reverse tape
+    applied one record per block. So values and gradients equal
+    relu(add(matmul(x_k, W), b)) per block bit for bit. The bias add, the
+    ReLU and the finiteness check run once over all rows; the check reads
+    the pre-activation, since max(-inf, 0) hides an overflow. Every vjp
+    starts from g * (pre > 0), the product relu's vjp formed, and the bias
+    gradient is summed over a block's rows by ``_accum`` as add's was.
     """
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} vs weight {weight.shape}")
+    if blocks < 1 or x.shape[0] % blocks:
+        raise ContractError(f"linear: {x.shape[0]} rows do not split into {blocks} equal blocks")
+    step = x.shape[0] // blocks
+    spans = [slice(k * step, (k + 1) * step) for k in range(blocks)]
+    pre = np.empty((x.shape[0], weight.shape[1]))
+    for s in spans:
+        np.matmul(x.data[s], weight.data, out=pre[s])
     try:
-        pre = x.data @ weight.data + bias.data
+        pre += bias.data
     except ValueError:
-        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {(x.shape[0], weight.shape[1])}") from None
-    if not relu:
-        return _op("linear", pre, (x, lambda g: g @ weight.data.T), (weight, lambda g: x.data.T @ g), (bias, lambda g: g))
-    active = pre > 0.0
-    shared = []  # the pre-activation gradient, formed once for the three vjps
+        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {pre.shape}") from None
+    active = pre > 0.0 if relu else None
+    shared = []  # the pre-activation gradient, formed once for every vjp
 
-    def masked(g):
+    def grad_pre(g):
         if not shared:
-            shared.append(g * active)
+            shared.append(g * active if relu else g)
         return shared[0]
 
-    return _op("linear", np.maximum(pre, 0.0), (x, lambda g: masked(g) @ weight.data.T),
-               (weight, lambda g: x.data.T @ masked(g)), (bias, masked), checked=pre)
+    def x_vjp(g):
+        out = np.empty_like(x.data)
+        for s in spans:
+            np.matmul(grad_pre(g)[s], weight.data.T, out=out[s])
+        return out
+
+    pairs = [(x, x_vjp)]
+    for s in reversed(spans):
+        pairs += [(weight, lambda g, s=s: x.data[s].T @ grad_pre(g)[s]), (bias, lambda g, s=s: grad_pre(g)[s])]
+    return _op("linear", np.maximum(pre, 0.0) if relu else pre, *pairs, checked=pre)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -338,18 +355,25 @@ def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
         s = s + shift
         if not np.isfinite(s).all():
             raise NumericError("softmax_nll: the shifted input is non-finite")
+    value, vjp = _softmax_nll(s, idx)
+    return _op("softmax_nll", value, (a, vjp))
+
+
+def _softmax_nll(s: np.ndarray, idx: np.ndarray):
+    """Per-row -log softmax(s)[idx] of a finite 2-d s, and its vjp: z + softmax * g,
+    where z scatters -g into the gathered entries."""
     m = np.max(s, axis=-1, keepdims=True)
     shifted = np.exp(s - m)
     total = np.sum(shifted, axis=-1, keepdims=True)
     soft = shifted / total
-    rows = np.arange(a.shape[0])
+    rows = np.arange(s.shape[0])
 
     def vjp(g):
         z = np.zeros_like(soft)
         np.add.at(z, (rows, idx), -g)
         return z + soft * g[:, None]
 
-    return _op("softmax_nll", np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], (a, vjp))
+    return np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], vjp
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -373,41 +397,31 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Unit-normalize along one axis; vectors with norm < 1e-12 map to zero. A
     squared norm beyond float64 range is a NumericError, not a zero vector."""
+    y, vjp = _unit(a.data, axis, "l2_normalize")
+    return _op("l2_normalize", y, (a, vjp))
+
+
+def _unit(a: np.ndarray, axis: int, name: str):
+    """``l2_normalize``'s value and vjp on an array; ``name`` heads the overflow error."""
     with np.errstate(over="ignore"):
-        squared = np.sum(a.data * a.data, axis=axis, keepdims=True)
+        squared = np.sum(a * a, axis=axis, keepdims=True)
     if not np.isfinite(squared).all():
-        raise NumericError("l2_normalize: squared norm overflows float64")
+        raise NumericError(f"{name}: squared norm overflows float64")
     norm = np.sqrt(squared)
     degenerate = norm < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norm)
-    y = np.where(degenerate, 0.0, a.data / safe)
+    y = np.where(degenerate, 0.0, a / safe)
 
     def vjp(g):
         inner = np.sum(g * y, axis=axis, keepdims=True)
         return np.where(degenerate, 0.0, (g - y * inner) / safe)
 
-    return _op("l2_normalize", y, (a, vjp))
+    return y, vjp
 
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Pass values through bitwise unchanged; block all gradient flow."""
     return _op("stop_gradient", a.data)
-
-
-def negative_cosine_similarity(p: Tensor, z: Tensor) -> Tensor:
-    """Batch mean of -cos(p_i, z_i) over rows."""
-    dots = tensor_sum(mul(l2_normalize(p), l2_normalize(z)), axis=-1)
-    return neg(mean(dots))
-
-
-def standardize_columns(a: Tensor, eps: float = 1e-9) -> Tensor:
-    """Zero-mean unit-variance per column over the batch axis (biased variance)."""
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise ContractError(f"standardize_columns: need a (B>=2, d) tensor, got {a.shape}")
-    mu = mean(a, axis=0, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=0, keepdims=True)
-    return mul(centered, power(add(var, _as_tensor(eps)), -0.5))
 
 
 # ---------------------------------------------------------------------------

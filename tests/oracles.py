@@ -14,19 +14,23 @@ import math
 
 import numpy as np
 
-from tailspin.errors import NumericError, ValidationError
+from tailspin.errors import ContractError, NumericError, ValidationError
 from tailspin.evaluation import MetricsRecord
 from tailspin.losses import _BRANCH_POINT, superloss_sigma
 from tailspin.tensor import (
     Tensor,
+    _op,
     add,
     concat_rows,
     gather_rows,
     l2_normalize,
     log_sum_exp,
     matmul,
+    mean,
     mul,
+    power,
     relu,
+    stop_gradient,
     sub,
     tensor_sum,
     transpose,
@@ -355,13 +359,75 @@ def unfused_batch_loss(kind, logits, labels, priors, params):
 
 
 def unfused_nt_xent(z_a, z_b, temperature):
-    """``ssl.nt_xent_loss`` with its masked add, log_sum_exp, gather_rows, sub and mean."""
+    """``ssl.nt_xent_loss`` as two views with its concat, normalize, transpose, matmul,
+    scale, masked add, log_sum_exp, gather_rows, sub and mean."""
     b = z_a.shape[0]
     z = l2_normalize(concat_rows(z_a, z_b))
     sims = mul(matmul(z, transpose(z)), Tensor(1.0 / temperature))
     masked = add(sims, Tensor(np.eye(2 * b) * -1e9))
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
     return unfused_mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))
+
+
+# The ops that built the SSL objectives before each became one record, and
+# those objectives on two separate views. ``ssl``'s fused objectives must give
+# the same values and leaf gradients, bit for bit.
+
+def neg(a):
+    return _op("neg", -a.data, (a, lambda g: -g))
+
+
+def negative_cosine_similarity(p, z):
+    """Batch mean of -cos(p_i, z_i) over rows."""
+    dots = tensor_sum(mul(l2_normalize(p), l2_normalize(z)), axis=-1)
+    return neg(mean(dots))
+
+
+def standardize_columns(a, eps: float = 1e-9):
+    """Zero-mean unit-variance per column over the batch axis (biased variance)."""
+    if a.ndim != 2 or a.shape[0] < 2:
+        raise ContractError(f"standardize_columns: need a (B>=2, d) tensor, got {a.shape}")
+    mu = mean(a, axis=0, keepdims=True)
+    centered = sub(a, mu)
+    var = mean(mul(centered, centered), axis=0, keepdims=True)
+    return mul(centered, power(add(var, Tensor(eps)), -0.5))
+
+
+def unfused_simsiam(p_a, z_a, p_b, z_b, stop_grad=True):
+    """-0.5 * [cos(p_a, sg(z_b)) + cos(p_b, sg(z_a))] on two views."""
+    t_b = stop_gradient(z_b) if stop_grad else z_b
+    t_a = stop_gradient(z_a) if stop_grad else z_a
+    half = Tensor(0.5)
+    return add(mul(negative_cosine_similarity(p_a, t_b), half), mul(negative_cosine_similarity(p_b, t_a), half))
+
+
+def unfused_barlow_twins(z_a, z_b, lambda_bt, eps=1e-9):
+    b, d = z_a.shape
+    za = standardize_columns(z_a, eps=eps)
+    zb = standardize_columns(z_b, eps=eps)
+    corr = mul(matmul(transpose(za), zb), Tensor(1.0 / b))
+    eye = np.eye(d)
+    diag_err = mul(sub(corr, Tensor(eye)), Tensor(eye))
+    off = mul(corr, Tensor(1.0 - eye))
+    invariance = tensor_sum(mul(diag_err, diag_err))
+    redundancy = tensor_sum(mul(off, off))
+    return add(invariance, mul(redundancy, Tensor(lambda_bt)))
+
+
+def two_pass_method_loss(model, method, view_a, view_b):
+    """``ssl.method_loss`` as one pass per view through the unfused layers, then the unfused objective."""
+    z_a = unfused_mlp(model.projector, unfused_mlp(model.encoder, Tensor(view_a)))
+    z_b = unfused_mlp(model.projector, unfused_mlp(model.encoder, Tensor(view_b)))
+    if method.name == "simclr":
+        return unfused_nt_xent(z_a, z_b, method.temperature)
+    if method.name == "barlow_twins":
+        return unfused_barlow_twins(z_a, z_b, method.lambda_bt)
+    p_a, p_b = unfused_mlp(model.predictor, z_a), unfused_mlp(model.predictor, z_b)
+    if method.name == "simsiam":
+        return unfused_simsiam(p_a, z_a, p_b, z_b, stop_grad=method.stop_gradient)
+    t_a = unfused_mlp(model.ema_projector, unfused_mlp(model.ema_encoder, Tensor(view_a)))
+    t_b = unfused_mlp(model.ema_projector, unfused_mlp(model.ema_encoder, Tensor(view_b)))
+    return unfused_simsiam(p_a, t_a, p_b, t_b, stop_grad=False)
 
 
 # ``lambert_w0`` as it was before it skipped the branches no element needs:

@@ -1,29 +1,43 @@
-"""One tape record per layer and per loss term.
+"""One tape record per layer and per loss term, and both views in one pass.
 
-The fused ops (``linear``, ``mean``, ``softmax_nll`` and SuperLoss's wrap)
-must give the values and leaf gradients of the unfused chains in
+The fused ops (``linear`` over one or two row blocks, ``mean``,
+``softmax_nll``, SuperLoss's wrap and the four SSL objectives on stacked
+views) must give the values and leaf gradients of the unfused chains in
 ``oracles`` bit for bit, and a training step must write exactly its budget
 of records, so that un-fusing a layer fails here and not only in the
-benchmark.
+benchmark. Both sides of every comparison form the same per-view products,
+so the comparisons hold whatever kernels the BLAS picks on a CPU.
 """
 import numpy as np
 import pytest
 
 from oracles import (
+    params_digest,
+    two_pass_method_loss,
+    unfused_barlow_twins,
     unfused_batch_loss,
     unfused_linear,
     unfused_mean,
     unfused_mlp,
     unfused_nll,
     unfused_nt_xent,
+    unfused_simsiam,
 )
 from tailspin.data import AugmentationSpec, generate_synthetic
-from tailspin.errors import NumericError
+from tailspin.errors import ContractError, NumericError
 from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss, cross_entropy, la_loss
-from tailspin.nn import Mlp, build_model
-from tailspin.optim import OptimizerConfig, make_optimizer
+from tailspin.nn import SSL_METHODS, Mlp, build_model, ema_update
+from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
 from tailspin.pipeline import FULL_HEAD, LAST_LAYER_ONLY, FinetuneSettings, build_finetune_head, finetune
-from tailspin.ssl import SSLMethod, nt_xent_loss, pretrain_epoch
+from tailspin.ssl import (
+    SSLMethod,
+    barlow_twins_loss,
+    build_views,
+    method_loss,
+    nt_xent_loss,
+    pretrain_epoch,
+    simsiam_loss,
+)
 from tailspin.tensor import Tape, Tensor, add, linear, mean, mul, tensor_sum
 
 
@@ -49,6 +63,24 @@ def weighted_sum(out, seed):
 
 def assert_same(fused, unfused, leaves):
     assert traced(fused, leaves) == traced(unfused, leaves)
+
+
+def two_views(batch, width, seed, requires_grad=True, scale=1.0):
+    """A stacked (2B, width) leaf, view a first, and its two views as separate leaves."""
+    data = scale * np.random.default_rng(seed).normal(size=(2 * batch, width))
+    return [Tensor(v.copy(), requires_grad=requires_grad) for v in (data, data[:batch], data[batch:])]
+
+
+def assert_same_stacked(fused, unfused, stacked):
+    """fused() on stacked leaves against unfused() on their views as separate leaves:
+    the same output bytes, and each stacked leaf's gradient bytes are its views' in order."""
+    out, grads = traced(fused, [t for t, _, _ in stacked])
+    want_out, want = traced(unfused, [v for _, a, b in stacked for v in (a, b)])
+    assert out == want_out
+    assert grads == [a + b for a, b in zip(want[::2], want[1::2])]
+
+
+BATCHES = [2, 5, 41, 64]
 
 
 class TestLinear:
@@ -94,6 +126,37 @@ class TestLinear:
             return out, weighted_sum(out, 13)
 
         assert_same(lambda: build(mlp), lambda: build(lambda v: unfused_mlp(mlp, v)), mlp.parameters())
+
+    @pytest.mark.parametrize("use_relu", [False, True])
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("fan_in, fan_out", [(32, 16), (16, 32)])  # the predictor's layers
+    def test_two_blocks_bit_equal_to_one_record_per_view(self, use_relu, batch, fan_in, fan_out):
+        x, xa, xb = two_views(batch, fan_in, 22)
+        w, b = leaf((fan_in, fan_out), 23), leaf(fan_out, 24)
+        weights = np.random.default_rng(25).normal(size=(2 * batch, fan_out))
+        # a later use of W and b: its gradient arrives first, so the order in
+        # which the two views' terms are added to it shows in the bits
+        later = leaf((3, fan_in), 26, requires_grad=False)
+
+        def fused():
+            out = linear(x, w, b, use_relu, blocks=2)
+            return out, add(tensor_sum(mul(out, Tensor(weights))), weighted_sum(linear(later, w, b), 27))
+
+        def per_view():
+            outs = [unfused_linear(v, w, b, use_relu) for v in (xa, xb)]
+            objective = add(tensor_sum(mul(outs[0], Tensor(weights[:batch]))),
+                            tensor_sum(mul(outs[1], Tensor(weights[batch:]))))
+            objective = add(objective, weighted_sum(unfused_linear(later, w, b), 27))
+            return Tensor(np.concatenate([o.data for o in outs])), objective
+
+        out, (gx, gw, gb) = traced(fused, [x, w, b])
+        want_out, (gxa, gxb, want_gw, want_gb) = traced(per_view, [xa, xb, w, b])
+        assert (out, gx, gw, gb) == (want_out, gxa + gxb, want_gw, want_gb)
+
+    @pytest.mark.parametrize("rows, blocks", [(5, 2), (4, 0), (4, 3)])
+    def test_rows_that_do_not_split_are_contract_error(self, rows, blocks):
+        with pytest.raises(ContractError, match="equal blocks"):
+            linear(Tensor(np.ones((rows, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), blocks=blocks)
 
     def test_negative_overflow_before_relu_raises(self):
         # x @ W is -inf, which the ReLU would turn into 0; the check reads the pre-activation
@@ -187,17 +250,114 @@ class TestBatchLoss:
         assert_same(fused, unfused, [x])
 
 
-class TestNtXent:
-    @pytest.mark.parametrize("batch", [2, 5])
-    @pytest.mark.parametrize("temperature", [0.5, 1e-4])
-    def test_bit_equal_to_unfused_chain(self, batch, temperature):
-        za, zb = leaf((batch, 3), 20), leaf((batch, 3), 21)
+class TestSimsiam:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("stop_grad", [True, False])
+    def test_bit_equal_to_unfused_chain(self, batch, stop_grad):
+        views = [two_views(batch, 6, 26), two_views(batch, 6, 27)]
 
-        def build(loss_fn):
-            loss = loss_fn(za, zb, temperature)
+        def fused():
+            loss = simsiam_loss(views[0][0], views[1][0], stop_grad)
             return loss, loss
 
-        assert_same(lambda: build(nt_xent_loss), lambda: build(unfused_nt_xent), [za, zb])
+        def unfused():
+            loss = unfused_simsiam(views[0][1], views[1][1], views[0][2], views[1][2], stop_grad)
+            return loss, loss
+
+        assert_same_stacked(fused, unfused, views)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_byol_target_takes_no_gradient(self, batch):
+        p, t = two_views(batch, 6, 28), two_views(batch, 6, 29, requires_grad=False)
+
+        def fused():
+            loss = simsiam_loss(p[0], t[0], stop_grad=False)
+            return loss, loss
+
+        def unfused():
+            loss = unfused_simsiam(p[1], t[1], p[2], t[2], stop_grad=False)
+            return loss, loss
+
+        assert_same_stacked(fused, unfused, [p])
+
+
+class TestNtXent:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("temperature", [0.5, 1e-4])
+    def test_bit_equal_to_unfused_chain(self, batch, temperature):
+        z = two_views(batch, 3, 20)
+
+        def fused():
+            loss = nt_xent_loss(z[0], temperature)
+            return loss, loss
+
+        def unfused():
+            loss = unfused_nt_xent(z[1], z[2], temperature)
+            return loss, loss
+
+        assert_same_stacked(fused, unfused, [z])
+
+
+class TestBarlowTwins:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("lambda_bt", [0.005, 1.0])
+    def test_bit_equal_to_unfused_chain(self, batch, lambda_bt):
+        z = two_views(batch, 7, 31, scale=3.0)
+        for t in z:
+            t.data[:, 2] = 1.5  # a constant column: the variance is eps alone
+
+        def fused():
+            loss = barlow_twins_loss(z[0], lambda_bt)
+            return loss, loss
+
+        def unfused():
+            loss = unfused_barlow_twins(z[1], z[2], lambda_bt)
+            return loss, loss
+
+        assert_same_stacked(fused, unfused, [z])
+
+
+def _ssl_cases():
+    return [pytest.param(m, True, id=m) for m in SSL_METHODS] + [pytest.param("simsiam", False, id="simsiam-no-sg")]
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_method_loss_bit_equal_to_two_passes(method, stop_grad, batch):
+    model = build_model(method, 8, seed=32)
+    ssl_method = SSLMethod(method, stop_gradient=stop_grad)
+    rng = np.random.default_rng(33)
+    views = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
+
+    def build(loss_fn):
+        loss = loss_fn(model, ssl_method, *views)
+        return loss, loss
+
+    assert_same(lambda: build(method_loss), lambda: build(two_pass_method_loss), model.trainable_parameters())
+
+
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
+    # 39 samples in batches of 16: the last batch of every epoch is ragged
+    dataset = generate_synthetic(3, 13, 8, 6.0, seed=34)
+    ssl_method, aug = SSLMethod(method, stop_gradient=stop_grad), AugmentationSpec(0.4, 0.1, 0.2)
+    models = [build_model(method, 8, seed=35) for _ in range(2)]
+    opts = [make_optimizer(OptimizerConfig(batch_size=16), m.trainable_parameters()) for m in models]
+    for epoch in range(3):
+        got = pretrain_epoch(models[0], dataset, ssl_method, opts[0], 0.05, epoch, 36, aug, 16)
+
+        def loss_fn(idx):
+            views = build_views(dataset.features[idx], idx, aug, 36, epoch)
+            return two_pass_method_loss(models[1], ssl_method, *views)
+
+        after = (lambda: ema_update(models[1], ssl_method.ema_momentum)) if method == "byol" else None
+        want = train_epoch(opts[1], 0.05, loss_fn, dataset.num_samples, 16, 36, "pretrain", epoch,
+                           min_batch=2, after_step=after)
+        assert got == want
+    networks = ("encoder", "projector", "predictor", "ema_encoder", "ema_projector")
+    digests = [[params_digest(getattr(m, n).parameters()) for n in networks if getattr(m, n) is not None]
+               for m in models]
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +397,8 @@ def test_finetune_step_record_budget(records_per_step, train_set, method, policy
     assert records_per_step == [budget] * 3
 
 
-# 2 views x (2 encoder + 2 projector [+ 2 predictor]) layers, then the objective's records
-@pytest.mark.parametrize("method, budget", [("simsiam", 25), ("simclr", 15), ("byol", 25), ("barlow_twins", 34)])
+# 2 encoder + 2 projector [+ 2 predictor] layers over both views, then the objective
+@pytest.mark.parametrize("method, budget", [("simsiam", 7), ("simclr", 5), ("byol", 7), ("barlow_twins", 5)])
 def test_pretrain_step_record_budget(records_per_step, train_set, method, budget):
     model = build_model(method, 8, seed=3)
     opt = make_optimizer(OptimizerConfig(batch_size=32), model.trainable_parameters())

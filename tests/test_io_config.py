@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,26 @@ class TestMetricsFile:
         assert len(lines) == 7
         assert all(json.loads(l)["epoch"] == i for i, l in enumerate(lines))
         sink.close()
+
+    @pytest.mark.parametrize("records", [1, 5])
+    def test_killed_writer_leaves_every_complete_line(self, tmp_path, records):
+        path = tmp_path / "metrics.jsonl"
+        child = (
+            "import os, signal, sys\n"
+            "from tailspin.evaluation import MetricsRecord\n"
+            "from tailspin.io import MetricsWriter\n"
+            "sink = MetricsWriter(sys.argv[1])\n"
+            "for e in range(int(sys.argv[2])):\n"
+            "    sink(MetricsRecord('pretrain', e, 1.0, 0.06, 3))\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child, str(path), str(records)], env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert [json.loads(l)["epoch"] for l in text.splitlines()] == list(range(records))
 
 
 class TestConfig:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import barlow_direct, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
-from tailspin.errors import ConfigError, ContractError, ValidationError
+from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
 from tailspin.nn import build_model, ema_update
 from tailspin import ssl
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
@@ -70,74 +70,83 @@ class TestBuildViews:
             build_views(rand((0, 6), 1), np.arange(0), AugmentationSpec(), 0, 0)
 
 
+def stacked(view_a, view_b, requires_grad=False):
+    """Two views of one batch as the (2B, d) tensor the objectives take, view a first."""
+    return Tensor(np.concatenate([np.asarray(view_a), np.asarray(view_b)]), requires_grad=requires_grad)
+
+
 class TestSimsiamLoss:
     def test_matched_normalized_views_give_minus_one(self):
         v = rand((4, 5), 4)
-        p = Tensor(v)
-        z = Tensor(v * 2.0)  # same direction, different scale
-        loss = simsiam_loss(p, z, p, z)
+        p = stacked(v, v)
+        z = stacked(v * 2.0, v * 2.0)  # same direction, different scale
+        loss = simsiam_loss(p, z)
         assert loss.item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_views_give_zero(self):
-        p = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        z = Tensor([[0.0, 1.0], [1.0, 0.0]])
-        assert simsiam_loss(p, z, p, z).item() == pytest.approx(0.0, abs=1e-12)
+        p = stacked([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        z = stacked([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
+        assert simsiam_loss(p, z).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_never_reaches_target_branch(self):
-        p_a = Tensor(rand((4, 5), 5), requires_grad=True)
-        p_b = Tensor(rand((4, 5), 6), requires_grad=True)
-        z_a = Tensor(rand((4, 5), 7), requires_grad=True)
-        z_b = Tensor(rand((4, 5), 8), requires_grad=True)
+        p = stacked(rand((4, 5), 5), rand((4, 5), 6), requires_grad=True)
+        z = stacked(rand((4, 5), 7), rand((4, 5), 8), requires_grad=True)
         with Tape() as tape:
-            tape.backward(simsiam_loss(p_a, z_a, p_b, z_b))
-        assert np.all(z_a.grad == 0.0)
-        assert np.all(z_b.grad == 0.0)
-        assert np.any(p_a.grad != 0.0)
+            tape.backward(simsiam_loss(p, z))
+        assert np.all(z.grad == 0.0)
+        assert np.any(p.grad[:4] != 0.0)
 
     def test_ablation_switch_lets_gradient_through(self):
-        p_a = Tensor(rand((4, 5), 5), requires_grad=True)
-        p_b = Tensor(rand((4, 5), 6), requires_grad=True)
-        z_a = Tensor(rand((4, 5), 7), requires_grad=True)
-        z_b = Tensor(rand((4, 5), 8), requires_grad=True)
+        p = stacked(rand((4, 5), 5), rand((4, 5), 6), requires_grad=True)
+        z = stacked(rand((4, 5), 7), rand((4, 5), 8), requires_grad=True)
         with Tape() as tape:
-            tape.backward(simsiam_loss(p_a, z_a, p_b, z_b, stop_grad=False))
-        assert np.any(z_a.grad != 0.0)
+            tape.backward(simsiam_loss(p, z, stop_grad=False))
+        assert np.any(z.grad[:4] != 0.0)
 
     def test_bounded(self):
         for seed in range(5):
             loss = simsiam_loss(
-                Tensor(rand((6, 4), seed)), Tensor(rand((6, 4), seed + 50)),
-                Tensor(rand((6, 4), seed + 100)), Tensor(rand((6, 4), seed + 150)),
+                stacked(rand((6, 4), seed), rand((6, 4), seed + 100)),
+                stacked(rand((6, 4), seed + 50), rand((6, 4), seed + 150)),
             )
             assert -1.0 - 1e-12 <= loss.item() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4,), (0, 4)])
+    def test_unstacked_shape_is_contract_error(self, shape):
+        t = Tensor(np.ones(shape))
+        with pytest.raises(ContractError, match="stacked"):
+            simsiam_loss(t, t)
 
 
 class TestNtXent:
     def test_simclr_batch_of_one_rejected(self):
-        z = Tensor(rand((1, 4), 3))
-        with pytest.raises(ContractError):
-            nt_xent_loss(z, z, 0.5)
+        z = rand((1, 4), 3)
+        with pytest.raises(ContractError, match="batch size must be >= 2"):
+            nt_xent_loss(stacked(z, z), 0.5)
+
+    def test_odd_row_count_rejected(self):
+        with pytest.raises(ContractError, match="stacked"):
+            nt_xent_loss(Tensor(rand((5, 4), 3)), 0.5)
 
     def test_b2_matches_enumeration_oracle(self):
         z_a, z_b = rand((2, 3), 9), rand((2, 3), 10)
-        got = nt_xent_loss(Tensor(z_a), Tensor(z_b), 0.5).item()
+        got = nt_xent_loss(stacked(z_a, z_b), 0.5).item()
         want = ntxent_enumerate(z_a, z_b, 0.5)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_identical_embeddings_give_log_2b_minus_1(self):
         row = rand((1, 4), 11)
-        z = Tensor(np.repeat(row, 3, axis=0))
+        z = np.repeat(row, 3, axis=0)
         # every pairwise similarity is equal, so the softmax is uniform over 2B-1
-        assert nt_xent_loss(z, z, 0.5).item() == pytest.approx(np.log(5.0), abs=1e-9)
+        assert nt_xent_loss(stacked(z, z), 0.5).item() == pytest.approx(np.log(5.0), abs=1e-9)
 
     def test_high_temperature_limit(self):
-        z_a, z_b = Tensor(rand((4, 3), 12)), Tensor(rand((4, 3), 13))
-        loss = nt_xent_loss(z_a, z_b, temperature=1e6).item()
+        loss = nt_xent_loss(stacked(rand((4, 3), 12), rand((4, 3), 13)), temperature=1e6).item()
         assert loss == pytest.approx(np.log(7.0), abs=1e-4)
 
     def test_nonnegative(self):
         for seed in range(5):
-            loss = nt_xent_loss(Tensor(rand((5, 4), seed)), Tensor(rand((5, 4), seed + 31)), 0.5)
+            loss = nt_xent_loss(stacked(rand((5, 4), seed), rand((5, 4), seed + 31)), 0.5)
             assert loss.item() >= -1e-9
 
 
@@ -172,13 +181,11 @@ class TestByol:
             ema_update(tiny_model, 0.9)
 
     def test_loss_ignores_target_gradients(self):
-        p_a = Tensor(rand((4, 5), 20), requires_grad=True)
-        p_b = Tensor(rand((4, 5), 21), requires_grad=True)
-        t_a = Tensor(rand((4, 5), 22))
-        t_b = Tensor(rand((4, 5), 23))
+        p = stacked(rand((4, 5), 20), rand((4, 5), 21), requires_grad=True)
+        t = stacked(rand((4, 5), 22), rand((4, 5), 23))
         with Tape() as tape:
-            tape.backward(simsiam_loss(p_a, t_a, p_b, t_b, stop_grad=False))
-        assert np.any(p_a.grad != 0.0)
+            tape.backward(simsiam_loss(p, t, stop_grad=False))
+        assert np.any(p.grad[:4] != 0.0)
 
 
 class TestBarlowTwins:
@@ -187,31 +194,51 @@ class TestBarlowTwins:
         base = np.array(
             [[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
         ).T
-        z = Tensor(base)
-        loss = barlow_twins_loss(z, z, lambda_bt=0.005)
+        loss = barlow_twins_loss(stacked(base, base), lambda_bt=0.005)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda_zero_keeps_only_diagonal_term(self):
         z_a, z_b = rand((6, 4), 30), rand((6, 4), 31)
-        tiny = barlow_twins_loss(Tensor(z_a), Tensor(z_b), lambda_bt=1e-12).item()
+        tiny = barlow_twins_loss(stacked(z_a, z_b), lambda_bt=1e-12).item()
         want = barlow_direct(z_a, z_b, lam=0.0)
         assert tiny == pytest.approx(want, abs=1e-9)
 
     def test_random_batch_matches_dense_oracle(self):
         z_a, z_b = rand((4, 3), 32), rand((4, 3), 33)
-        got = barlow_twins_loss(Tensor(z_a), Tensor(z_b), lambda_bt=0.005).item()
+        got = barlow_twins_loss(stacked(z_a, z_b), lambda_bt=0.005).item()
         assert got == pytest.approx(barlow_direct(z_a, z_b, 0.005), abs=1e-10)
 
     def test_zero_variance_dimension_survives(self):
         z = rand((5, 3), 34)
         z[:, 1] = 2.5  # constant column
-        loss = barlow_twins_loss(Tensor(z), Tensor(z), lambda_bt=0.005)
+        loss = barlow_twins_loss(stacked(z, z), lambda_bt=0.005)
         assert np.isfinite(loss.item())
 
     def test_nonnegative(self):
         for seed in range(5):
-            loss = barlow_twins_loss(Tensor(rand((5, 4), seed)), Tensor(rand((5, 4), seed + 61)), 0.005)
+            loss = barlow_twins_loss(stacked(rand((5, 4), seed), rand((5, 4), seed + 61)), 0.005)
             assert loss.item() >= 0.0
+
+    def test_batch_of_one_rejected(self):
+        z = rand((1, 4), 35)
+        with pytest.raises(ContractError, match="batch size >= 2"):
+            barlow_twins_loss(stacked(z, z), 0.005)
+
+    def test_odd_row_count_rejected(self):
+        with pytest.raises(ContractError, match="stacked"):
+            barlow_twins_loss(Tensor(rand((5, 4), 36)), 0.005)
+
+    def test_overflowing_variance_raises(self):
+        z = rand((3, 2), 37)
+        z[0, 0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="barlow_twins"):
+            barlow_twins_loss(stacked(z, z), 0.005)
+
+
+class TestMethodLoss:
+    def test_views_of_different_shapes_rejected(self, tiny_model):
+        with pytest.raises(ContractError, match="view shapes differ"):
+            method_loss(tiny_model, SSLMethod("simsiam"), rand((3, 6), 38), rand((5, 6), 39))
 
 
 @pytest.fixture(scope="module")
