@@ -60,6 +60,6 @@ from .pipeline import (
     select_freeze_policy,
 )
 from .ssl import SSLMethod, barlow_twins_loss, nt_xent_loss, pretrain_epoch, simsiam_loss
-from .tensor import Tape, Tensor, finite_diff_check, l2_normalize, log_sum_exp, stop_gradient
+from .tensor import Tape, Tensor, finite_diff_check, l2_normalize, log_sum_exp
 
 __version__ = "0.1.0"

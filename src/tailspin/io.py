@@ -70,8 +70,8 @@ def load_arrays(directory: str | Path, kind: str) -> tuple[dict[str, np.ndarray]
     if not path.is_file():
         raise ValidationError(f"manifest not found: {path}")
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or manifest.get("kind") != kind:
         raise ValidationError(f"{path}: manifest kind is not '{kind}'")

@@ -164,10 +164,13 @@ def train_epoch(
 ) -> float:
     """One pass in ("shuffle", stage, epoch) order: tape ``loss_fn(batch indices)``,
     backpropagate, step at ``lr``, zero the gradients; returns the mean loss.
-    Batches under ``min_batch`` are skipped; ``after_step`` runs after each step.
+    A batch under ``min_batch`` is skipped, and a dataset under it is a ContractError;
+    ``after_step`` runs after each step.
 
     NumPy's floating-point warnings are off for the epoch: a value that
     overflows fails as the ``NumericError`` of the op or step that made it."""
+    if num_samples < min_batch:
+        raise ContractError(f"{stage}: {num_samples} samples cannot fill a batch of {min_batch}")
     order = rng_for(run_seed, "shuffle", stage, epoch).permutation(num_samples)
     losses = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -56,7 +56,8 @@ class Tape:
         """Seed the scalar output with gradient 1 and apply the records in reverse.
 
         A tensor used by several ops sums its contributions in reverse
-        execution order: (c3 + c2) + c1 for uses 1, 2, 3."""
+        execution order: (c3 + c2) + c1 for uses 1, 2, 3. The first is kept
+        as the vjp returned it, and later ones are added into it in place."""
         if self._spent:
             raise TapeError("backward already ran on this tape; re-execute the graph first")
         if output.data.size != 1:
@@ -72,7 +73,10 @@ class Tape:
         for node, inputs in reversed(records):
             if node._grad is not None:
                 for t, vjp in inputs:
-                    _accum(t, vjp(node._grad))
+                    if t._grad is None:
+                        t._grad = vjp(node._grad)
+                    else:
+                        t._grad += vjp(node._grad)
 
 
 class Tensor:
@@ -131,7 +135,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
+    """Sum a broadcast gradient back down to the operand's shape; ``grad``
+    itself when nothing was broadcast."""
     if grad.shape == shape:
         return grad
     while grad.ndim > len(shape):
@@ -140,16 +145,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if s == 1 and grad.shape[i] != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad.reshape(shape)
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add one contribution to t's gradient: the first is copied, later ones
-    are added in place."""
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    if t._grad is None:
-        t._grad = g.copy()
-    else:
-        t._grad += g
 
 
 def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
@@ -189,6 +184,10 @@ def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarra
     one (output, inputs) record keeps the pairs whose input requires a
     gradient, in argument order, which is the order backward adds them in;
     backward never calls any other input's vjp.
+    A vjp returns a new, writable float64 ndarray with its input's shape, and
+    the tape may keep it: an op that broadcast an input sums the gradient
+    back down itself, and one whose gradient would be a view copies it. (For
+    a 0-d input, NumPy arithmetic gives a float64 scalar, which serves alike.)
     The finiteness check reads ``checked`` in place of the output when given:
     a fused op passes the intermediate that a later step could hide.
     """
@@ -217,15 +216,18 @@ def _broadcast_op(a: Tensor, b: Tensor, fn, name: str) -> np.ndarray:
 # forward operations; each passes its value and per-input vjps to _op
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _op("add", _broadcast_op(a, b, np.add, "add"), (a, lambda g: g), (b, lambda g: g))
+    return _op("add", _broadcast_op(a, b, np.add, "add"),
+               (a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: np.array(_unbroadcast(g, b.shape))))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _op("sub", _broadcast_op(a, b, np.subtract, "sub"), (a, lambda g: g), (b, lambda g: -g))
+    return _op("sub", _broadcast_op(a, b, np.subtract, "sub"),
+               (a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _op("mul", _broadcast_op(a, b, np.multiply, "mul"), (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    return _op("mul", _broadcast_op(a, b, np.multiply, "mul"),
+               (a, lambda g: _unbroadcast(g * b.data, a.shape)), (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -247,10 +249,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False, blocks: 
     ReLU and the finiteness check run once over all rows; the check reads
     the pre-activation, since max(-inf, 0) hides an overflow. Every vjp
     starts from g * (pre > 0), the product relu's vjp formed, and the bias
-    gradient is summed over a block's rows by ``_accum`` as add's was.
+    vjp sums a block's rows itself, the reduction add's vjp made.
     """
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} vs weight {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise ShapeError(f"linear: bias {bias.shape} vs weight {weight.shape}")
     if blocks < 1 or x.shape[0] % blocks:
         raise ContractError(f"linear: {x.shape[0]} rows do not split into {blocks} equal blocks")
     step = x.shape[0] // blocks
@@ -258,10 +262,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False, blocks: 
     pre = np.empty((x.shape[0], weight.shape[1]))
     for s in spans:
         np.matmul(x.data[s], weight.data, out=pre[s])
-    try:
-        pre += bias.data
-    except ValueError:
-        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {pre.shape}") from None
+    pre += bias.data
     active = pre > 0.0 if relu else None
     shared = []  # the pre-activation gradient, formed once for every vjp
 
@@ -278,14 +279,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False, blocks: 
 
     pairs = [(x, x_vjp)]
     for s in reversed(spans):
-        pairs += [(weight, lambda g, s=s: x.data[s].T @ grad_pre(g)[s]), (bias, lambda g, s=s: grad_pre(g)[s])]
+        pairs += [(weight, lambda g, s=s: x.data[s].T @ grad_pre(g)[s]), (bias, lambda g, s=s: grad_pre(g)[s].sum(axis=0))]
     return _op("linear", np.maximum(pre, 0.0) if relu else pre, *pairs, checked=pre)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
-    return _op("transpose", a.data.T, (a, lambda g: g.T))
+    return _op("transpose", a.data.T, (a, lambda g: g.T.copy()))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -302,7 +303,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def vjp(g):
-        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape)
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy()
 
     return _op("sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a, vjp))
 
@@ -313,7 +314,7 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def vjp(g):
         g = g * inv_n
-        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape)
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy()
 
     # 0 < 1/n <= 1, so the product is finite exactly when the sum is
     return _op("mean", np.sum(a.data, axis=axis, keepdims=keepdims) * inv_n, (a, vjp))
@@ -381,7 +382,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_rows: incompatible shapes {a.shape} and {b.shape}")
     split = a.shape[0]
     value = np.concatenate([a.data, b.data], axis=0)
-    return _op("concat_rows", value, (a, lambda g: g[:split]), (b, lambda g: g[split:]))
+    return _op("concat_rows", value, (a, lambda g: g[:split].copy()), (b, lambda g: g[split:].copy()))
 
 
 def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
@@ -417,11 +418,6 @@ def _unit(a: np.ndarray, axis: int, name: str):
         return np.where(degenerate, 0.0, (g - y * inner) / safe)
 
     return y, vjp
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Pass values through bitwise unchanged; block all gradient flow."""
-    return _op("stop_gradient", a.data)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from tailspin.tensor import (
     mul,
     power,
     relu,
-    stop_gradient,
     sub,
     tensor_sum,
     transpose,
@@ -375,6 +374,11 @@ def unfused_nt_xent(z_a, z_b, temperature):
 
 def neg(a):
     return _op("neg", -a.data, (a, lambda g: -g))
+
+
+def stop_gradient(a):
+    """Pass values through bitwise unchanged; block all gradient flow."""
+    return _op("stop_gradient", a.data)
 
 
 def negative_cosine_similarity(p, z):

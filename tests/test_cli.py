@@ -467,6 +467,15 @@ class TestErrorReporting:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("io-error:")
 
+    def test_manifest_not_utf8_is_one_validation_error(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("generate", "--output", str(out), *FAST) == 0
+        (out / "data" / "test" / "manifest.json").write_bytes(b"\xff\xfe{bad")
+        capsys.readouterr()
+        assert run_cli("pretrain", "--output", str(out), *FAST) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation-error:") and "manifest.json" in lines[0]
+
     def test_config_file_not_utf8_is_one_config_error(self, capsys, tmp_path):
         (tmp_path / "bad.cfg").write_bytes(b"data.per_class = 30\n# caf\xe9\n")
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import params_digest
-from tailspin.data import AugmentationSpec, generate_synthetic
+from tailspin.data import AugmentationSpec, Dataset, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, ValidationError
 from tailspin.evaluation import KNNConfig
 from tailspin.nn import build_model
@@ -277,6 +277,17 @@ class TestImbalancedPretraining:
         records = pretrain(model, train, fast_pretrain(epochs=40), 23, KNNConfig(k=5), test)
         assert records[-1].knn_accuracy is not None
         assert records[-1].knn_accuracy >= 3 * (1 / 10)
+
+
+class TestTooFewSamples:
+    def test_one_sample_is_contract_error_before_any_record(self):
+        # SSL batches need two samples: no batch would train, and the mean loss would be NaN
+        one = Dataset(np.ones((1, 4), np.float32), [0], [0], 2)
+        settings = PretrainSettings(schedule=ScheduleConfig(warmup_epochs=0, total_epochs=2))
+        records = []
+        with pytest.raises(ContractError, match="1 samples cannot fill a batch of 2"):
+            pretrain(build_model("simsiam", 4, seed=1), one, settings, 0, sink=records.append)
+        assert records == []
 
 
 class TestThreadConfinement:

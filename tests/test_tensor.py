@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import negative_cosine_similarity, standardize_columns
+from oracles import negative_cosine_similarity, standardize_columns, stop_gradient
 from tailspin.errors import ContractError, NumericError, OracleError, ShapeError, TapeError
+from tailspin.losses import SuperLossParams, superloss
+from tailspin.ssl import barlow_twins_loss, nt_xent_loss, simsiam_loss
 from tailspin.tensor import (
     Tape,
     Tensor,
@@ -16,13 +18,15 @@ from tailspin.tensor import (
     finite_diff_check,
     gather_rows,
     l2_normalize,
+    linear,
     log_sum_exp,
     matmul,
     mean,
     mul,
     power,
     relu,
-    stop_gradient,
+    softmax_nll,
+    sub,
     tensor_sum,
     transpose,
 )
@@ -226,6 +230,61 @@ class TestBackward:
             tape.backward(add(f(), g()))
         assert np.allclose(x.grad, grads["f"][0] + grads["g"][0], atol=1e-12)
         assert np.allclose(w.grad, grads["f"][1] + grads["g"][1], atol=1e-12)
+
+
+def leaves(*shapes, seed=0):
+    return [Tensor(rand(shape, seed + i), requires_grad=True) for i, shape in enumerate(shapes)]
+
+
+# every op that writes a tape record, on leaves that all require a gradient
+# (broadcast operands, views and a tensor used twice by one op included)
+RECORDING_OPS = {
+    "add-broadcast": lambda: add(*leaves((3, 4), (4,))),
+    "add-same-tensor": lambda: add(*[leaves((3, 4))[0]] * 2),
+    "sub-broadcast": lambda: sub(*leaves((3, 4), (3, 1))),
+    "mul-broadcast": lambda: mul(*leaves((3, 1), (4,))),
+    "matmul": lambda: matmul(*leaves((3, 4), (4, 2))),
+    **{f"linear-blocks{blocks}-relu{use_relu}": lambda blocks=blocks, use_relu=use_relu: linear(
+        *leaves((4, 3), (3, 2), (2,)), relu=use_relu, blocks=blocks) for blocks in (1, 2) for use_relu in (False, True)},
+    "transpose": lambda: transpose(*leaves((3, 4))),
+    "relu": lambda: relu(*leaves((3, 4))),
+    "power": lambda: power(Tensor(rand((3, 4), 0, lo=0.5), requires_grad=True), 3.0),
+    **{f"{op.__name__}-axis{axis}-keepdims{keepdims}": lambda op=op, axis=axis, keepdims=keepdims: op(
+        *leaves((3, 4)), axis=axis, keepdims=keepdims)
+       for op in (tensor_sum, mean) for axis in (None, 0) for keepdims in (False, True)},
+    "gather_rows": lambda: gather_rows(*leaves((3, 4)), [0, 3, 1]),
+    "softmax_nll": lambda: softmax_nll(*leaves((3, 4)), [0, 3, 1]),
+    "softmax_nll-shift": lambda: softmax_nll(*leaves((3, 4)), [0, 3, 1], shift=rand(4, 9)),
+    "concat_rows": lambda: concat_rows(*leaves((2, 4), (3, 4))),
+    "log_sum_exp": lambda: log_sum_exp(*leaves((3, 4))),
+    "l2_normalize": lambda: l2_normalize(*leaves((3, 4))),
+    "simsiam-stop_grad": lambda: simsiam_loss(*leaves((4, 3), (4, 3)), stop_grad=True),
+    "simsiam-no_stop_grad": lambda: simsiam_loss(*leaves((4, 3), (4, 3)), stop_grad=False),
+    "nt_xent": lambda: nt_xent_loss(*leaves((4, 3)), 0.5),
+    "barlow_twins": lambda: barlow_twins_loss(*leaves((6, 3)), 0.01),
+    "superloss": lambda: superloss(*leaves((5,)), SuperLossParams(tau=0.5)).loss,
+}
+
+
+class TestVjpContract:
+    @pytest.mark.parametrize("name", RECORDING_OPS)
+    def test_vjp_returns_a_new_float64_array_of_its_inputs_shape(self, name):
+        with Tape() as tape:
+            RECORDING_OPS[name]()
+        records = tape._records
+        assert records
+        tensors = [t for node, inputs in records for t in (node, *(i for i, _ in inputs))]
+        results = []
+        for node, inputs in records:
+            upstream = np.random.default_rng(5).normal(size=node.shape)
+            for t, vjp in inputs:
+                grad = vjp(upstream)
+                assert isinstance(grad, np.ndarray) and grad.dtype == np.float64 and grad.shape == t.shape
+                assert grad.flags.writeable
+                assert not np.shares_memory(grad, upstream)
+                assert not any(np.shares_memory(grad, other.data) for other in tensors)
+                assert not any(np.shares_memory(grad, other) for other in results)
+                results.append(grad)
 
 
 class TestFiniteDifferenceOracle:
