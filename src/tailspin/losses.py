@@ -26,11 +26,12 @@ def lambert_w0(x):
     """Principal branch of the Lambert W function, w * exp(w) = x, w >= -1.
 
     Accepts a scalar or array with x >= -1/e (values within 1e-12 below the
-    branch point are clamped onto it). Halley iteration from a piecewise
-    initial guess; residual |w*exp(w) - x| <= 1e-12 * max(1, |x|). A branch
-    that no element needs (the near-branch series, the asymptotic guess, the
-    guard at w = -1, the clamp) is skipped; the skipped forms would give the
-    same bits.
+    branch point are clamped onto it). A fixed sequence with no loop and no
+    convergence test: Winitzki's guess log(1+x) * (1 - log(1+log(1+x)) / (2+log(1+x))),
+    the branch-point series where x < -0.25 (evaluated only on those elements,
+    only when some element needs it), then two Fritsch-Shafer-Crowley steps
+    (CACM 1973, Algorithm 443). w = x exactly where x = 0 (so -0.0 stays -0.0)
+    and w = -1 at the branch point. Residual |w*exp(w) - x| <= 1e-12 * max(1, |x|).
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     z = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -45,38 +46,32 @@ def lambert_w0(x):
     if at_branch:
         z = np.maximum(z, _BRANCH_POINT)
 
-    # initial guess: series near the branch point (evaluated only there, its
-    # cube overflows for large z), w ~ z for small z, asymptotic
-    # log(z) - log(log(z)) for large z
-    if hi > np.e:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lz = np.log(np.where(z > 1.0, z, np.e))
-            big = lz - np.log(lz)
-        w = np.where(z <= np.e, z / (1.0 + z), big)
-    else:
-        w = z / (1.0 + z)
-    if lo < -0.25:
+    lz = np.log1p(z)
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    if lo < -0.25:  # only there: the series' cube overflows for large z
         near = z < -0.25
         p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
         w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
 
-    for _ in range(64):
-        ew = np.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        if np.abs(wp1).min() > 1e-12:
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        else:
-            safe = np.abs(wp1) > 1e-12
-            denom = np.where(safe, ew * wp1 - (w + 2.0) * f / (2.0 * np.where(safe, wp1, 1.0)), 1.0)
-        dw = np.where(f == 0.0, 0.0, f / denom)
-        w = w - dw
-        if np.all(np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))):
-            break
+    # x = 0 divides 0 by 0 and the branch point may divide by w + 1 = 0; both are set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = _fsc_step(z, _fsc_step(z, w))
 
+    if lo <= 0.0 <= hi:
+        zero = z == 0.0
+        w[zero] = z[zero]
     if at_branch:
         w[z == _BRANCH_POINT] = -1.0
     return float(w[0]) if scalar else w
+
+
+def _fsc_step(z, w):
+    """One Fritsch-Shafer-Crowley step towards W0(z) from w: fourth-order, so
+    two steps from a guess within a few percent reach full precision."""
+    wp1 = 1.0 + w
+    t = np.log(z / w) - w
+    q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * t)
+    return w * (1.0 + t / wp1 * (q - t) / (q - 2.0 * t))
 
 
 @dataclass

@@ -361,8 +361,8 @@ def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
 
 
 def _softmax_nll(s: np.ndarray, idx: np.ndarray):
-    """Per-row -log softmax(s)[idx] of a finite 2-d s, and its vjp: z + softmax * g,
-    where z scatters -g into the gathered entries."""
+    """Per-row -log softmax(s)[idx] of a finite 2-d s, and its vjp: softmax * g, less g
+    at each row's gathered entry."""
     m = np.max(s, axis=-1, keepdims=True)
     shifted = np.exp(s - m)
     total = np.sum(shifted, axis=-1, keepdims=True)
@@ -370,9 +370,9 @@ def _softmax_nll(s: np.ndarray, idx: np.ndarray):
     rows = np.arange(s.shape[0])
 
     def vjp(g):
-        z = np.zeros_like(soft)
-        np.add.at(z, (rows, idx), -g)
-        return z + soft * g[:, None]
+        z = soft * g[:, None]
+        z[rows, idx] -= g
+        return z
 
     return np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], vjp
 

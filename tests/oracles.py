@@ -434,9 +434,9 @@ def two_pass_method_loss(model, method, view_a, view_b):
     return unfused_simsiam(p_a, t_a, p_b, t_b, stop_grad=False)
 
 
-# ``lambert_w0`` as it was before it skipped the branches no element needs:
-# every branch evaluated for every call. The trimmed body must give the same
-# bits, the same return type and the same errors.
+# ``lambert_w0`` as a Halley iteration to convergence, with every branch
+# evaluated for every call. The two Fritsch-Shafer-Crowley steps must agree
+# with it to the tolerances ``test_losses`` states and raise the same errors.
 
 def reference_lambert_w0(x):
     scalar = np.isscalar(x) or np.ndim(x) == 0

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestLambertW:
     def test_within_rounding_of_branch_is_clamped(self):
         assert lambert_w0(-np.exp(-1.0) - 1e-13) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_no_runtime_warning_at_the_edges(self):
+        # -1/e divides by w + 1 = 0 and x = 0 divides 0 by 0 before both are set;
+        # exp(w) and w * exp(w) stay finite at 1e308
+        x = np.array([-np.exp(-1.0), 0.0, -0.0, 1e300, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = lambert_w0(x)
+        assert w[0] == -1.0 and w[1] == 0.0 and w[2] == 0.0
+        assert np.signbit(w[1:3]).tolist() == [False, True]
+        assert np.all(np.abs(w * np.exp(w) - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+
     def test_near_branch_and_huge_arguments_in_one_call(self):
         # the branch-point series is evaluated only near -1/e; its cube overflows at 1e300
         x = np.array([-np.exp(-1.0) + 1e-6, 1e300])
@@ -67,24 +79,31 @@ def _superloss_arguments(clamp_mode):
     return args
 
 
-def _same_bits(got, want):
+def _agrees(got, want, x):
+    """got is lambert_w0(x), want the Halley oracle's: the same type, dtype and shape,
+    criterion 2's residual bound per element, and agreement to 2e-15 relative. Where
+    x < -0.25 the tolerance widens to 1e-8: W0 is ill-conditioned near -1/e (dW/dx
+    grows as 1/(1 + W)), and within 1e-16 of -1/e the two iterations differ by up to
+    2.7e-9, each meeting the residual bound."""
     assert type(got) is type(want)
-    if isinstance(want, float):
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    if not isinstance(want, float):
+        assert got.dtype == want.dtype and got.shape == want.shape
+    w, ref = np.atleast_1d(got), np.atleast_1d(want)
+    z = np.maximum(np.asarray(x, dtype=np.float64), -np.exp(-1.0))
+    assert np.all(np.abs(w * np.exp(w) - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+    assert np.all(np.abs(w - ref) <= np.where(z < -0.25, 1e-8, 2e-15) * np.abs(ref))
 
 
 class TestLambertWBitEqual:
-    """lambert_w0 skips the branches no element needs; every result keeps the
-    bits of the full body in ``oracles.reference_lambert_w0``."""
+    """lambert_w0's two Fritsch-Shafer-Crowley steps against the Halley iteration in
+    ``oracles.reference_lambert_w0``, to within the tolerances ``_agrees`` states."""
 
     @pytest.mark.parametrize("clamp_mode", ["lower_bound", "as_written"])
     def test_superloss_arguments(self, clamp_mode):
         for args in _superloss_arguments(clamp_mode):
-            _same_bits(lambert_w0(args), reference_lambert_w0(args))
+            _agrees(lambert_w0(args), reference_lambert_w0(args), args)
             for chunk in np.array_split(args, 7):  # batches with and without clamped samples
-                _same_bits(lambert_w0(chunk), reference_lambert_w0(chunk))
+                _agrees(lambert_w0(chunk), reference_lambert_w0(chunk), chunk)
 
     @pytest.mark.parametrize("x", [
         [-np.exp(-1.0)],
@@ -98,11 +117,11 @@ class TestLambertWBitEqual:
         [-0.3, np.e, 1e300],
         [0.0, -0.0],
         [-0.0],
-        [-np.exp(-1.0), -0.2, 3.0, 1e10],  # w = -1 exactly takes the guarded Halley step
+        [-np.exp(-1.0), -0.2, 3.0, 1e10],  # w = -1 exactly takes the oracle's guarded Halley step
     ])
     def test_arrays_across_the_branches(self, x):
         x = np.asarray(x, dtype=np.float64)
-        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+        _agrees(lambert_w0(x), reference_lambert_w0(x), x)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_batches_straddling_the_thresholds(self, seed):
@@ -110,17 +129,17 @@ class TestLambertWBitEqual:
         rng = np.random.default_rng(seed)
         x = np.concatenate([rng.uniform(lo, hi, size=rng.integers(0, 3)) for lo, hi in
                             ((-np.exp(-1.0), -0.25), (-0.25, np.e), (np.e, 3.0), (3.0, 1e3))])
-        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+        _agrees(lambert_w0(x), reference_lambert_w0(x), x)
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, np.e, 1e300, -np.exp(-1.0), -np.exp(-1.0) - 1e-13,
                                    np.float64(0.5), np.array(-0.3), np.array([2.0]), 7])
     def test_scalars_and_return_type(self, x):
-        _same_bits(lambert_w0(x), reference_lambert_w0(x))
+        _agrees(lambert_w0(x), reference_lambert_w0(x), x)
 
     def test_matrix_and_empty_shapes(self):
         x = np.linspace(-0.36, 30.0, 12).reshape(3, 4)
-        _same_bits(lambert_w0(x), reference_lambert_w0(x))
-        _same_bits(lambert_w0(np.zeros((0, 3))), reference_lambert_w0(np.zeros((0, 3))))
+        _agrees(lambert_w0(x), reference_lambert_w0(x), x)
+        _agrees(lambert_w0(np.zeros((0, 3))), reference_lambert_w0(np.zeros((0, 3))), np.zeros((0, 3)))
 
     @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf], [-0.5, 1.0]])
     def test_same_errors(self, x):
