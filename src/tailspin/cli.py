@@ -231,8 +231,10 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
 def _cmd_run(cfg: ExperimentConfig) -> None:
     """generate -> corrupt -> pretrain -> finetune in one process; every stage's settings
     are resolved first, so bad input fails before the first stage writes anything."""
-    _settings(cfg, "pretrain"), _settings(cfg, "finetune"), _settings(cfg, "model")
+    _settings(cfg, "pretrain"), _settings(cfg, "model")
+    superloss = _settings(cfg, "finetune").superloss
     _settings(cfg, "eval").check_reference(_corrupted_size(cfg))
+    superloss.resolved(cfg["data.num_classes"])  # tau 'auto' is log(C), checked once data.* are
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     _cmd_pretrain(cfg)
@@ -248,6 +250,7 @@ def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"finetune.freeze={cfg['finetune.freeze']} does not apply to run-single-stage, "
                           "which trains the encoder and the whole head")
     _corrupted_size(cfg)
+    settings.superloss.resolved(cfg["data.num_classes"])  # tau 'auto' is log(C), checked once data.* are
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")

@@ -7,12 +7,12 @@ the base loss equals sigma*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ContractError, ShapeError, ValidationError
-from .tensor import Tensor, mean, softmax_nll, _as_tensor, _op
+from .tensor import Tensor, softmax_nll, _as_tensor, _nll, _op
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
 
@@ -76,9 +76,10 @@ def _fsc_step(z, w):
 
 @dataclass
 class Priors:
-    """Observed class distribution pi over C classes."""
+    """Observed class distribution pi over C classes, and log pi, logit adjustment's shift."""
 
     pi: np.ndarray
+    log_pi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
@@ -88,6 +89,7 @@ class Priors:
             raise ValidationError("priors must be strictly positive")
         if not abs(self.pi.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"priors must sum to 1, got {self.pi.sum()!r}")
+        self.log_pi = np.log(self.pi)
 
     @classmethod
     def uniform(cls, num_classes: int) -> "Priors":
@@ -133,7 +135,7 @@ class ConfidenceReport:
     base_losses: np.ndarray
     sigma: np.ndarray
     per_sample: np.ndarray
-    loss: Tensor  # batch mean, differentiable through the base losses only
+    loss: Tensor  # batch mean; sigma* enters it as a constant
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -145,9 +147,13 @@ def la_loss(logits: Tensor, labels, priors: Priors) -> Tensor:
     """Per-sample logit-adjusted cross-entropy: log(pi_y) is added to column y
     of every row as the shift of the one cross-entropy record."""
     logits = _as_tensor(logits)
+    _check_priors(logits, priors)
+    return softmax_nll(logits, np.asarray(labels), priors.log_pi)
+
+
+def _check_priors(logits: Tensor, priors: Priors) -> None:
     if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
         raise ShapeError(f"la_loss: logits {logits.shape} vs {priors.num_classes} priors")
-    return softmax_nll(logits, np.asarray(labels), np.log(priors.pi))
 
 
 def superloss_sigma(base_loss, params: SuperLossParams):
@@ -168,6 +174,15 @@ def superloss_sigma(base_loss, params: SuperLossParams):
     return np.exp(-lambert_w0(0.5 * clamped))
 
 
+def _wrap(ell: np.ndarray, params: SuperLossParams):
+    """SuperLoss's sigma* (at least 1-d), its per-sample weight (ell's shape) and
+    per-sample terms (l - tau) * sigma* + lambda * log(sigma*)^2."""
+    sigma = np.atleast_1d(superloss_sigma(ell, params))
+    log_sigma = np.log(sigma)
+    weight = sigma.reshape(ell.shape)
+    return sigma, weight, (ell - params.tau) * weight + (params.lam * log_sigma * log_sigma).reshape(ell.shape)
+
+
 def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
     """Wrap per-sample base losses: (l - tau) * sigma* + lambda * log(sigma*)^2.
 
@@ -176,12 +191,9 @@ def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
     (g / n) * sigma*, is bit-equal to the sub, mul, add and mean chain.
     """
     ell = _as_tensor(base_losses)
-    sigma = np.atleast_1d(superloss_sigma(ell.data, params))
-    log_sigma = np.log(sigma)
-    weight = sigma.reshape(ell.shape)
-    per_sample = (ell.data - params.tau) * weight + (params.lam * log_sigma * log_sigma).reshape(ell.shape)
+    sigma, weight, per_sample = _wrap(ell.data, params)
     inv_n = 1.0 / per_sample.size
-    loss = _op("superloss", np.sum(per_sample) * inv_n, (ell, lambda g: g * inv_n * weight))
+    loss = _op("superloss", np.sum(per_sample) * inv_n, lambda g: [(ell, g * inv_n * weight)], ell)
     return ConfidenceReport(
         base_losses=np.atleast_1d(ell.data.copy()),
         sigma=sigma.copy(),
@@ -191,13 +203,28 @@ def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
 
 
 def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperLossParams) -> tuple[Tensor, ConfidenceReport | None]:
-    """The configured fine-tuning loss: cross-entropy (``ce*``) or logit-adjusted
-    (``la*``), wrapped in SuperLoss for the ``*_sl`` kinds, whose threshold
-    defaults to log(C); returns (scalar mean loss, report or None)."""
+    """The configured fine-tuning loss as one tape record: cross-entropy (``ce*``)
+    or logit-adjusted (``la*``), then its mean, or for the ``*_sl`` kinds the
+    mean of its SuperLoss wrap, whose threshold defaults to log(C); returns
+    (scalar mean loss, report or None).
+
+    Value and gradient equal ``cross_entropy`` or ``la_loss`` followed by a
+    mean or by ``superloss`` bit for bit: the record's vjp hands the NLL's vjp
+    the per-sample gradient those records passed it, broadcast(g/n) for the
+    mean and (g / n) * sigma* for SuperLoss.
+    """
     if kind not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
-    base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
+    logits = _as_tensor(logits)
+    shift = None
+    if kind.startswith("la"):
+        _check_priors(logits, priors)
+        shift = priors.log_pi
+    nll, nll_vjp = _nll(logits, labels, shift)
+    inv_n = 1.0 / nll.size
     if not kind.endswith("_sl"):
-        return mean(base), None
-    report = superloss(base, params.resolved(priors.num_classes))
-    return report.loss, report
+        return _op("batch_loss", np.sum(nll) * inv_n,
+                   lambda g: [(logits, nll_vjp(np.broadcast_to(g * inv_n, nll.shape)))], logits), None
+    sigma, weight, per_sample = _wrap(nll, params.resolved(priors.num_classes))
+    loss = _op("batch_loss", np.sum(per_sample) * inv_n, lambda g: [(logits, nll_vjp(g * inv_n * weight))], logits)
+    return loss, ConfidenceReport(base_losses=nll.copy(), sigma=sigma.copy(), per_sample=per_sample, loss=loss)

@@ -7,12 +7,12 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .seeding import rng_for
-from .tensor import Tensor, flatten, linear
+from .tensor import Tensor, flatten, mlp
 
 
 class Linear:
-    """Fully-connected layer: x @ W + b, optionally followed by a ReLU, as one
-    tape record; He-normal weight init."""
+    """Fully-connected layer's parameters, for x @ W + b; He-normal weight init.
+    ``Mlp`` applies its layers."""
 
     def __init__(self, weight: Tensor, bias: Tensor):
         self.weight = weight
@@ -25,9 +25,6 @@ class Linear:
         b = Tensor(np.zeros(fan_out), requires_grad=True)
         return cls(w, b)
 
-    def __call__(self, x: Tensor, relu: bool = False, blocks: int = 1) -> Tensor:
-        return linear(x, self.weight, self.bias, relu, blocks)
-
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
@@ -39,10 +36,11 @@ class Linear:
 
 
 class Mlp:
-    """Stack of Linear layers with ReLU between them (none after the last).
+    """Stack of Linear layers with ReLU between them (none after the last),
+    applied as one tape record.
 
     Called with ``blocks`` > 1, every layer forms its products per row block
-    (see ``tensor.linear``), so stacked views pass through as one batch."""
+    (see ``tensor.mlp``), so stacked views pass through as one batch."""
 
     def __init__(self, layers: list[Linear]):
         self.layers = layers
@@ -56,10 +54,7 @@ class Mlp:
         return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
     def __call__(self, x: Tensor, blocks: int = 1) -> Tensor:
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x, relu=i < last, blocks=blocks)
-        return x
+        return mlp(x, self.parameters(), blocks)
 
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]

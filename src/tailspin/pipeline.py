@@ -190,9 +190,8 @@ def finetune(
 
     def frozen_outputs(data: Dataset) -> np.ndarray:
         reps = encoder_outputs(model, data)
-        for layer in head.layers[:frozen]:
-            reps = layer(Tensor(reps), relu=True).data
-        return reps
+        # the last frozen layer keeps its ReLU, which Mlp leaves off its own last layer
+        return np.maximum(Mlp(head.layers[:frozen])(Tensor(reps)).data, 0.0) if frozen else reps
 
     reps = frozen_outputs(dataset)
     trained = Mlp(head.layers[frozen:])

@@ -97,10 +97,15 @@ def simsiam_loss(p: Tensor, z: Tensor, stop_grad: bool = True) -> Tensor:
         return -(g * 0.5) * inv_n
 
     value = -(np.sum(dots[:b]) * inv_n) * 0.5 + -(np.sum(dots[b:]) * inv_n) * 0.5
-    pairs = [(p, lambda g: p_vjp(scale(g) * _swap(yz, b)))]
-    if not stop_grad:
-        pairs.append((z, lambda g: z_vjp(scale(g) * _swap(yp, b))))
-    return _op("simsiam", value, *pairs)
+    z_takes_grad = z.requires_grad and not stop_grad
+
+    def vjp(g):
+        pairs = [(p, p_vjp(scale(g) * _swap(yz, b)))] if p.requires_grad else []
+        if z_takes_grad:
+            pairs.append((z, z_vjp(scale(g) * _swap(yp, b))))
+        return pairs
+
+    return _op("simsiam", value, vjp, p, *([] if stop_grad else [z]))
 
 
 def nt_xent_loss(z: Tensor, temperature: float) -> Tensor:
@@ -131,9 +136,9 @@ def nt_xent_loss(z: Tensor, temperature: float) -> Tensor:
         # y is both Gram operands: the left one's gradient, then the transposed right one's
         grad_y = grad_sims @ yt.T
         grad_y += (y.T @ grad_sims).T
-        return unit_vjp(grad_y)
+        return [(z, unit_vjp(grad_y))]
 
-    return _op("nt_xent", np.sum(nll) * inv_n, (z, vjp))
+    return _op("nt_xent", np.sum(nll) * inv_n, vjp, z)
 
 
 def _standardize(a: np.ndarray, inv_b: float, eps: float):
@@ -190,16 +195,16 @@ def barlow_twins_loss(z: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
         grad = np.empty_like(z.data)
         grad[:b] = vjp_a((grad_corr @ std_b.T).T.copy())
         grad[b:] = vjp_b(std_a_t.T @ grad_corr)
-        return grad
+        return [(z, grad)]
 
-    return _op("barlow_twins", value, (z, vjp))
+    return _op("barlow_twins", value, vjp, z)
 
 
 def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
     """The configured objective on two views of one minibatch; labels are never consulted.
 
     Both views pass through each network as one stacked (2B, d) batch, view
-    a in rows [:B], with every product formed per view (``linear``'s
+    a in rows [:B], with every product formed per view (``mlp``'s
     blocks), so the loss and every gradient equal one pass per view bit for
     bit. SimSiam applies ``method.stop_gradient``; BYOL's target branch is
     the EMA network, which never takes a gradient.

@@ -1,12 +1,12 @@
 """Dense double-precision tensors with reverse-mode automatic differentiation.
 
 Define-by-run: every operation builds its output through ``_op``, which,
-while a Tape is active, appends one (output, inputs) record to it: the op's
-output and the (input, vjp) pairs of its inputs that require a gradient.
-``Tape.backward`` walks the records in exact reverse execution order, adds
-each vjp(output gradient) into its input and then drops the records, so the
-graph is freed as soon as the caller lets go of it. Tensors and tapes are
-confined to a single thread; there is no locking.
+while a Tape is active, appends one (output, vjp) record to it; vjp(output
+gradient) returns the (input, gradient) pairs of the op's inputs that
+require a gradient. ``Tape.backward`` walks the records in exact reverse
+execution order, adds each gradient into its input and then drops the
+records, so the graph is freed as soon as the caller lets go of it. Tensors
+and tapes are confined to a single thread; there is no locking.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ _stack = _TapeStack()
 
 
 class Tape:
-    """Execution-ordered (output, inputs) records, one per operation.
+    """Execution-ordered (output, vjp) records, one per operation.
 
     Backward traverses the records in exact reverse order. A tape is spent
     after one backward pass; reusing it raises TapeError.
@@ -41,7 +41,7 @@ class Tape:
     __slots__ = ("_records", "_spent")
 
     def __init__(self):
-        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]]] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -56,8 +56,9 @@ class Tape:
         """Seed the scalar output with gradient 1 and apply the records in reverse.
 
         A tensor used by several ops sums its contributions in reverse
-        execution order: (c3 + c2) + c1 for uses 1, 2, 3. The first is kept
-        as the vjp returned it, and later ones are added into it in place."""
+        execution order: (c3 + c2) + c1 for uses 1, 2, 3, and the pairs of one
+        record in the order its vjp returns them. The first is kept as the vjp
+        returned it, and later ones are added into it in place."""
         if self._spent:
             raise TapeError("backward already ran on this tape; re-execute the graph first")
         if output.data.size != 1:
@@ -70,13 +71,13 @@ class Tape:
         # gradients are applied even while the caller still holds this tape
         records, self._records = self._records, []
         output._grad = np.ones_like(output.data)
-        for node, inputs in reversed(records):
+        for node, vjp in reversed(records):
             if node._grad is not None:
-                for t, vjp in inputs:
+                for t, grad in vjp(node._grad):
                     if t._grad is None:
-                        t._grad = vjp(node._grad)
+                        t._grad = grad
                     else:
-                        t._grad += vjp(node._grad)
+                        t._grad += grad
 
 
 class Tensor:
@@ -175,34 +176,41 @@ def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
     return vector
 
 
-def _op(name: str, value: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]],
-        checked: np.ndarray | None = None) -> Tensor:
-    """Output of op ``name`` with forward ``value`` and (input, vjp) pairs, one or
-    more per input.
+def _op(name: str, value: np.ndarray, vjp: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]],
+        *inputs: Tensor) -> Tensor:
+    """Output of op ``name`` with forward ``value``, computed from ``inputs``.
 
     The output requires a gradient if any input does. While a tape is active,
-    one (output, inputs) record keeps the pairs whose input requires a
-    gradient, in argument order, which is the order backward adds them in;
-    backward never calls any other input's vjp.
-    A vjp returns a new, writable float64 ndarray with its input's shape, and
-    the tape may keep it: an op that broadcast an input sums the gradient
-    back down itself, and one whose gradient would be a view copies it. (For
-    a 0-d input, NumPy arithmetic gives a float64 scalar, which serves alike.)
-    The finiteness check reads ``checked`` in place of the output when given:
-    a fused op passes the intermediate that a later step could hide.
+    such an output adds one (output, vjp) record. vjp(g) returns the (input,
+    gradient) pairs of the inputs that require a gradient, in the order
+    backward adds them, and never forms another input's gradient; an input
+    may appear in several pairs. Each gradient is a new, writable float64
+    ndarray with its input's shape, and the tape may keep it: an op that
+    broadcast an input sums the gradient back down itself, and one whose
+    gradient would be a view copies it. (For a 0-d input, NumPy arithmetic
+    gives a float64 scalar, which serves alike.) A non-finite output is a
+    NumericError; a fused op checks itself any intermediate that a later step
+    could hide.
     """
     arr = np.ascontiguousarray(value, dtype=np.float64)
-    if not np.isfinite(arr if checked is None else checked).all():
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name}: produced non-finite values")
-    live = [(t, vjp) for t, vjp in inputs if t.requires_grad]
     out = Tensor.__new__(Tensor)
     out.data = arr
-    out.requires_grad = bool(live)
+    out.requires_grad = any(t.requires_grad for t in inputs)
     out._grad = None
     out._flat = None
-    if live and _stack.tapes:
-        _stack.tapes[-1]._records.append((out, live))
+    if out.requires_grad and _stack.tapes:
+        _stack.tapes[-1]._records.append((out, vjp))
     return out
+
+
+def _each(*grads: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]):
+    """The vjp of an op whose inputs' gradients are formed independently, from
+    (input, gradient function) per input: the pairs of the inputs that require
+    a gradient, in argument order."""
+    live = [(t, grad) for t, grad in grads if t.requires_grad]
+    return lambda g: [(t, grad(g)) for t, grad in live]
 
 
 def _broadcast_op(a: Tensor, b: Tensor, fn, name: str) -> np.ndarray:
@@ -213,84 +221,109 @@ def _broadcast_op(a: Tensor, b: Tensor, fn, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward operations; each passes its value and per-input vjps to _op
+# forward operations; each passes its value, its vjp and its inputs to _op
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return _op("add", _broadcast_op(a, b, np.add, "add"),
-               (a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: np.array(_unbroadcast(g, b.shape))))
+               _each((a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: np.array(_unbroadcast(g, b.shape)))),
+               a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return _op("sub", _broadcast_op(a, b, np.subtract, "sub"),
-               (a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: _unbroadcast(-g, b.shape)))
+               _each((a, lambda g: np.array(_unbroadcast(g, a.shape))), (b, lambda g: _unbroadcast(-g, b.shape))), a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op("mul", _broadcast_op(a, b, np.multiply, "mul"),
-               (a, lambda g: _unbroadcast(g * b.data, a.shape)), (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+               _each((a, lambda g: _unbroadcast(g * b.data, a.shape)), (b, lambda g: _unbroadcast(g * a.data, b.shape))),
+               a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _op("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+    return _op("matmul", a.data @ b.data, _each((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)), a, b)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False, blocks: int = 1) -> Tensor:
-    """x @ W + b, then max(., 0) if ``relu``, as one record.
+def mlp(x: Tensor, params: Sequence[Tensor], blocks: int = 1) -> Tensor:
+    """A multilayer perceptron on x as one record: ``params`` holds each layer's
+    W and b in turn, and every layer but the last applies a ReLU to h @ W + b.
 
     x's rows are ``blocks`` equal row blocks, such as the two views of a
-    pretraining batch stacked view a first. Each product (x_k @ W, g_k @ W.T
-    and x_k.T @ g_k) is formed per block with the operands that one record
-    per block would use, and the record holds x's pair, then a W and a b
-    pair per block, last block first: the order in which the reverse tape
-    applied one record per block. So values and gradients equal
-    relu(add(matmul(x_k, W), b)) per block bit for bit. The bias add, the
-    ReLU and the finiteness check run once over all rows; the check reads
-    the pre-activation, since max(-inf, 0) hides an overflow. Every vjp
-    starts from g * (pre > 0), the product relu's vjp formed, and the bias
-    vjp sums a block's rows itself, the reduction add's vjp made.
+    pretraining batch stacked view a first. Every product (h_k @ W, g_k @ W.T
+    and h_k.T @ g_k) is formed per layer and block, and the vjp returns, last
+    layer first, x's gradient (first layer only), then a W and a b pair per
+    block, last block first, the order of the reverse tape over one record per
+    layer and block; so values and gradients equal relu(add(matmul(h_k, W), b))
+    per layer and block bit for bit. A layer's bias add, ReLU and finiteness
+    check run over all rows; the check reads the pre-activation, since
+    max(-inf, 0) hides an overflow. Gradients stop at the first layer whose
+    input requires none.
     """
-    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
-        raise ShapeError(f"linear: input {x.shape} vs weight {weight.shape}")
-    if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"linear: bias {bias.shape} vs weight {weight.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"mlp: expected a 2-d input, got shape {x.shape}")
+    if not params or len(params) % 2:
+        raise ContractError(f"mlp: expected a weight and a bias per layer, got {len(params)} tensors")
     if blocks < 1 or x.shape[0] % blocks:
-        raise ContractError(f"linear: {x.shape[0]} rows do not split into {blocks} equal blocks")
+        raise ContractError(f"mlp: {x.shape[0]} rows do not split into {blocks} equal blocks")
     step = x.shape[0] // blocks
     spans = [slice(k * step, (k + 1) * step) for k in range(blocks)]
-    pre = np.empty((x.shape[0], weight.shape[1]))
-    for s in spans:
-        np.matmul(x.data[s], weight.data, out=pre[s])
-    pre += bias.data
-    active = pre > 0.0 if relu else None
-    shared = []  # the pre-activation gradient, formed once for every vjp
-
-    def grad_pre(g):
-        if not shared:
-            shared.append(g * active if relu else g)
-        return shared[0]
-
-    def x_vjp(g):
-        out = np.empty_like(x.data)
+    last = len(params) - 2
+    layers = []  # per layer: its input, W, b, ReLU mask (None on the last) and whether the input needs a gradient
+    h, needs = x.data, x.requires_grad
+    for i in range(0, len(params), 2):
+        weight, bias = params[i], params[i + 1]
+        if weight.ndim != 2 or h.shape[1] != weight.shape[0]:
+            raise ShapeError(f"mlp: layer {i // 2} input {h.shape} vs weight {weight.shape}")
+        if bias.shape != (weight.shape[1],):
+            raise ShapeError(f"mlp: layer {i // 2} bias {bias.shape} vs weight {weight.shape}")
+        pre = np.empty((h.shape[0], weight.shape[1]))
         for s in spans:
-            np.matmul(grad_pre(g)[s], weight.data.T, out=out[s])
-        return out
+            np.matmul(h[s], weight.data, out=pre[s])
+        pre += bias.data
+        active = None
+        if i < last:  # the ReLU could hide an overflow; _op checks the last layer's output
+            if not np.isfinite(pre).all():
+                raise NumericError(f"mlp: layer {i // 2} produced non-finite values")
+            active = pre > 0.0
+        layers.append((h, weight, bias, active, needs))
+        h = pre if active is None else np.maximum(pre, 0.0)
+        needs = needs or weight.requires_grad or bias.requires_grad
 
-    pairs = [(x, x_vjp)]
-    for s in reversed(spans):
-        pairs += [(weight, lambda g, s=s: x.data[s].T @ grad_pre(g)[s]), (bias, lambda g, s=s: grad_pre(g)[s].sum(axis=0))]
-    return _op("linear", np.maximum(pre, 0.0) if relu else pre, *pairs, checked=pre)
+    def vjp(g):
+        pairs = []
+        for i in range(len(layers) - 1, -1, -1):
+            h, weight, bias, active, needs = layers[i]
+            if active is not None:
+                g = g * active
+            if needs:
+                grad_h = np.empty_like(h)
+                for s in spans:
+                    np.matmul(g[s], weight.data.T, out=grad_h[s])
+                if i == 0:
+                    pairs.append((x, grad_h))
+            for s in reversed(spans):
+                if weight.requires_grad:
+                    pairs.append((weight, h[s].T @ g[s]))
+                if bias.requires_grad:
+                    pairs.append((bias, g[s].sum(axis=0)))
+            if not needs:
+                break
+            g = grad_h
+        return pairs
+
+    return _op("mlp", h, vjp, x, *params)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
-    return _op("transpose", a.data.T, (a, lambda g: g.T.copy()))
+    return _op("transpose", a.data.T, lambda g: [(a, g.T.copy())], a)
 
 
 def relu(a: Tensor) -> Tensor:
-    return _op("relu", np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
+    return _op("relu", np.maximum(a.data, 0.0), lambda g: [(a, g * (a.data > 0.0))], a)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -298,26 +331,14 @@ def power(a: Tensor, exponent: float) -> Tensor:
         raise ValidationError("power: exponent must be a plain number")
     p = float(exponent)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _op("power", a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
+        return _op("power", a.data ** p, lambda g: [(a, g * p * a.data ** (p - 1.0))], a)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def vjp(g):
-        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy()
+        return [(a, np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy())]
 
-    return _op("sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a, vjp))
-
-
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Sum times 1/n in one record, bit-equal to mul(tensor_sum(a), 1/n)."""
-    inv_n = 1.0 / (a.size if axis is None else a.shape[axis])
-
-    def vjp(g):
-        g = g * inv_n
-        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy()
-
-    # 0 < 1/n <= 1, so the product is finite exactly when the sum is
-    return _op("mean", np.sum(a.data, axis=axis, keepdims=keepdims) * inv_n, (a, vjp))
+    return _op("sum", np.sum(a.data, axis=axis, keepdims=keepdims), vjp, a)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -332,9 +353,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def vjp(g):
         z = np.zeros_like(a.data)
         np.add.at(z, (rows, idx), g)
-        return z
+        return [(a, z)]
 
-    return _op("gather_rows", a.data[rows, idx], (a, vjp))
+    return _op("gather_rows", a.data[rows, idx], vjp, a)
 
 
 def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
@@ -343,9 +364,16 @@ def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
     Values and gradient equal sub(log_sum_exp(s), gather_rows(s, indices))
     with s = add(a, Tensor(shift)) bit for bit: the vjp is z + softmax * g,
     where z scatters -g into the gathered entries, the sum that gather_rows'
-    and then log_sum_exp's vjps left in s. A finite s gives a finite
-    log-sum-exp, so the checks are on s and on the result.
+    and then log_sum_exp's vjps left in s. ``_nll`` gives the value and that
+    vjp on arrays, for ops that continue the NLL in the same record.
     """
+    value, vjp = _nll(a, indices, shift)
+    return _op("softmax_nll", value, lambda g: [(a, vjp(g))], a)
+
+
+def _nll(a: Tensor, indices, shift: np.ndarray | None = None):
+    """``softmax_nll``'s value and its vjp on arrays, its arguments checked: a
+    finite s gives a finite log-sum-exp, so the checks are on s and on the result."""
     idx = np.asarray(indices)
     if a.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
         raise ShapeError(f"softmax_nll: tensor shape {a.shape} vs index shape {idx.shape}")
@@ -357,7 +385,9 @@ def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
         if not np.isfinite(s).all():
             raise NumericError("softmax_nll: the shifted input is non-finite")
     value, vjp = _softmax_nll(s, idx)
-    return _op("softmax_nll", value, (a, vjp))
+    if not np.isfinite(value).all():
+        raise NumericError("softmax_nll: produced non-finite values")
+    return value, vjp
 
 
 def _softmax_nll(s: np.ndarray, idx: np.ndarray):
@@ -382,7 +412,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_rows: incompatible shapes {a.shape} and {b.shape}")
     split = a.shape[0]
     value = np.concatenate([a.data, b.data], axis=0)
-    return _op("concat_rows", value, (a, lambda g: g[:split].copy()), (b, lambda g: g[split:].copy()))
+    return _op("concat_rows", value, _each((a, lambda g: g[:split].copy()), (b, lambda g: g[split:].copy())), a, b)
 
 
 def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
@@ -392,14 +422,14 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
     total = np.sum(shifted, axis=axis, keepdims=True)
     soft = shifted / total
     value = np.squeeze(m + np.log(total), axis=axis)
-    return _op("log_sum_exp", value, (a, lambda g: soft * np.expand_dims(g, axis)))
+    return _op("log_sum_exp", value, lambda g: [(a, soft * np.expand_dims(g, axis))], a)
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Unit-normalize along one axis; vectors with norm < 1e-12 map to zero. A
     squared norm beyond float64 range is a NumericError, not a zero vector."""
     y, vjp = _unit(a.data, axis, "l2_normalize")
-    return _op("l2_normalize", y, (a, vjp))
+    return _op("l2_normalize", y, lambda g: [(a, vjp(g))], a)
 
 
 def _unit(a: np.ndarray, axis: int, name: str):

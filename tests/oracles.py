@@ -16,7 +16,7 @@ import numpy as np
 
 from tailspin.errors import ContractError, NumericError, ValidationError
 from tailspin.evaluation import MetricsRecord
-from tailspin.losses import _BRANCH_POINT, superloss_sigma
+from tailspin.losses import _BRANCH_POINT, cross_entropy, la_loss, superloss, superloss_sigma
 from tailspin.tensor import (
     Tensor,
     _op,
@@ -26,7 +26,6 @@ from tailspin.tensor import (
     l2_normalize,
     log_sum_exp,
     matmul,
-    mean,
     mul,
     power,
     relu,
@@ -325,6 +324,71 @@ def unfused_mlp(mlp, x):
     return x
 
 
+# The records as they were before one record per network call and per loss:
+# ``linear``, the former layer op, one record per layer, and ``mean``, the
+# former record that followed the NLL. ``tensor.mlp`` must equal a chain of
+# ``linear`` records and ``losses.batch_loss`` the NLL record followed by
+# ``mean`` or ``superloss``, bit for bit.
+
+def linear(x, weight, bias, use_relu: bool = False, blocks: int = 1):
+    """x @ W + b, then max(., 0) if ``use_relu``, as one record, every product formed per row block;
+    the vjp returns x's gradient, then a W and a b pair per block, last block first."""
+    if blocks < 1 or x.shape[0] % blocks:
+        raise ContractError(f"linear: {x.shape[0]} rows do not split into {blocks} equal blocks")
+    step = x.shape[0] // blocks
+    spans = [slice(k * step, (k + 1) * step) for k in range(blocks)]
+    pre = np.empty((x.shape[0], weight.shape[1]))
+    for s in spans:
+        np.matmul(x.data[s], weight.data, out=pre[s])
+    pre += bias.data
+    if not np.isfinite(pre).all():  # max(-inf, 0) would hide an overflow
+        raise NumericError("linear: produced non-finite values")
+    active = pre > 0.0 if use_relu else None
+
+    def vjp(g):
+        g = g * active if use_relu else g
+        pairs = []
+        if x.requires_grad:
+            grad_x = np.empty_like(x.data)
+            for s in spans:
+                np.matmul(g[s], weight.data.T, out=grad_x[s])
+            pairs.append((x, grad_x))
+        for s in reversed(spans):
+            if weight.requires_grad:
+                pairs.append((weight, x.data[s].T @ g[s]))
+            if bias.requires_grad:
+                pairs.append((bias, g[s].sum(axis=0)))
+        return pairs
+
+    return _op("linear", np.maximum(pre, 0.0) if use_relu else pre, vjp, x, weight, bias)
+
+
+def layered_mlp(mlp, x, blocks: int = 1):
+    """``Mlp.__call__`` as one ``linear`` record per layer."""
+    last = len(mlp.layers) - 1
+    for i, layer in enumerate(mlp.layers):
+        x = linear(x, layer.weight, layer.bias, i < last, blocks)
+    return x
+
+
+def mean(a, axis=None, keepdims=False):
+    """Sum times 1/n in one record, bit-equal to ``unfused_mean``."""
+    inv_n = 1.0 / (a.size if axis is None else a.shape[axis])
+
+    def vjp(g):
+        g = g * inv_n
+        return [(a, np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy())]
+
+    # 0 < 1/n <= 1, so the product is finite exactly when the sum is
+    return _op("mean", np.sum(a.data, axis=axis, keepdims=keepdims) * inv_n, vjp, a)
+
+
+def chained_batch_loss(kind, logits, labels, priors, params):
+    """``losses.batch_loss`` as the NLL record, then the ``mean`` or ``superloss`` record."""
+    base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
+    return superloss(base, params.resolved(priors.num_classes)).loss if kind.endswith("_sl") else mean(base)
+
+
 def unfused_mean(a, axis=None, keepdims=False):
     n = a.size if axis is None else a.shape[axis]
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
@@ -373,12 +437,12 @@ def unfused_nt_xent(z_a, z_b, temperature):
 # the same values and leaf gradients, bit for bit.
 
 def neg(a):
-    return _op("neg", -a.data, (a, lambda g: -g))
+    return _op("neg", -a.data, lambda g: [(a, -g)], a)
 
 
 def stop_gradient(a):
     """Pass values through bitwise unchanged; block all gradient flow."""
-    return _op("stop_gradient", a.data)
+    return _op("stop_gradient", a.data, None)
 
 
 def negative_cosine_similarity(p, z):

@@ -355,6 +355,8 @@ class TestErrorReporting:
             # finite, but SuperLoss's (l - tau) * sigma* or (l - tau) / lambda overflows
             ("finetune.tau=1e308", 1, "validation-error", ["run", "run-single-stage"], "tau"),
             ("finetune.tau=-1e300 finetune.lambda=1e-300", 1, "validation-error", ["run", "run-single-stage"], "tau"),
+            # tau 'auto' is log 3 here, too large for this lambda; run found it after pretraining
+            ("finetune.lambda=3e-299", 1, "validation-error", ["run", "run-single-stage"], "tau"),
             # per_class=30 at gamma=1000 gives the profile [30, 1, 0]
             ("data.gamma=1000", 1, "validation-error", ["run", "run-single-stage"], "gamma"),
             ("data.nu=2.0", 1, "validation-error", ["run-single-stage"], "nu"),
@@ -381,12 +383,14 @@ class TestErrorReporting:
         for cmd in commands:
             out = tmp_path / cmd
             assert run_cli(cmd, "--output", str(out), *FAST, *settings) == code, cmd
-            line = capsys.readouterr().err.strip().splitlines()[-1]
+            lines = capsys.readouterr().err.strip().splitlines()
+            line = lines[-1]
+            assert [entry for entry in lines if re.match(r"[a-z-]*error: ", entry)] == [line], cmd
             assert line.startswith(f"{error}:"), cmd
             assert re.search(rf"\b{re.escape(named)}\b", line), (cmd, line)
             metrics = out / "metrics.jsonl"
             assert not metrics.exists() or metrics.read_text() == "", cmd
-            assert not (out / "data").exists(), cmd
+            assert not (out / "data").exists() and not (out / "checkpoints").exists(), cmd
 
     def test_temperature_at_floor_trains(self, tmp_path):
         out = tmp_path / "floor"

@@ -1,17 +1,23 @@
-"""One tape record per layer and per loss term, and both views in one pass.
+"""One tape record per network call and per loss, and both views in one pass.
 
-The fused ops (``linear`` over one or two row blocks, ``mean``,
-``softmax_nll``, SuperLoss's wrap and the four SSL objectives on stacked
-views) must give the values and leaf gradients of the unfused chains in
-``oracles`` bit for bit, and a training step must write exactly its budget
-of records, so that un-fusing a layer fails here and not only in the
-benchmark. Both sides of every comparison form the same per-view products,
-so the comparisons hold whatever kernels the BLAS picks on a CPU.
+The fused ops (``mlp`` over one or two row blocks, ``softmax_nll``,
+``batch_loss``, SuperLoss's wrap and the four SSL objectives on stacked
+views) must give the values and leaf gradients of the chains in ``oracles``
+bit for bit: one ``linear`` record per layer, the NLL record followed by
+``mean`` or ``superloss``, and the unfused chains of single ops beneath
+them. A training step must write exactly its budget of records, so that
+un-fusing a network or a loss fails here and not only in the benchmark. Both
+sides of every comparison form the same per-view products, so the
+comparisons hold whatever kernels the BLAS picks on a CPU.
 """
 import numpy as np
 import pytest
 
 from oracles import (
+    chained_batch_loss,
+    layered_mlp,
+    linear,
+    mean,
     params_digest,
     two_pass_method_loss,
     unfused_barlow_twins,
@@ -28,6 +34,7 @@ from tailspin.errors import ContractError, NumericError
 from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss, cross_entropy, la_loss
 from tailspin.nn import SSL_METHODS, Mlp, build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
+from tailspin import pipeline
 from tailspin.pipeline import FULL_HEAD, LAST_LAYER_ONLY, FinetuneSettings, build_finetune_head, finetune
 from tailspin.ssl import (
     SSLMethod,
@@ -38,7 +45,7 @@ from tailspin.ssl import (
     pretrain_epoch,
     simsiam_loss,
 )
-from tailspin.tensor import Tape, Tensor, add, linear, mean, mul, tensor_sum
+from tailspin.tensor import Tape, Tensor, add, mlp, mul, tensor_sum
 
 
 def leaf(shape, seed, requires_grad=True, scale=1.0):
@@ -84,6 +91,9 @@ BATCHES = [2, 5, 41, 64]
 
 
 class TestLinear:
+    """One layer: the former layer record, ``oracles.linear``, against the unfused
+    chain, and the per-layer checks that ``mlp`` took over from it."""
+
     @pytest.mark.parametrize("use_relu", [False, True])
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("x_grad", [False, True])
@@ -156,13 +166,37 @@ class TestLinear:
     @pytest.mark.parametrize("rows, blocks", [(5, 2), (4, 0), (4, 3)])
     def test_rows_that_do_not_split_are_contract_error(self, rows, blocks):
         with pytest.raises(ContractError, match="equal blocks"):
-            linear(Tensor(np.ones((rows, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), blocks=blocks)
+            mlp(Tensor(np.ones((rows, 3))), [Tensor(np.ones((3, 2))), Tensor(np.zeros(2))], blocks=blocks)
 
     def test_negative_overflow_before_relu_raises(self):
         # x @ W is -inf, which the ReLU would turn into 0; the check reads the pre-activation
         x, w, b = Tensor([[1e200, 1.0]]), Tensor([[-1e200], [0.0]]), Tensor([0.0])
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="linear"):
-            linear(x, w, b, relu=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="mlp: layer 0"):
+            mlp(x, [w, b, Tensor([[1.0]]), Tensor([0.0])])
+
+
+class TestMlp:
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("batch", [2, 41, 64])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("frozen_first", [False, True])
+    def test_one_record_bit_equal_to_one_linear_record_per_layer(self, blocks, batch, x_grad, frozen_first):
+        # the predictor's widths, then a 10-way head layer; a frozen first layer
+        # takes no gradient, and none flows below it unless x requires one.
+        # The biases start at 0, so x's zero row meets every first-layer ReLU at its kink
+        net = Mlp.init([32, 16, 32, 10], np.random.default_rng(36))
+        if frozen_first:
+            net.layers[0] = net.layers[0].copy(requires_grad=False)
+        x = leaf((blocks * batch, 32), 37, requires_grad=x_grad)
+        x.data[0] = 0.0
+        later = leaf((3, 32), 38, requires_grad=False)
+
+        def build(forward):
+            out = forward(net, x, blocks)
+            return out, add(weighted_sum(out, 39), weighted_sum(forward(net, later, 1), 40))
+
+        leaves = [p for p in net.parameters() if p.requires_grad] + ([x] if x_grad else [])
+        assert_same(lambda: build(Mlp.__call__), lambda: build(layered_mlp), leaves)
 
 
 class TestMean:
@@ -215,7 +249,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("lam", [0.5, 4.0])
     @pytest.mark.parametrize("logits, labels", _logit_cases())
     def test_bit_equal_to_unfused_chain(self, kind, clamp_mode, lam, logits, labels):
-        # the logits come out of a linear layer, so the gradient also crosses a fused layer;
+        # the logits come out of a layer, so the gradient also crosses a network record;
         # at lambda 0.5 the confident rows reach the lower_bound clamp
         x = Tensor(logits)
         w, b = Tensor(np.eye(4) * 3.0, requires_grad=True), leaf(4, 18)
@@ -223,13 +257,18 @@ class TestBatchLoss:
         params = SuperLossParams(tau=float(np.log(4)), lam=lam, clamp_mode=clamp_mode)
 
         def fused():
-            loss, _ = batch_loss(kind, linear(x, w, b), labels, priors, params)
+            loss, _ = batch_loss(kind, mlp(x, [w, b]), labels, priors, params)
+            return loss, loss
+
+        def chained():
+            loss = chained_batch_loss(kind, linear(x, w, b), labels, priors, params)
             return loss, loss
 
         def unfused():
             loss = unfused_batch_loss(kind, unfused_linear(x, w, b), labels, priors, params)
             return loss, loss
 
+        assert_same(fused, chained, [w, b])
         assert_same(fused, unfused, [w, b])
 
     @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
@@ -336,6 +375,24 @@ def test_method_loss_bit_equal_to_two_passes(method, stop_grad, batch):
     assert_same(lambda: build(method_loss), lambda: build(two_pass_method_loss), model.trainable_parameters())
 
 
+@pytest.mark.parametrize("batch", [2, 41, 64])
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_method_loss_bit_equal_to_one_linear_record_per_layer(monkeypatch, method, stop_grad, batch):
+    # with SimSiam's stop-gradient off, z takes gradients from the predictor's record and the objective's
+    model = build_model(method, 8, seed=41)
+    ssl_method = SSLMethod(method, stop_gradient=stop_grad)
+    rng = np.random.default_rng(42)
+    views = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
+
+    def build():
+        loss = method_loss(model, ssl_method, *views)
+        return loss, loss
+
+    fused = traced(build, model.trainable_parameters())
+    monkeypatch.setattr(Mlp, "__call__", layered_mlp)
+    assert traced(build, model.trainable_parameters()) == fused
+
+
 @pytest.mark.parametrize("method, stop_grad", _ssl_cases())
 def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
     # 39 samples in batches of 16: the last batch of every epoch is ragged
@@ -361,7 +418,9 @@ def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
 
 
 # ---------------------------------------------------------------------------
-# record budget: records on the tape when one training step calls backward
+# record budget: records on the tape when one training step calls backward,
+# and ``layered``, the records with the oracles' chains in place of each network
+# and loss: one per layer and per loss term, which the fused records replace
 
 @pytest.fixture
 def records_per_step(monkeypatch):
@@ -381,26 +440,48 @@ def train_set():
     return generate_synthetic(3, 32, 8, 6.0, seed=2)
 
 
-# one record per layer plus one per loss term (the NLL, then SuperLoss or the mean)
-@pytest.mark.parametrize("method, policy, budget", [
+def layered(monkeypatch):
+    """Patch in one ``linear`` record per layer and the NLL record followed by ``mean`` or ``superloss``."""
+    monkeypatch.setattr(Mlp, "__call__", layered_mlp)
+    monkeypatch.setattr(pipeline, "batch_loss", lambda *args: (chained_batch_loss(*args), None))
+
+
+# 2 per step: one record for the head's trained layers, one for the loss
+@pytest.mark.parametrize("method, policy, layer_records", [
     ("simsiam", FULL_HEAD, 4),
     ("simsiam", LAST_LAYER_ONLY, 3),
     ("simclr", FULL_HEAD, 3),
 ])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
-def test_finetune_step_record_budget(records_per_step, train_set, method, policy, budget, kind):
-    model = build_model(method, 8, seed=3)
-    head = build_finetune_head(model, 3, method, seed=4)
-    settings = FinetuneSettings(loss=kind, epochs=1,
-                                optimizer=OptimizerConfig(kind="adam", base_lr=0.01, weight_decay=0.0, batch_size=32))
-    finetune(model, head, train_set, settings, policy, run_seed=5)
-    assert records_per_step == [budget] * 3
+def test_finetune_step_record_budget(records_per_step, monkeypatch, train_set, method, policy, layer_records, kind):
+    def records():
+        records_per_step.clear()
+        model = build_model(method, 8, seed=3)
+        head = build_finetune_head(model, 3, method, seed=4)
+        settings = FinetuneSettings(loss=kind, epochs=1, optimizer=OptimizerConfig(
+            kind="adam", base_lr=0.01, weight_decay=0.0, batch_size=32))
+        finetune(model, head, train_set, settings, policy, run_seed=5)
+        return records_per_step
+
+    assert records() == [2] * 3
+    layered(monkeypatch)
+    assert records() == [layer_records] * 3
 
 
-# 2 encoder + 2 projector [+ 2 predictor] layers over both views, then the objective
-@pytest.mark.parametrize("method, budget", [("simsiam", 7), ("simclr", 5), ("byol", 7), ("barlow_twins", 5)])
-def test_pretrain_step_record_budget(records_per_step, train_set, method, budget):
-    model = build_model(method, 8, seed=3)
-    opt = make_optimizer(OptimizerConfig(batch_size=32), model.trainable_parameters())
-    pretrain_epoch(model, train_set, SSLMethod(method), opt, 0.01, 0, 1, AugmentationSpec(0.4, 0.1, 0.2), 32)
-    assert records_per_step == [budget] * 3
+# one record per network over both views (the encoder, the projector and, for
+# SimSiam and BYOL, the predictor), then one for the objective
+PRETRAIN_BUDGET = {"simsiam": 4, "simclr": 3, "byol": 4, "barlow_twins": 3}
+
+
+@pytest.mark.parametrize("method, layer_records", [("simsiam", 7), ("simclr", 5), ("byol", 7), ("barlow_twins", 5)])
+def test_pretrain_step_record_budget(records_per_step, monkeypatch, train_set, method, layer_records):
+    def records():
+        records_per_step.clear()
+        model = build_model(method, 8, seed=3)
+        opt = make_optimizer(OptimizerConfig(batch_size=32), model.trainable_parameters())
+        pretrain_epoch(model, train_set, SSLMethod(method), opt, 0.01, 0, 1, AugmentationSpec(0.4, 0.1, 0.2), 32)
+        return records_per_step
+
+    assert records() == [PRETRAIN_BUDGET[method]] * 3
+    layered(monkeypatch)
+    assert records() == [layer_records] * 3

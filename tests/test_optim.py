@@ -9,7 +9,7 @@ from tailspin.nn import build_model, ema_update
 from tailspin.optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr
 from tailspin.seeding import rng_for
 from tailspin.ssl import SSLMethod, method_loss
-from tailspin.tensor import Tape, Tensor, add, flatten, linear, matmul, mul, tensor_sum, transpose
+from tailspin.tensor import Tape, Tensor, add, flatten, matmul, mlp, mul, relu, tensor_sum, transpose
 
 
 class TestScaledLr:
@@ -154,7 +154,7 @@ def _backward(leaves, step):
     w, b, c, z = leaves
     x = Tensor(rng_for(0, "x", step).normal(size=(5, 3)))
     with Tape() as tape:
-        h = matmul(linear(x, w, b, relu=True), transpose(w))
+        h = matmul(relu(mlp(x, [w, b])), transpose(w))
         loss = add(tensor_sum(mul(h, h)), tensor_sum(mul(z, Tensor(-0.0))))
         if step % 2 == 0:
             loss = add(loss, tensor_sum(mul(c, c)))

@@ -1,0 +1,25 @@
+"""tools/output_hashes.py exits 1 when a checkout's outputs differ from the first checkout's,
+so a refactor can gate on it; the hashing itself is replaced here, so no run starts."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def tool():
+    spec = importlib.util.spec_from_file_location("output_hashes", _ROOT / "tools" / "output_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("second, status, moved", [("same", 0, 0), ("other", 1, 1)])
+def test_exit_status_follows_the_moved_cells(tool, monkeypatch, capsys, second, status, moved):
+    rows = {"same": ("a", "b", "-", "c", "d"), "other": ("a", "b", "-", "c", "e")}
+    tables = iter([{"run": rows["same"]}, {"run": rows[second]}])
+    monkeypatch.setattr(tool, "hash_checkout", lambda checkout, scratch: next(tables))
+    assert tool.main([str(_ROOT), str(_ROOT)]) == status
+    assert f"differ from {_ROOT}: {moved}\n" in capsys.readouterr().out

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import negative_cosine_similarity, standardize_columns, stop_gradient
+from oracles import linear, mean, negative_cosine_similarity, standardize_columns, stop_gradient
 from tailspin.errors import ContractError, NumericError, OracleError, ShapeError, TapeError
-from tailspin.losses import SuperLossParams, superloss
+from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss, superloss
 from tailspin.ssl import barlow_twins_loss, nt_xent_loss, simsiam_loss
 from tailspin.tensor import (
     Tape,
@@ -18,10 +18,9 @@ from tailspin.tensor import (
     finite_diff_check,
     gather_rows,
     l2_normalize,
-    linear,
     log_sum_exp,
     matmul,
-    mean,
+    mlp,
     mul,
     power,
     relu,
@@ -236,8 +235,10 @@ def leaves(*shapes, seed=0):
     return [Tensor(rand(shape, seed + i), requires_grad=True) for i, shape in enumerate(shapes)]
 
 
-# every op that writes a tape record, on leaves that all require a gradient
-# (broadcast operands, views and a tensor used twice by one op included)
+# every op that writes a tape record, the oracles' former ``linear`` and ``mean``
+# included, on leaves that all require a gradient (broadcast operands, views
+# and a tensor used twice by one op included), and ``mlp`` also on an input
+# that requires none
 RECORDING_OPS = {
     "add-broadcast": lambda: add(*leaves((3, 4), (4,))),
     "add-same-tensor": lambda: add(*[leaves((3, 4))[0]] * 2),
@@ -245,7 +246,11 @@ RECORDING_OPS = {
     "mul-broadcast": lambda: mul(*leaves((3, 1), (4,))),
     "matmul": lambda: matmul(*leaves((3, 4), (4, 2))),
     **{f"linear-blocks{blocks}-relu{use_relu}": lambda blocks=blocks, use_relu=use_relu: linear(
-        *leaves((4, 3), (3, 2), (2,)), relu=use_relu, blocks=blocks) for blocks in (1, 2) for use_relu in (False, True)},
+        *leaves((4, 3), (3, 2), (2,)), use_relu=use_relu, blocks=blocks) for blocks in (1, 2) for use_relu in (False, True)},
+    **{f"mlp-blocks{blocks}-layers{layers}": lambda blocks=blocks, layers=layers: mlp(
+        leaves((4, 3))[0], leaves(*[(3, 2), (2,), (2, 2), (2,)][:2 * layers], seed=1), blocks=blocks)
+       for blocks in (1, 2) for layers in (1, 2)},
+    "mlp-input-without-grad": lambda: mlp(Tensor(rand((4, 3), 0)), leaves((3, 2), (2,), (2, 2), (2,))),
     "transpose": lambda: transpose(*leaves((3, 4))),
     "relu": lambda: relu(*leaves((3, 4))),
     "power": lambda: power(Tensor(rand((3, 4), 0, lo=0.5), requires_grad=True), 3.0),
@@ -263,25 +268,32 @@ RECORDING_OPS = {
     "nt_xent": lambda: nt_xent_loss(*leaves((4, 3)), 0.5),
     "barlow_twins": lambda: barlow_twins_loss(*leaves((6, 3)), 0.01),
     "superloss": lambda: superloss(*leaves((5,)), SuperLossParams(tau=0.5)).loss,
+    **{f"batch_loss-{kind}": lambda kind=kind: batch_loss(
+        kind, *leaves((3, 4)), [0, 3, 1], Priors(np.array([0.4, 0.3, 0.2, 0.1])), SuperLossParams())[0]
+       for kind in LOSS_KINDS},
 }
 
 
 class TestVjpContract:
     @pytest.mark.parametrize("name", RECORDING_OPS)
     def test_vjp_returns_a_new_float64_array_of_its_inputs_shape(self, name):
+        # each record's vjp pairs inputs that require a gradient with fresh, writable
+        # float64 gradients of their shapes, which the tape may keep as they are
         with Tape() as tape:
             RECORDING_OPS[name]()
         records = tape._records
         assert records
-        tensors = [t for node, inputs in records for t in (node, *(i for i, _ in inputs))]
+        upstream = [np.random.default_rng(5).normal(size=node.shape) for node, _ in records]
+        pairs = [vjp(g) for (_, vjp), g in zip(records, upstream)]
+        assert all(pairs)
+        tensors = [node for node, _ in records] + [t for record in pairs for t, _ in record]
         results = []
-        for node, inputs in records:
-            upstream = np.random.default_rng(5).normal(size=node.shape)
-            for t, vjp in inputs:
-                grad = vjp(upstream)
+        for g, record in zip(upstream, pairs):
+            for t, grad in record:
+                assert t.requires_grad
                 assert isinstance(grad, np.ndarray) and grad.dtype == np.float64 and grad.shape == t.shape
                 assert grad.flags.writeable
-                assert not np.shares_memory(grad, upstream)
+                assert not np.shares_memory(grad, g)
                 assert not any(np.shares_memory(grad, other.data) for other in tensors)
                 assert not any(np.shares_memory(grad, other) for other in results)
                 results.append(grad)

@@ -23,7 +23,8 @@ one machine only.
     python tools/output_hashes.py PARENT_DIR .        # both, then the cells that moved
 
 With several checkouts, each gets its table, and a list of every cell that
-differs from the first checkout's follows.
+differs from the first checkout's follows; the exit status is 1 if any cell
+differs, so a refactor can gate on `python tools/output_hashes.py PARENT_DIR .`.
 """
 from __future__ import annotations
 
@@ -114,13 +115,15 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix="tailspin-hashes-") as scratch:
             tables.append(hash_checkout(checkout.resolve(), Path(scratch)))
         print(f"{checkout}\n\n{markdown(tables[-1])}\n")
+    differs = False
     for checkout, table in zip(args.checkouts[1:], tables[1:]):
         moved = [f"- {label}, {name}: {old} -> {new}"
                  for label, row in table.items()
                  for (name, _), old, new in zip(COLUMNS, tables[0][label], row) if old != new]
         print(f"cells of {checkout} that differ from {args.checkouts[0]}: {len(moved)}")
         print("\n".join(moved))
-    return 0
+        differs = differs or bool(moved)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
