@@ -41,10 +41,8 @@ from .losses import (
     ConfidenceReport,
     Priors,
     SuperLossParams,
-    cross_entropy,
-    la_loss,
+    batch_loss,
     lambert_w0,
-    superloss,
     superloss_sigma,
 )
 from .nn import Linear, Mlp, Model, build_model, ema_update

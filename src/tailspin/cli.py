@@ -212,12 +212,12 @@ def _cmd_pretrain(cfg: ExperimentConfig) -> None:
 def _cmd_finetune(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
     train_dir, checkpoint = _train_dir(out), out / "checkpoints" / "pretrained"
-    train = tio.load_dataset(train_dir)
+    train, provenance = tio._load_dataset(train_dir)
     test = tio.load_dataset(out / "data" / "test")
     model, _, pretrained = tio.load_checkpoint(checkpoint)
     if model is None:
         raise ConfigError("pretrained checkpoint has no model")
-    nu = _recorded(cfg, "data.nu", tio.dataset_provenance(train_dir).get("nu"), train_dir)
+    nu = _recorded(cfg, "data.nu", provenance.get("nu"), train_dir)
     method = _recorded(cfg, "pretrain.method", model.arch.get("method"), checkpoint)
     settings, freeze = _settings(cfg, "finetune"), cfg["finetune.freeze"]
     policy = select_freeze_policy(method, nu) if freeze == "auto" else freeze

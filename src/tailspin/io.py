@@ -103,12 +103,13 @@ def save_dataset(ds: Dataset, directory: str | Path, provenance: dict | None = N
 
 
 def load_dataset(directory: str | Path) -> Dataset:
+    return _load_dataset(directory)[0]
+
+
+def _load_dataset(directory: str | Path) -> tuple[Dataset, dict]:
+    """The dataset under ``directory`` and the provenance its manifest records, in one read."""
     arrays, manifest = load_arrays(directory, "dataset")
-    return Dataset(**arrays, num_classes=manifest["num_classes"], split=manifest["split"])
-
-
-def dataset_provenance(directory: str | Path) -> dict:
-    return load_arrays(directory, "dataset")[1]["provenance"]
+    return Dataset(**arrays, num_classes=manifest["num_classes"], split=manifest["split"]), manifest["provenance"]
 
 
 # ---------------------------------------------------------------------------

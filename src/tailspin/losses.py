@@ -1,4 +1,5 @@
-"""Fine-tuning losses: cross-entropy, logit adjustment, SuperLoss, and their combination.
+"""The fine-tuning loss: cross-entropy or logit-adjusted cross-entropy, optionally
+wrapped in SuperLoss, as one tape record.
 
 The SuperLoss confidence sigma* has a closed form through the principal
 branch of the Lambert W function; sigma* is treated as a detached constant
@@ -11,8 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, ValidationError
-from .tensor import Tensor, softmax_nll, _as_tensor, _nll, _op
+from .errors import ContractError, NumericError, ShapeError, ValidationError
+from .tensor import Tensor, _as_tensor, _op, _softmax_nll
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
 
@@ -91,10 +92,6 @@ class Priors:
             raise ValidationError(f"priors must sum to 1, got {self.pi.sum()!r}")
         self.log_pi = np.log(self.pi)
 
-    @classmethod
-    def uniform(cls, num_classes: int) -> "Priors":
-        return cls(np.full(num_classes, 1.0 / num_classes))
-
     @property
     def num_classes(self) -> int:
         return self.pi.size
@@ -130,30 +127,11 @@ class SuperLossParams:
 
 @dataclass
 class ConfidenceReport:
-    """Per-sample base losses, confidences, and the wrapped batch loss."""
+    """Per-sample base losses, SuperLoss confidences sigma* and wrapped losses."""
 
     base_losses: np.ndarray
     sigma: np.ndarray
     per_sample: np.ndarray
-    loss: Tensor  # batch mean; sigma* enters it as a constant
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Per-sample softmax cross-entropy via log-sum-exp, one tape record."""
-    return softmax_nll(_as_tensor(logits), np.asarray(labels))
-
-
-def la_loss(logits: Tensor, labels, priors: Priors) -> Tensor:
-    """Per-sample logit-adjusted cross-entropy: log(pi_y) is added to column y
-    of every row as the shift of the one cross-entropy record."""
-    logits = _as_tensor(logits)
-    _check_priors(logits, priors)
-    return softmax_nll(logits, np.asarray(labels), priors.log_pi)
-
-
-def _check_priors(logits: Tensor, priors: Priors) -> None:
-    if logits.ndim != 2 or logits.shape[1] != priors.num_classes:
-        raise ShapeError(f"la_loss: logits {logits.shape} vs {priors.num_classes} priors")
 
 
 def superloss_sigma(base_loss, params: SuperLossParams):
@@ -175,56 +153,45 @@ def superloss_sigma(base_loss, params: SuperLossParams):
 
 
 def _wrap(ell: np.ndarray, params: SuperLossParams):
-    """SuperLoss's sigma* (at least 1-d), its per-sample weight (ell's shape) and
-    per-sample terms (l - tau) * sigma* + lambda * log(sigma*)^2."""
-    sigma = np.atleast_1d(superloss_sigma(ell, params))
+    """SuperLoss's sigma* of base losses ell and its terms (l - tau) * sigma* + lambda * log(sigma*)^2."""
+    sigma = superloss_sigma(ell, params)
     log_sigma = np.log(sigma)
-    weight = sigma.reshape(ell.shape)
-    return sigma, weight, (ell - params.tau) * weight + (params.lam * log_sigma * log_sigma).reshape(ell.shape)
-
-
-def superloss(base_losses, params: SuperLossParams) -> ConfidenceReport:
-    """Wrap per-sample base losses: (l - tau) * sigma* + lambda * log(sigma*)^2.
-
-    sigma* enters as a constant (envelope theorem), so d(loss)/d(l) = sigma*.
-    The wrap and its batch mean are one tape record whose vjp,
-    (g / n) * sigma*, is bit-equal to the sub, mul, add and mean chain.
-    """
-    ell = _as_tensor(base_losses)
-    sigma, weight, per_sample = _wrap(ell.data, params)
-    inv_n = 1.0 / per_sample.size
-    loss = _op("superloss", np.sum(per_sample) * inv_n, lambda g: [(ell, g * inv_n * weight)], ell)
-    return ConfidenceReport(
-        base_losses=np.atleast_1d(ell.data.copy()),
-        sigma=sigma.copy(),
-        per_sample=per_sample,
-        loss=loss,
-    )
+    return sigma, (ell - params.tau) * sigma + params.lam * log_sigma * log_sigma
 
 
 def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperLossParams) -> tuple[Tensor, ConfidenceReport | None]:
-    """The configured fine-tuning loss as one tape record: cross-entropy (``ce*``)
-    or logit-adjusted (``la*``), then its mean, or for the ``*_sl`` kinds the
-    mean of its SuperLoss wrap, whose threshold defaults to log(C); returns
-    (scalar mean loss, report or None).
+    """The configured fine-tuning loss as one tape record; returns (scalar mean
+    loss, report for the ``*_sl`` kinds or None).
 
-    Value and gradient equal ``cross_entropy`` or ``la_loss`` followed by a
-    mean or by ``superloss`` bit for bit: the record's vjp hands the NLL's vjp
-    the per-sample gradient those records passed it, broadcast(g/n) for the
-    mean and (g / n) * sigma* for SuperLoss.
+    Per sample, the softmax cross-entropy -log softmax(s)[y] of s = logits, or
+    for the ``la*`` kinds of s = logits + log(pi) (logit adjustment). Then its
+    batch mean, or for the ``*_sl`` kinds the mean of its SuperLoss wrap, whose
+    threshold defaults to log(C). sigma* enters the wrap as a constant
+    (envelope theorem), so d(loss)/d(l) = sigma*.
+
+    Value and gradient equal, bit for bit, the chain of single ops: the shift's
+    add, log_sum_exp, gather_rows and sub, then sum times 1/n, or SuperLoss's
+    sub, mul and add and their mean. The record's vjp is the NLL's, softmax * u
+    less u at each label, on the per-sample gradient u that chain passes the
+    NLL: broadcast(g / n) for the mean and (g / n) * sigma* for SuperLoss.
     """
     if kind not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
     logits = _as_tensor(logits)
-    shift = None
-    if kind.startswith("la"):
-        _check_priors(logits, priors)
-        shift = priors.log_pi
-    nll, nll_vjp = _nll(logits, labels, shift)
+    idx = np.asarray(labels)
+    if logits.ndim != 2 or logits.shape[1] != priors.num_classes or idx.shape != (logits.shape[0],):
+        raise ShapeError(f"batch_loss: logits {logits.shape} vs labels {idx.shape} and {priors.num_classes} priors")
+    if idx.size and (idx.min() < 0 or idx.max() >= priors.num_classes):
+        raise ValidationError(f"batch_loss: label out of range for {priors.num_classes} classes")
+    # log(pi) lies in [-745, 0], so it moves no finite logit out of range; a finite s
+    # gives a finite log-sum-exp, but its difference with s[y] may overflow
+    nll, nll_vjp = _softmax_nll(logits.data + priors.log_pi if kind.startswith("la") else logits.data, idx)
+    if not np.isfinite(nll).all():
+        raise NumericError("batch_loss: the cross-entropy is non-finite")
     inv_n = 1.0 / nll.size
     if not kind.endswith("_sl"):
         return _op("batch_loss", np.sum(nll) * inv_n,
                    lambda g: [(logits, nll_vjp(np.broadcast_to(g * inv_n, nll.shape)))], logits), None
-    sigma, weight, per_sample = _wrap(nll, params.resolved(priors.num_classes))
-    loss = _op("batch_loss", np.sum(per_sample) * inv_n, lambda g: [(logits, nll_vjp(g * inv_n * weight))], logits)
-    return loss, ConfidenceReport(base_losses=nll.copy(), sigma=sigma.copy(), per_sample=per_sample, loss=loss)
+    sigma, per_sample = _wrap(nll, params.resolved(priors.num_classes))
+    loss = _op("batch_loss", np.sum(per_sample) * inv_n, lambda g: [(logits, nll_vjp(g * inv_n * sigma))], logits)
+    return loss, ConfidenceReport(base_losses=nll, sigma=sigma.copy(), per_sample=per_sample)  # the vjp keeps sigma

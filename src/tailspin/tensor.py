@@ -358,41 +358,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _op("gather_rows", a.data[rows, idx], vjp, a)
 
 
-def softmax_nll(a: Tensor, indices, shift: np.ndarray | None = None) -> Tensor:
-    """Per-row -log softmax(s)[indices] with s = a + shift, as one record.
-
-    Values and gradient equal sub(log_sum_exp(s), gather_rows(s, indices))
-    with s = add(a, Tensor(shift)) bit for bit: the vjp is z + softmax * g,
-    where z scatters -g into the gathered entries, the sum that gather_rows'
-    and then log_sum_exp's vjps left in s. ``_nll`` gives the value and that
-    vjp on arrays, for ops that continue the NLL in the same record.
-    """
-    value, vjp = _nll(a, indices, shift)
-    return _op("softmax_nll", value, lambda g: [(a, vjp(g))], a)
-
-
-def _nll(a: Tensor, indices, shift: np.ndarray | None = None):
-    """``softmax_nll``'s value and its vjp on arrays, its arguments checked: a
-    finite s gives a finite log-sum-exp, so the checks are on s and on the result."""
-    idx = np.asarray(indices)
-    if a.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"softmax_nll: tensor shape {a.shape} vs index shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ValidationError(f"softmax_nll: index out of range for {a.shape[1]} columns")
-    s = a.data
-    if shift is not None:
-        s = s + shift
-        if not np.isfinite(s).all():
-            raise NumericError("softmax_nll: the shifted input is non-finite")
-    value, vjp = _softmax_nll(s, idx)
-    if not np.isfinite(value).all():
-        raise NumericError("softmax_nll: produced non-finite values")
-    return value, vjp
-
-
 def _softmax_nll(s: np.ndarray, idx: np.ndarray):
     """Per-row -log softmax(s)[idx] of a finite 2-d s, and its vjp: softmax * g, less g
-    at each row's gathered entry."""
+    at each row's gathered entry, bit-equal to the vjps of sub(log_sum_exp(s),
+    gather_rows(s, idx)). The kernel of ``losses.batch_loss`` and ``ssl.nt_xent_loss``."""
     m = np.max(s, axis=-1, keepdims=True)
     shifted = np.exp(s - m)
     total = np.sum(shifted, axis=-1, keepdims=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from tailspin.errors import ContractError, NumericError, ValidationError
 from tailspin.evaluation import MetricsRecord
-from tailspin.losses import _BRANCH_POINT, cross_entropy, la_loss, superloss, superloss_sigma
+from tailspin.losses import _BRANCH_POINT, superloss_sigma
 from tailspin.tensor import (
     Tensor,
     _op,
@@ -324,11 +324,9 @@ def unfused_mlp(mlp, x):
     return x
 
 
-# The records as they were before one record per network call and per loss:
-# ``linear``, the former layer op, one record per layer, and ``mean``, the
-# former record that followed the NLL. ``tensor.mlp`` must equal a chain of
-# ``linear`` records and ``losses.batch_loss`` the NLL record followed by
-# ``mean`` or ``superloss``, bit for bit.
+# ``linear``, the former layer op, as it was before one record per network
+# call: ``tensor.mlp`` must equal a chain of ``linear`` records, one per
+# layer, bit for bit.
 
 def linear(x, weight, bias, use_relu: bool = False, blocks: int = 1):
     """x @ W + b, then max(., 0) if ``use_relu``, as one record, every product formed per row block;
@@ -369,24 +367,6 @@ def layered_mlp(mlp, x, blocks: int = 1):
     for i, layer in enumerate(mlp.layers):
         x = linear(x, layer.weight, layer.bias, i < last, blocks)
     return x
-
-
-def mean(a, axis=None, keepdims=False):
-    """Sum times 1/n in one record, bit-equal to ``unfused_mean``."""
-    inv_n = 1.0 / (a.size if axis is None else a.shape[axis])
-
-    def vjp(g):
-        g = g * inv_n
-        return [(a, np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape).copy())]
-
-    # 0 < 1/n <= 1, so the product is finite exactly when the sum is
-    return _op("mean", np.sum(a.data, axis=axis, keepdims=keepdims) * inv_n, vjp, a)
-
-
-def chained_batch_loss(kind, logits, labels, priors, params):
-    """``losses.batch_loss`` as the NLL record, then the ``mean`` or ``superloss`` record."""
-    base = la_loss(logits, labels, priors) if kind.startswith("la") else cross_entropy(logits, labels)
-    return superloss(base, params.resolved(priors.num_classes)).loss if kind.endswith("_sl") else mean(base)
 
 
 def unfused_mean(a, axis=None, keepdims=False):
@@ -448,16 +428,16 @@ def stop_gradient(a):
 def negative_cosine_similarity(p, z):
     """Batch mean of -cos(p_i, z_i) over rows."""
     dots = tensor_sum(mul(l2_normalize(p), l2_normalize(z)), axis=-1)
-    return neg(mean(dots))
+    return neg(unfused_mean(dots))
 
 
 def standardize_columns(a, eps: float = 1e-9):
     """Zero-mean unit-variance per column over the batch axis (biased variance)."""
     if a.ndim != 2 or a.shape[0] < 2:
         raise ContractError(f"standardize_columns: need a (B>=2, d) tensor, got {a.shape}")
-    mu = mean(a, axis=0, keepdims=True)
+    mu = unfused_mean(a, axis=0, keepdims=True)
     centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=0, keepdims=True)
+    var = unfused_mean(mul(centered, centered), axis=0, keepdims=True)
     return mul(centered, power(add(var, Tensor(eps)), -0.5))
 
 

@@ -21,7 +21,7 @@ from tailspin.data import (
 )
 from tailspin.evaluation import KNNConfig, knn_classify
 from tailspin.gradcheck import battery
-from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, cross_entropy, la_loss, lambert_w0, superloss_sigma
+from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss, lambert_w0, superloss_sigma
 from tailspin.nn import SSL_METHODS, build_model
 from tailspin.optim import OptimizerConfig, make_optimizer
 from tailspin.pipeline import (
@@ -124,11 +124,12 @@ def test_criterion_5_logit_adjustment_equivalence():
         b, c = int(rng.integers(2, 12)), int(rng.integers(2, 12))
         logits = Tensor(rng.normal(size=(b, c), scale=3.0))
         labels = rng.integers(0, c, size=b)
-        la = la_loss(logits, labels, Priors.uniform(c)).data
-        ce = cross_entropy(logits, labels).data
+        uniform = Priors(np.full(c, 1 / c))
+        la = batch_loss("la_sl", logits, labels, uniform, SuperLossParams())[1].base_losses
+        ce = batch_loss("ce_sl", logits, labels, uniform, SuperLossParams())[1].base_losses
         worst = max(worst, float(np.max(np.abs(la - ce))))
     ok = worst <= 1e-12
-    report(5, ok, f"uniform priors: max |la_loss - cross_entropy| = {worst:.2e} (<=1e-12)")
+    report(5, ok, f"uniform priors: max per-sample |LA - CE| base loss = {worst:.2e} (<=1e-12)")
     assert worst <= 1e-12
 
 

@@ -1,5 +1,5 @@
 """The benchmark's tracer wraps library functions by name; a rename must fail here, in tier-1.
-Those names also keep the autodiff ops that nothing else in ``src/`` uses, and only those."""
+Those names also keep the public functions and classes that nothing else in ``src/`` uses, and only those."""
 import ast
 import importlib
 import importlib.util
@@ -27,17 +27,27 @@ def test_traced_name_resolves(span, module_name, path):
     assert callable(owner), span
 
 
-def test_every_public_tensor_op_has_a_user():
-    # a public function or class of tensor.py is imported by another module of
-    # the package (the re-exports of __init__.py aside), called in tensor.py or traced
-    tree = ast.parse((_PACKAGE / "tensor.py").read_text(encoding="utf-8"))
-    public = {node.name for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
-    used = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    for module in _PACKAGE.glob("*.py"):
-        if module.name not in ("tensor.py", "__init__.py"):
-            used |= {alias.name for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
-                     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor"
-                     for alias in node.names}
-    used |= {path.split(".")[0] for _, module_name, path in _targets() if module_name == "tailspin.tensor"}
-    assert sorted(public - used) == []
+def test_every_public_name_has_a_user():
+    # a public top-level function or class of a module of the package is loaded in
+    # its own module, imported by another module (the re-exports of __init__.py
+    # aside), read there through a module alias (``tio.x`` after ``from . import io
+    # as tio``) or traced
+    trees = {module.stem: ast.parse(module.read_text(encoding="utf-8"))
+             for module in _PACKAGE.glob("*.py") if module.name != "__init__.py"}
+    unused = []
+    for name, tree in trees.items():
+        public = {node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for other_name, other in trees.items():
+            if other_name == name:
+                continue
+            imports = [node for node in ast.walk(other) if isinstance(node, ast.ImportFrom) and node.level == 1]
+            used |= {alias.name for node in imports if node.module == name for alias in node.names}
+            aliases = {alias.asname or alias.name for node in imports if node.module is None
+                       for alias in node.names if alias.name == name}
+            used |= {node.attr for node in ast.walk(other)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases}
+        used |= {path.split(".")[0] for _, module_name, path in _targets() if module_name == f"tailspin.{name}"}
+        unused += [f"{name}.{public_name}" for public_name in sorted(public - used)]
+    assert unused == []

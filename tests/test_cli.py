@@ -2,16 +2,19 @@ import inspect
 import json
 import re
 import shutil
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import params_digest
+from tailspin import io as tio
 from tailspin.cli import _settings, main
 from tailspin.config import _SPEC, _format_value, config_load
 from tailspin.evaluation import KNNConfig, embed
-from tailspin.io import dataset_provenance, load_checkpoint, load_dataset, save_dataset
+from tailspin.io import load_arrays, load_checkpoint, load_dataset, save_dataset
 from tailspin.nn import build_model
 from tailspin.pipeline import FinetuneSettings, PretrainSettings, make_datasets
 from tailspin.ssl import SSLMethod
@@ -106,7 +109,7 @@ class TestStagewiseCommands:
                 "--set", "data.test_per_class=10", "--set", "data.gamma=100"]
         assert run_cli("generate", *base) == 0
         assert run_cli("corrupt", *base) == 0
-        prov = dataset_provenance(out / "data" / "train-corrupted")
+        prov = load_arrays(out / "data" / "train-corrupted", "dataset")[1]["provenance"]
         assert prov["min_class_count"] == 50
         assert prov["max_class_count"] == 5000
 
@@ -133,6 +136,23 @@ class TestStagewiseCommands:
         # nu=0.7 is above simsiam's threshold: last-layer-only, so layer 0 keeps
         # the pretrained projector weights
         assert params_digest([head.layers[0].weight]) == params_digest([pre_model.projector.layers[0].weight])
+
+    def test_finetune_reads_each_directory_once(self, monkeypatch, tmp_path):
+        # the corrupted train set yields both the samples and the recorded nu
+        out = tmp_path / "reads"
+        base = ["--seed", "4", "--output", str(out), *FAST]
+        for cmd in ("generate", "corrupt", "pretrain"):
+            assert run_cli(cmd, *base) == 0
+        reads = Counter()
+        load_arrays = tio.load_arrays
+
+        def counting(directory, kind):
+            reads[Path(directory).relative_to(out).as_posix()] += 1
+            return load_arrays(directory, kind)
+
+        monkeypatch.setattr(tio, "load_arrays", counting)
+        assert run_cli("finetune", *base) == 0
+        assert reads == {"data/train-corrupted": 1, "data/test": 1, "checkpoints/pretrained": 1}
 
     def test_finetune_rejects_config_contradicting_artifacts(self, capsys, tmp_path):
         out = tmp_path / "conflict"

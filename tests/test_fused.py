@@ -1,23 +1,21 @@
 """One tape record per network call and per loss, and both views in one pass.
 
-The fused ops (``mlp`` over one or two row blocks, ``softmax_nll``,
-``batch_loss``, SuperLoss's wrap and the four SSL objectives on stacked
+The fused ops (``mlp`` over one or two row blocks, ``batch_loss`` with its
+softmax NLL and SuperLoss's wrap, and the four SSL objectives on stacked
 views) must give the values and leaf gradients of the chains in ``oracles``
-bit for bit: one ``linear`` record per layer, the NLL record followed by
-``mean`` or ``superloss``, and the unfused chains of single ops beneath
-them. A training step must write exactly its budget of records, so that
-un-fusing a network or a loss fails here and not only in the benchmark. Both
-sides of every comparison form the same per-view products, so the
-comparisons hold whatever kernels the BLAS picks on a CPU.
+bit for bit: one ``linear`` record per layer, and the unfused chains of
+single ops beneath the networks and the losses. A training step must write
+exactly its budget of records, so that un-fusing a network or a loss fails
+here and not only in the benchmark. Both sides of every comparison form the
+same per-view products, so the comparisons hold whatever kernels the BLAS
+picks on a CPU.
 """
 import numpy as np
 import pytest
 
 from oracles import (
-    chained_batch_loss,
     layered_mlp,
     linear,
-    mean,
     params_digest,
     two_pass_method_loss,
     unfused_barlow_twins,
@@ -31,10 +29,9 @@ from oracles import (
 )
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ContractError, NumericError
-from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss, cross_entropy, la_loss
+from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss
 from tailspin.nn import SSL_METHODS, Mlp, build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
-from tailspin import pipeline
 from tailspin.pipeline import FULL_HEAD, LAST_LAYER_ONLY, FinetuneSettings, build_finetune_head, finetune
 from tailspin.ssl import (
     SSLMethod,
@@ -199,20 +196,6 @@ class TestMlp:
         assert_same(lambda: build(Mlp.__call__), lambda: build(layered_mlp), leaves)
 
 
-class TestMean:
-    @pytest.mark.parametrize("shape, axis, keepdims", [
-        ((5,), None, False), ((4, 3), None, False), ((4, 3), 0, True), ((4, 3), -1, False), ((1, 3), 0, False),
-    ])
-    def test_bit_equal_to_sum_times_reciprocal(self, shape, axis, keepdims):
-        a = leaf(shape, 14)
-
-        def build(reduce):
-            out = reduce(a, axis=axis, keepdims=keepdims)
-            return out, weighted_sum(out, 15)
-
-        assert_same(lambda: build(mean), lambda: build(unfused_mean), [a])
-
-
 def _logit_cases():
     rng = np.random.default_rng(16)
     tied = rng.normal(size=(6, 4))
@@ -229,16 +212,20 @@ class TestNll:
     @pytest.mark.parametrize("logits, labels", _logit_cases())
     @pytest.mark.parametrize("adjusted", [False, True])
     def test_bit_equal_to_lse_gather_sub(self, logits, labels, adjusted):
+        # batch_loss's per-sample NLL, read from its report, and the gradient of its mean
         x = Tensor(logits, requires_grad=True)
         priors = Priors(np.array([0.5, 0.3, 0.15, 0.05]))
+        shift = np.log(priors.pi) if adjusted else None
+        _, report = batch_loss("la_sl" if adjusted else "ce_sl", x, labels, priors, SuperLossParams())
+        assert report.base_losses.tobytes() == unfused_nll(x, labels, shift).data.tobytes()
 
         def fused():
-            out = la_loss(x, labels, priors) if adjusted else cross_entropy(x, labels)
-            return out, weighted_sum(out, 17)
+            loss, _ = batch_loss("la" if adjusted else "ce", x, labels, priors, SuperLossParams())
+            return loss, loss
 
         def unfused():
-            out = unfused_nll(x, labels, np.log(priors.pi) if adjusted else None)
-            return out, weighted_sum(out, 17)
+            loss = unfused_mean(unfused_nll(x, labels, shift))
+            return loss, loss
 
         assert_same(fused, unfused, [x])
 
@@ -260,22 +247,17 @@ class TestBatchLoss:
             loss, _ = batch_loss(kind, mlp(x, [w, b]), labels, priors, params)
             return loss, loss
 
-        def chained():
-            loss = chained_batch_loss(kind, linear(x, w, b), labels, priors, params)
-            return loss, loss
-
         def unfused():
             loss = unfused_batch_loss(kind, unfused_linear(x, w, b), labels, priors, params)
             return loss, loss
 
-        assert_same(fused, chained, [w, b])
         assert_same(fused, unfused, [w, b])
 
     @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
     def test_unresolved_tau_is_log_c(self, clamp_mode):
         x = leaf((5, 4), 19, scale=3.0)
         labels = np.array([0, 1, 1, 3, 0])
-        priors = Priors.uniform(4)
+        priors = Priors(np.full(4, 1 / 4))
         resolved = SuperLossParams(tau=float(np.log(4)), clamp_mode=clamp_mode)
 
         def fused():
@@ -419,8 +401,8 @@ def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
 
 # ---------------------------------------------------------------------------
 # record budget: records on the tape when one training step calls backward,
-# and ``layered``, the records with the oracles' chains in place of each network
-# and loss: one per layer and per loss term, which the fused records replace
+# and ``layered``, the records with the oracles' chain in place of each network:
+# one per layer, which the fused record replaces
 
 @pytest.fixture
 def records_per_step(monkeypatch):
@@ -441,16 +423,15 @@ def train_set():
 
 
 def layered(monkeypatch):
-    """Patch in one ``linear`` record per layer and the NLL record followed by ``mean`` or ``superloss``."""
+    """Patch in one ``linear`` record per layer."""
     monkeypatch.setattr(Mlp, "__call__", layered_mlp)
-    monkeypatch.setattr(pipeline, "batch_loss", lambda *args: (chained_batch_loss(*args), None))
 
 
 # 2 per step: one record for the head's trained layers, one for the loss
 @pytest.mark.parametrize("method, policy, layer_records", [
-    ("simsiam", FULL_HEAD, 4),
-    ("simsiam", LAST_LAYER_ONLY, 3),
-    ("simclr", FULL_HEAD, 3),
+    ("simsiam", FULL_HEAD, 3),
+    ("simsiam", LAST_LAYER_ONLY, 2),
+    ("simclr", FULL_HEAD, 2),
 ])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_finetune_step_record_budget(records_per_step, monkeypatch, train_set, method, policy, layer_records, kind):

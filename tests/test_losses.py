@@ -8,17 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import explicit_softmax_nll, golden_section_sigma, newton_lambert, reference_lambert_w0
 from oracles import logit_adjust as oracle_logit_adjust
-from tailspin.errors import ContractError, ShapeError, ValidationError
-from tailspin.losses import (
-    Priors,
-    SuperLossParams,
-    batch_loss,
-    cross_entropy,
-    la_loss,
-    lambert_w0,
-    superloss,
-    superloss_sigma,
-)
+from tailspin.errors import ContractError, NumericError, ShapeError, ValidationError
+from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, _wrap, batch_loss, lambert_w0, superloss_sigma
 from tailspin.tensor import Tape, Tensor, finite_diff_check
 
 
@@ -149,24 +140,34 @@ class TestLambertWBitEqual:
             lambert_w0(np.array(x))
 
 
+def uniform(c):
+    return Priors(np.full(c, 1 / c))
+
+
+def base_losses(kind, logits, labels, priors):
+    """Per-sample cross-entropy (``ce_sl``) or logit-adjusted cross-entropy
+    (``la_sl``), read from ``batch_loss``'s report."""
+    return batch_loss(kind, logits, labels, priors, SuperLossParams())[1].base_losses
+
+
 class TestLogitAdjust:
-    """The prior shift, through ``la_loss`` and through the oracle copy of the
-    former ``logit_adjust``, which ``la_loss`` equals bit for bit."""
+    """The prior shift, through ``batch_loss`` and through the oracle copy of the
+    former ``logit_adjust``, which the ``la*`` kinds equal bit for bit."""
 
     def test_uniform_priors_shift_by_log_c(self):
         logits = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        adjusted = oracle_logit_adjust(logits, Priors.uniform(5))
+        adjusted = oracle_logit_adjust(logits, uniform(5))
         assert np.allclose(adjusted.data - logits.data, np.log(1 / 5), atol=1e-15)
         labels = [0, 1, 4, 2]
-        assert (la_loss(logits, labels, Priors.uniform(5)).data.tobytes()
-                == cross_entropy(adjusted, labels).data.tobytes())
+        assert (base_losses("la_sl", logits, labels, uniform(5)).tobytes()
+                == base_losses("ce_sl", adjusted, labels, uniform(5)).tobytes())
 
     def test_zero_row_becomes_log_priors(self):
         pri = Priors(np.array([0.5, 0.3, 0.2]))
         adjusted = oracle_logit_adjust(Tensor([[0.0, 0.0, 0.0]]), pri)
         assert np.allclose(adjusted.data[0], np.log([0.5, 0.3, 0.2]), atol=1e-15)
         # softmax(log pi) = pi, so the loss of each label y is -log(pi_y)
-        losses = la_loss(Tensor(np.zeros((3, 3))), [0, 1, 2], pri).data
+        losses = base_losses("la_sl", Tensor(np.zeros((3, 3))), [0, 1, 2], pri)
         assert np.allclose(-losses, np.log([0.5, 0.3, 0.2]), atol=1e-15)
 
     def test_rare_class_decision_flip(self):
@@ -179,14 +180,14 @@ class TestLogitAdjust:
         assert np.argmax(raw) == 1 and np.argmax(adjusted.data) == 0
         # the label of least loss is the decision: it moves from 1 to 0 as well
         both = Tensor(np.repeat(raw, 2, axis=0))
-        assert np.argmin(cross_entropy(both, [0, 1]).data) == 1
-        la = la_loss(both, [0, 1], pri).data
+        assert np.argmin(base_losses("ce_sl", both, [0, 1], pri)) == 1
+        la = base_losses("la_sl", both, [0, 1], pri)
         assert np.argmin(la) == 0
         assert la[1] - la[0] == pytest.approx(expected[0, 0] - expected[0, 1], abs=1e-15)
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ShapeError, match="la_loss"):
-            la_loss(Tensor(np.zeros((2, 4))), [0, 1], Priors.uniform(3))
+        with pytest.raises(ShapeError, match="batch_loss"):
+            batch_loss("la", Tensor(np.zeros((2, 4))), [0, 1], uniform(3), SuperLossParams())
 
 
 class TestLaLoss:
@@ -194,12 +195,12 @@ class TestLaLoss:
         rng = np.random.default_rng(2)
         logits = Tensor(rng.normal(size=(6, 10)))
         labels = rng.integers(0, 10, size=6)
-        la = la_loss(logits, labels, Priors.uniform(10)).data
-        ce = cross_entropy(logits, labels).data
+        la = base_losses("la_sl", logits, labels, uniform(10))
+        ce = base_losses("ce_sl", logits, labels, uniform(10))
         assert np.all(np.abs(la - ce) <= 1e-12)
 
     def test_zero_logits_give_log_c(self):
-        losses = la_loss(Tensor(np.zeros((3, 10))), [0, 4, 9], Priors.uniform(10)).data
+        losses = base_losses("la_sl", Tensor(np.zeros((3, 10))), [0, 4, 9], uniform(10))
         assert np.allclose(losses, np.log(10.0), atol=1e-12)
 
     def test_random_batch_against_explicit_softmax(self):
@@ -208,7 +209,7 @@ class TestLaLoss:
         labels = rng.integers(0, 6, size=8)
         raw_pi = rng.uniform(0.5, 2.0, size=6)
         pri = Priors(raw_pi / raw_pi.sum())
-        got = la_loss(Tensor(logits), labels, pri).data
+        got = base_losses("la_sl", Tensor(logits), labels, pri)
         want = explicit_softmax_nll(logits, labels, log_prior=np.log(pri.pi))
         assert np.all(np.abs(got - want) <= 1e-10)
 
@@ -216,9 +217,9 @@ class TestLaLoss:
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(5, 7))
         labels = rng.integers(0, 7, size=5)
-        pri = Priors.uniform(7)
-        base = la_loss(Tensor(logits), labels, pri).data
-        shifted = la_loss(Tensor(logits + 3.7), labels, pri).data
+        pri = uniform(7)
+        base = base_losses("la_sl", Tensor(logits), labels, pri)
+        shifted = base_losses("la_sl", Tensor(logits + 3.7), labels, pri)
         assert np.all(np.abs(base - shifted) <= 1e-12)
 
 
@@ -272,31 +273,41 @@ class TestSuperlossSigma:
 class TestSuperloss:
     def test_zero_at_tau(self):
         params = SuperLossParams(tau=np.log(10), lam=4.0)
-        report = superloss(Tensor([np.log(10)] * 3), params)
-        assert np.allclose(report.per_sample, 0.0, atol=1e-12)
-        assert np.allclose(report.sigma, 1.0, atol=1e-12)
-        assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
+        sigma, per_sample = _wrap(np.full(3, np.log(10)), params)
+        assert np.allclose(per_sample, 0.0, atol=1e-12)
+        assert np.allclose(sigma, 1.0, atol=1e-12)
+        assert np.mean(per_sample) == pytest.approx(0.0, abs=1e-12)
 
     def test_value_at_tau_plus_lambda(self):
         # frozen from the golden-section oracle: sigma* = exp(-W(1/2))
         params = SuperLossParams(tau=1.0, lam=4.0)
-        report = superloss(Tensor([5.0]), params)
+        _, per_sample = _wrap(np.array([5.0]), params)
         sig = 0.7034674224983917
-        assert report.per_sample[0] == pytest.approx(4 * sig + 4 * np.log(sig) ** 2, abs=1e-9)
-        assert report.per_sample[0] == pytest.approx(3.308736104510097, abs=1e-9)
+        assert per_sample[0] == pytest.approx(4 * sig + 4 * np.log(sig) ** 2, abs=1e-9)
+        assert per_sample[0] == pytest.approx(3.308736104510097, abs=1e-9)
 
     def test_hard_samples_downweighted(self):
         params = SuperLossParams(tau=1.0, lam=4.0)
-        report = superloss(Tensor([1.0, 5.0, 50.0]), params)
-        assert report.sigma[0] > report.sigma[1] > report.sigma[2] > 0.0
+        sigma, _ = _wrap(np.array([1.0, 5.0, 50.0]), params)
+        assert sigma[0] > sigma[1] > sigma[2] > 0.0
 
     def test_gradient_wrt_base_loss_equals_sigma(self):
+        # two-class rows [log(e^l - 1), 0] with label 1 have cross-entropy l; the
+        # chain rule makes row i's logits gradient under ce_sl sigma*_i / n times
+        # d(l_i)/d(logits_i), which is n times row i's gradient under ce
         params = SuperLossParams(tau=2.0, lam=4.0)
-        ell = Tensor([1.0, 2.0, 7.0], requires_grad=True)
-        with Tape() as tape:
-            report = superloss(ell, params)
-            tape.backward(report.loss)
-        assert np.allclose(ell.grad, report.sigma / 3.0, atol=1e-14)
+        ell = np.array([1.0, 2.0, 7.0])
+        logits = Tensor(np.stack([np.log(np.expm1(ell)), np.zeros(3)], axis=1), requires_grad=True)
+        labels = np.ones(3, dtype=int)
+        grads = {}
+        for kind in ("ce", "ce_sl"):
+            logits.zero_grad()
+            with Tape() as tape:
+                loss, report = batch_loss(kind, logits, labels, uniform(2), params)
+                tape.backward(loss)
+            grads[kind] = logits.grad.copy()
+        assert np.allclose(report.base_losses, ell, atol=1e-12)
+        assert np.allclose(grads["ce_sl"], grads["ce"] * report.sigma[:, None], atol=1e-14)
 
 
 class TestComposedLoss:
@@ -304,8 +315,8 @@ class TestComposedLoss:
         c = 4
         logits = Tensor(np.zeros((5, c)))  # every sample sits at loss log(C) = tau
         labels = np.zeros(5, dtype=int)
-        _, report = batch_loss("la_sl", logits, labels, Priors.uniform(c), SuperLossParams())
-        assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
+        loss, _ = batch_loss("la_sl", logits, labels, uniform(c), SuperLossParams())
+        assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_sigma_ordering_reverses_base_loss_ordering(self):
         rng = np.random.default_rng(7)
@@ -348,6 +359,46 @@ class TestComposedLoss:
             assert finite_diff_check(lambda: batch_loss(kind, logits, labels, pri, SuperLossParams())[0], [logits]) <= 1e-6
 
 
+class TestBatchLossChecks:
+    # one shape check for every kind: 2-d logits, one column per prior, one label per row
+    @pytest.mark.parametrize("kind, logits, labels", [
+        ("ce", np.zeros(4), [0]),
+        ("ce", np.zeros((2, 4)), [0, 1, 2]),
+        ("ce_sl", np.zeros((2, 4)), [[0], [1]]),
+        ("ce", np.zeros((2, 3)), [0, 1]),
+    ])
+    def test_shape_error_names_batch_loss(self, kind, logits, labels):
+        with pytest.raises(ShapeError, match="batch_loss"):
+            batch_loss(kind, Tensor(logits), labels, uniform(4), SuperLossParams())
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(ValidationError, match="batch_loss: label out of range"):
+            batch_loss("la", Tensor(np.zeros((2, 4))), [0, label], uniform(4), SuperLossParams())
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_overflowing_cross_entropy_is_numeric_error(self, kind):
+        # max(s) - s[y] = 2e308 overflows, for the mean and the SuperLoss wrap alike
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="batch_loss: the cross-entropy"):
+            batch_loss(kind, Tensor([[1e308, -1e308]]), [1], uniform(2), SuperLossParams())
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_report_is_the_per_sample_view_of_the_loss(self, kind):
+        rng = np.random.default_rng(14)
+        logits = Tensor(rng.normal(size=(7, 5), scale=3.0))
+        labels = rng.integers(0, 5, size=7)
+        pri = Priors(np.array([0.4, 0.25, 0.15, 0.12, 0.08]))
+        params = SuperLossParams(tau=1.2, lam=2.0)
+        loss, report = batch_loss(kind, logits, labels, pri, params)
+        if not kind.endswith("_sl"):
+            assert report is None
+            return
+        sigma, per_sample = _wrap(report.base_losses, params)
+        assert report.sigma.tobytes() == sigma.tobytes()
+        assert report.per_sample.tobytes() == per_sample.tobytes()
+        assert loss.item() == np.sum(report.per_sample) * (1.0 / 7)
+
+
 class TestParamValidation:
     def test_priors_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -380,7 +431,7 @@ class TestParamValidation:
         rng = np.random.default_rng(13)
         logits = Tensor(rng.normal(size=(6, 5)))
         labels = rng.integers(0, 5, size=6)
-        pri = Priors.uniform(5)
+        pri = uniform(5)
         _, default = batch_loss("la_sl", logits, labels, pri, SuperLossParams())
         _, explicit = batch_loss("la_sl", logits, labels, pri, SuperLossParams(tau=float(np.log(5))))
         assert np.array_equal(default.per_sample, explicit.per_sample)
