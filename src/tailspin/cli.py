@@ -97,8 +97,8 @@ def _settings(cfg: ExperimentConfig, prefix: str):
                 batch_size=cfg["finetune.batch_size"],
             ),
             epochs=cfg[f"{prefix}.epochs"],
-            superloss=SuperLossParams(tau=cfg.superloss_tau(), lam=cfg["finetune.lambda"],
-                                      clamp_mode=cfg["finetune.clamp_mode"]),
+            superloss=SuperLossParams(tau=None if cfg["finetune.tau"] == "auto" else cfg["finetune.tau"],
+                                      lam=cfg["finetune.lambda"], clamp_mode=cfg["finetune.clamp_mode"]),
         )
     if prefix == "eval":
         return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])

@@ -13,6 +13,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError
 from .evaluation import EMBED_LAYERS, KNN_METRICS, KNN_WEIGHTINGS, KNNConfig, embed
@@ -26,12 +27,25 @@ def _default_arg(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
+def _flag(raw: str) -> bool:
+    return {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[raw.lower()]
+
+
+def _float_or_auto(raw: str) -> float | str:
+    """SuperLoss's threshold: 'auto' (log C, resolved once data.num_classes is known) or a number."""
+    return raw if raw == "auto" else float(raw)
+
+
+def _type_name(parse: Callable) -> str:
+    return {_flag: "bool", _float_or_auto: "float or 'auto'"}.get(parse, parse.__name__)
+
+
 # A key with a library counterpart reads its default there, from a default-constructed
 # settings object or a default argument; only the keys without one write a literal.
 _PRE, _FINE, _KNN = PretrainSettings(), FinetuneSettings(), KNNConfig()
 
-# key -> (type, default, allowed values or None, help)
-_SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
+# key -> (parser, default, allowed values or None, help); the parser is the key's type
+_SPEC: dict[str, tuple[Callable[[str], object], object, tuple | None, str]] = {
     "data.num_classes": (int, 3, None, "number of classes C"),
     "data.per_class": (int, 300, None, "balanced per-class training count n_max"),
     "data.test_per_class": (int, _default_arg(make_datasets, "test_per_class"), None, "balanced per-class test count"),
@@ -54,7 +68,7 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "pretrain.aug_sigma": (float, _PRE.augmentation.gaussian_sigma, None, "augmentation: additive Gaussian scale"),
     "pretrain.aug_mask_prob": (float, _PRE.augmentation.mask_prob, None, "augmentation: coordinate dropout probability"),
     "pretrain.aug_jitter": (float, _PRE.augmentation.scale_jitter, None, "augmentation: multiplicative jitter half-range"),
-    "pretrain.disable_stop_gradient": (bool, not _PRE.method.stop_gradient, None, "collapse-ablation switch for SimSiam"),
+    "pretrain.disable_stop_gradient": (_flag, not _PRE.method.stop_gradient, None, "collapse-ablation switch for SimSiam"),
     "model.hidden_dim": (int, _default_arg(build_model, "hidden_dim"), None, "encoder hidden width"),
     "model.rep_dim": (int, _default_arg(build_model, "rep_dim"), None, "encoder output width"),
     "model.proj_dim": (int, _default_arg(build_model, "proj_dim"), None, "projector width (2 FC layers)"),
@@ -67,7 +81,7 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "finetune.weight_decay": (float, _FINE.optimizer.weight_decay, None, "fine-tuning weight decay"),
     "finetune.momentum": (float, _FINE.optimizer.momentum, None, "fine-tuning SGD momentum"),
     "finetune.freeze": (str, "auto", ("auto", FULL_HEAD, LAST_LAYER_ONLY), "freeze policy override"),
-    "finetune.tau": (str, "auto", None, "SuperLoss threshold; 'auto' means log(C)"),
+    "finetune.tau": (_float_or_auto, "auto", None, "SuperLoss threshold; 'auto' means log(C)"),
     "finetune.lambda": (float, _FINE.superloss.lam, None, "SuperLoss regularization"),
     "finetune.clamp_mode": (str, _FINE.superloss.clamp_mode, CLAMP_MODES, "SuperLoss clamp direction"),
     "single_stage.epochs": (int, 60, None, "epochs for the from-scratch baseline"),
@@ -75,7 +89,7 @@ _SPEC: dict[str, tuple[type, object, tuple | None, str]] = {
     "eval.knn_metric": (str, _KNN.metric, KNN_METRICS, "kNN distance"),
     "eval.knn_weighting": (str, _KNN.weighting, KNN_WEIGHTINGS, "kNN vote weighting"),
     "eval.embedding_layer": (str, _default_arg(embed, "layer"), EMBED_LAYERS, "representation used by eval"),
-    "eval.export_embeddings": (bool, False, None, "write embeddings during eval subcommand"),
+    "eval.export_embeddings": (_flag, False, None, "write embeddings during eval subcommand"),
     "run.seed": (int, 0, None, "single global seed; all streams derive from it"),
     "run.output_dir": (str, "runs/default", None, "where outputs are written"),
 }
@@ -113,18 +127,6 @@ class ExperimentConfig:
                 if not any(key == name or key.startswith(name + ".") for name in dropped)}
         return hashlib.sha256(ExperimentConfig(kept).resolved_text().encode("utf-8")).hexdigest()
 
-    def superloss_tau(self) -> float | None:
-        raw = self.values["finetune.tau"]
-        if raw == "auto":
-            return None
-        try:
-            tau = float(raw)
-        except ValueError:
-            tau = math.nan
-        if not math.isfinite(tau):
-            raise ConfigError(f"finetune.tau must be 'auto' or a finite number, got '{raw}'")
-        return tau
-
 
 def _format_value(v) -> str:
     if isinstance(v, bool):
@@ -133,37 +135,30 @@ def _format_value(v) -> str:
 
 
 def _parse_value(key: str, raw: str):
-    kind, _, allowed, _ = _SPEC[key]
+    parse, _, allowed, _ = _SPEC[key]
     raw = raw.strip()
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                value = True
-            elif raw.lower() in ("false", "0", "no"):
-                value = False
-            else:
-                raise ValueError(raw)
-        elif kind is int:
-            value = int(raw)
-        elif kind is float:
-            value = float(raw)
-        else:
-            value = raw
-    except ValueError:
-        raise ConfigError(f"key '{key}' expects {kind.__name__}, got '{raw}'") from None
-    if kind is float and not math.isfinite(value):
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key '{key}' expects {_type_name(parse)}, got '{raw}'") from None
+    if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"key '{key}' expects a finite number, got '{raw}'")
     if allowed is not None and value not in allowed:
         raise ConfigError(f"key '{key}' must be one of {allowed}, got '{value}'")
     return value
 
 
-def _reject_unknown(key: str) -> None:
-    if key in _SPEC:
-        return
-    near = difflib.get_close_matches(key, _SPEC.keys(), n=1)
-    hint = f" (did you mean '{near[0]}'?)" if near else ""
-    raise ConfigError(f"unknown config key '{key}'{hint}")
+def _entry(item: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` item, parsed; a malformed one is an error prefixed with ``where``."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got '{item}'")
+    key, raw = item.split("=", 1)
+    key = key.strip()
+    if key not in _SPEC:
+        near = difflib.get_close_matches(key, _SPEC.keys(), n=1)
+        hint = f" (did you mean '{near[0]}'?)" if near else ""
+        raise ConfigError(f"unknown config key '{key}'{hint}")
+    return key, _parse_value(key, raw)
 
 
 def _parse_file(path: Path) -> dict:
@@ -171,18 +166,8 @@ def _parse_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
-    entries = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        _reject_unknown(key)
-        entries[key] = _parse_value(key, raw)
-    return entries
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
+    return dict(_entry(line, f"{path}:{lineno}") for lineno, line in lines if line and not line.startswith("#"))
 
 
 def config_load(path: str | Path | None, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -193,24 +178,18 @@ def config_load(path: str | Path | None, overrides: list[str] | None = None) -> 
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         values.update(_parse_file(p))
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got '{item}'")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        _reject_unknown(key)
-        values[key] = _parse_value(key, raw)
+    values.update(_entry(item, "--set") for item in overrides or [])
     return ExperimentConfig(values)
 
 
 def write_resolved(cfg: ExperimentConfig, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.resolved").write_text(cfg.resolved_text())
+    (directory / "config.resolved").write_text(cfg.resolved_text(), encoding="utf-8")
 
 
 def describe_defaults() -> str:
     lines = []
-    for key, (kind, default, allowed, help_text) in _SPEC.items():
+    for key, (parse, default, allowed, help_text) in _SPEC.items():
         extra = f" choices={list(allowed)}" if allowed else ""
-        lines.append(f"{key} ({kind.__name__}, default {_format_value(default)}){extra}: {help_text}")
+        lines.append(f"{key} ({_type_name(parse)}, default {_format_value(default)}){extra}: {help_text}")
     return "\n".join(lines)

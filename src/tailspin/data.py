@@ -177,11 +177,7 @@ def apply_exponential_imbalance(ds: Dataset, spec: ImbalanceSpec) -> Dataset:
         kept.append(rng.choice(members, size=int(targets[c]), replace=False))
     order = np.sort(np.concatenate(kept))
     return Dataset(
-        ds.features[order].copy(),
-        ds.labels_observed[order].copy(),
-        ds.labels_true[order].copy(),
-        ds.num_classes,
-        split=ds.split,
+        ds.features[order], ds.labels_observed[order], ds.labels_true[order], ds.num_classes, split=ds.split
     )
 
 
@@ -201,7 +197,8 @@ def inject_symmetric_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
     selected = noise_selection(ds.num_samples, spec.nu, spec.seed)
     observed = ds.labels_observed.copy()
     observed[selected] = rng_for(spec.seed, "noise", "redraw").integers(0, ds.num_classes, size=selected.size)
-    return Dataset(ds.features.copy(), observed, ds.labels_true.copy(), ds.num_classes, split=ds.split)
+    # features and true labels are frozen, so the new dataset can share them
+    return Dataset(ds.features, observed, ds.labels_true, ds.num_classes, split=ds.split)
 
 
 def estimate_priors(ds: Dataset) -> Priors:

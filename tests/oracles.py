@@ -324,51 +324,6 @@ def unfused_mlp(mlp, x):
     return x
 
 
-# ``linear``, the former layer op, as it was before one record per network
-# call: ``tensor.mlp`` must equal a chain of ``linear`` records, one per
-# layer, bit for bit.
-
-def linear(x, weight, bias, use_relu: bool = False, blocks: int = 1):
-    """x @ W + b, then max(., 0) if ``use_relu``, as one record, every product formed per row block;
-    the vjp returns x's gradient, then a W and a b pair per block, last block first."""
-    if blocks < 1 or x.shape[0] % blocks:
-        raise ContractError(f"linear: {x.shape[0]} rows do not split into {blocks} equal blocks")
-    step = x.shape[0] // blocks
-    spans = [slice(k * step, (k + 1) * step) for k in range(blocks)]
-    pre = np.empty((x.shape[0], weight.shape[1]))
-    for s in spans:
-        np.matmul(x.data[s], weight.data, out=pre[s])
-    pre += bias.data
-    if not np.isfinite(pre).all():  # max(-inf, 0) would hide an overflow
-        raise NumericError("linear: produced non-finite values")
-    active = pre > 0.0 if use_relu else None
-
-    def vjp(g):
-        g = g * active if use_relu else g
-        pairs = []
-        if x.requires_grad:
-            grad_x = np.empty_like(x.data)
-            for s in spans:
-                np.matmul(g[s], weight.data.T, out=grad_x[s])
-            pairs.append((x, grad_x))
-        for s in reversed(spans):
-            if weight.requires_grad:
-                pairs.append((weight, x.data[s].T @ g[s]))
-            if bias.requires_grad:
-                pairs.append((bias, g[s].sum(axis=0)))
-        return pairs
-
-    return _op("linear", np.maximum(pre, 0.0) if use_relu else pre, vjp, x, weight, bias)
-
-
-def layered_mlp(mlp, x, blocks: int = 1):
-    """``Mlp.__call__`` as one ``linear`` record per layer."""
-    last = len(mlp.layers) - 1
-    for i, layer in enumerate(mlp.layers):
-        x = linear(x, layer.weight, layer.bias, i < last, blocks)
-    return x
-
-
 def unfused_mean(a, axis=None, keepdims=False):
     n = a.size if axis is None else a.shape[axis]
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))

@@ -304,17 +304,17 @@ class TestDefaults:
     ])
     def test_every_key_reaches_its_settings(self, key):
         # a key that is accepted and then dropped leaves the settings at their defaults
-        kind, default, allowed, _ = _SPEC[key]
+        _, default, allowed, _ = _SPEC[key]
         if allowed:
             value = next(v for v in allowed if v != default)
-        elif kind is bool:
+        elif isinstance(default, bool):
             value = not default
-        elif kind is int:
+        elif isinstance(default, int):
             value = default + 1
-        elif kind is float:
+        elif isinstance(default, float):
             value = default / 2 if default else 0.1
         else:  # finetune.tau: a number in place of 'auto'
-            value = "0.5"
+            value = 0.5
         prefix = key.split(".")[0]
         changed = config_load(None, [f"{key}={_format_value(value)}"])
         assert _settings(changed, prefix) != _settings(config_load(None), prefix)
@@ -359,6 +359,7 @@ class TestErrorReporting:
         pytest.param(override, code, error, commands, named, id=f"{override}-{code}-{error}")
         for override, code, error, commands, named in [
             ("finetune.tau=abc", 2, "config-error", ["run"], "finetune.tau"),
+            ("finetune.tau=nan", 2, "config-error", ["run", "run-single-stage"], "finetune.tau"),
             ("eval.knn_k=100000", 1, "contract-error", ["run"], "k"),
             ("finetune.lr=nan", 2, "config-error", ["run"], "finetune.lr"),
             ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),

@@ -293,6 +293,16 @@ class TestDatasetInvariants:
         assert np.array_equal(step2.labels_true, step1.labels_true)
         assert np.array_equal(step2.features, step1.features)
 
+    def test_corruption_returns_new_frozen_datasets(self, clusters):
+        imbalanced = apply_exponential_imbalance(clusters, ImbalanceSpec(10.0, seed=2))
+        noisy = inject_symmetric_noise(imbalanced, NoiseSpec(0.4, seed=2))
+        for out, given in ((imbalanced, clusters), (noisy, imbalanced)):
+            assert out is not given
+            assert not any(a.flags.writeable for a in (out.features, out.labels_observed, out.labels_true))
+        # the noisy set shares the frozen features and true labels, and redraws labels in its own array
+        assert not np.shares_memory(noisy.labels_observed, imbalanced.labels_observed)
+        assert np.array_equal(imbalanced.labels_observed, imbalanced.labels_true)
+
     def test_arrays_are_frozen(self, clusters):
         with pytest.raises(ValueError):
             clusters.labels_true[0] = 2

@@ -2,20 +2,19 @@
 
 The fused ops (``mlp`` over one or two row blocks, ``batch_loss`` with its
 softmax NLL and SuperLoss's wrap, and the four SSL objectives on stacked
-views) must give the values and leaf gradients of the chains in ``oracles``
-bit for bit: one ``linear`` record per layer, and the unfused chains of
-single ops beneath the networks and the losses. A training step must write
-exactly its budget of records, so that un-fusing a network or a loss fails
-here and not only in the benchmark. Both sides of every comparison form the
+views) must give the values and leaf gradients of the chains of single ops
+in ``oracles`` bit for bit, run once per view where the fused op takes
+stacked views. A training step must write exactly its budget of records, so
+that un-fusing a network or a loss fails here and not only in the benchmark. Both sides of every comparison form the
 same per-view products, so the comparisons hold whatever kernels the BLAS
 picks on a CPU.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from oracles import (
-    layered_mlp,
-    linear,
     params_digest,
     two_pass_method_loss,
     unfused_barlow_twins,
@@ -42,7 +41,7 @@ from tailspin.ssl import (
     pretrain_epoch,
     simsiam_loss,
 )
-from tailspin.tensor import Tape, Tensor, add, mlp, mul, tensor_sum
+from tailspin.tensor import Tape, Tensor, add, mlp, mul, relu, tensor_sum
 
 
 def leaf(shape, seed, requires_grad=True, scale=1.0):
@@ -65,6 +64,14 @@ def weighted_sum(out, seed):
     return tensor_sum(mul(out, Tensor(np.random.default_rng(seed).normal(size=out.shape))))
 
 
+def weighted_sum_per_view(outs, seed):
+    """``weighted_sum`` of the views' outputs stacked, as one term per view, so each
+    view's output gets its rows of the same gradient: (stacked output, objective)."""
+    stacked = np.concatenate([o.data for o in outs])
+    weights = np.split(np.random.default_rng(seed).normal(size=stacked.shape), len(outs))
+    return Tensor(stacked), reduce(add, [tensor_sum(mul(o, Tensor(w))) for o, w in zip(outs, weights)])
+
+
 def assert_same(fused, unfused, leaves):
     assert traced(fused, leaves) == traced(unfused, leaves)
 
@@ -75,53 +82,23 @@ def two_views(batch, width, seed, requires_grad=True, scale=1.0):
     return [Tensor(v.copy(), requires_grad=requires_grad) for v in (data, data[:batch], data[batch:])]
 
 
-def assert_same_stacked(fused, unfused, stacked):
-    """fused() on stacked leaves against unfused() on their views as separate leaves:
-    the same output bytes, and each stacked leaf's gradient bytes are its views' in order."""
-    out, grads = traced(fused, [t for t, _, _ in stacked])
-    want_out, want = traced(unfused, [v for _, a, b in stacked for v in (a, b)])
+def assert_same_stacked(fused, unfused, stacked, shared=()):
+    """fused() on stacked leaves against unfused() on their views as separate leaves
+    (``stacked`` holds tuples of a stacked leaf and its views): the same output bytes,
+    each stacked leaf's gradient bytes are its views' in order, and each leaf in
+    ``shared``, used by both sides, gets the same gradient bytes."""
+    out, grads = traced(fused, [t for t, *_ in stacked] + list(shared))
+    want_out, want = traced(unfused, [v for _, *views in stacked for v in views] + list(shared))
     assert out == want_out
-    assert grads == [a + b for a, b in zip(want[::2], want[1::2])]
+    per_leaf = iter(want)
+    assert grads == [b"".join(next(per_leaf) for _ in views) for _, *views in stacked] + list(per_leaf)
 
 
 BATCHES = [2, 5, 41, 64]
 
 
 class TestLinear:
-    """One layer: the former layer record, ``oracles.linear``, against the unfused
-    chain, and the per-layer checks that ``mlp`` took over from it."""
-
-    @pytest.mark.parametrize("use_relu", [False, True])
-    @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("x_grad", [False, True])
-    def test_bit_equal_to_matmul_add_relu(self, use_relu, batch, x_grad):
-        x = leaf((batch, 4), 1, requires_grad=x_grad)
-        w, b = leaf((4, 3), 2), leaf(3, 3)
-        # pre-activations of exactly 0: a zero input row against a zero bias, and
-        # a bias that cancels one product
-        x.data[0] = 0.0
-        b.data[1] = 0.0
-        b.data[2] = -(x.data @ w.data)[-1, 2]
-        pre = x.data @ w.data + b.data
-        assert pre[0, 1] == 0.0 and pre[-1, 2] == 0.0
-
-        def build(layer):
-            out = layer(x, w, b, use_relu)
-            return out, weighted_sum(out, 4)
-
-        leaves = [w, b] + ([x] if x_grad else [])
-        assert_same(lambda: build(linear), lambda: build(unfused_linear), leaves)
-
-    @pytest.mark.parametrize("use_relu", [False, True])
-    def test_one_weight_used_by_two_views(self, use_relu):
-        xa, xb = leaf((6, 4), 5, requires_grad=False), leaf((6, 4), 6, requires_grad=False)
-        w, b = leaf((4, 3), 7), leaf(3, 8)
-
-        def build(layer):
-            view_a, view_b = layer(xa, w, b, use_relu), layer(xb, w, b, use_relu)
-            return view_a, add(weighted_sum(view_a, 9), weighted_sum(view_b, 10))
-
-        assert_same(lambda: build(linear), lambda: build(unfused_linear), [w, b])
+    """One layer: ``mlp`` against the unfused chain, and its per-layer checks."""
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_mlp_bit_equal_to_unfused_chain(self, batch):
@@ -140,25 +117,20 @@ class TestLinear:
     def test_two_blocks_bit_equal_to_one_record_per_view(self, use_relu, batch, fan_in, fan_out):
         x, xa, xb = two_views(batch, fan_in, 22)
         w, b = leaf((fan_in, fan_out), 23), leaf(fan_out, 24)
-        weights = np.random.default_rng(25).normal(size=(2 * batch, fan_out))
         # a later use of W and b: its gradient arrives first, so the order in
         # which the two views' terms are added to it shows in the bits
         later = leaf((3, fan_in), 26, requires_grad=False)
 
         def fused():
-            out = linear(x, w, b, use_relu, blocks=2)
-            return out, add(tensor_sum(mul(out, Tensor(weights))), weighted_sum(linear(later, w, b), 27))
+            out = mlp(x, [w, b], blocks=2)
+            out = relu(out) if use_relu else out
+            return out, add(weighted_sum(out, 25), weighted_sum(mlp(later, [w, b]), 27))
 
         def per_view():
-            outs = [unfused_linear(v, w, b, use_relu) for v in (xa, xb)]
-            objective = add(tensor_sum(mul(outs[0], Tensor(weights[:batch]))),
-                            tensor_sum(mul(outs[1], Tensor(weights[batch:]))))
-            objective = add(objective, weighted_sum(unfused_linear(later, w, b), 27))
-            return Tensor(np.concatenate([o.data for o in outs])), objective
+            out, objective = weighted_sum_per_view([unfused_linear(v, w, b, use_relu) for v in (xa, xb)], 25)
+            return out, add(objective, weighted_sum(unfused_linear(later, w, b), 27))
 
-        out, (gx, gw, gb) = traced(fused, [x, w, b])
-        want_out, (gxa, gxb, want_gw, want_gb) = traced(per_view, [xa, xb, w, b])
-        assert (out, gx, gw, gb) == (want_out, gxa + gxb, want_gw, want_gb)
+        assert_same_stacked(fused, per_view, [(x, xa, xb)], shared=[w, b])
 
     @pytest.mark.parametrize("rows, blocks", [(5, 2), (4, 0), (4, 3)])
     def test_rows_that_do_not_split_are_contract_error(self, rows, blocks):
@@ -178,22 +150,29 @@ class TestMlp:
     @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("frozen_first", [False, True])
     def test_one_record_bit_equal_to_one_linear_record_per_layer(self, blocks, batch, x_grad, frozen_first):
-        # the predictor's widths, then a 10-way head layer; a frozen first layer
-        # takes no gradient, and none flows below it unless x requires one.
-        # The biases start at 0, so x's zero row meets every first-layer ReLU at its kink
+        # one mlp record over the stacked views against the unfused chain, one
+        # matmul, add and ReLU per layer, on each view. The predictor's widths,
+        # then a 10-way head layer; a frozen first layer takes no gradient, and
+        # none flows below it unless x requires one. The biases start at 0, so
+        # x's zero row meets every first-layer ReLU at its kink
         net = Mlp.init([32, 16, 32, 10], np.random.default_rng(36))
         if frozen_first:
             net.layers[0] = net.layers[0].copy(requires_grad=False)
-        x = leaf((blocks * batch, 32), 37, requires_grad=x_grad)
-        x.data[0] = 0.0
+        data = np.random.default_rng(37).normal(size=(blocks * batch, 32))
+        data[0] = 0.0
+        x, *views = [Tensor(v.copy(), requires_grad=x_grad) for v in (data, *np.split(data, blocks))]
         later = leaf((3, 32), 38, requires_grad=False)
 
-        def build(forward):
-            out = forward(net, x, blocks)
-            return out, add(weighted_sum(out, 39), weighted_sum(forward(net, later, 1), 40))
+        def fused():
+            out = net(x, blocks)
+            return out, add(weighted_sum(out, 39), weighted_sum(net(later), 40))
 
-        leaves = [p for p in net.parameters() if p.requires_grad] + ([x] if x_grad else [])
-        assert_same(lambda: build(Mlp.__call__), lambda: build(layered_mlp), leaves)
+        def per_view():
+            out, objective = weighted_sum_per_view([unfused_mlp(net, v) for v in views], 39)
+            return out, add(objective, weighted_sum(unfused_mlp(net, later), 40))
+
+        trained = [p for p in net.parameters() if p.requires_grad]
+        assert_same_stacked(fused, per_view, [(x, *views)] if x_grad else [], shared=trained)
 
 
 def _logit_cases():
@@ -357,24 +336,6 @@ def test_method_loss_bit_equal_to_two_passes(method, stop_grad, batch):
     assert_same(lambda: build(method_loss), lambda: build(two_pass_method_loss), model.trainable_parameters())
 
 
-@pytest.mark.parametrize("batch", [2, 41, 64])
-@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
-def test_method_loss_bit_equal_to_one_linear_record_per_layer(monkeypatch, method, stop_grad, batch):
-    # with SimSiam's stop-gradient off, z takes gradients from the predictor's record and the objective's
-    model = build_model(method, 8, seed=41)
-    ssl_method = SSLMethod(method, stop_gradient=stop_grad)
-    rng = np.random.default_rng(42)
-    views = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
-
-    def build():
-        loss = method_loss(model, ssl_method, *views)
-        return loss, loss
-
-    fused = traced(build, model.trainable_parameters())
-    monkeypatch.setattr(Mlp, "__call__", layered_mlp)
-    assert traced(build, model.trainable_parameters()) == fused
-
-
 @pytest.mark.parametrize("method, stop_grad", _ssl_cases())
 def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
     # 39 samples in batches of 16: the last batch of every epoch is ragged
@@ -400,9 +361,7 @@ def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
 
 
 # ---------------------------------------------------------------------------
-# record budget: records on the tape when one training step calls backward,
-# and ``layered``, the records with the oracles' chain in place of each network:
-# one per layer, which the fused record replaces
+# record budget: records on the tape when one training step calls backward
 
 @pytest.fixture
 def records_per_step(monkeypatch):
@@ -422,31 +381,16 @@ def train_set():
     return generate_synthetic(3, 32, 8, 6.0, seed=2)
 
 
-def layered(monkeypatch):
-    """Patch in one ``linear`` record per layer."""
-    monkeypatch.setattr(Mlp, "__call__", layered_mlp)
-
-
 # 2 per step: one record for the head's trained layers, one for the loss
-@pytest.mark.parametrize("method, policy, layer_records", [
-    ("simsiam", FULL_HEAD, 3),
-    ("simsiam", LAST_LAYER_ONLY, 2),
-    ("simclr", FULL_HEAD, 2),
-])
+@pytest.mark.parametrize("method, policy", [("simsiam", FULL_HEAD), ("simsiam", LAST_LAYER_ONLY), ("simclr", FULL_HEAD)])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
-def test_finetune_step_record_budget(records_per_step, monkeypatch, train_set, method, policy, layer_records, kind):
-    def records():
-        records_per_step.clear()
-        model = build_model(method, 8, seed=3)
-        head = build_finetune_head(model, 3, method, seed=4)
-        settings = FinetuneSettings(loss=kind, epochs=1, optimizer=OptimizerConfig(
-            kind="adam", base_lr=0.01, weight_decay=0.0, batch_size=32))
-        finetune(model, head, train_set, settings, policy, run_seed=5)
-        return records_per_step
-
-    assert records() == [2] * 3
-    layered(monkeypatch)
-    assert records() == [layer_records] * 3
+def test_finetune_step_record_budget(records_per_step, train_set, method, policy, kind):
+    model = build_model(method, 8, seed=3)
+    head = build_finetune_head(model, 3, method, seed=4)
+    settings = FinetuneSettings(loss=kind, epochs=1, optimizer=OptimizerConfig(
+        kind="adam", base_lr=0.01, weight_decay=0.0, batch_size=32))
+    finetune(model, head, train_set, settings, policy, run_seed=5)
+    assert records_per_step == [2] * 3
 
 
 # one record per network over both views (the encoder, the projector and, for
@@ -454,15 +398,9 @@ def test_finetune_step_record_budget(records_per_step, monkeypatch, train_set, m
 PRETRAIN_BUDGET = {"simsiam": 4, "simclr": 3, "byol": 4, "barlow_twins": 3}
 
 
-@pytest.mark.parametrize("method, layer_records", [("simsiam", 7), ("simclr", 5), ("byol", 7), ("barlow_twins", 5)])
-def test_pretrain_step_record_budget(records_per_step, monkeypatch, train_set, method, layer_records):
-    def records():
-        records_per_step.clear()
-        model = build_model(method, 8, seed=3)
-        opt = make_optimizer(OptimizerConfig(batch_size=32), model.trainable_parameters())
-        pretrain_epoch(model, train_set, SSLMethod(method), opt, 0.01, 0, 1, AugmentationSpec(0.4, 0.1, 0.2), 32)
-        return records_per_step
-
-    assert records() == [PRETRAIN_BUDGET[method]] * 3
-    layered(monkeypatch)
-    assert records() == [layer_records] * 3
+@pytest.mark.parametrize("method", PRETRAIN_BUDGET)
+def test_pretrain_step_record_budget(records_per_step, train_set, method):
+    model = build_model(method, 8, seed=3)
+    opt = make_optimizer(OptimizerConfig(batch_size=32), model.trainable_parameters())
+    pretrain_epoch(model, train_set, SSLMethod(method), opt, 0.01, 0, 1, AugmentationSpec(0.4, 0.1, 0.2), 32)
+    assert records_per_step == [PRETRAIN_BUDGET[method]] * 3

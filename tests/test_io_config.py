@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import params_digest, record_from_json_line
-from tailspin.config import config_load, write_resolved
+from tailspin.config import _SPEC, _float_or_auto, _flag, _format_value, config_load, write_resolved
 from tailspin.data import ImbalanceSpec, NoiseSpec, apply_exponential_imbalance, generate_synthetic, inject_symmetric_noise
 from tailspin.errors import ConfigError, ValidationError
 from tailspin.evaluation import MetricsRecord
@@ -194,11 +196,18 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
 
     def test_tau_auto_and_numeric(self):
-        assert config_load(None).superloss_tau() is None
-        assert config_load(None, overrides=["finetune.tau=1.25"]).superloss_tau() == 1.25
-        for raw in ("banana", "nan"):
-            with pytest.raises(ConfigError):
-                config_load(None, overrides=[f"finetune.tau={raw}"]).superloss_tau()
+        assert config_load(None)["finetune.tau"] == "auto"
+        assert config_load(None, overrides=["finetune.tau=1.25"])["finetune.tau"] == 1.25
+        for raw in ("banana", "nan", "inf", "Auto"):
+            with pytest.raises(ConfigError, match="finetune.tau"):
+                config_load(None, overrides=[f"finetune.tau={raw}"])
+
+    def test_explicit_tau_is_written_as_its_number(self):
+        # two spellings of one threshold are one experiment: one resolved line, one hash
+        cfgs = [config_load(None, overrides=[f"finetune.tau={raw}"]) for raw in ("1.5", "1.50", " 15e-1")]
+        assert {line for cfg in cfgs for line in cfg.resolved_text().splitlines()
+                if line.startswith("finetune.tau")} == {"finetune.tau = 1.5"}
+        assert len({cfg.config_hash() for cfg in cfgs}) == 1
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -216,3 +225,33 @@ class TestConfig:
         back = config_load(tmp_path / "config.resolved")
         assert back.values == cfg.values
         assert back.config_hash() == cfg.config_hash()
+
+
+def _values(key):
+    """Every value that ``key`` accepts, as the config holds it."""
+    parse, _, allowed, _ = _SPEC[key]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if allowed is not None:
+        return st.sampled_from(allowed)
+    if key == "run.output_dir":  # one line, with no surrounding space that parsing would strip
+        line = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))
+        return st.text(line, max_size=12).filter(lambda text: text == text.strip())
+    return {int: st.integers(), float: finite, _flag: st.booleans(),
+            _float_or_auto: st.just("auto") | finite}[parse]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(values=st.fixed_dictionaries({key: _values(key) for key in _SPEC}),
+       key=st.sampled_from(sorted(_SPEC)), text=st.text(max_size=12))
+def test_every_value_parses_back_and_any_text_is_one_config_error(tmp_path_factory, values, key, text):
+    # each value, written as config.resolved writes it, parses back equal, from --set and from the file
+    cfg = config_load(None, overrides=[f"{k}={_format_value(v)}" for k, v in values.items()])
+    assert cfg.values == values
+    directory = tmp_path_factory.mktemp("resolved")
+    write_resolved(cfg, directory)
+    assert config_load(directory / "config.resolved").values == values
+    # any text is a value of the key or one ConfigError that names it
+    try:
+        config_load(None, overrides=[f"{key}={text}"])
+    except ConfigError as exc:
+        assert f"'{key}'" in str(exc)

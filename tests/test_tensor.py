@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear, negative_cosine_similarity, standardize_columns, stop_gradient, unfused_mean
+from oracles import negative_cosine_similarity, standardize_columns, stop_gradient, unfused_mean
 from tailspin.errors import ContractError, NumericError, OracleError, ShapeError, TapeError
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss
 from tailspin.ssl import barlow_twins_loss, nt_xent_loss, simsiam_loss
@@ -234,17 +234,15 @@ def leaves(*shapes, seed=0):
     return [Tensor(rand(shape, seed + i), requires_grad=True) for i, shape in enumerate(shapes)]
 
 
-# every op that writes a tape record, the oracles' former ``linear`` included,
-# on leaves that all require a gradient (broadcast operands, views and a tensor
-# used twice by one op included), and ``mlp`` also on an input that requires none
+# every op that writes a tape record, on leaves that all require a gradient
+# (broadcast operands, views and a tensor used twice by one op included), and
+# ``mlp`` also on an input that requires none
 RECORDING_OPS = {
     "add-broadcast": lambda: add(*leaves((3, 4), (4,))),
     "add-same-tensor": lambda: add(*[leaves((3, 4))[0]] * 2),
     "sub-broadcast": lambda: sub(*leaves((3, 4), (3, 1))),
     "mul-broadcast": lambda: mul(*leaves((3, 1), (4,))),
     "matmul": lambda: matmul(*leaves((3, 4), (4, 2))),
-    **{f"linear-blocks{blocks}-relu{use_relu}": lambda blocks=blocks, use_relu=use_relu: linear(
-        *leaves((4, 3), (3, 2), (2,)), use_relu=use_relu, blocks=blocks) for blocks in (1, 2) for use_relu in (False, True)},
     **{f"mlp-blocks{blocks}-layers{layers}": lambda blocks=blocks, layers=layers: mlp(
         leaves((4, 3))[0], leaves(*[(3, 2), (2,), (2, 2), (2,)][:2 * layers], seed=1), blocks=blocks)
        for blocks in (1, 2) for layers in (1, 2)},
