@@ -134,31 +134,28 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_value(key: str, raw: str):
-    parse, _, allowed, _ = _SPEC[key]
-    raw = raw.strip()
-    try:
-        value = parse(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"key '{key}' expects {_type_name(parse)}, got '{raw}'") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"key '{key}' expects a finite number, got '{raw}'")
-    if allowed is not None and value not in allowed:
-        raise ConfigError(f"key '{key}' must be one of {allowed}, got '{value}'")
-    return value
-
-
 def _entry(item: str, where: str) -> tuple[str, object]:
-    """One ``key = value`` item, parsed; a malformed one is an error prefixed with ``where``."""
+    """One ``key = value`` item, parsed by its key's type; every error it raises
+    is prefixed with ``where``."""
     if "=" not in item:
         raise ConfigError(f"{where}: expected 'key = value', got '{item}'")
-    key, raw = item.split("=", 1)
-    key = key.strip()
+    key, raw = (part.strip() for part in item.split("=", 1))
     if key not in _SPEC:
         near = difflib.get_close_matches(key, _SPEC.keys(), n=1)
         hint = f" (did you mean '{near[0]}'?)" if near else ""
-        raise ConfigError(f"unknown config key '{key}'{hint}")
-    return key, _parse_value(key, raw)
+        raise ConfigError(f"{where}: unknown config key '{key}'{hint}")
+    parse, _, allowed, _ = _SPEC[key]
+    if len(raw.splitlines()) > 1:  # config.resolved holds one line per key
+        raise ConfigError(f"{where}: key '{key}' takes one line, got {raw!r}")
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: key '{key}' expects {_type_name(parse)}, got '{raw}'") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: key '{key}' expects a finite number, got '{raw}'")
+    if allowed is not None and value not in allowed:
+        raise ConfigError(f"{where}: key '{key}' must be one of {allowed}, got '{value}'")
+    return key, value
 
 
 def _parse_file(path: Path) -> dict:

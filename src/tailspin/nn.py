@@ -37,10 +37,8 @@ class Linear:
 
 class Mlp:
     """Stack of Linear layers with ReLU between them (none after the last),
-    applied as one tape record.
-
-    Called with ``blocks`` > 1, every layer forms its products per row block
-    (see ``tensor.mlp``), so stacked views pass through as one batch."""
+    applied as one tape record with one product per layer over all the rows
+    it is given (see ``tensor.mlp``)."""
 
     def __init__(self, layers: list[Linear]):
         self.layers = layers
@@ -53,8 +51,8 @@ class Mlp:
             raise ValidationError(f"mlp widths must be >= 1, got {dims}")
         return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
 
-    def __call__(self, x: Tensor, blocks: int = 1) -> Tensor:
-        return mlp(x, self.parameters(), blocks)
+    def __call__(self, x: Tensor) -> Tensor:
+        return mlp(x, self.parameters())
 
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]

@@ -203,26 +203,26 @@ def barlow_twins_loss(z: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
 def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.ndarray) -> Tensor:
     """The configured objective on two views of one minibatch; labels are never consulted.
 
-    Both views pass through each network as one stacked (2B, d) batch, view
-    a in rows [:B], with every product formed per view (``mlp``'s
-    blocks), so the loss and every gradient equal one pass per view bit for
-    bit. SimSiam applies ``method.stop_gradient``; BYOL's target branch is
-    the EMA network, which never takes a gradient.
+    Both views pass through each network once, as one stacked (2B, d) batch
+    with view a in rows [:B], so every layer forms one product over the 2B
+    rows, as SimSiam and SimCLR batch their views. SimSiam applies
+    ``method.stop_gradient``; BYOL's target branch is the EMA network, which
+    never takes a gradient.
     """
     if method.name == "byol" and not model.has_ema():
         raise ConfigError("byol requires a model with an EMA target")
     if view_a.shape != view_b.shape:
         raise ContractError(f"method_loss: view shapes differ, {view_a.shape} vs {view_b.shape}")
     x = Tensor(np.concatenate([view_a, view_b]))
-    z = model.projector(model.encoder(x, 2), 2)
+    z = model.projector(model.encoder(x))
     if method.name == "simclr":
         return nt_xent_loss(z, method.temperature)
     if method.name == "barlow_twins":
         return barlow_twins_loss(z, method.lambda_bt)
-    p = model.predictor(z, 2)
+    p = model.predictor(z)
     if method.name == "simsiam":
         return simsiam_loss(p, z, stop_grad=method.stop_gradient)
-    return simsiam_loss(p, model.ema_projector(model.ema_encoder(x, 2), 2), stop_grad=False)
+    return simsiam_loss(p, model.ema_projector(model.ema_encoder(x)), stop_grad=False)
 
 
 def pretrain_epoch(

@@ -246,29 +246,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op("matmul", a.data @ b.data, _each((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)), a, b)
 
 
-def mlp(x: Tensor, params: Sequence[Tensor], blocks: int = 1) -> Tensor:
+def mlp(x: Tensor, params: Sequence[Tensor]) -> Tensor:
     """A multilayer perceptron on x as one record: ``params`` holds each layer's
     W and b in turn, and every layer but the last applies a ReLU to h @ W + b.
 
-    x's rows are ``blocks`` equal row blocks, such as the two views of a
-    pretraining batch stacked view a first. Every product (h_k @ W, g_k @ W.T
-    and h_k.T @ g_k) is formed per layer and block, and the vjp returns, last
-    layer first, x's gradient (first layer only), then a W and a b pair per
-    block, last block first, the order of the reverse tape over one record per
-    layer and block; so values and gradients equal relu(add(matmul(h_k, W), b))
-    per layer and block bit for bit. A layer's bias add, ReLU and finiteness
-    check run over all rows; the check reads the pre-activation, since
-    max(-inf, 0) hides an overflow. Gradients stop at the first layer whose
-    input requires none.
+    Each layer forms one product over all of x's rows, and the vjp one g @ W.T,
+    one h.T @ g and one bias sum; it returns, last layer first, x's gradient
+    (first layer only), then the layer's W and b pairs, the order of the
+    reverse tape over one record per layer, so values and gradients equal
+    relu(add(matmul(h, W), b)) per layer bit for bit. The finiteness check
+    reads each hidden layer's pre-activation, since max(-inf, 0) hides an
+    overflow. Gradients stop at the first layer whose input requires none.
     """
     if x.ndim != 2:
         raise ShapeError(f"mlp: expected a 2-d input, got shape {x.shape}")
     if not params or len(params) % 2:
         raise ContractError(f"mlp: expected a weight and a bias per layer, got {len(params)} tensors")
-    if blocks < 1 or x.shape[0] % blocks:
-        raise ContractError(f"mlp: {x.shape[0]} rows do not split into {blocks} equal blocks")
-    step = x.shape[0] // blocks
-    spans = [slice(k * step, (k + 1) * step) for k in range(blocks)]
     last = len(params) - 2
     layers = []  # per layer: its input, W, b, ReLU mask (None on the last) and whether the input needs a gradient
     h, needs = x.data, x.requires_grad
@@ -278,9 +271,7 @@ def mlp(x: Tensor, params: Sequence[Tensor], blocks: int = 1) -> Tensor:
             raise ShapeError(f"mlp: layer {i // 2} input {h.shape} vs weight {weight.shape}")
         if bias.shape != (weight.shape[1],):
             raise ShapeError(f"mlp: layer {i // 2} bias {bias.shape} vs weight {weight.shape}")
-        pre = np.empty((h.shape[0], weight.shape[1]))
-        for s in spans:
-            np.matmul(h[s], weight.data, out=pre[s])
+        pre = h @ weight.data
         pre += bias.data
         active = None
         if i < last:  # the ReLU could hide an overflow; _op checks the last layer's output
@@ -298,16 +289,13 @@ def mlp(x: Tensor, params: Sequence[Tensor], blocks: int = 1) -> Tensor:
             if active is not None:
                 g = g * active
             if needs:
-                grad_h = np.empty_like(h)
-                for s in spans:
-                    np.matmul(g[s], weight.data.T, out=grad_h[s])
+                grad_h = g @ weight.data.T
                 if i == 0:
                     pairs.append((x, grad_h))
-            for s in reversed(spans):
-                if weight.requires_grad:
-                    pairs.append((weight, h[s].T @ g[s]))
-                if bias.requires_grad:
-                    pairs.append((bias, g[s].sum(axis=0)))
+            if weight.requires_grad:
+                pairs.append((weight, h.T @ g))
+            if bias.requires_grad:
+                pairs.append((bias, g.sum(axis=0)))
             if not needs:
                 break
             g = grad_h

@@ -417,8 +417,43 @@ def unfused_barlow_twins(z_a, z_b, lambda_bt, eps=1e-9):
     return add(invariance, mul(redundancy, Tensor(lambda_bt)))
 
 
+def row_block(a, start, stop):
+    """Rows [start, stop) of a 2-d tensor. Its gradient is -0.0 in the other rows,
+    which adds to any float without changing its bits, so the blocks of one tensor
+    hand it their gradients unchanged."""
+    def vjp(g):
+        grad = np.full(a.shape, -0.0)
+        grad[start:stop] = g
+        return [(a, grad)]
+
+    return _op("row_block", a.data[start:stop], vjp, a)
+
+
+def _two_views(a):
+    b = a.shape[0] // 2
+    return row_block(a, 0, b), row_block(a, b, 2 * b)
+
+
+def unfused_method_loss(model, method, view_a, view_b):
+    """``ssl.method_loss`` over the unfused chains: each network once on the stacked
+    views, through the unfused layers, then the unfused objective on its two row blocks."""
+    x = Tensor(np.concatenate([view_a, view_b]))
+    z = unfused_mlp(model.projector, unfused_mlp(model.encoder, x))
+    if method.name == "simclr":
+        return unfused_nt_xent(*_two_views(z), method.temperature)
+    if method.name == "barlow_twins":
+        return unfused_barlow_twins(*_two_views(z), method.lambda_bt)
+    (p_a, p_b), (z_a, z_b) = _two_views(unfused_mlp(model.predictor, z)), _two_views(z)
+    if method.name == "simsiam":
+        return unfused_simsiam(p_a, z_a, p_b, z_b, stop_grad=method.stop_gradient)
+    t_a, t_b = _two_views(unfused_mlp(model.ema_projector, unfused_mlp(model.ema_encoder, x)))
+    return unfused_simsiam(p_a, t_a, p_b, t_b, stop_grad=False)
+
+
 def two_pass_method_loss(model, method, view_a, view_b):
-    """``ssl.method_loss`` as one pass per view through the unfused layers, then the unfused objective."""
+    """``ssl.method_loss`` as one pass per view through the unfused layers, then the
+    unfused objective: the per-view products that ``method_loss`` replaced with one
+    product over both views, so the two agree to rounding, not bit for bit."""
     z_a = unfused_mlp(model.projector, unfused_mlp(model.encoder, Tensor(view_a)))
     z_b = unfused_mlp(model.projector, unfused_mlp(model.encoder, Tensor(view_b)))
     if method.name == "simclr":

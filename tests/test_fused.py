@@ -1,16 +1,16 @@
 """One tape record per network call and per loss, and both views in one pass.
 
-The fused ops (``mlp`` over one or two row blocks, ``batch_loss`` with its
-softmax NLL and SuperLoss's wrap, and the four SSL objectives on stacked
-views) must give the values and leaf gradients of the chains of single ops
-in ``oracles`` bit for bit, run once per view where the fused op takes
-stacked views. A training step must write exactly its budget of records, so
-that un-fusing a network or a loss fails here and not only in the benchmark. Both sides of every comparison form the
-same per-view products, so the comparisons hold whatever kernels the BLAS
-picks on a CPU.
+The fused ops (``mlp``, ``batch_loss`` with its softmax NLL and SuperLoss's
+wrap, and the four SSL objectives on stacked views) must give the values and
+leaf gradients of the chains of single ops in ``oracles`` bit for bit. A
+network's chain runs on the same stacked rows as ``mlp``; an objective's
+chain runs once per view. ``method_loss`` and a pretraining epoch must equal
+the chains on the stacked rows bit for bit, and one pass per view to within
+rounding. A training step must write exactly its budget of records, so that
+un-fusing a network or a loss fails here and not only in the benchmark. Both
+sides of every bitwise comparison form the same products, so the comparisons
+hold whatever kernels the BLAS picks on a CPU.
 """
-from functools import reduce
-
 import numpy as np
 import pytest
 
@@ -21,13 +21,14 @@ from oracles import (
     unfused_batch_loss,
     unfused_linear,
     unfused_mean,
+    unfused_method_loss,
     unfused_mlp,
     unfused_nll,
     unfused_nt_xent,
     unfused_simsiam,
 )
 from tailspin.data import AugmentationSpec, generate_synthetic
-from tailspin.errors import ContractError, NumericError
+from tailspin.errors import NumericError
 from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss
 from tailspin.nn import SSL_METHODS, Mlp, build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
@@ -64,14 +65,6 @@ def weighted_sum(out, seed):
     return tensor_sum(mul(out, Tensor(np.random.default_rng(seed).normal(size=out.shape))))
 
 
-def weighted_sum_per_view(outs, seed):
-    """``weighted_sum`` of the views' outputs stacked, as one term per view, so each
-    view's output gets its rows of the same gradient: (stacked output, objective)."""
-    stacked = np.concatenate([o.data for o in outs])
-    weights = np.split(np.random.default_rng(seed).normal(size=stacked.shape), len(outs))
-    return Tensor(stacked), reduce(add, [tensor_sum(mul(o, Tensor(w))) for o, w in zip(outs, weights)])
-
-
 def assert_same(fused, unfused, leaves):
     assert traced(fused, leaves) == traced(unfused, leaves)
 
@@ -82,16 +75,15 @@ def two_views(batch, width, seed, requires_grad=True, scale=1.0):
     return [Tensor(v.copy(), requires_grad=requires_grad) for v in (data, data[:batch], data[batch:])]
 
 
-def assert_same_stacked(fused, unfused, stacked, shared=()):
+def assert_same_stacked(fused, unfused, stacked):
     """fused() on stacked leaves against unfused() on their views as separate leaves
     (``stacked`` holds tuples of a stacked leaf and its views): the same output bytes,
-    each stacked leaf's gradient bytes are its views' in order, and each leaf in
-    ``shared``, used by both sides, gets the same gradient bytes."""
-    out, grads = traced(fused, [t for t, *_ in stacked] + list(shared))
-    want_out, want = traced(unfused, [v for _, *views in stacked for v in views] + list(shared))
+    and each stacked leaf's gradient bytes are its views' in order."""
+    out, grads = traced(fused, [t for t, *_ in stacked])
+    want_out, want = traced(unfused, [v for _, *views in stacked for v in views])
     assert out == want_out
     per_leaf = iter(want)
-    assert grads == [b"".join(next(per_leaf) for _ in views) for _, *views in stacked] + list(per_leaf)
+    assert grads == [b"".join(next(per_leaf) for _ in views) for _, *views in stacked]
 
 
 BATCHES = [2, 5, 41, 64]
@@ -115,27 +107,24 @@ class TestLinear:
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("fan_in, fan_out", [(32, 16), (16, 32)])  # the predictor's layers
     def test_two_blocks_bit_equal_to_one_record_per_view(self, use_relu, batch, fan_in, fan_out):
-        x, xa, xb = two_views(batch, fan_in, 22)
+        # named for the per-view products it once pinned: now one layer over both
+        # views' stacked rows against the unfused chain on the same rows
+        x = leaf((2 * batch, fan_in), 22)
         w, b = leaf((fan_in, fan_out), 23), leaf(fan_out, 24)
         # a later use of W and b: its gradient arrives first, so the order in
-        # which the two views' terms are added to it shows in the bits
+        # which the terms are added to it shows in the bits
         later = leaf((3, fan_in), 26, requires_grad=False)
 
         def fused():
-            out = mlp(x, [w, b], blocks=2)
+            out = mlp(x, [w, b])
             out = relu(out) if use_relu else out
             return out, add(weighted_sum(out, 25), weighted_sum(mlp(later, [w, b]), 27))
 
-        def per_view():
-            out, objective = weighted_sum_per_view([unfused_linear(v, w, b, use_relu) for v in (xa, xb)], 25)
-            return out, add(objective, weighted_sum(unfused_linear(later, w, b), 27))
+        def unfused():
+            out = unfused_linear(x, w, b, use_relu)
+            return out, add(weighted_sum(out, 25), weighted_sum(unfused_linear(later, w, b), 27))
 
-        assert_same_stacked(fused, per_view, [(x, xa, xb)], shared=[w, b])
-
-    @pytest.mark.parametrize("rows, blocks", [(5, 2), (4, 0), (4, 3)])
-    def test_rows_that_do_not_split_are_contract_error(self, rows, blocks):
-        with pytest.raises(ContractError, match="equal blocks"):
-            mlp(Tensor(np.ones((rows, 3))), [Tensor(np.ones((3, 2))), Tensor(np.zeros(2))], blocks=blocks)
+        assert_same(fused, unfused, [x, w, b])
 
     def test_negative_overflow_before_relu_raises(self):
         # x @ W is -inf, which the ReLU would turn into 0; the check reads the pre-activation
@@ -145,34 +134,30 @@ class TestLinear:
 
 
 class TestMlp:
-    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("views", [1, 2])
     @pytest.mark.parametrize("batch", [2, 41, 64])
     @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("frozen_first", [False, True])
-    def test_one_record_bit_equal_to_one_linear_record_per_layer(self, blocks, batch, x_grad, frozen_first):
-        # one mlp record over the stacked views against the unfused chain, one
-        # matmul, add and ReLU per layer, on each view. The predictor's widths,
-        # then a 10-way head layer; a frozen first layer takes no gradient, and
-        # none flows below it unless x requires one. The biases start at 0, so
-        # x's zero row meets every first-layer ReLU at its kink
+    def test_one_record_bit_equal_to_one_linear_record_per_layer(self, views, batch, x_grad, frozen_first):
+        # one mlp record over one view or two stacked views against the unfused
+        # chain, one matmul, add and ReLU per layer, on the same rows. The
+        # predictor's widths, then a 10-way head layer; a frozen first layer takes
+        # no gradient, and none flows below it unless x requires one. The biases
+        # start at 0, so x's zero row meets every first-layer ReLU at its kink
         net = Mlp.init([32, 16, 32, 10], np.random.default_rng(36))
         if frozen_first:
             net.layers[0] = net.layers[0].copy(requires_grad=False)
-        data = np.random.default_rng(37).normal(size=(blocks * batch, 32))
+        data = np.random.default_rng(37).normal(size=(views * batch, 32))
         data[0] = 0.0
-        x, *views = [Tensor(v.copy(), requires_grad=x_grad) for v in (data, *np.split(data, blocks))]
+        x = Tensor(data, requires_grad=x_grad)
         later = leaf((3, 32), 38, requires_grad=False)
 
-        def fused():
-            out = net(x, blocks)
-            return out, add(weighted_sum(out, 39), weighted_sum(net(later), 40))
-
-        def per_view():
-            out, objective = weighted_sum_per_view([unfused_mlp(net, v) for v in views], 39)
-            return out, add(objective, weighted_sum(unfused_mlp(net, later), 40))
+        def build(forward):
+            out = forward(x)
+            return out, add(weighted_sum(out, 39), weighted_sum(forward(later), 40))
 
         trained = [p for p in net.parameters() if p.requires_grad]
-        assert_same_stacked(fused, per_view, [(x, *views)] if x_grad else [], shared=trained)
+        assert_same(lambda: build(net), lambda: build(lambda v: unfused_mlp(net, v)), [x] * x_grad + trained)
 
 
 def _logit_cases():
@@ -321,23 +306,50 @@ def _ssl_cases():
     return [pytest.param(m, True, id=m) for m in SSL_METHODS] + [pytest.param("simsiam", False, id="simsiam-no-sg")]
 
 
+def _method_loss_case(method, stop_grad, batch):
+    """A model, its SSLMethod and two views of a batch of 8-wide rows."""
+    rng = np.random.default_rng(33)
+    return (build_model(method, 8, seed=32), SSLMethod(method, stop_gradient=stop_grad),
+            (rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))))
+
+
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("method, stop_grad", _ssl_cases())
 def test_method_loss_bit_equal_to_two_passes(method, stop_grad, batch):
-    model = build_model(method, 8, seed=32)
-    ssl_method = SSLMethod(method, stop_gradient=stop_grad)
-    rng = np.random.default_rng(33)
-    views = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
+    # named for the two passes it once pinned: now the unfused chains with each
+    # network run once on the same stacked rows
+    model, ssl_method, views = _method_loss_case(method, stop_grad, batch)
 
     def build(loss_fn):
         loss = loss_fn(model, ssl_method, *views)
         return loss, loss
 
-    assert_same(lambda: build(method_loss), lambda: build(two_pass_method_loss), model.trainable_parameters())
+    assert_same(lambda: build(method_loss), lambda: build(unfused_method_loss), model.trainable_parameters())
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_method_loss_agrees_with_two_passes_to_rounding(method, stop_grad, batch):
+    # one product over both views' rows against one pass per view: the loss and
+    # every gradient agree within 1e-12 relative to max(1, |value|)
+    model, ssl_method, views = _method_loss_case(method, stop_grad, batch)
+    params = model.trainable_parameters()
+    results = []
+    for loss_fn in (method_loss, two_pass_method_loss):
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            loss = loss_fn(model, ssl_method, *views)
+            tape.backward(loss)
+        results.append([loss.data] + [p.grad for p in params])
+    for got, want in zip(*results):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("method, stop_grad", _ssl_cases())
 def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
+    # named for the two-pass loop it once pinned: now the loop over the unfused
+    # chains on each batch's stacked rows, with views from build_views per batch
     # 39 samples in batches of 16: the last batch of every epoch is ragged
     dataset = generate_synthetic(3, 13, 8, 6.0, seed=34)
     ssl_method, aug = SSLMethod(method, stop_gradient=stop_grad), AugmentationSpec(0.4, 0.1, 0.2)
@@ -348,7 +360,7 @@ def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
 
         def loss_fn(idx):
             views = build_views(dataset.features[idx], idx, aug, 36, epoch)
-            return two_pass_method_loss(models[1], ssl_method, *views)
+            return unfused_method_loss(models[1], ssl_method, *views)
 
         after = (lambda: ema_update(models[1], ssl_method.ema_momentum)) if method == "byol" else None
         want = train_epoch(opts[1], 0.05, loss_fn, dataset.num_samples, 16, 36, "pretrain", epoch,

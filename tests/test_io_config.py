@@ -164,6 +164,30 @@ class TestConfig:
         assert cfg["finetune.loss"] == "la_sl"  # override wins
         assert cfg["run.seed"] == 7
 
+    @pytest.mark.parametrize("item, message", [
+        ("pretrain.methd = simsiam", "unknown config key 'pretrain.methd' (did you mean 'pretrain.method'?)"),
+        ("data.gamma = banana", "key 'data.gamma' expects float, got 'banana'"),
+        ("pretrain.method = mocov2", "key 'pretrain.method' must be one of"),
+        ("data.nu = inf", "key 'data.nu' expects a finite number"),
+        ("data.gamma", "expected 'key = value', got 'data.gamma'"),
+    ], ids=["unknown-key", "type", "choice", "non-finite", "no-equals"])
+    def test_every_file_error_names_its_line(self, tmp_path, item, message):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"# comment\n{item}\n")
+        with pytest.raises(ConfigError) as info:
+            config_load(p)
+        assert str(info.value).startswith(f"{p}:2: {message}")
+
+    def test_value_with_a_line_break_is_one_config_error(self, tmp_path):
+        # config.resolved holds one line per key, so it could not hold this value
+        for brk in ("\n", "\r", "\x1c", "\x85", "\u2028"):
+            with pytest.raises(ConfigError) as info:
+                config_load(None, overrides=[f"run.output_dir=a{brk}b"])
+            assert str(info.value) == f"--set: key 'run.output_dir' takes one line, got {'a' + brk + 'b'!r}"
+        cfg = config_load(None, overrides=["run.output_dir= a b\n"])
+        write_resolved(cfg, tmp_path)
+        assert config_load(tmp_path / "config.resolved")["run.output_dir"] == "a b"
+
     def test_unknown_key_suggests_nearest(self):
         with pytest.raises(ConfigError, match="pretrain.method"):
             config_load(None, overrides=["pretrain.methd=simsiam"])
@@ -233,9 +257,8 @@ def _values(key):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     if allowed is not None:
         return st.sampled_from(allowed)
-    if key == "run.output_dir":  # one line, with no surrounding space that parsing would strip
-        line = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))
-        return st.text(line, max_size=12).filter(lambda text: text == text.strip())
+    if key == "run.output_dir":  # any text: parsing strips it and refuses a line break within
+        return st.text(max_size=12)
     return {int: st.integers(), float: finite, _flag: st.booleans(),
             _float_or_auto: st.just("auto") | finite}[parse]
 
@@ -244,14 +267,24 @@ def _values(key):
 @given(values=st.fixed_dictionaries({key: _values(key) for key in _SPEC}),
        key=st.sampled_from(sorted(_SPEC)), text=st.text(max_size=12))
 def test_every_value_parses_back_and_any_text_is_one_config_error(tmp_path_factory, values, key, text):
-    # each value, written as config.resolved writes it, parses back equal, from --set and from the file
-    cfg = config_load(None, overrides=[f"{k}={_format_value(v)}" for k, v in values.items()])
-    assert cfg.values == values
-    directory = tmp_path_factory.mktemp("resolved")
-    write_resolved(cfg, directory)
-    assert config_load(directory / "config.resolved").values == values
-    # any text is a value of the key or one ConfigError that names it
+    def round_trip(overrides):
+        # the value accepted from --set, written as config.resolved writes it, parses back equal
+        cfg = config_load(None, overrides=overrides)
+        directory = tmp_path_factory.mktemp("resolved")
+        write_resolved(cfg, directory)
+        assert config_load(directory / "config.resolved").values == cfg.values
+        return cfg
+
+    # each value parses as itself; run.output_dir's text is stripped, or refused for a line break
+    overrides = [f"{k}={_format_value(v)}" for k, v in values.items()]
+    output_dir = values["run.output_dir"].strip()
+    if len(output_dir.splitlines()) > 1:
+        with pytest.raises(ConfigError, match="^--set: key 'run.output_dir' takes one line"):
+            config_load(None, overrides=overrides)
+    else:
+        assert round_trip(overrides).values == dict(values, **{"run.output_dir": output_dir})
+    # any text is a value of the key, which round-trips, or one ConfigError that names it
     try:
-        config_load(None, overrides=[f"{key}={text}"])
+        round_trip([f"{key}={text}"])
     except ConfigError as exc:
         assert f"'{key}'" in str(exc)

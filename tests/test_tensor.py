@@ -243,9 +243,8 @@ RECORDING_OPS = {
     "sub-broadcast": lambda: sub(*leaves((3, 4), (3, 1))),
     "mul-broadcast": lambda: mul(*leaves((3, 1), (4,))),
     "matmul": lambda: matmul(*leaves((3, 4), (4, 2))),
-    **{f"mlp-blocks{blocks}-layers{layers}": lambda blocks=blocks, layers=layers: mlp(
-        leaves((4, 3))[0], leaves(*[(3, 2), (2,), (2, 2), (2,)][:2 * layers], seed=1), blocks=blocks)
-       for blocks in (1, 2) for layers in (1, 2)},
+    **{f"mlp-layers{layers}": lambda layers=layers: mlp(
+        leaves((4, 3))[0], leaves(*[(3, 2), (2,), (2, 2), (2,)][:2 * layers], seed=1)) for layers in (1, 2)},
     "mlp-input-without-grad": lambda: mlp(Tensor(rand((4, 3), 0)), leaves((3, 2), (2,), (2, 2), (2,))),
     "transpose": lambda: transpose(*leaves((3, 4))),
     "relu": lambda: relu(*leaves((3, 4))),
