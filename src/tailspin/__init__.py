@@ -45,7 +45,7 @@ from .losses import (
     lambert_w0,
     superloss_sigma,
 )
-from .nn import Linear, Mlp, Model, build_model, ema_update
+from .nn import Layer, Mlp, Model, build_model, ema_update
 from .optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr
 from .pipeline import (
     FinetuneSettings,

@@ -218,10 +218,10 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
     if model is None:
         raise ConfigError("pretrained checkpoint has no model")
     nu = _recorded(cfg, "data.nu", provenance.get("nu"), train_dir)
-    method = _recorded(cfg, "pretrain.method", model.arch.get("method"), checkpoint)
+    method = _recorded(cfg, "pretrain.method", model.method, checkpoint)
     settings, freeze = _settings(cfg, "finetune"), cfg["finetune.freeze"]
     policy = select_freeze_policy(method, nu) if freeze == "auto" else freeze
-    head = build_finetune_head(model, train.num_classes, method, derive(cfg.seed, "model"))
+    head = build_finetune_head(model, train.num_classes, derive(cfg.seed, "model"))
     with tio.MetricsWriter(out / "metrics.jsonl") as sink:
         finetune(model, head, train, settings, policy, cfg.seed, test_set=test, sink=sink)
     stages = {"pretrain": pretrained.get("epochs"), "finetune": settings.epochs}
@@ -255,7 +255,7 @@ def _cmd_run_single_stage(cfg: ExperimentConfig) -> None:
     _cmd_corrupt(cfg)
     train, test = tio.load_dataset(out / "data" / "train-corrupted"), tio.load_dataset(out / "data" / "test")
     model = build_model("simsiam", train.feature_dim, seed=derive(cfg.seed, "model"), **dims)
-    head = build_finetune_head(model, train.num_classes, "simsiam", derive(cfg.seed, "model"))
+    head = build_finetune_head(model, train.num_classes, derive(cfg.seed, "model"))
     with _fresh_metrics(out) as sink:
         run_single_stage(model, head, train, settings, cfg.seed, sink=sink)
     _save_and_summarize(cfg, model, head, test, {"single_stage": settings.epochs})

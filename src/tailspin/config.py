@@ -138,7 +138,7 @@ def _entry(item: str, where: str) -> tuple[str, object]:
     """One ``key = value`` item, parsed by its key's type; every error it raises
     is prefixed with ``where``."""
     if "=" not in item:
-        raise ConfigError(f"{where}: expected 'key = value', got '{item}'")
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
     key, raw = (part.strip() for part in item.split("=", 1))
     if key not in _SPEC:
         near = difflib.get_close_matches(key, _SPEC.keys(), n=1)
@@ -147,6 +147,8 @@ def _entry(item: str, where: str) -> tuple[str, object]:
     parse, _, allowed, _ = _SPEC[key]
     if len(raw.splitlines()) > 1:  # config.resolved holds one line per key
         raise ConfigError(f"{where}: key '{key}' takes one line, got {raw!r}")
+    if raw.encode("utf-8", "replace").decode("utf-8") != raw:  # argv bytes not in UTF-8 arrive as lone surrogates
+        raise ConfigError(f"{where}: key '{key}' takes UTF-8 text, got {raw!r}")
     try:
         value = parse(raw)
     except (KeyError, ValueError):

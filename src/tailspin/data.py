@@ -155,6 +155,7 @@ def exponential_profile(n_max: int, gamma: float, num_classes: int) -> np.ndarra
         raise ValidationError(f"num_classes must be >= 2, got {num_classes}")
     if n_max < 1:
         raise ValidationError(f"n_max, the per_class count before imbalance, must be >= 1, got {n_max}")
+    ImbalanceSpec(gamma)  # gamma in [1, inf)
     c = np.arange(num_classes, dtype=np.float64)
     raw = n_max * gamma ** (-c / (num_classes - 1))
     counts = np.array([_round_half_up(v) for v in raw], dtype=np.int64)

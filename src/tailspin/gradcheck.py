@@ -41,8 +41,8 @@ def _conditioned(name: str, model, view_a: Tensor, view_b: Tensor) -> bool:
         for mlp in (model.encoder, model.projector, model.predictor):
             if mlp is None:
                 continue
-            for i, layer in enumerate(mlp.layers):
-                h = h @ layer.weight.data + layer.bias.data
+            for i, (weight, bias) in enumerate(mlp.layers):
+                h = h @ weight.data + bias.data
                 if i < len(mlp.layers) - 1:
                     margin = min(margin, float(np.min(np.abs(h))))
                     h = np.maximum(h, 0.0)

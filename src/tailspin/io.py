@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .nn import Linear, Mlp, Model
+from .nn import Layer, Mlp, Model
 from .tensor import Tensor
 
 FORMAT_VERSION = 2
@@ -32,7 +32,7 @@ SCHEMAS = {
         {"features": "<f4", "labels_observed": "<u4", "labels_true": "<u4"},
         {"num_samples": int, "feature_dim": int, "num_classes": int, "split": str, "provenance": dict},
     ),
-    "checkpoint": ({"params": "<f8"}, {"arch": dict, "head_dims": (list, type(None)), "params": dict, "extra": dict}),
+    "checkpoint": ({"params": "<f8"}, {"method": (str, type(None)), "params": dict, "extra": dict}),
     "embeddings": (
         {"embeddings": "<f4", "labels": "<u4"},
         {"num_samples": int, "dim": int, "num_classes": int, "split": str},
@@ -79,7 +79,7 @@ def load_arrays(directory: str | Path, kind: str) -> tuple[dict[str, np.ndarray]
         raise ValidationError(f"{path}: format version {manifest.get('version')!r}, expected {FORMAT_VERSION}")
     dtypes, meta = SCHEMAS[kind]
     for key, types in meta.items():
-        if not isinstance(manifest.get(key), types):
+        if key not in manifest or not isinstance(manifest[key], types):
             raise ValidationError(f"{path}: metadata '{key}' is missing or of the wrong type")
     files = manifest.get("files")
     arrays = {}
@@ -113,7 +113,7 @@ def _load_dataset(directory: str | Path) -> tuple[Dataset, dict]:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: raw parameter arrays plus an architecture descriptor
+# checkpoints: raw parameter arrays, their names and shapes, and the SSL method
 
 _MLPS = ("encoder", "projector", "predictor", "ema_encoder", "ema_projector")
 
@@ -138,8 +138,7 @@ def save_checkpoint(
     listing each parameter's name and shape, in order; the offsets follow from the shapes."""
     params = _named_params(model, head)
     return save_arrays(directory, "checkpoint", {"params": np.concatenate([a.ravel() for a in params.values()])}, {
-        "arch": dict(model.arch) if model is not None else {},
-        "head_dims": head.dims if head is not None else None,
+        "method": model.method if model is not None else None,
         "params": {name: list(a.shape) for name, a in params.items()},
         "extra": extra or {},
     })
@@ -163,11 +162,11 @@ def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, di
                 layers and layers[-1].weight.shape[1] != weight.shape[0]
             ):
                 raise ValidationError(f"{directory}: the shapes of {prefix}.{len(layers)} do not chain")
-            layers.append(Linear(Tensor(weight, requires_grad=grad), Tensor(bias, requires_grad=grad)))
+            layers.append(Layer(Tensor(weight, requires_grad=grad), Tensor(bias, requires_grad=grad)))
         return Mlp(layers) if layers else None
 
     mlps = {name: build_mlp(name) for name in _MLPS}
-    model = Model(**mlps, arch=manifest["arch"]) if mlps["encoder"] is not None else None
+    model = Model(manifest["method"], **mlps) if mlps["encoder"] is not None else None
     return model, build_mlp("head"), manifest["extra"]
 
 

@@ -1,7 +1,8 @@
-"""MLP building blocks and the Siamese model container."""
+"""MLP building blocks and the Siamese model container of one SSL method."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,55 +11,42 @@ from .seeding import rng_for
 from .tensor import Tensor, flatten, mlp
 
 
-class Linear:
-    """Fully-connected layer's parameters, for x @ W + b; He-normal weight init.
-    ``Mlp`` applies its layers."""
-
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight
-        self.bias = bias
-
-    @classmethod
-    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator) -> "Linear":
-        scale = np.sqrt(2.0 / fan_in)
-        w = Tensor(rng.normal(0.0, scale, size=(fan_in, fan_out)), requires_grad=True)
-        b = Tensor(np.zeros(fan_out), requires_grad=True)
-        return cls(w, b)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def copy(self, requires_grad: bool) -> "Linear":
-        return Linear(
-            Tensor(self.weight.data.copy(), requires_grad=requires_grad),
-            Tensor(self.bias.data.copy(), requires_grad=requires_grad),
-        )
+class Layer(NamedTuple):
+    """One fully-connected layer's parameters, for x @ W + b."""
+    weight: Tensor
+    bias: Tensor
 
 
 class Mlp:
-    """Stack of Linear layers with ReLU between them (none after the last),
-    applied as one tape record with one product per layer over all the rows
-    it is given (see ``tensor.mlp``)."""
+    """Stack of layers with ReLU between them (none after the last), applied as
+    one tape record with one product per layer over all the rows it is given
+    (see ``tensor.mlp``). Its widths are its weights' shapes."""
 
-    def __init__(self, layers: list[Linear]):
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
 
     @classmethod
     def init(cls, dims: list[int], rng: np.random.Generator) -> "Mlp":
+        """He-normal weights and zero biases, drawn layer by layer."""
         if len(dims) < 2:
             raise ConfigError(f"mlp needs at least two dims, got {dims}")
         if min(dims) < 1:
             raise ValidationError(f"mlp widths must be >= 1, got {dims}")
-        return cls([Linear.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)])
+        return cls([
+            Layer(Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)), requires_grad=True),
+                  Tensor(np.zeros(fan_out), requires_grad=True))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        ])
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp(x, self.parameters())
 
     def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.layers for p in layer]
 
     def copy(self, requires_grad: bool = True) -> "Mlp":
-        return Mlp([layer.copy(requires_grad) for layer in self.layers])
+        return Mlp([Layer(*(Tensor(p.data.copy(), requires_grad=requires_grad) for p in layer))
+                    for layer in self.layers])
 
     @property
     def dims(self) -> list[int]:
@@ -70,14 +58,14 @@ SSL_METHODS = ("simsiam", "simclr", "byol", "barlow_twins")
 
 @dataclass
 class Model:
-    """Encoder + projector, plus predictor and EMA target where the method needs them."""
+    """The networks of ``method``: encoder + projector, plus predictor and EMA target where it needs them."""
 
+    method: str
     encoder: Mlp
     projector: Mlp
     predictor: Mlp | None = None
     ema_encoder: Mlp | None = None
     ema_projector: Mlp | None = None
-    arch: dict = field(default_factory=dict)
 
     def trainable_parameters(self) -> list[Tensor]:
         params = self.encoder.parameters() + self.projector.parameters()
@@ -107,19 +95,7 @@ def build_model(
     predictor = None
     if method in ("simsiam", "byol"):
         predictor = Mlp.init([proj_dim, pred_hidden, proj_dim], rng)
-    model = Model(
-        encoder,
-        projector,
-        predictor,
-        arch={
-            "method": method,
-            "input_dim": input_dim,
-            "hidden_dim": hidden_dim,
-            "rep_dim": rep_dim,
-            "proj_dim": proj_dim,
-            "pred_hidden": pred_hidden,
-        },
-    )
+    model = Model(method, encoder, projector, predictor)
     if method == "byol":
         model.ema_encoder = encoder.copy(requires_grad=False)
         model.ema_projector = projector.copy(requires_grad=False)

@@ -25,7 +25,7 @@ from .data import (
 from .errors import ConfigError, ContractError, ValidationError
 from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
-from .nn import Linear, Mlp, Model
+from .nn import Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
@@ -51,8 +51,8 @@ def select_freeze_policy(method: str, nu: float) -> str:
     return FULL_HEAD if nu <= NOISE_THRESHOLDS[method] else LAST_LAYER_ONLY
 
 
-def build_finetune_head(model: Model, num_classes: int, method: str, seed: int) -> Mlp:
-    """Classification head on the frozen encoder.
+def build_finetune_head(model: Model, num_classes: int, seed: int) -> Mlp:
+    """Classification head on the frozen encoder, shaped by ``model.method``.
 
     SimCLR gets a fresh linear classifier. The other methods reuse the first
     pretrained projector layer and replace the output layer with a fresh
@@ -60,12 +60,10 @@ def build_finetune_head(model: Model, num_classes: int, method: str, seed: int) 
     projection head.
     """
     rng = rng_for(seed, "init", "head")
-    rep_dim = model.encoder.layers[-1].weight.shape[1]
-    if method == "simclr":
-        return Mlp.init([rep_dim, num_classes], rng)
-    first = model.projector.layers[0].copy(requires_grad=True)
-    out_dim = first.weight.shape[1]
-    return Mlp([first, Linear.init(out_dim, num_classes, rng)])
+    if model.method == "simclr":
+        return Mlp.init([model.encoder.dims[-1], num_classes], rng)
+    first = Mlp(model.projector.layers[:1]).copy()
+    return Mlp(first.layers + Mlp.init([first.dims[-1], num_classes], rng).layers)
 
 
 @dataclass

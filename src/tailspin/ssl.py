@@ -205,12 +205,12 @@ def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.
 
     Both views pass through each network once, as one stacked (2B, d) batch
     with view a in rows [:B], so every layer forms one product over the 2B
-    rows, as SimSiam and SimCLR batch their views. SimSiam applies
-    ``method.stop_gradient``; BYOL's target branch is the EMA network, which
-    never takes a gradient.
+    rows, as SimSiam and SimCLR batch their views. ``method`` must be the one
+    ``model`` was built for, which decides its networks. SimSiam applies
+    ``method.stop_gradient``; BYOL's target is the EMA network, which takes no gradient.
     """
-    if method.name == "byol" and not model.has_ema():
-        raise ConfigError("byol requires a model with an EMA target")
+    if method.name != model.method:
+        raise ContractError(f"method_loss: {method.name} loss on a {model.method} model")
     if view_a.shape != view_b.shape:
         raise ContractError(f"method_loss: view shapes differ, {view_a.shape} vs {view_b.shape}")
     x = Tensor(np.concatenate([view_a, view_b]))

@@ -205,16 +205,16 @@ def fig2_runs():
         pretrain(model, noisy_train, PretrainSettings(), seed)  # labels unread; shared across nu
         row = {}
         for loss in ("la_sl", "ce", "ce_sl", "la"):
-            head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
+            head = build_finetune_head(model, 3, derive(seed, "model"))
             finetune(model, head, noisy_train, FinetuneSettings(loss=loss), "full_head", seed)
             row[f"two_noisy_{loss}"] = evaluate_classifier(model, head, test).balanced
-        head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
+        head = build_finetune_head(model, 3, derive(seed, "model"))
         finetune(model, head, clean_train, FinetuneSettings(loss="la_sl"), "full_head", seed)
         row["two_clean_la_sl"] = evaluate_classifier(model, head, test).balanced
         for name, single_train, loss in (("single_noisy_ce", noisy_train, "ce"),
                                          ("single_clean_la_sl", clean_train, "la_sl")):
             baseline = build_model("simsiam", 8, seed=derive(seed, "model"))
-            head = build_finetune_head(baseline, 3, "simsiam", derive(seed, "model"))
+            head = build_finetune_head(baseline, 3, derive(seed, "model"))
             run_single_stage(baseline, head, single_train, FinetuneSettings(loss=loss, epochs=60), seed)
             row[name] = evaluate_classifier(baseline, head, test).balanced
         rows.append(row)

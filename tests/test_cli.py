@@ -71,9 +71,9 @@ class TestRunDeterminism:
             out = tmp_path / cmd
             assert run_cli(cmd, "--seed", "3", "--output", str(out), *FAST, *widths) == 0
             model, _, _ = load_checkpoint(out / "checkpoints" / checkpoint)
-            assert {k: model.arch[k] for k in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")} == {
-                "hidden_dim": 16, "rep_dim": 8, "proj_dim": 12, "pred_hidden": 5}
             assert model.encoder.dims == [8, 16, 8]
+            assert model.projector.dims == [8, 12, 12]
+            assert model.predictor.dims == [12, 5, 12]
 
     def test_record_count_one_per_epoch_per_stage(self, tmp_path):
         out = tmp_path / "run"
@@ -473,7 +473,8 @@ class TestErrorReporting:
             "swapped shape": swap_first_shape,
             "grown shape": grow_first_shape,
             "no files entry": lambda m: m["files"].clear(),
-            "no arch": lambda m: m.pop("arch"),
+            "no method": lambda m: m.pop("method"),
+            "method not a string": lambda m: m.update(method=["simsiam"]),
             "extra not an object": lambda m: m.update(extra=[]),
         }
         for name, edit in edits.items():
@@ -509,6 +510,20 @@ class TestErrorReporting:
         assert len(lines) == 1 and lines[0].startswith("config-error:")
         assert "bad.cfg" in lines[0] and "offset 25" in lines[0]
         assert not out.exists()
+
+    def test_output_not_utf8_is_one_config_error(self, capsys, tmp_path):
+        # Python decodes argv bytes that are not UTF-8 (here 0xff) to lone surrogates,
+        # which config.resolved, a UTF-8 file, cannot hold
+        out = tmp_path / "x\udcff"
+        assert run_cli("generate", "--output", str(out)) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"config-error: --set: key 'run.output_dir' takes UTF-8 text, got {str(out)!r}"]
+        assert not out.exists()
+
+    def test_item_without_equals_is_one_line(self, capsys, tmp_path):
+        assert run_cli("generate", "--output", str(tmp_path / "out"), "--set", "data.gamma\nfoo") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["config-error: --set: expected 'key = value', got 'data.gamma\\nfoo'"]
 
     def test_utf8_config_file_with_crlf_copied_byte_for_byte(self, tmp_path):
         raw = "# caf\u00e9 \u2014 desk run\r\ndata.per_class = 30\r\n".encode("utf-8")

@@ -108,6 +108,11 @@ class TestImbalance:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValidationError):
             ImbalanceSpec(0.5)
+        # the profile makes the same check: below 1 a class would grow past n_max,
+        # and NaN has no count at all
+        for gamma in (0.5, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="gamma must be >= 1"):
+                exponential_profile(300, gamma, 3)
 
 
 class TestNoise:

@@ -146,7 +146,7 @@ class TestMlp:
         # start at 0, so x's zero row meets every first-layer ReLU at its kink
         net = Mlp.init([32, 16, 32, 10], np.random.default_rng(36))
         if frozen_first:
-            net.layers[0] = net.layers[0].copy(requires_grad=False)
+            net.layers[0] = Mlp(net.layers[:1]).copy(requires_grad=False).layers[0]
         data = np.random.default_rng(37).normal(size=(views * batch, 32))
         data[0] = 0.0
         x = Tensor(data, requires_grad=x_grad)
@@ -398,7 +398,7 @@ def train_set():
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_finetune_step_record_budget(records_per_step, train_set, method, policy, kind):
     model = build_model(method, 8, seed=3)
-    head = build_finetune_head(model, 3, method, seed=4)
+    head = build_finetune_head(model, 3, seed=4)
     settings = FinetuneSettings(loss=kind, epochs=1, optimizer=OptimizerConfig(
         kind="adam", base_lr=0.01, weight_decay=0.0, batch_size=32))
     finetune(model, head, train_set, settings, policy, run_seed=5)

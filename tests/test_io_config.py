@@ -75,11 +75,11 @@ class TestDatasetFormat:
 class TestCheckpointFormat:
     def test_model_and_head_round_trip(self, tmp_path):
         model = build_model("byol", 8, seed=41)
-        head = build_finetune_head(model, 3, "byol", seed=41)
+        head = build_finetune_head(model, 3, seed=41)
         save_checkpoint(tmp_path / "ck", model, head, extra={"stage": "finetune"})
         model2, head2, extra = load_checkpoint(tmp_path / "ck")
         assert extra == {"stage": "finetune"}
-        assert model2.arch == model.arch
+        assert model2.method == "byol"
         assert model2.predictor is not None and model2.ema_encoder is not None
         # float64 storage: the reload is bit-exact with the trained parameters
         assert params_digest(model2.trainable_parameters()) == params_digest(model.trainable_parameters())
@@ -89,7 +89,7 @@ class TestCheckpointFormat:
 
     def test_head_only_checkpoint(self, tmp_path):
         model = build_model("simclr", 8, seed=42)
-        head = build_finetune_head(model, 5, "simclr", seed=42)
+        head = build_finetune_head(model, 5, seed=42)
         save_checkpoint(tmp_path / "ck", None, head)
         model2, head2, _ = load_checkpoint(tmp_path / "ck")
         assert model2 is None
@@ -251,21 +251,25 @@ class TestConfig:
         assert back.config_hash() == cfg.config_hash()
 
 
+# any text, lone surrogates included: Python decodes argv bytes that are not UTF-8 to them
+ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=("Cs",)), max_size=12)
+
+
 def _values(key):
     """Every value that ``key`` accepts, as the config holds it."""
     parse, _, allowed, _ = _SPEC[key]
     finite = st.floats(allow_nan=False, allow_infinity=False)
     if allowed is not None:
         return st.sampled_from(allowed)
-    if key == "run.output_dir":  # any text: parsing strips it and refuses a line break within
-        return st.text(max_size=12)
+    if key == "run.output_dir":  # any text: parsing strips it and refuses a line break or non-UTF-8 within
+        return ANY_TEXT
     return {int: st.integers(), float: finite, _flag: st.booleans(),
             _float_or_auto: st.just("auto") | finite}[parse]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(values=st.fixed_dictionaries({key: _values(key) for key in _SPEC}),
-       key=st.sampled_from(sorted(_SPEC)), text=st.text(max_size=12))
+       key=st.sampled_from(sorted(_SPEC)), text=ANY_TEXT)
 def test_every_value_parses_back_and_any_text_is_one_config_error(tmp_path_factory, values, key, text):
     def round_trip(overrides):
         # the value accepted from --set, written as config.resolved writes it, parses back equal
@@ -275,11 +279,14 @@ def test_every_value_parses_back_and_any_text_is_one_config_error(tmp_path_facto
         assert config_load(directory / "config.resolved").values == cfg.values
         return cfg
 
-    # each value parses as itself; run.output_dir's text is stripped, or refused for a line break
+    # each value parses as itself; run.output_dir's text is stripped, or refused for a
+    # line break or for a lone surrogate, which UTF-8 cannot encode
     overrides = [f"{k}={_format_value(v)}" for k, v in values.items()]
     output_dir = values["run.output_dir"].strip()
-    if len(output_dir.splitlines()) > 1:
-        with pytest.raises(ConfigError, match="^--set: key 'run.output_dir' takes one line"):
+    refusal = ("takes one line" if len(output_dir.splitlines()) > 1 else
+               "takes UTF-8 text" if output_dir.encode("utf-8", "replace").decode("utf-8") != output_dir else None)
+    if refusal:
+        with pytest.raises(ConfigError, match=f"^--set: key 'run.output_dir' {refusal}"):
             config_load(None, overrides=overrides)
     else:
         assert round_trip(overrides).values == dict(values, **{"run.output_dir": output_dir})

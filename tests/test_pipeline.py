@@ -76,25 +76,25 @@ class TestFinetune:
 
     def test_encoder_checksum_unchanged(self, setup):
         train, test, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         before = params_digest(model.encoder.parameters())
         finetune(model, head, train, fast_finetune(), FULL_HEAD, run_seed=5, test_set=test)
         assert params_digest(model.encoder.parameters()) == before
 
     def test_last_layer_only_freezes_first_head_layer(self, setup):
         train, _, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
-        first_before = params_digest(head.layers[0].parameters())
-        last_before = params_digest(head.layers[-1].parameters())
+        head = build_finetune_head(model, 3, seed=4)
+        first_before = params_digest(list(head.layers[0]))
+        last_before = params_digest(list(head.layers[-1]))
         finetune(model, head, train, fast_finetune(), LAST_LAYER_ONLY, run_seed=5)
-        assert params_digest(head.layers[0].parameters()) == first_before
-        assert params_digest(head.layers[-1].parameters()) != last_before
+        assert params_digest(list(head.layers[0])) == first_before
+        assert params_digest(list(head.layers[-1])) != last_before
 
     @pytest.mark.parametrize("policy", [FULL_HEAD, LAST_LAYER_ONLY])
     def test_requires_grad_left_as_found(self, setup, policy):
         # freezing is positional: the optimizer's parameter list alone says what trains
         train, _, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         tensors = model.encoder.parameters() + head.parameters()
         before = [p.requires_grad for p in tensors]
         finetune(model, head, train, fast_finetune(epochs=1), policy, run_seed=5)
@@ -102,7 +102,7 @@ class TestFinetune:
 
     def test_unknown_policy_rejected_before_any_epoch(self, setup):
         train, _, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         before = params_digest(head.parameters())
         records = []
         with pytest.raises(ConfigError, match="last_layer"):
@@ -112,7 +112,7 @@ class TestFinetune:
 
     def test_head_that_cannot_train_rejected_before_any_epoch(self, setup):
         train, _, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4).copy(requires_grad=False)
+        head = build_finetune_head(model, 3, seed=4).copy(requires_grad=False)
         records = []
         with pytest.raises(ContractError, match="does not require grad"):
             finetune(model, head, train, fast_finetune(), LAST_LAYER_ONLY, run_seed=5, sink=records.append)
@@ -120,7 +120,7 @@ class TestFinetune:
 
     def test_clean_balanced_reaches_95_percent_train_accuracy(self, setup):
         train, _, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         finetune(model, head, train, fast_finetune(loss="ce", epochs=10), FULL_HEAD, run_seed=5)
 
         report = evaluate_classifier(model, head, train)
@@ -128,7 +128,7 @@ class TestFinetune:
 
     def test_one_record_per_epoch(self, setup):
         train, test, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         records = finetune(model, head, train, fast_finetune(epochs=7), FULL_HEAD, run_seed=5, test_set=test)
         assert len(records) == 7
         assert [r.epoch for r in records] == list(range(7))
@@ -136,7 +136,7 @@ class TestFinetune:
 
     def test_per_epoch_accuracy_is_the_classifier_evaluation(self, setup):
         train, test, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         records = finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, run_seed=5, test_set=test)
         assert records[-1].per_class_accuracy == evaluate_classifier(model, head, test).per_class_json()
 
@@ -144,7 +144,7 @@ class TestFinetune:
     def test_every_epoch_accuracy_is_the_classifier_evaluation(self, setup, policy):
         # each record's accuracy equals a fresh evaluation after that epoch
         train, test, model = setup
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         expected = []
         records = finetune(model, head, train, fast_finetune(epochs=3), policy, run_seed=5, test_set=test,
                            sink=lambda _: expected.append(evaluate_classifier(model, head, test).per_class_json()))
@@ -160,7 +160,7 @@ class TestFinetune:
             batches.append(x.shape[0])
             return model.encoder(x)
 
-        head = build_finetune_head(model, 3, "simsiam", seed=4)
+        head = build_finetune_head(model, 3, seed=4)
         finetune(replace(model, encoder=encoder), head, train, fast_finetune(epochs=3), policy, run_seed=5,
                  test_set=test)
         assert sorted(batches) == sorted([train.num_samples, test.num_samples])
@@ -170,9 +170,8 @@ class TestFinetune:
         with pytest.raises(ValidationError, match=next(iter(field.values()))):
             FinetuneSettings(**field)
 
-    def test_simclr_head_is_single_linear_layer(self, setup):
-        _, _, model = setup
-        head = build_finetune_head(model, 3, "simclr", seed=4)
+    def test_simclr_head_is_single_linear_layer(self):
+        head = build_finetune_head(build_model("simclr", 8, seed=3), 3, seed=4)
         assert len(head.layers) == 1
 
 
@@ -183,7 +182,7 @@ def two_stage():
     train = corrupt_train(train, 5.0, 0.3, 11)
     model = build_model("simsiam", 8, seed=derive(11, "model"))
     records = pretrain(model, train, fast_pretrain(), 11, KNNConfig(k=5), test)
-    head = build_finetune_head(model, 3, "simsiam", derive(11, "model"))
+    head = build_finetune_head(model, 3, derive(11, "model"))
     policy = select_freeze_policy("simsiam", 0.3)
     records += finetune(model, head, train, fast_finetune(), policy, 11, test_set=test)
     return records, evaluate_classifier(model, head, test)
@@ -209,7 +208,7 @@ class TestSingleStage:
     def trained(train, settings, seed):
         """The baseline's call shape: build the model and head, then train them together."""
         model = build_model("simsiam", train.feature_dim, seed=derive(seed, "model"))
-        head = build_finetune_head(model, train.num_classes, "simsiam", derive(seed, "model"))
+        head = build_finetune_head(model, train.num_classes, derive(seed, "model"))
         return model, head, run_single_stage(model, head, train, settings, seed)
 
     def test_runs_and_is_deterministic(self):
@@ -226,7 +225,7 @@ class TestSingleStage:
     def test_trains_the_encoder_and_head_it_is_given(self):
         train, _ = make_datasets(3, 40, 8, 6.0, run_seed=13, test_per_class=30)
         model = build_model("simsiam", train.feature_dim, seed=derive(13, "model"))
-        head = build_finetune_head(model, train.num_classes, "simsiam", derive(13, "model"))
+        head = build_finetune_head(model, train.num_classes, derive(13, "model"))
         before = [p.data.copy() for p in model.encoder.parameters() + head.parameters()]
         untouched = params_digest(model.projector.parameters() + model.predictor.parameters())
         run_single_stage(model, head, train, fast_finetune(loss="ce", epochs=2), 13)
@@ -252,7 +251,7 @@ class TestCleanBalancedRegime:
             pretrain(model, train, pre, seed)
             accs = {}
             for loss in ("la_sl", "ce"):
-                head = build_finetune_head(model, 3, "simsiam", seed)
+                head = build_finetune_head(model, 3, seed)
                 finetune(model, head, train, fast_finetune(loss=loss, epochs=15), FULL_HEAD, seed)
                 accs[loss] = evaluate_classifier(model, head, test).balanced
             gaps.append(accs["la_sl"] - accs["ce"])
@@ -300,7 +299,7 @@ class TestThreadConfinement:
             train, test = make_datasets(3, 30, 6, 4.0, run_seed=seed, test_per_class=10)
             model = build_model("simsiam", 6, seed=derive(seed, "model"))
             pretrain(model, train, fast_pretrain(epochs=4), seed, KNNConfig(k=3), test)
-            head = build_finetune_head(model, 3, "simsiam", derive(seed, "model"))
+            head = build_finetune_head(model, 3, derive(seed, "model"))
             finetune(model, head, train, fast_finetune(epochs=2), FULL_HEAD, seed, test_set=test)
             sink[seed] = params_digest(model.trainable_parameters() + head.parameters())
 

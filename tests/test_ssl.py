@@ -240,6 +240,14 @@ class TestMethodLoss:
         with pytest.raises(ContractError, match="view shapes differ"):
             method_loss(tiny_model, SSLMethod("simsiam"), rand((3, 6), 38), rand((5, 6), 39))
 
+    @pytest.mark.parametrize("built, method", [("simclr", "simsiam"), ("simsiam", "barlow_twins"), ("simsiam", "byol")])
+    def test_method_of_another_model_is_contract_error(self, built, method):
+        # the method decides which networks exist: a SimCLR model has no predictor,
+        # a SimSiam one no EMA target, and Barlow Twins would leave its predictor untrained
+        model = build_model(built, 6, seed=0)
+        with pytest.raises(ContractError, match=f"{method} loss on a {built} model"):
+            method_loss(model, SSLMethod(method), rand((3, 6), 38), rand((3, 6), 39))
+
 
 @pytest.fixture(scope="module")
 def dataset():
