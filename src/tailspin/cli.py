@@ -215,9 +215,7 @@ def _cmd_finetune(cfg: ExperimentConfig) -> None:
     train, provenance = tio._load_dataset(train_dir)
     test = tio.load_dataset(out / "data" / "test")
     model, _, pretrained = tio.load_checkpoint(checkpoint)
-    if model is None:
-        raise ConfigError("pretrained checkpoint has no model")
-    nu = _recorded(cfg, "data.nu", provenance.get("nu"), train_dir)
+    nu = NoiseSpec(_recorded(cfg, "data.nu", provenance.get("nu"), train_dir)).nu
     method = _recorded(cfg, "pretrain.method", model.method, checkpoint)
     settings, freeze = _settings(cfg, "finetune"), cfg["finetune.freeze"]
     policy = select_freeze_policy(method, nu) if freeze == "auto" else freeze

@@ -86,8 +86,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.nu < 1.0:
-            raise ValidationError(f"noise fraction nu must lie in [0, 1), got {self.nu}")
+        if isinstance(self.nu, bool) or not isinstance(self.nu, (int, float, np.number)) or not 0.0 <= self.nu < 1.0:
+            raise ValidationError(f"noise fraction nu must be a number in [0, 1), got {self.nu!r}")
 
 
 @dataclass

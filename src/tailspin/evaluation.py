@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractError, ValidationError
-from .io import save_arrays
+from .io import save_dataset
 from .nn import Model
 from .tensor import Tensor, l2_normalize
 
@@ -189,7 +189,6 @@ def accuracy_suite(predictions: np.ndarray, labels_true: np.ndarray, num_classes
 
 
 def export_embeddings(ds: Dataset, directory: str | Path) -> Path:
-    """Write an ``embed`` result's features with its true labels alongside, as an
-    ``embeddings`` array directory that ``io.load_arrays(directory, "embeddings")`` reads back."""
-    meta = {"num_samples": ds.num_samples, "dim": ds.feature_dim, "num_classes": ds.num_classes, "split": ds.split}
-    return save_arrays(directory, "embeddings", {"embeddings": ds.features, "labels": ds.labels_true}, meta)
+    """Write an ``embed`` result as a dataset directory with an empty provenance,
+    which ``io.load_dataset`` reads back as that Dataset, both label tracks included."""
+    return save_dataset(ds, directory)

@@ -1,13 +1,14 @@
-"""On-disk formats: array directories (datasets, checkpoints, embeddings) and metrics lines.
+"""On-disk formats: array directories (datasets and checkpoints) and metrics lines.
 
 An array directory holds one little-endian ``<name>.bin`` per array next to a
 human-readable ``manifest.json``: the format ``version``, the directory's
-``kind``, the writer's metadata and ``files``, each array's dtype and shape.
-Datasets and embeddings store 32-bit IEEE floats and unsigned ints,
-checkpoints 64-bit floats so reloads are bit-exact. The reader checks kind,
-version, the kind's metadata keys and their types, dtypes and every file's
-exact byte length; a manifest that does not describe its files is a
-ValidationError.
+``kind``, the writer's metadata and ``files``, each array's dtype and shape;
+``SCHEMAS`` states both kinds. Datasets, exported embeddings included, store
+32-bit IEEE floats and unsigned ints; a checkpoint holds one checked ``Model``
+(and a head once fine-tuned) as 64-bit floats so reloads are bit-exact. The
+reader checks kind, version, the kind's metadata keys and their types, dtypes
+and every file's exact byte length; a manifest that does not describe its
+files is a ValidationError.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .nn import Layer, Mlp, Model
+from .nn import NETWORKS, Layer, Mlp, Model
 from .tensor import Tensor
 
 FORMAT_VERSION = 2
@@ -32,11 +33,7 @@ SCHEMAS = {
         {"features": "<f4", "labels_observed": "<u4", "labels_true": "<u4"},
         {"num_samples": int, "feature_dim": int, "num_classes": int, "split": str, "provenance": dict},
     ),
-    "checkpoint": ({"params": "<f8"}, {"method": (str, type(None)), "params": dict, "extra": dict}),
-    "embeddings": (
-        {"embeddings": "<f4", "labels": "<u4"},
-        {"num_samples": int, "dim": int, "num_classes": int, "split": str},
-    ),
+    "checkpoint": ({"params": "<f8"}, {"method": str, "params": dict, "extra": dict}),
 }
 
 
@@ -109,18 +106,16 @@ def load_dataset(directory: str | Path) -> Dataset:
 def _load_dataset(directory: str | Path) -> tuple[Dataset, dict]:
     """The dataset under ``directory`` and the provenance its manifest records, in one read."""
     arrays, manifest = load_arrays(directory, "dataset")
+    if [manifest["num_samples"], manifest["feature_dim"]] != list(arrays["features"].shape):
+        raise ValidationError(f"{directory}: num_samples and feature_dim do not match features.bin's shape")
     return Dataset(**arrays, num_classes=manifest["num_classes"], split=manifest["split"]), manifest["provenance"]
 
 
 # ---------------------------------------------------------------------------
 # checkpoints: raw parameter arrays, their names and shapes, and the SSL method
 
-_MLPS = ("encoder", "projector", "predictor", "ema_encoder", "ema_projector")
-
-
-def _named_params(model: Model | None, head: Mlp | None) -> dict[str, np.ndarray]:
-    mlps = {name: getattr(model, name) for name in _MLPS} if model is not None else {}
-    mlps["head"] = head
+def _named_params(model: Model, head: Mlp | None) -> dict[str, np.ndarray]:
+    mlps = {**{name: getattr(model, name) for name in NETWORKS}, "head": head}
     return {
         f"{prefix}.{i}.{part}": getattr(layer, part).data
         for prefix, mlp in mlps.items() if mlp is not None
@@ -130,7 +125,7 @@ def _named_params(model: Model | None, head: Mlp | None) -> dict[str, np.ndarray
 
 def save_checkpoint(
     directory: str | Path,
-    model: Model | None,
+    model: Model,
     head: Mlp | None = None,
     extra: dict | None = None,
 ) -> Path:
@@ -138,14 +133,14 @@ def save_checkpoint(
     listing each parameter's name and shape, in order; the offsets follow from the shapes."""
     params = _named_params(model, head)
     return save_arrays(directory, "checkpoint", {"params": np.concatenate([a.ravel() for a in params.values()])}, {
-        "method": model.method if model is not None else None,
+        "method": model.method,
         "params": {name: list(a.shape) for name, a in params.items()},
         "extra": extra or {},
     })
 
 
-def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, dict]:
-    """Rebuild the model and head recorded by save_checkpoint."""
+def load_checkpoint(directory: str | Path) -> tuple[Model, Mlp | None, dict]:
+    """Rebuild the model and head recorded by save_checkpoint; a parameter that no layer reads is a ValidationError."""
     arrays, manifest = load_arrays(directory, "checkpoint")
     shapes, raw = manifest["params"], arrays["params"]
     sizes = [_size(shape, f"{directory}: {name}") for name, shape in shapes.items()]
@@ -165,9 +160,10 @@ def load_checkpoint(directory: str | Path) -> tuple[Model | None, Mlp | None, di
             layers.append(Layer(Tensor(weight, requires_grad=grad), Tensor(bias, requires_grad=grad)))
         return Mlp(layers) if layers else None
 
-    mlps = {name: build_mlp(name) for name in _MLPS}
-    model = Model(manifest["method"], **mlps) if mlps["encoder"] is not None else None
-    return model, build_mlp("head"), manifest["extra"]
+    model, head = Model(manifest["method"], **{name: build_mlp(name) for name in NETWORKS}), build_mlp("head")
+    if (read := list(_named_params(model, head))) != list(shapes):
+        raise ValidationError(f"{directory}: no layer reads {[name for name in shapes if name not in read]} in file order")
+    return model, head, manifest["extra"]
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,14 @@ class Mlp:
 
 
 SSL_METHODS = ("simsiam", "simclr", "byol", "barlow_twins")
+NETWORKS = ("encoder", "projector", "predictor", "ema_encoder", "ema_projector")
 
 
 @dataclass
 class Model:
-    """The networks of ``method``: encoder + projector, plus predictor and EMA target where it needs them."""
+    """The networks of ``method``, exactly those ``build_model`` makes: encoder and
+    projector, a predictor for SimSiam and BYOL, and an EMA target for BYOL only.
+    A method outside ``SSL_METHODS``, or a missing or extra network, is a ValidationError."""
 
     method: str
     encoder: Mlp
@@ -67,14 +70,18 @@ class Model:
     ema_encoder: Mlp | None = None
     ema_projector: Mlp | None = None
 
+    def __post_init__(self):
+        if self.method not in SSL_METHODS:
+            raise ValidationError(f"unknown SSL method {self.method!r}, expected one of {SSL_METHODS}")
+        needs = NETWORKS[:{"simsiam": 3, "byol": 5}.get(self.method, 2)]  # the first 2, 3 or 5 of NETWORKS
+        if (has := tuple(name for name in NETWORKS if getattr(self, name) is not None)) != needs:
+            raise ValidationError(f"a {self.method} model has the networks {needs}, got {has}")
+
     def trainable_parameters(self) -> list[Tensor]:
         params = self.encoder.parameters() + self.projector.parameters()
         if self.predictor is not None:
             params += self.predictor.parameters()
         return params
-
-    def has_ema(self) -> bool:
-        return self.ema_encoder is not None
 
 
 def build_model(
@@ -92,21 +99,16 @@ def build_model(
     rng = rng_for(seed, "init", method)
     encoder = Mlp.init([input_dim, hidden_dim, rep_dim], rng)
     projector = Mlp.init([rep_dim, proj_dim, proj_dim], rng)
-    predictor = None
-    if method in ("simsiam", "byol"):
-        predictor = Mlp.init([proj_dim, pred_hidden, proj_dim], rng)
-    model = Model(method, encoder, projector, predictor)
-    if method == "byol":
-        model.ema_encoder = encoder.copy(requires_grad=False)
-        model.ema_projector = projector.copy(requires_grad=False)
-    return model
+    predictor = Mlp.init([proj_dim, pred_hidden, proj_dim], rng) if method in ("simsiam", "byol") else None
+    ema = (encoder.copy(requires_grad=False), projector.copy(requires_grad=False)) if method == "byol" else ()
+    return Model(method, encoder, projector, predictor, *ema)
 
 
 def ema_update(model: Model, momentum: float) -> None:
     """Move every EMA target parameter toward the online one: xi <- m*xi + (1-m)*theta,
     over the flat vectors of both networks (the online one is usually a run of
     the optimizer's vector)."""
-    if not model.has_ema():
+    if model.ema_encoder is None:
         raise ConfigError("ema_update: model has no EMA target")
     if not 0.0 <= momentum <= 1.0:
         raise ConfigError(f"ema momentum must be in [0, 1], got {momentum}")

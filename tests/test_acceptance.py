@@ -154,7 +154,7 @@ def test_criterion_6_ssl_label_blindness():
             for epoch in range(2):
                 pretrain_epoch(model, ds, method, opt, 0.002, epoch, 106, aug, 16)
             params = model.trainable_parameters()
-            if model.has_ema():
+            if model.ema_encoder is not None:
                 params = params + model.ema_encoder.parameters() + model.ema_projector.parameters()
             digests.append(params_digest(params))
         outcomes[method_name] = digests[0] == digests[1]

@@ -13,7 +13,7 @@ from oracles import params_digest
 from tailspin import io as tio
 from tailspin.cli import _settings, main
 from tailspin.config import _SPEC, _format_value, config_load
-from tailspin.evaluation import KNNConfig, embed
+from tailspin.evaluation import KNNConfig, accuracy_suite, embed, knn_classify
 from tailspin.io import load_arrays, load_checkpoint, load_dataset, save_dataset
 from tailspin.nn import build_model
 from tailspin.pipeline import FinetuneSettings, PretrainSettings, make_datasets
@@ -100,7 +100,26 @@ class TestStagewiseCommands:
         assert run_cli("eval", *base, "--set", "eval.export_embeddings=true") == 0
         payload = json.loads((out / "eval.json").read_text())
         assert "knn_accuracy" in payload and "balanced_accuracy" in payload
-        assert (out / "embeddings" / "test" / "embeddings.bin").is_file()
+        assert (out / "embeddings" / "test" / "features.bin").is_file()
+
+    def test_exported_embeddings_reproduce_the_eval_knn(self, tmp_path):
+        # an export is a dataset directory: its train rows, voting for its test rows
+        # with eval's k-NN settings, give eval.json's accuracies exactly
+        out = tmp_path / "exp"
+        base = ["--seed", "5", "--output", str(out), *FAST, "--set", "data.gamma=4", "--set", "data.nu=0.3"]
+        for cmd in ("generate", "corrupt", "pretrain", "finetune"):
+            assert run_cli(cmd, *base) == 0
+        assert run_cli("eval", *base, "--set", "eval.export_embeddings=true") == 0
+        payload = json.loads((out / "eval.json").read_text())
+        reference, queries = load_dataset(out / "embeddings" / "train"), load_dataset(out / "embeddings" / "test")
+        predictions = knn_classify(reference, queries, _settings(config_load(None, ["eval.knn_k=5"]), "eval"))
+        report = accuracy_suite(predictions, queries.labels_true, queries.num_classes)
+        assert (report.overall, report.balanced) == (payload["knn_accuracy"], payload["knn_balanced_accuracy"])
+        # the observed labels travel with the export, as a k-NN noise estimate needs them
+        corrupted = load_dataset(out / "data" / "train-corrupted")
+        assert np.array_equal(reference.labels_observed, corrupted.labels_observed)
+        assert not np.array_equal(reference.labels_observed, reference.labels_true)
+        assert np.array_equal(queries.labels_true, load_dataset(out / "data" / "test").labels_true)
 
     def test_corrupt_severe_imbalance_provenance_min_class_50(self, tmp_path):
         out = tmp_path / "severe"
@@ -178,6 +197,22 @@ class TestStagewiseCommands:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation-error:")
         assert "records no value for data.nu" in lines[0]
+        assert (out / "metrics.jsonl").read_text() == records
+
+    @pytest.mark.parametrize("nu", ['"0.4"', "7.5", "true"])
+    def test_finetune_with_recorded_nu_not_in_range_fails_before_training(self, capsys, tmp_path, nu):
+        out = tmp_path / "unusable"
+        base = ["--seed", "4", "--output", str(out), *FAST]
+        for cmd in ("generate", "corrupt", "pretrain"):
+            assert run_cli(cmd, *base) == 0
+        path = out / "data" / "train-corrupted" / "manifest.json"
+        path.write_text(re.sub(r'"nu": [^,\n]+', f'"nu": {nu}', path.read_text()))
+        records = (out / "metrics.jsonl").read_text()
+        capsys.readouterr()
+        assert run_cli("finetune", *base) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation-error:")
+        assert f"nu must be a number in [0, 1), got {json.loads(nu)!r}" in lines[0]
         assert (out / "metrics.jsonl").read_text() == records
 
     def test_constant_schedule_holds_the_lr_after_warmup(self, tmp_path):
@@ -468,6 +503,9 @@ class TestErrorReporting:
         def grow_first_shape(m):
             m["params"]["encoder.0.weight"][0] += 1
 
+        def rename_second_projector_layer(m):  # the projector then ends after one layer
+            m["params"] = {name.replace("projector.1.", "projector.one."): shape for name, shape in m["params"].items()}
+
         edits = {
             "version 1": lambda m: m.update(version=1),
             "swapped shape": swap_first_shape,
@@ -476,6 +514,9 @@ class TestErrorReporting:
             "no method": lambda m: m.pop("method"),
             "method not a string": lambda m: m.update(method=["simsiam"]),
             "extra not an object": lambda m: m.update(extra=[]),
+            "method not an SSL method": lambda m: m.update(method="foo"),
+            "method relabelled": lambda m: m.update(method="simclr"),  # a simsiam model has a predictor
+            "parameter no layer reads": rename_second_projector_layer,
         }
         for name, edit in edits.items():
             manifest = json.loads(json.dumps(original))

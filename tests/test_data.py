@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,11 @@ class TestNoise:
             NoiseSpec(1.0)
         with pytest.raises(ValidationError):
             NoiseSpec(-0.1)
+
+    @pytest.mark.parametrize("nu", ["0.4", None, True, [0.4]])
+    def test_nu_that_is_not_a_number_is_validation_error(self, nu):
+        with pytest.raises(ValidationError, match=re.escape(f"got {nu!r}")):
+            NoiseSpec(nu)
 
 
 class TestPriors:

@@ -16,7 +16,7 @@ from tailspin.evaluation import (
     export_embeddings,
     knn_classify,
 )
-from tailspin.io import load_arrays
+from tailspin.io import load_dataset
 from tailspin.nn import build_model
 from tailspin.tensor import Tensor, l2_normalize
 
@@ -239,18 +239,20 @@ class TestAccuracySuite:
 
 class TestExport:
     def test_round_trip_bitwise(self, tmp_path, dataset, model):
+        # an export is a dataset directory: it reads back as the Dataset that embed returned
         es = embed(dataset, model)
-        export_embeddings(es, tmp_path / "emb")
-        arrays, manifest = load_arrays(tmp_path / "emb", "embeddings")
-        assert np.array_equal(arrays["embeddings"], es.features)
-        assert np.array_equal(arrays["labels"], es.labels_true)
-        assert manifest["num_classes"] == es.num_classes
+        back = load_dataset(export_embeddings(es, tmp_path / "emb"))
+        assert np.array_equal(back.features, es.features)
+        assert np.array_equal(back.labels_observed, es.labels_observed)
+        assert np.array_equal(back.labels_true, es.labels_true)
+        assert (back.num_classes, back.split) == (es.num_classes, es.split)
 
     def test_file_size_is_4_n_r_bytes(self, tmp_path, dataset, model):
         es = embed(dataset, model)
         out = export_embeddings(es, tmp_path / "emb")
-        assert (out / "embeddings.bin").stat().st_size == 4 * es.num_samples * es.feature_dim
-        assert (out / "labels.bin").stat().st_size == 4 * es.num_samples
+        assert (out / "features.bin").stat().st_size == 4 * es.num_samples * es.feature_dim
+        assert (out / "labels_observed.bin").stat().st_size == 4 * es.num_samples
+        assert (out / "labels_true.bin").stat().st_size == 4 * es.num_samples
 
     def test_manifest_class_count_preserved(self, tmp_path, dataset, model):
         import json
@@ -258,6 +260,7 @@ class TestExport:
         es = embed(dataset, model)
         out = export_embeddings(es, tmp_path / "emb")
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kind"] == "dataset" and manifest["provenance"] == {}
         assert manifest["num_classes"] == dataset.num_classes
 
 

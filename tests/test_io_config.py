@@ -54,12 +54,14 @@ class TestDatasetFormat:
         original = path.read_text()
         edits = {
             "version": lambda m: m.update(version=1),
-            "kind": lambda m: m.update(kind="embeddings"),
+            "kind": lambda m: m.update(kind="checkpoint"),
             "missing entry": lambda m: m["files"].pop("labels_true"),
             "dtype": lambda m: m["files"]["features"].update(dtype="float64-le"),
             "shape": lambda m: m["files"]["labels_true"].update(shape=[-1]),
             "missing metadata": lambda m: m.pop("num_classes"),
             "metadata type": lambda m: m.update(split=3),
+            "num_samples": lambda m: m.update(num_samples=5),
+            "feature_dim": lambda m: m.update(feature_dim=99),
         }
         for name, edit in edits.items():
             manifest = json.loads(original)
@@ -67,6 +69,7 @@ class TestDatasetFormat:
             path.write_text(json.dumps(manifest))
             with pytest.raises(ValidationError):
                 load_dataset(tmp_path / "ds")
+                pytest.fail(name)
         path.write_text(original[:-10])
         with pytest.raises(ValidationError, match="not JSON"):
             load_dataset(tmp_path / "ds")
@@ -87,13 +90,25 @@ class TestCheckpointFormat:
         assert params_digest(head2.parameters()) == params_digest(head.parameters())
         assert head2.dims == head.dims
 
-    def test_head_only_checkpoint(self, tmp_path):
+    def test_model_less_or_null_method_checkpoint_is_validation_error(self, tmp_path):
+        # every checkpoint holds a model: a manifest that lists only a head, or a
+        # null method, describes a state that save_checkpoint never writes
         model = build_model("simclr", 8, seed=42)
-        head = build_finetune_head(model, 5, seed=42)
-        save_checkpoint(tmp_path / "ck", None, head)
-        model2, head2, _ = load_checkpoint(tmp_path / "ck")
-        assert model2 is None
-        assert head2.dims == [32, 5]
+        save_checkpoint(tmp_path / "ck", model, build_finetune_head(model, 5, seed=42))
+        path = tmp_path / "ck" / "manifest.json"
+        original = json.loads(path.read_text())
+        head_only = {name: shape for name, shape in original["params"].items() if name.startswith("head.")}
+        head_values = sum(int(np.prod(shape)) for shape in head_only.values())
+        params = np.fromfile(tmp_path / "ck" / "params.bin", dtype="<f8")
+        params[len(params) - head_values:].tofile(tmp_path / "ck" / "params.bin")
+        path.write_text(json.dumps({**original, "params": head_only,
+                                    "files": {"params": {"dtype": "float64-le", "shape": [head_values]}}}))
+        with pytest.raises(ValidationError, match="simclr model"):
+            load_checkpoint(tmp_path / "ck")
+        save_checkpoint(tmp_path / "ck", model)
+        path.write_text(path.read_text().replace('"method": "simclr"', '"method": null'))
+        with pytest.raises(ValidationError, match="'method'"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_simclr_model_without_predictor_round_trips(self, tmp_path):
         model = build_model("simclr", 8, seed=43)

@@ -6,7 +6,7 @@ import pytest
 from oracles import barlow_direct, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
-from tailspin.nn import build_model, ema_update
+from tailspin.nn import NETWORKS, Model, build_model, ema_update
 from tailspin import ssl
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
 from tailspin.seeding import rng_for
@@ -383,6 +383,19 @@ class TestMethodValidation:
     def test_unknown_method_rejected_at_model_build(self):
         with pytest.raises(ConfigError):
             build_model("moco", 8)
+
+    @pytest.mark.parametrize("method, networks", [
+        ("moco", NETWORKS[:2]),
+        ("simsiam", NETWORKS[:2]),  # no predictor
+        ("simclr", NETWORKS[:3]),  # a predictor
+        ("barlow_twins", NETWORKS),  # an EMA target
+        ("byol", NETWORKS[:4]),  # half an EMA target
+    ])
+    def test_model_with_networks_its_method_lacks_is_validation_error(self, method, networks):
+        # a model has what build_model makes: a predictor for simsiam and byol, an EMA target for byol only
+        byol = build_model("byol", 6, seed=0)
+        with pytest.raises(ValidationError, match=method):
+            Model(method, **{name: getattr(byol, name) for name in networks})
 
     def test_misspelt_method_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="unknown SSL method 'simsam'"):
