@@ -143,8 +143,9 @@ def generate_synthetic(
     means = means * scale
 
     rng = rng_for(seed, "samples", split)
-    blocks = [means[c] + rng.normal(size=(per_class, dim)) for c in range(num_classes)]
-    features = np.concatenate(blocks, axis=0).astype(np.float32)
+    features = np.empty((num_classes * per_class, dim), dtype=np.float32)
+    for c in range(num_classes):  # one float32 array, filled class by class; assignment rounds as astype does
+        features[c * per_class : (c + 1) * per_class] = means[c] + rng.normal(size=(per_class, dim))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(features, labels.copy(), labels.copy(), num_classes, split=split)
 

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -58,21 +59,35 @@ class MetricsRecord:
 def embed(dataset: Dataset, model: Model, layer: str = "encoder") -> Dataset:
     """Deterministic forward pass with augmentations disabled: a Dataset whose
     features are the float32 representations, by default the encoder output
-    (pre-projector), with ``dataset``'s own label tracks and split.
-    """
+    (pre-projector), with ``dataset``'s own label tracks and split, formed in row
+    blocks (``map_rows``) with the bits of the one-shot forward."""
     if layer not in EMBED_LAYERS:
         raise ValidationError(f"layer must be one of {EMBED_LAYERS}, got '{layer}'")
-    reps = encoder_outputs(model, dataset)
-    if layer == "projector":
-        reps = model.projector(Tensor(reps)).data
-    return Dataset(reps.astype(np.float32), dataset.labels_observed, dataset.labels_true, dataset.num_classes,
-                   split=dataset.split)
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        reps = model.encoder(Tensor(x))
+        return (model.projector(reps) if layer == "projector" else reps).data
+
+    return replace(dataset, features=map_rows(dataset.features, forward, np.float32))
 
 
 def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:
-    """The encoder's float64 outputs for every sample, augmentation off; ``embed``
-    stores them as float32, fine-tuning and evaluation use them as they are."""
-    return model.encoder(Tensor(dataset.features.astype(np.float64))).data
+    """The encoder's float64 outputs for every sample, augmentation off, in row blocks
+    (``map_rows``); ``embed`` stores them as float32, fine-tuning and evaluation use them as they are."""
+    return map_rows(dataset.features, lambda x: model.encoder(Tensor(x)).data)
+
+
+def map_rows(features: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], dtype=np.float64) -> np.ndarray:
+    """``fn`` (row-wise, recording nothing on a tape) over float64 ``_row_blocks`` of
+    ``features``, written into one (N, width) array of ``dtype``: memory grows with
+    the block, not with N times a hidden width, and the bits are fn's over all rows."""
+    out = None
+    for start, stop in _row_blocks(len(features), _FORWARD_ROWS):
+        block = fn(features[start:stop].astype(np.float64))
+        if out is None:
+            out = np.empty((len(features), block.shape[1]), dtype=dtype)
+        out[start:stop] = block
+    return out
 
 
 def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.ndarray:
@@ -81,31 +96,35 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
 
     Similarity weighting uses (1 + cosine) for the cosine metric and
     1 / (distance + 1e-12) for the euclidean metric. Queries are scored in
-    blocks of rows (``_query_blocks``), so memory grows with the block size
-    times the reference size, not with Q x R; the neighbours are exactly those
-    of a stable sort on (score, reference index).
+    blocks of rows (``_query_blocks``) in one reused buffer and selected ``_SELECT_ROWS``
+    rows at a time: memory holds one score block, its selection sub-block and the float64
+    reference, not Q x R; the neighbours are those of a stable sort on (score, reference index).
     """
     cfg.check_reference(reference.num_samples)
-    ref = reference.features.astype(np.float64)
-    qry = queries.features.astype(np.float64)
     if cfg.metric == "cosine":
-        ref, qry = l2_normalize(Tensor(ref)).data, l2_normalize(Tensor(qry)).data
+        ref, qry = (map_rows(d.features, lambda x: l2_normalize(Tensor(x)).data) for d in (reference, queries))
     else:
+        ref, qry = reference.features.astype(np.float64), queries.features.astype(np.float64)
         qry_sq = np.sum(qry * qry, axis=1, keepdims=True)
         ref_sq = np.sum(ref * ref, axis=1)
 
     order = np.empty((queries.num_samples, cfg.k), dtype=np.intp)
     nearest = np.empty((queries.num_samples, cfg.k))
-    for start, stop in _query_blocks(queries.num_samples, reference.num_samples):
+    blocks = _query_blocks(queries.num_samples, reference.num_samples)
+    buffer = np.empty((max(stop - start for start, stop in blocks), reference.num_samples))
+    for start, stop in blocks:
+        scores = buffer[: stop - start]
         if cfg.metric == "cosine":
-            scores = qry[start:stop] @ ref.T
+            np.matmul(qry[start:stop], ref.T, out=scores)
             np.negative(scores, out=scores)  # score = -similarity
         else:  # score = distance, computed in place as sqrt(max(|q|^2 - 2 q.r + |r|^2, 0))
-            scores = 2.0 * qry[start:stop] @ ref.T
+            np.matmul(2.0 * qry[start:stop], ref.T, out=scores)
             np.subtract(qry_sq[start:stop], scores, out=scores)
             scores += ref_sq
             np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
-        order[start:stop], nearest[start:stop] = _smallest_k(scores, cfg.k)
+        for at in range(start, stop, _SELECT_ROWS):
+            end = min(at + _SELECT_ROWS, stop)
+            order[at:end], nearest[at:end] = _smallest_k(scores[at - start : end - start], cfg.k)
 
     if cfg.weighting == "uniform":
         weights = np.ones_like(nearest)
@@ -123,16 +142,24 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
 
 # Each block's score matrix holds about this many float64s (4 MB).
 _KNN_BLOCK_ELEMENTS = 1 << 19
+# Neighbours are selected this many rows at a time, so the selection's copies stay small.
+_SELECT_ROWS = 8
+# Whole-dataset forwards (``map_rows``) run in blocks of this many rows.
+_FORWARD_ROWS = 1024
 
 
 def _query_blocks(num_queries: int, num_references: int) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) row ranges covering the queries. No range has
-    one row unless there is one query: BLAS computes a one-row product with
-    another kernel, whose last bits differ from the same row of a taller one,
+    """The ``_row_blocks`` of the queries' score products, about ``_KNN_BLOCK_ELEMENTS`` scores each."""
+    return _row_blocks(num_queries, max(2, _KNN_BLOCK_ELEMENTS // num_references))
+
+
+def _row_blocks(num_rows: int, rows: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of ``rows`` >= 2 rows covering ``num_rows``.
+    No range has one row unless ``num_rows`` is 1: BLAS computes a one-row product
+    with another kernel, whose last bits differ from the same row of a taller one,
     so a lone last row joins the block before it."""
-    rows = max(2, _KNN_BLOCK_ELEMENTS // num_references)
-    bounds = [*range(0, num_queries, rows), num_queries]
-    if num_queries > 1 and bounds[-1] - bounds[-2] == 1:
+    bounds = [*range(0, num_rows, rows), num_rows]
+    if num_rows > 1 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
 

@@ -53,7 +53,7 @@ def save_arrays(directory: str | Path, kind: str, arrays: dict[str, np.ndarray],
     directory.mkdir(parents=True, exist_ok=True)
     files = {}
     for name, dtype in SCHEMAS[kind][0].items():
-        data = np.ascontiguousarray(arrays[name]).astype(dtype)
+        data = np.ascontiguousarray(arrays[name], dtype=dtype)  # copies only to change the dtype or the layout
         data.tofile(directory / f"{name}.bin")
         files[name] = {"dtype": _dtype_name(dtype), "shape": list(data.shape)}
     manifest = {"version": FORMAT_VERSION, "kind": kind, **meta, "files": files}

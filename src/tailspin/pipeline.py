@@ -23,7 +23,8 @@ from .data import (
     inject_symmetric_noise,
 )
 from .errors import ConfigError, ContractError, ValidationError
-from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs, knn_classify
+from .evaluation import (AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs,
+                         knn_classify, map_rows)
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
 from .nn import Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
@@ -178,22 +179,24 @@ def finetune(
     """Train the head on frozen-encoder representations with the configured loss.
 
     The encoder, and under ``last_layer_only`` every head layer but the last (with
-    its ReLU), are frozen: computed once, outside any tape, for the training set
-    and for the test set. No ``requires_grad`` flag changes. Per-epoch test
-    accuracy is recorded when a test set is supplied.
+    its ReLU), are frozen: computed once, outside any tape and in row blocks, for
+    the training set and for the test set. No ``requires_grad`` flag changes.
+    Per-epoch test accuracy is recorded when a test set is supplied.
     """
     if policy not in (FULL_HEAD, LAST_LAYER_ONLY):
         raise ConfigError(f"unknown freeze policy '{policy}'")
     frozen = len(head.layers) - 1 if policy == LAST_LAYER_ONLY else 0
 
-    def frozen_outputs(data: Dataset) -> np.ndarray:
-        reps = encoder_outputs(model, data)
-        # the last frozen layer keeps its ReLU, which Mlp leaves off its own last layer
-        return np.maximum(Mlp(head.layers[:frozen])(Tensor(reps)).data, 0.0) if frozen else reps
+    def frozen_outputs(x: np.ndarray) -> np.ndarray:
+        h = model.encoder(Tensor(x)).data
+        if frozen:  # the last frozen layer keeps its ReLU, which Mlp leaves off its own last layer
+            h = Mlp(head.layers[:frozen])(Tensor(h)).data
+            np.maximum(h, 0.0, out=h)
+        return h
 
-    reps = frozen_outputs(dataset)
+    reps = map_rows(dataset.features, frozen_outputs)
     trained = Mlp(head.layers[frozen:])
-    test_reps = None if test_set is None else frozen_outputs(test_set)
+    test_reps = None if test_set is None else map_rows(test_set.features, frozen_outputs)
 
     def per_class() -> dict:
         return {"per_class_accuracy": None if test_set is None else

@@ -256,7 +256,8 @@ def mlp(x: Tensor, params: Sequence[Tensor]) -> Tensor:
     reverse tape over one record per layer, so values and gradients equal
     relu(add(matmul(h, W), b)) per layer bit for bit. The finiteness check
     reads each hidden layer's pre-activation, since max(-inf, 0) hides an
-    overflow. Gradients stop at the first layer whose input requires none.
+    overflow; the ReLU then overwrites it in place. Gradients stop at the first
+    layer whose input requires none. Memory grows with x's rows.
     """
     if x.ndim != 2:
         raise ShapeError(f"mlp: expected a 2-d input, got shape {x.shape}")
@@ -278,8 +279,9 @@ def mlp(x: Tensor, params: Sequence[Tensor]) -> Tensor:
             if not np.isfinite(pre).all():
                 raise NumericError(f"mlp: layer {i // 2} produced non-finite values")
             active = pre > 0.0
+            np.maximum(pre, 0.0, out=pre)
         layers.append((h, weight, bias, active, needs))
-        h = pre if active is None else np.maximum(pre, 0.0)
+        h = pre
         needs = needs or weight.requires_grad or bias.requires_grad
 
     def vjp(g):
@@ -398,7 +400,8 @@ def _unit(a: np.ndarray, axis: int, name: str):
     norm = np.sqrt(squared)
     degenerate = norm < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norm)
-    y = np.where(degenerate, 0.0, a / safe)
+    y = a / safe
+    np.copyto(y, 0.0, where=degenerate)
 
     def vjp(g):
         inner = np.sum(g * y, axis=axis, keepdims=True)

@@ -13,11 +13,13 @@ from tailspin.evaluation import (
     MetricsRecord,
     accuracy_suite,
     embed,
+    encoder_outputs,
     export_embeddings,
     knn_classify,
 )
 from tailspin.io import load_dataset
-from tailspin.nn import build_model
+from tailspin.nn import Mlp, build_model
+from tailspin.pipeline import build_finetune_head
 from tailspin.tensor import Tensor, l2_normalize
 
 
@@ -180,7 +182,76 @@ class TestKnnBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
+        # one score block is 4.2 MB, so a second live block or a whole-block partition copy fails
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
+
+
+FORWARD_ROWS = 4
+
+
+class TestMapRows:
+    """Whole-dataset forwards in row blocks against the one-shot forward over every row."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_FORWARD_ROWS", FORWARD_ROWS)
+
+    @staticmethod
+    def forwards(model):
+        head = build_finetune_head(model, 3, seed=23)
+
+        def frozen_head(x):  # fine-tuning's frozen features under last_layer_only
+            h = Mlp(head.layers[:1])(model.encoder(Tensor(x))).data
+            return np.maximum(h, 0.0, out=h)
+
+        return {
+            "encoder": lambda x: model.encoder(Tensor(x)).data,
+            "projector": lambda x: model.projector(model.encoder(Tensor(x))).data,
+            "frozen_head": frozen_head,
+        }
+
+    @pytest.mark.parametrize("net", ["encoder", "projector", "frozen_head"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_the_one_shot_forward(self, small_blocks, model, net, dtype):
+        fn = self.forwards(model)[net]
+        rng = np.random.default_rng(len(net))
+        # 1 row; one block; a lone last row joining the block before it; several blocks
+        for n in (1, 2, FORWARD_ROWS, FORWARD_ROWS + 1, 2 * FORWARD_ROWS + 1, 3 * FORWARD_ROWS + 2, 41):
+            features = rng.normal(size=(n, 8)).astype(np.float32)
+            got = evaluation.map_rows(features, fn, dtype)
+            want = fn(features.astype(np.float64)).astype(dtype)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), n
+
+    def test_blocks_follow_the_constant(self, small_blocks):
+        seen = []
+
+        def rows(x):
+            seen.append(len(x))
+            return x
+
+        evaluation.map_rows(np.zeros((2 * FORWARD_ROWS + 1, 2), np.float32), rows)
+        assert seen == [FORWARD_ROWS, FORWARD_ROWS + 1]
+
+    def test_embed_and_encoder_outputs_equal_the_one_shot_forward(self, small_blocks, dataset, model):
+        one_shot = self.forwards(model)
+        x = dataset.features.astype(np.float64)
+        assert encoder_outputs(model, dataset).tobytes() == one_shot["encoder"](x).tobytes()
+        for layer in ("encoder", "projector"):
+            assert embed(dataset, model, layer).features.tobytes() == one_shot[layer](x).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("name", ["embed", "encoder_outputs"])
+    def test_memory_bounded_by_the_block_not_the_dataset(self, name):
+        data = generate_synthetic(10, 2000, 8, 6.0, seed=24)
+        model = build_model("simsiam", 8, seed=25)
+        call = {"embed": lambda: embed(data, model).features, "encoder_outputs": lambda: encoder_outputs(model, data)}
+        tracemalloc.start()
+        try:
+            out = call[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 20,000 x 64 float64 hidden layer is 9.8 MB
+        assert peak < out.nbytes + 2 * 2**20, f"{peak / 2**20:.1f} MB for a {out.nbytes / 2**20:.1f} MB output"
 
 
 class TestAccuracySuite:

@@ -1,5 +1,6 @@
 """tools/output_hashes.py exits 1 when a checkout's outputs differ from the first checkout's,
-so a refactor can gate on it; the hashing itself is replaced here, so no run starts."""
+so a refactor can gate on it; the hashing itself is replaced here, so no run starts.
+tools/peak_rss.py stops its chain at the first process that fails, and exits 1."""
 import importlib.util
 from pathlib import Path
 
@@ -23,3 +24,14 @@ def test_exit_status_follows_the_moved_cells(tool, monkeypatch, capsys, second, 
     monkeypatch.setattr(tool, "hash_checkout", lambda checkout, scratch: next(tables))
     assert tool.main([str(_ROOT), str(_ROOT)]) == status
     assert f"differ from {_ROOT}: {moved}\n" in capsys.readouterr().out
+
+
+def test_peak_rss_stops_at_the_first_failing_process(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))  # as when run as a script: it imports output_hashes
+    spec = importlib.util.spec_from_file_location("peak_rss", _ROOT / "tools" / "peak_rss.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--set", "data.per_class=0"]) == 1  # an empty class fails `generate`
+    out = capsys.readouterr().out.splitlines()
+    command, code, _ = out[1].split()
+    assert len(out) == 2 and command == "generate" and code != "0", out
