@@ -8,6 +8,7 @@ the base loss equals sigma*.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +17,9 @@ from .errors import ContractError, NumericError, ShapeError, ValidationError
 from .tensor import Tensor, _as_tensor, _op, _softmax_nll
 
 _BRANCH_POINT = -np.exp(-1.0)  # smallest argument of W0
+# operands as 0-d arrays: NumPy converts a Python float on every call, half an op's cost on 64 rows
+_0, _1, _2, _3, _E, _2_3, _11_72, _HALF, _2_E, _MINUS_2_E = (np.array(v) for v in (
+    0.0, 1.0, 2.0, 3.0, np.e, 2.0 / 3.0, 11.0 / 72.0, 0.5, 2.0 / np.e, -2.0 / np.e))
 
 CLAMP_MODES = ("lower_bound", "as_written")
 LOSS_KINDS = ("ce", "ce_sl", "la", "la_sl")
@@ -29,17 +33,20 @@ def lambert_w0(x):
     Accepts a scalar or array with x >= -1/e (values within 1e-12 below the
     branch point are clamped onto it). A fixed sequence with no loop and no
     convergence test: Winitzki's guess log(1+x) * (1 - log(1+log(1+x)) / (2+log(1+x))),
-    the branch-point series where x < -0.25 (evaluated only on those elements,
-    only when some element needs it), then two Fritsch-Shafer-Crowley steps
+    the branch-point series where x < -0.25 (kept only there, and formed only
+    when some element needs it), then two Fritsch-Shafer-Crowley steps
     (CACM 1973, Algorithm 443). w = x exactly where x = 0 (so -0.0 stays -0.0)
     and w = -1 at the branch point. Residual |w*exp(w) - x| <= 1e-12 * max(1, |x|).
+    Checks, on every call, that x is finite and not below -1/e, from the two
+    reductions that also pick the branches; SuperLoss's arguments pass always.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    z = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    z = np.asarray(x, dtype=np.float64)
+    scalar = z.ndim == 0
+    z = z.reshape(1) if scalar else z
     if z.size == 0:
         return z.copy()
     lo, hi = z.min(), z.max()  # NaN propagates into both
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("lambert_w0: argument must be finite")
     if lo < _BRANCH_POINT - 1e-12:
         raise ValidationError(f"lambert_w0: argument below -1/e (min was {lo!r})")
@@ -47,20 +54,17 @@ def lambert_w0(x):
     if at_branch:
         z = np.maximum(z, _BRANCH_POINT)
 
-    lz = np.log1p(z)
-    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
-    if lo < -0.25:  # only there: the series' cube overflows for large z
-        near = z < -0.25
-        p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
-        w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
-
-    # x = 0 divides 0 by 0 and the branch point may divide by w + 1 = 0; both are set below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    w = np.log1p(z)
+    w *= _1 - np.log1p(w) / (_2 + w)
+    # the series overflows at large x, where it is not kept; x = 0 and the branch point divide by 0, set below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if lo < -0.25:
+            p = np.sqrt(np.maximum(_2 * (_E * z + _1), _0))
+            np.copyto(w, p - _1 - p * p / _3 + _11_72 * p ** _3, where=z < -0.25)
         w = _fsc_step(z, _fsc_step(z, w))
 
     if lo <= 0.0 <= hi:
-        zero = z == 0.0
-        w[zero] = z[zero]
+        np.copyto(w, z, where=z == 0.0)
     if at_branch:
         w[z == _BRANCH_POINT] = -1.0
     return float(w[0]) if scalar else w
@@ -69,10 +73,10 @@ def lambert_w0(x):
 def _fsc_step(z, w):
     """One Fritsch-Shafer-Crowley step towards W0(z) from w: fourth-order, so
     two steps from a guess within a few percent reach full precision."""
-    wp1 = 1.0 + w
+    wp1 = _1 + w
     t = np.log(z / w) - w
-    q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * t)
-    return w * (1.0 + t / wp1 * (q - t) / (q - 2.0 * t))
+    q = (wp1 + wp1) * (wp1 + _2_3 * t)  # 2 (1 + w) (1 + w + 2t/3), as 2w and 2t below exactly
+    return w * (_1 + t / wp1 * (q - t) / (q - (t + t)))
 
 
 @dataclass
@@ -140,16 +144,17 @@ def superloss_sigma(base_loss, params: SuperLossParams):
     lower_bound mode clamps the ratio at -2/e so W stays in its domain and
     sigma* ranges over (0, e]; as_written mode clamps at +2/e, reproducing the
     printed formula, which caps sigma* near 0.757 and never exceeds it.
+    Checks that tau is resolved and the base losses finite on every call, also on the
+    cross-entropy that ``batch_loss`` has just checked: this is its one way to sigma*.
     """
     if params.tau is None:
         raise ContractError("superloss_sigma: tau is unresolved; batch_loss sets it to log(C)")
     ell = np.asarray(base_loss, dtype=np.float64)
     if not np.isfinite(ell).all():
         raise ValidationError("superloss_sigma: base loss must be finite")
-    beta = (ell - params.tau) / params.lam
-    bound = 2.0 / np.e
-    clamped = np.maximum(beta, -bound) if params.clamp_mode == "lower_bound" else np.maximum(beta, bound)
-    return np.exp(-lambert_w0(0.5 * clamped))
+    clamped = np.maximum((ell - params.tau) / params.lam, _MINUS_2_E if params.clamp_mode == "lower_bound" else _2_E)
+    clamped *= _HALF
+    return np.exp(-lambert_w0(clamped))
 
 
 def _wrap(ell: np.ndarray, params: SuperLossParams):
@@ -174,24 +179,29 @@ def batch_loss(kind: str, logits: Tensor, labels, priors: Priors, params: SuperL
     sub, mul and add and their mean. The record's vjp is the NLL's, softmax * u
     less u at each label, on the per-sample gradient u that chain passes the
     NLL: broadcast(g / n) for the mean and (g / n) * sigma* for SuperLoss.
+    Checks, per call and on this batch only: the kind, the shapes, integer labels
+    in [0, C) (a bool would index as a mask), a finite cross-entropy, for ``*_sl``
+    the checks of ``superloss_sigma`` and ``lambert_w0``, and a finite loss.
     """
     if kind not in LOSS_KINDS:
         raise ValidationError(f"unknown loss kind '{kind}', expected one of {LOSS_KINDS}")
     logits = _as_tensor(logits)
-    idx = np.asarray(labels)
-    if logits.ndim != 2 or logits.shape[1] != priors.num_classes or idx.shape != (logits.shape[0],):
-        raise ShapeError(f"batch_loss: logits {logits.shape} vs labels {idx.shape} and {priors.num_classes} priors")
-    if idx.size and (idx.min() < 0 or idx.max() >= priors.num_classes):
-        raise ValidationError(f"batch_loss: label out of range for {priors.num_classes} classes")
+    s, idx, c = logits.data, np.asarray(labels), priors.pi.size
+    if s.ndim != 2 or s.shape[1] != c or idx.shape != (s.shape[0],):
+        raise ShapeError(f"batch_loss: logits {s.shape} vs labels {idx.shape} and {c} priors")
+    if idx.dtype.kind not in "iu":
+        raise ValidationError(f"batch_loss: labels must be integers, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= c):
+        raise ValidationError(f"batch_loss: label out of range for {c} classes")
     # log(pi) lies in [-745, 0], so it moves no finite logit out of range; a finite s
     # gives a finite log-sum-exp, but its difference with s[y] may overflow
-    nll, nll_vjp = _softmax_nll(logits.data + priors.log_pi if kind.startswith("la") else logits.data, idx)
+    nll, nll_vjp = _softmax_nll(s + priors.log_pi if kind.startswith("la") else s, idx)
     if not np.isfinite(nll).all():
         raise NumericError("batch_loss: the cross-entropy is non-finite")
     inv_n = 1.0 / nll.size
     if not kind.endswith("_sl"):
-        return _op("batch_loss", np.sum(nll) * inv_n,
-                   lambda g: [(logits, nll_vjp(np.broadcast_to(g * inv_n, nll.shape)))], logits), None
-    sigma, per_sample = _wrap(nll, params.resolved(priors.num_classes))
-    loss = _op("batch_loss", np.sum(per_sample) * inv_n, lambda g: [(logits, nll_vjp(g * inv_n * sigma))], logits)
+        return _op("batch_loss", nll.sum() * inv_n,
+                   lambda g: [(logits, nll_vjp(np.full(nll.shape, g * inv_n)))], logits), None
+    sigma, per_sample = _wrap(nll, params.resolved(c))
+    loss = _op("batch_loss", per_sample.sum() * inv_n, lambda g: [(logits, nll_vjp(g * inv_n * sigma))], logits)
     return loss, ConfidenceReport(base_losses=nll, sigma=sigma.copy(), per_sample=per_sample)  # the vjp keeps sigma

@@ -13,6 +13,7 @@ from .tensor import Tape, Tensor, flatten
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 SCHEDULE_KINDS = ("cosine", "constant")
+_NONFINITE_GRADIENT = "optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run"
 
 
 @dataclass
@@ -79,7 +80,7 @@ class _Optimizer:
     """Parameters as views into one flat vector ``data``. Each step gathers the
     parameters' gradients into one vector, zeros where no gradient arrived,
     and is a few whole-vector operations. Weight decay is coupled (added to
-    the gradient), and the gradient is checked finite."""
+    the gradient), and the gradient is checked finite before ``data`` moves."""
 
     def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
@@ -91,9 +92,8 @@ class _Optimizer:
         g = np.concatenate([p._grad.ravel() if p._grad is not None else np.zeros(p.data.size)
                             for p in self.params], out=self._gathered)
         if self.weight_decay:
-            g = g + self.weight_decay * self.data
-        if not np.isfinite(g).all():
-            raise NumericError("optimizer step: gradient (weight decay included) contains NaN or Inf, aborting run")
+            with np.errstate(over="ignore"):  # an overflow fails the step's finiteness check
+                g += self.weight_decay * self.data
         return g
 
     def zero_grad(self) -> None:
@@ -110,15 +110,19 @@ class Sgd(_Optimizer):
         self.velocity = np.zeros_like(self.data)
 
     def step(self, lr: float) -> None:
-        v = self.velocity
-        v *= self.momentum
-        v += self._gradient()
-        self.data -= lr * v
+        g = self._gradient()
+        if not np.isfinite(g).all():
+            raise NumericError(_NONFINITE_GRADIENT)
+        self.velocity *= self.momentum
+        self.velocity += g
+        self.data -= lr * self.velocity
 
 
 class Adam(_Optimizer):
     """Bias-corrected Adam with the usual betas and eps; weight decay is coupled
-    (added to the gradient)."""
+    (added to the gradient). Each step scans one vector for finiteness, the second
+    moment v: finite before the step, it stays finite exactly when g is finite and
+    g * g does not overflow. Only a failed scan reads g, to say which it was."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -127,21 +131,23 @@ class Adam(_Optimizer):
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self.t = 0
+        # as 0-d arrays, since NumPy converts a Python-float operand on every call
+        self._factors = tuple(np.array(f) for f in (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps))
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        m, v = self.m, self.v
+        m, v, (b1, c1, b2, c2, eps) = self.m, self.v, self._factors
+        g = self._gradient()
         with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
-            g = self._gradient()
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            v *= b2
+            v += c2 * g * g
         if not np.isfinite(v).all():  # v = inf would leave theta unmoved
+            if not np.isfinite(g).all():
+                raise NumericError(_NONFINITE_GRADIENT)
             raise NumericError("adam step: the squared gradient overflows float64, aborting run")
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        self.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m *= b1
+        m += c1 * g
+        self.data -= lr * (m / (1.0 - self.beta1 ** self.t)) / (np.sqrt(v / (1.0 - self.beta2 ** self.t)) + eps)
 
 
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):

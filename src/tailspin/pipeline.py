@@ -30,7 +30,7 @@ from .nn import Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
-from .tensor import Tensor
+from .tensor import Tensor, _checked
 
 FULL_HEAD = "full_head"
 LAST_LAYER_ONLY = "last_layer_only"
@@ -156,7 +156,7 @@ def _train_supervised(stage: str, params: list[Tensor], logits_of: Callable[[np.
     superloss = settings.superloss.resolved(priors.num_classes)
 
     def loss_fn(idx: np.ndarray) -> Tensor:
-        return batch_loss(settings.loss, logits_of(idx), labels[idx], priors, superloss)[0]
+        return batch_loss(settings.loss, logits_of(idx), labels.take(idx), priors, superloss)[0]
 
     def epoch_fn(epoch: int):
         loss = train_epoch(opt, lr, loss_fn, dataset.num_samples, settings.optimizer.batch_size,
@@ -179,8 +179,9 @@ def finetune(
     """Train the head on frozen-encoder representations with the configured loss.
 
     The encoder, and under ``last_layer_only`` every head layer but the last (with
-    its ReLU), are frozen: computed once, outside any tape and in row blocks, for
-    the training set and for the test set. No ``requires_grad`` flag changes.
+    its ReLU), are frozen: computed once, outside any tape and in row blocks, for the
+    training and the test set, by mlp records that check every row finite, so no step
+    checks a batch of them again. No ``requires_grad`` flag changes.
     Per-epoch test accuracy is recorded when a test set is supplied.
     """
     if policy not in (FULL_HEAD, LAST_LAYER_ONLY):
@@ -202,7 +203,7 @@ def finetune(
         return {"per_class_accuracy": None if test_set is None else
                 _classify(trained, test_reps, test_set).per_class_json()}
 
-    return _train_supervised("finetune", trained.parameters(), lambda idx: trained(Tensor(reps[idx])),
+    return _train_supervised("finetune", trained.parameters(), lambda idx: trained(_checked(reps.take(idx, axis=0))),
                              dataset, settings, run_seed, sink, per_class)
 
 
@@ -216,9 +217,9 @@ def run_single_stage(
 ) -> list[MetricsRecord]:
     """Supervised baseline, the ablation that removes pretraining: the encoder and
     head train end to end from their initial weights with the configured loss."""
-    features = train_set.features.astype(np.float64)
+    features = train_set.features.astype(np.float64)  # Dataset checked them finite
     return _train_supervised("single_stage", model.encoder.parameters() + head.parameters(),
-                             lambda idx: head(model.encoder(Tensor(features[idx]))),
+                             lambda idx: head(model.encoder(_checked(features.take(idx, axis=0)))),
                              train_set, settings, run_seed, sink)
 
 
@@ -251,7 +252,7 @@ def make_datasets(
 
 
 def _classify(head: Mlp, reps: np.ndarray, test_set: Dataset) -> AccuracyReport:
-    preds = np.argmax(head(Tensor(reps)).data, axis=1)
+    preds = np.argmax(head(_checked(reps)).data, axis=1)
     return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
 
 

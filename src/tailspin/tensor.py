@@ -70,7 +70,7 @@ class Tape:
         # drop the records before replaying them, so the graph is freed as the
         # gradients are applied even while the caller still holds this tape
         records, self._records = self._records, []
-        output._grad = np.ones_like(output.data)
+        output._grad = np.ones(output.data.shape)
         for node, vjp in reversed(records):
             if node._grad is not None:
                 for t, grad in vjp(node._grad):
@@ -195,13 +195,16 @@ def _op(name: str, value: np.ndarray, vjp: Callable[[np.ndarray], list[tuple[Ten
     arr = np.ascontiguousarray(value, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NumericError(f"{name}: produced non-finite values")
-    out = Tensor.__new__(Tensor)
-    out.data = arr
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    out._grad = None
-    out._flat = None
+    out = _checked(arr, any([t.requires_grad for t in inputs]))
     if out.requires_grad and _stack.tapes:
         _stack.tapes[-1]._records.append((out, vjp))
+    return out
+
+
+def _checked(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """A Tensor over ``arr`` itself, a C-contiguous float64 array that a check found finite."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out._grad, out._flat = arr, requires_grad, None, None
     return out
 
 
@@ -259,7 +262,7 @@ def mlp(x: Tensor, params: Sequence[Tensor]) -> Tensor:
     overflow; the ReLU then overwrites it in place. Gradients stop at the first
     layer whose input requires none. Memory grows with x's rows.
     """
-    if x.ndim != 2:
+    if x.data.ndim != 2:
         raise ShapeError(f"mlp: expected a 2-d input, got shape {x.shape}")
     if not params or len(params) % 2:
         raise ContractError(f"mlp: expected a weight and a bias per layer, got {len(params)} tensors")
@@ -352,18 +355,23 @@ def _softmax_nll(s: np.ndarray, idx: np.ndarray):
     """Per-row -log softmax(s)[idx] of a finite 2-d s, and its vjp: softmax * g, less g
     at each row's gathered entry, bit-equal to the vjps of sub(log_sum_exp(s),
     gather_rows(s, idx)). The kernel of ``losses.batch_loss`` and ``ssl.nt_xent_loss``."""
-    m = np.max(s, axis=-1, keepdims=True)
-    shifted = np.exp(s - m)
-    total = np.sum(shifted, axis=-1, keepdims=True)
-    soft = shifted / total
-    rows = np.arange(s.shape[0])
+    rows = np.arange(0, s.size, s.shape[1])  # each row's start in s's flat order
+    m = s.take(rows + s.argmax(axis=-1)).reshape(-1, 1)  # max's values; a -0.0 for 0.0 changes no bit below
+    soft = np.exp(s - m)
+    total = soft.sum(axis=-1, keepdims=True)
+    soft /= total
+    np.log(total, out=total)
+    total += m
+    at = np.add(rows, idx, dtype=np.intp)  # each row's labelled entry, whatever idx's integer type
+    nll = total.reshape(-1)  # log(total) + m - s[y], in total's memory
+    nll -= s.take(at)
 
-    def vjp(g):
-        z = soft * g[:, None]
-        z[rows, idx] -= g
+    def vjp(g):  # runs once, so it may overwrite soft
+        z = np.multiply(soft, g[:, None], out=soft)
+        np.subtract.at(z.reshape(-1), at, g)  # one entry per row, so as z[rows, idx] -= g
         return z
 
-    return np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], vjp
+    return nll, vjp
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -563,3 +563,82 @@ def per_tensor_ema_update(model, momentum):
     for xi, theta in zip(target, online):
         xi.data *= momentum
         xi.data += (1.0 - momentum) * theta.data
+
+
+# The kernels of the fine-tuning step as they were before they saved NumPy
+# calls: every operation makes a new array and takes its constants as Python
+# floats. The leaner kernels must give the same bits, raise the same errors and
+# return the same types.
+
+def out_of_place_lambert_w0(x):
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    z = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if z.size == 0:
+        return z.copy()
+    lo, hi = z.min(), z.max()  # NaN propagates into both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("lambert_w0: argument must be finite")
+    if lo < _BRANCH_POINT - 1e-12:
+        raise ValidationError(f"lambert_w0: argument below -1/e (min was {lo!r})")
+    at_branch = lo <= _BRANCH_POINT
+    if at_branch:
+        z = np.maximum(z, _BRANCH_POINT)
+
+    lz = np.log1p(z)
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    if lo < -0.25:  # only there: the series' cube overflows for large z
+        near = z < -0.25
+        p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
+        w[near] = -1.0 + p - p * p / 3.0 + (11.0 / 72.0) * p ** 3
+
+    # x = 0 divides 0 by 0 and the branch point may divide by w + 1 = 0; both are set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = out_of_place_fsc_step(z, out_of_place_fsc_step(z, w))
+
+    if lo <= 0.0 <= hi:
+        zero = z == 0.0
+        w[zero] = z[zero]
+    if at_branch:
+        w[z == _BRANCH_POINT] = -1.0
+    return float(w[0]) if scalar else w
+
+
+def out_of_place_fsc_step(z, w):
+    wp1 = 1.0 + w
+    t = np.log(z / w) - w
+    q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * t)
+    return w * (1.0 + t / wp1 * (q - t) / (q - 2.0 * t))
+
+
+def out_of_place_softmax_nll(s, idx):
+    m = np.max(s, axis=-1, keepdims=True)
+    shifted = np.exp(s - m)
+    total = np.sum(shifted, axis=-1, keepdims=True)
+    soft = shifted / total
+    rows = np.arange(s.shape[0])
+
+    def vjp(g):
+        z = soft * g[:, None]
+        z[rows, idx] -= g
+        return z
+
+    return np.squeeze(m + np.log(total), axis=-1) - s[rows, idx], vjp
+
+
+def out_of_place_superloss_sigma(base_loss, params):
+    if params.tau is None:
+        raise ContractError("superloss_sigma: tau is unresolved; batch_loss sets it to log(C)")
+    ell = np.asarray(base_loss, dtype=np.float64)
+    if not np.isfinite(ell).all():
+        raise ValidationError("superloss_sigma: base loss must be finite")
+    beta = (ell - params.tau) / params.lam
+    bound = 2.0 / np.e
+    clamped = np.maximum(beta, -bound) if params.clamp_mode == "lower_bound" else np.maximum(beta, bound)
+    return np.exp(-out_of_place_lambert_w0(0.5 * clamped))
+
+
+def out_of_place_wrap(ell, params):
+    """SuperLoss's sigma* of base losses ell and its terms (l - tau) * sigma* + lambda * log(sigma*)^2."""
+    sigma = out_of_place_superloss_sigma(ell, params)
+    log_sigma = np.log(sigma)
+    return sigma, (ell - params.tau) * sigma + params.lam * log_sigma * log_sigma

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import params_digest
 from tailspin import io as tio
 from tailspin.cli import _settings, main
-from tailspin.config import _SPEC, _format_value, config_load
+from tailspin.config import _SPEC, _flag, _float_or_auto, _format_value, config_load
 from tailspin.evaluation import KNNConfig, accuracy_suite, embed, knn_classify
 from tailspin.io import load_arrays, load_checkpoint, load_dataset, save_dataset
 from tailspin.nn import build_model
@@ -578,6 +580,61 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err.split(":", 1)[0] in ("validation-error", "io-error")
+
+
+# The property over the whole config: tiny sizes, then one to three keys set to
+# the edges of their ranges and of float64. Keys that size the work (epochs,
+# widths, counts) reach 16, so that no draw runs long; the others reach 10**9.
+_TINY = {"data.per_class": 12, "data.test_per_class": 4, "data.dim": 4, "model.hidden_dim": 4, "model.rep_dim": 4,
+         "model.proj_dim": 4, "model.pred_hidden": 4, "pretrain.epochs": 2, "pretrain.warmup_epochs": 1,
+         "pretrain.batch_size": 8, "finetune.epochs": 1, "finetune.batch_size": 8, "single_stage.epochs": 1,
+         "eval.knn_k": 3}
+_UNSIZED = ("pretrain.batch_size", "pretrain.warmup_epochs", "finetune.batch_size", "eval.knn_k", "run.seed")
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 0.5, 0.999999, 1.0, -1.0, 1e300, -1e300, 1.7e308)
+# a library check names its own parameter: the key's last part (``dim`` for
+# data.dim), or for these keys the field of the settings object they feed
+_FIELD = {"data.separation": "cluster_separation", "finetune.lr": "base_lr", "eval.knn_k": "k",
+          "pretrain.aug_sigma": "gaussian_sigma", "pretrain.aug_mask_prob": "mask_prob",
+          "pretrain.aug_jitter": "scale_jitter"}
+
+
+def _edge_values(key):
+    parse, _, allowed, _ = _SPEC[key]
+    if allowed is not None:
+        return st.sampled_from(allowed)
+    ints = (-1, 0, 1, 2, 10**9 if key in _UNSIZED else 16)
+    return {int: st.sampled_from(ints), float: st.sampled_from(_EDGE_FLOATS), _flag: st.booleans(),
+            _float_or_auto: st.sampled_from(("auto",) + _EDGE_FLOATS)}[parse]
+
+
+@st.composite
+def _edge_draws(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(set(_SPEC) - {"run.output_dir"})), min_size=1, max_size=3, unique=True))
+    return {key: draw(_edge_values(key)) for key in keys}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per draw
+@given(drawn=_edge_draws(), command=st.sampled_from(["run", "run-single-stage"]))
+def test_edge_values_finish_or_fail_as_one_classed_line(tmp_path_factory, capsys, drawn, command):
+    # a run either finishes with finite losses or stops at one classed error line:
+    # a check that names a drawn key, or a NumericError of the step that diverged
+    out = tmp_path_factory.mktemp("edge")
+    overrides = [a for key, value in {**_TINY, **drawn}.items() for a in ("--set", f"{key}={_format_value(value)}")]
+    capsys.readouterr()
+    code = run_cli(command, "--output", str(out), *overrides)
+    lines = capsys.readouterr().err.strip().splitlines()
+    if code == 0:
+        losses = [json.loads(line)["loss"] for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert losses and all(np.isfinite(losses)), (drawn, losses)
+        return
+    assert len(lines) == 1, (drawn, lines)
+    cls, message = lines[0].split(": ", 1)
+    assert code == (2 if cls == "config-error" else 1), (drawn, lines)
+    if cls != "numeric-error":
+        assert cls in ("config-error", "validation-error", "contract-error"), (drawn, lines)
+        assert any(key in message or re.search(rf"\b{_FIELD.get(key, key.split('.')[-1])}\b", message)
+                   for key in drawn), (drawn, lines)
 
 
 def test_console_script_entry_point():

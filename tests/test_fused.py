@@ -15,6 +15,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    out_of_place_lambert_w0,
+    out_of_place_softmax_nll,
+    out_of_place_superloss_sigma,
+    out_of_place_wrap,
     params_digest,
     two_pass_method_loss,
     unfused_barlow_twins,
@@ -29,7 +33,17 @@ from oracles import (
 )
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import NumericError
-from tailspin.losses import CLAMP_MODES, LOSS_KINDS, Priors, SuperLossParams, batch_loss
+from tailspin.losses import (
+    _BRANCH_POINT,
+    CLAMP_MODES,
+    LOSS_KINDS,
+    Priors,
+    SuperLossParams,
+    _wrap,
+    batch_loss,
+    lambert_w0,
+    superloss_sigma,
+)
 from tailspin.nn import SSL_METHODS, Mlp, build_model, ema_update
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
 from tailspin.pipeline import FULL_HEAD, LAST_LAYER_ONLY, FinetuneSettings, build_finetune_head, finetune
@@ -42,7 +56,7 @@ from tailspin.ssl import (
     pretrain_epoch,
     simsiam_loss,
 )
-from tailspin.tensor import Tape, Tensor, add, mlp, mul, relu, tensor_sum
+from tailspin.tensor import Tape, Tensor, _softmax_nll, add, mlp, mul, relu, tensor_sum
 
 
 def leaf(shape, seed, requires_grad=True, scale=1.0):
@@ -233,6 +247,109 @@ class TestBatchLoss:
             return loss, loss
 
         assert_same(fused, unfused, [x])
+
+
+def same_result(got, want):
+    """The same type, and for arrays the same dtype, shape and bytes; for floats the same bits."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def same_error(fn, oracle, *args):
+    with pytest.raises(Exception) as want:
+        oracle(*args)
+    with pytest.raises(type(want.value)) as got:
+        fn(*args)
+    assert str(got.value) == str(want.value)
+
+
+_NEAR_BRANCH = np.linspace(_BRANCH_POINT, -0.25, 34)[1:-1]
+
+
+class TestInPlaceKernels:
+    """The step's kernels, which work in place on 0-d constants, against their
+    out-of-place bodies in ``oracles``: the same bits, the same return types, the
+    same errors, and the caller's arrays left as they were."""
+
+    @pytest.mark.parametrize("x", [
+        pytest.param([_BRANCH_POINT], id="branch-point"),
+        pytest.param([_BRANCH_POINT - 1e-13, _BRANCH_POINT - 0.999e-12, np.nextafter(_BRANCH_POINT, -1.0)],
+                     id="within-1e-12-below"),
+        pytest.param(np.concatenate([[np.nextafter(_BRANCH_POINT, 0.0)], _NEAR_BRANCH, [np.nextafter(-0.25, -1.0)]]),
+                     id="branch-to-quarter"),
+        pytest.param([0.0, -0.0], id="signed-zeros"),
+        pytest.param([-0.0], id="negative-zero"),
+        pytest.param([5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e-17, -1e-17], id="tiny"),
+        pytest.param([1e10, 1e100, 1e300, 1e308, np.finfo(np.float64).max], id="large"),
+        pytest.param([_BRANCH_POINT, -0.3, -0.25, -0.0, 0.0, 1e-300, 0.5, np.e, 1e308], id="mixed"),
+        pytest.param(np.linspace(-0.36, 30.0, 12).reshape(3, 4), id="matrix"),
+        pytest.param(np.zeros(0), id="empty"),
+        pytest.param(np.zeros((0, 3)), id="empty-matrix"),
+        pytest.param([], id="empty-list"),
+    ])
+    def test_lambert_w0_arrays(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        before = x.tobytes()
+        same_result(lambert_w0(x), out_of_place_lambert_w0(x))
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, _BRANCH_POINT, _BRANCH_POINT - 1e-13, -0.3, 5e-324, 1e-300, 1.0,
+                                   1e308, np.float64(0.5), 7, np.array(-0.3), np.array(0.0), np.array([2.0])],
+                             ids=repr)
+    def test_lambert_w0_scalars_and_zero_d(self, x):
+        same_result(lambert_w0(x), out_of_place_lambert_w0(x))
+
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf], [-0.5, 1.0],
+                                   [_BRANCH_POINT - 2e-12], np.nan, -1.0])
+    def test_lambert_w0_errors(self, x):
+        same_error(lambert_w0, out_of_place_lambert_w0, np.asarray(x, dtype=np.float64))
+
+    @pytest.mark.parametrize("shape, scale, mask", [
+        ((1, 2), 1.0, False), ((5, 4), 3.0, False), ((64, 10), 1.0, False), ((7, 3), 700.0, False),
+        ((6, 6), 5.0, True), ((4, 5), 0.0, False),
+    ], ids=["one-row", "small", "batch", "huge", "simclr-mask", "ties"])
+    def test_softmax_nll_and_vjp(self, shape, scale, mask):
+        rng = np.random.default_rng(shape[0])
+        s = scale * rng.normal(size=shape)
+        if mask:  # nt_xent's self-similarity mask
+            s = s + np.eye(shape[0]) * -1e9
+        idx = rng.integers(0, shape[1], size=shape[0])
+        g = rng.normal(size=shape[0])
+        before = s.tobytes()
+        nll, vjp = _softmax_nll(s, idx)
+        want_nll, want_vjp = out_of_place_softmax_nll(s, idx)
+        same_result(nll, want_nll)
+        same_result(vjp(g), want_vjp(g))
+        assert s.tobytes() == before
+
+    @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 4.0, 1e3])
+    @pytest.mark.parametrize("tau", [0.0, float(np.log(4)), 2.0])
+    def test_superloss_wrap(self, clamp_mode, lam, tau):
+        params = SuperLossParams(tau=tau, lam=lam, clamp_mode=clamp_mode)
+        ell = np.concatenate([[0.0, tau, np.nextafter(tau, 0.0), 1e-300, 1e6, 1e12],
+                              np.random.default_rng(3).exponential(2.0, size=57)])
+        before = ell.tobytes()
+        sigma, terms = _wrap(ell, params)
+        want_sigma, want_terms = out_of_place_wrap(ell, params)
+        same_result(sigma, want_sigma)
+        same_result(terms, want_terms)
+        assert ell.tobytes() == before
+
+    @pytest.mark.parametrize("clamp_mode", CLAMP_MODES)
+    @pytest.mark.parametrize("ell", [0.0, 2.0, 1e6, np.float64(0.25), np.array(3.0), np.zeros(0), [0.5, 9.0]],
+                             ids=repr)
+    def test_superloss_sigma_scalars_zero_d_and_empty(self, clamp_mode, ell):
+        params = SuperLossParams(tau=2.0, lam=4.0, clamp_mode=clamp_mode)
+        same_result(superloss_sigma(ell, params), out_of_place_superloss_sigma(ell, params))
+
+    @pytest.mark.parametrize("ell, tau", [([1.0, np.nan], 2.0), (np.inf, 2.0), ([-np.inf], 2.0), (1.0, None)])
+    def test_superloss_sigma_errors(self, ell, tau):
+        same_error(superloss_sigma, out_of_place_superloss_sigma, ell, SuperLossParams(tau=tau))
 
 
 class TestSimsiam:

@@ -376,6 +376,20 @@ class TestBatchLossChecks:
         with pytest.raises(ValidationError, match="batch_loss: label out of range"):
             batch_loss("la", Tensor(np.zeros((2, 4))), [0, label], uniform(4), SuperLossParams())
 
+    # bool labels would index as a mask ([True, False] picks row 0's entries, not
+    # column 1 of row 0 and column 0 of row 1) and float labels cannot index
+    @pytest.mark.parametrize("labels", [np.array([True, False]), np.array([1.0, 0.0]), [1.0, 0.0], ["1", "0"]],
+                             ids=["bool", "float", "float-list", "str"])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_labels_that_are_not_integers(self, kind, labels):
+        with pytest.raises(ValidationError, match="batch_loss: labels must be integers"):
+            batch_loss(kind, Tensor([[2.0, 0.0], [0.0, 3.0]]), labels, uniform(2), SuperLossParams())
+
+    @pytest.mark.parametrize("labels", [np.array([1, 0], dtype=np.int8), np.array([1, 0], dtype=np.uint64), [1, 0]])
+    def test_integer_labels_of_any_width(self, labels):
+        loss, _ = batch_loss("ce", Tensor([[2.0, 0.0], [0.0, 3.0]]), labels, uniform(2), SuperLossParams())
+        assert loss.item() == pytest.approx((np.log1p(np.exp(2.0)) + np.log1p(np.exp(3.0))) / 2, abs=1e-15)
+
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_overflowing_cross_entropy_is_numeric_error(self, kind):
         # max(s) - s[y] = 2e308 overflows, for the mean and the SuperLoss wrap alike

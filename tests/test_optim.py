@@ -128,6 +128,55 @@ class TestAdam:
         assert theta.data[0] == pytest.approx(10.0 - 0.001 * g / (g + 1e-8), abs=1e-12)
 
 
+class TestStepErrors:
+    """A step that raises leaves the parameters' bits as they were, with or without
+    weight decay. Each runs outside ``train_epoch``, where the suite turns a NumPy
+    RuntimeWarning into an error, so an overflow must be the NumericError alone."""
+
+    @staticmethod
+    def _optimizer(kind, weight_decay):
+        params = [Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True),
+                  Tensor([10.0, 0.5], requires_grad=True)]
+        opt = Sgd(params, momentum=0.9, weight_decay=weight_decay) if kind == "sgd" else Adam(params, weight_decay)
+        for p in params:  # one good step first, so the moments are not zero
+            p._grad = np.ones_like(p.data)
+        opt.step(0.01)
+        return opt, params
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient(self, kind, weight_decay, bad):
+        opt, params = self._optimizer(kind, weight_decay)
+        before = opt.data.tobytes()
+        params[0]._grad = np.ones((2, 3))
+        params[1]._grad = np.array([0.0, bad])
+        with pytest.raises(NumericError, match=re.escape("gradient (weight decay included) contains NaN or Inf")):
+            opt.step(0.01)
+        assert opt.data.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_weight_decay_that_overflows_the_gradient(self, kind):
+        opt, params = self._optimizer(kind, 0.01)
+        opt.weight_decay = 1e308  # 1e308 * 10 overflows
+        before = opt.data.tobytes()
+        for p in params:
+            p._grad = np.zeros_like(p.data)
+        with pytest.raises(NumericError, match=re.escape("gradient (weight decay included)")):
+            opt.step(0.01)
+        assert opt.data.tobytes() == before
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_square_that_overflows(self, weight_decay):
+        opt, params = self._optimizer("adam", weight_decay)
+        before = opt.data.tobytes()
+        params[0]._grad = np.full((2, 3), 1e200)  # finite, but its square is not
+        params[1]._grad = np.zeros(2)
+        with pytest.raises(NumericError, match="adam step: the squared gradient overflows float64"):
+            opt.step(0.01)
+        assert opt.data.tobytes() == before
+
+
 def test_make_optimizer_dispatch():
     p = [Tensor([1.0], requires_grad=True)]
     assert isinstance(make_optimizer(OptimizerConfig(kind="sgd"), p), Sgd)
