@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import io as tio
 from .config import ExperimentConfig, config_load, describe_defaults, write_resolved
 from .data import AugmentationSpec, Dataset, ImbalanceSpec, NoiseSpec, exponential_profile
-from .errors import ConfigError, TailspinError, ValidationError
+from .errors import ConfigError, ContractError, TailspinError, ValidationError
 from .evaluation import KNNConfig, accuracy_suite, embed, export_embeddings, knn_classify
 from .gradcheck import TOLERANCE, battery
 from .losses import SuperLossParams
@@ -53,11 +54,33 @@ def _setup_logging() -> None:
 # ---------------------------------------------------------------------------
 # config -> settings objects
 
-def _settings(cfg: ExperimentConfig, prefix: str):
+# per settings prefix, the config key of each library field that the key's last part does not name
+_KEY_OF_FIELD = {"data": {"cluster_separation": "data.separation"}, "eval": {"k": "eval.knn_k"},
+                 "finetune": {"base_lr": "finetune.lr"}, "single_stage": {"base_lr": "finetune.lr"},
+                 "pretrain": {"gaussian_sigma": "pretrain.aug_sigma", "mask_prob": "pretrain.aug_mask_prob",
+                              "scale_jitter": "pretrain.aug_jitter"}}
+
+
+def _settings(cfg: ExperimentConfig, prefix: str, reference: int | None = None):
     """The library settings that the ``<prefix>.*`` keys describe: PretrainSettings for
     ``pretrain``; FinetuneSettings for ``finetune`` and ``single_stage``, which share
-    the finetune.* keys but each have their own epoch count; KNNConfig for ``eval``;
-    and build_model's width arguments for ``model``."""
+    the finetune.* keys but each have their own epoch count; KNNConfig for ``eval``,
+    checked against ``reference`` rows if given; build_model's width arguments for
+    ``model``; and for ``data`` the clean train and test sets. A library check's error
+    names the config key the user set, not the library field it feeds."""
+    try:
+        return _build_settings(cfg, prefix, reference)
+    except (ValidationError, ContractError) as exc:
+        keys = _KEY_OF_FIELD.get(prefix)
+        if not keys:
+            raise
+        raise type(exc)(re.sub(rf"\b({'|'.join(keys)})\b", lambda m: keys[m[1]], str(exc))) from None
+
+
+def _build_settings(cfg: ExperimentConfig, prefix: str, reference: int | None):
+    if prefix == "data":
+        return make_datasets(cfg["data.num_classes"], cfg["data.per_class"], cfg["data.dim"],
+                             cfg["data.separation"], cfg.seed, cfg["data.test_per_class"])
     if prefix == "pretrain":
         epochs = cfg["pretrain.epochs"]
         return PretrainSettings(
@@ -101,7 +124,10 @@ def _settings(cfg: ExperimentConfig, prefix: str):
                                       lam=cfg["finetune.lambda"], clamp_mode=cfg["finetune.clamp_mode"]),
         )
     if prefix == "eval":
-        return KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
+        knn = KNNConfig(k=cfg["eval.knn_k"], metric=cfg["eval.knn_metric"], weighting=cfg["eval.knn_weighting"])
+        if reference is not None:
+            knn.check_reference(reference)
+        return knn
     if prefix == "model":
         dims = {key: cfg[f"model.{key}"] for key in ("hidden_dim", "rep_dim", "proj_dim", "pred_hidden")}
         for key, width in dims.items():
@@ -183,8 +209,7 @@ def _save_and_summarize(cfg: ExperimentConfig, model, head, test: Dataset, stage
 # subcommand handlers
 
 def _cmd_generate(cfg: ExperimentConfig) -> None:
-    train, test = make_datasets(cfg["data.num_classes"], cfg["data.per_class"], cfg["data.dim"],
-                                cfg["data.separation"], cfg.seed, cfg["data.test_per_class"])
+    train, test = _settings(cfg, "data")
     _save_dataset(train, cfg.output_dir / "data" / "train", cfg)
     _save_dataset(test, cfg.output_dir / "data" / "test", cfg)
     log.info("generated %d train and %d test samples", train.num_samples, test.num_samples)
@@ -231,7 +256,7 @@ def _cmd_run(cfg: ExperimentConfig) -> None:
     are resolved first, so bad input fails before the first stage writes anything."""
     _settings(cfg, "pretrain"), _settings(cfg, "model")
     superloss = _settings(cfg, "finetune").superloss
-    _settings(cfg, "eval").check_reference(_corrupted_size(cfg))
+    _settings(cfg, "eval", reference=_corrupted_size(cfg))
     superloss.resolved(cfg["data.num_classes"])  # tau 'auto' is log(C), checked once data.* are
     _cmd_generate(cfg)
     _cmd_corrupt(cfg)

@@ -73,14 +73,18 @@ def lr_at(schedule: ScheduleConfig, epoch: int, effective_lr: float) -> float:
         return effective_lr
     span = schedule.total_epochs - schedule.warmup_epochs
     progress = (epoch - schedule.warmup_epochs) / span
-    return effective_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
+    # a Python float, which a float32 step keeps in float32 where a NumPy float64 would not
+    return float(effective_lr * 0.5 * (1.0 + np.cos(np.pi * progress)))
 
 
 class _Optimizer:
-    """Parameters as views into one flat vector ``data``. Each step gathers the
-    parameters' gradients into one vector, zeros where no gradient arrived,
-    and is a few whole-vector operations. Weight decay is coupled (added to
-    the gradient), and the gradient is checked finite before ``data`` moves."""
+    """Parameters as views into one flat vector ``data``, in the parameters' dtype,
+    which the optimizer's state and arithmetic share: float32 parameters are their
+    own float32 master weights. Each step gathers the parameters' gradients into
+    one vector, zeros where no gradient arrived, and is a few whole-vector
+    operations. Weight decay is coupled (added to the gradient), and the
+    gradient is checked finite before ``data`` or any state moves, so a step
+    that raises leaves the optimizer as it was."""
 
     def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
@@ -89,7 +93,7 @@ class _Optimizer:
         self._gathered = np.empty_like(self.data)
 
     def _gradient(self) -> np.ndarray:
-        g = np.concatenate([p._grad.ravel() if p._grad is not None else np.zeros(p.data.size)
+        g = np.concatenate([p._grad.ravel() if p._grad is not None else np.zeros(p.data.size, self.data.dtype)
                             for p in self.params], out=self._gathered)
         if self.weight_decay:
             with np.errstate(over="ignore"):  # an overflow fails the step's finiteness check
@@ -120,9 +124,11 @@ class Sgd(_Optimizer):
 
 class Adam(_Optimizer):
     """Bias-corrected Adam with the usual betas and eps; weight decay is coupled
-    (added to the gradient). Each step scans one vector for finiteness, the second
-    moment v: finite before the step, it stays finite exactly when g is finite and
-    g * g does not overflow. Only a failed scan reads g, to say which it was."""
+    (added to the gradient). Each step scans one vector for finiteness, the new
+    second moment v: from a finite v it is finite exactly when g is finite and
+    g * g does not overflow. Only a failed scan reads g, to say which it was. The
+    new v is formed in a second buffer, and the two swap only once the scan
+    passes; m, t and the parameters move after it too."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -130,21 +136,25 @@ class Adam(_Optimizer):
         super().__init__(params, weight_decay)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        self._v_next = np.empty_like(self.data)
         self.t = 0
-        # as 0-d arrays, since NumPy converts a Python-float operand on every call
-        self._factors = tuple(np.array(f) for f in (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps))
+        # as 0-d arrays of the parameters' dtype, since NumPy converts a Python-float
+        # operand on every call, and a float64 array would promote float32 arithmetic
+        self._factors = tuple(np.array(f, self.data.dtype)
+                              for f in (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps))
 
     def step(self, lr: float) -> None:
-        self.t += 1
-        m, v, (b1, c1, b2, c2, eps) = self.m, self.v, self._factors
+        m, (b1, c1, b2, c2, eps) = self.m, self._factors
         g = self._gradient()
         with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
-            v *= b2
+            v = np.multiply(self.v, b2, out=self._v_next)
             v += c2 * g * g
         if not np.isfinite(v).all():  # v = inf would leave theta unmoved
             if not np.isfinite(g).all():
                 raise NumericError(_NONFINITE_GRADIENT)
-            raise NumericError("adam step: the squared gradient overflows float64, aborting run")
+            raise NumericError(f"adam step: the squared gradient overflows {v.dtype}, aborting run")
+        self.v, self._v_next = v, self.v
+        self.t += 1
         m *= b1
         m += c1 * g
         self.data -= lr * (m / (1.0 - self.beta1 ** self.t)) / (np.sqrt(v / (1.0 - self.beta2 ** self.t)) + eps)

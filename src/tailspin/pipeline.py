@@ -26,11 +26,11 @@ from .errors import ConfigError, ContractError, ValidationError
 from .evaluation import (AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs,
                          knn_classify, map_rows)
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
-from .nn import Mlp, Model
+from .nn import NETWORKS, Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
 from .seeding import derive, rng_for
 from .ssl import SSLMethod, pretrain_epoch
-from .tensor import Tensor, _checked
+from .tensor import Tensor, _checked, cast
 
 FULL_HEAD = "full_head"
 LAST_LAYER_ONLY = "last_layer_only"
@@ -118,21 +118,33 @@ def pretrain(
     sink=None,
 ) -> list[MetricsRecord]:
     """Run the self-supervised stage; one record per epoch. Given a ``test_set``, the
-    last record carries the kNN proxy accuracy, whose k is checked before epoch 0."""
+    last record carries the kNN proxy accuracy, whose k is checked before epoch 0.
+
+    This is the package's one change of precision: the stage trains every network
+    of ``model``, BYOL's EMA target included, in float32 (views, forward, backward
+    and optimizer state), and on return, or on an error, the parameters are
+    float64 again, holding the float32 values exactly. The kNN proxy reads them."""
     if test_set is not None:
         knn_cfg.check_reference(dataset.num_samples)
-    opt = make_optimizer(settings.optimizer, model.trainable_parameters())
+    params = [p for name in NETWORKS if (net := getattr(model, name)) is not None for p in net.parameters()]
     effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
     epochs = settings.schedule.total_epochs
+    cast(params, np.float32)
+    try:
+        opt = make_optimizer(settings.optimizer, model.trainable_parameters())
 
-    def epoch_fn(epoch: int):
-        lr = lr_at(settings.schedule, epoch, effective)
-        loss = pretrain_epoch(model, dataset, settings.method, opt, lr, epoch, run_seed,
-                              settings.augmentation, settings.optimizer.batch_size)
-        last = epoch == epochs - 1 and test_set is not None
-        return loss, lr, {"knn_accuracy": knn_proxy_accuracy(model, dataset, test_set, knn_cfg) if last else None}
+        def epoch_fn(epoch: int):
+            lr = lr_at(settings.schedule, epoch, effective)
+            loss = pretrain_epoch(model, dataset, settings.method, opt, lr, epoch, run_seed,
+                                  settings.augmentation, settings.optimizer.batch_size)
+            if epoch < epochs - 1 or test_set is None:
+                return loss, lr, {"knn_accuracy": None}
+            cast(params, np.float64)
+            return loss, lr, {"knn_accuracy": knn_proxy_accuracy(model, dataset, test_set, knn_cfg)}
 
-    return _run_epochs("pretrain", epochs, run_seed, sink, epoch_fn)
+        return _run_epochs("pretrain", epochs, run_seed, sink, epoch_fn)
+    finally:
+        cast(params, np.float64)
 
 
 def knn_proxy_accuracy(model: Model, train_set: Dataset, test_set: Dataset, cfg: KNNConfig) -> float:

@@ -128,7 +128,7 @@ def nt_xent_loss(z: Tensor, temperature: float) -> Tensor:
     inv_t = 1.0 / temperature
     sims = (y @ yt) * inv_t
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
-    nll, nll_vjp = _softmax_nll(sims + np.eye(2 * b) * _NEG_MASK, positives)
+    nll, nll_vjp = _softmax_nll(sims + np.eye(2 * b, dtype=sims.dtype) * _NEG_MASK, positives)
     inv_n = 1.0 / (2 * b)
 
     def vjp(g):
@@ -148,7 +148,7 @@ def _standardize(a: np.ndarray, inv_b: float, eps: float):
     centered = a - mu
     var = np.sum(centered * centered, axis=0, keepdims=True) * inv_b
     if not np.isfinite(var).all():
-        raise NumericError("barlow_twins: a column's variance overflows float64")
+        raise NumericError(f"barlow_twins: a column's variance overflows {var.dtype}")
     shifted = var + eps
     scale = shifted ** -0.5
 
@@ -175,7 +175,7 @@ def barlow_twins_loss(z: Tensor, lambda_bt: float, eps: float = 1e-9) -> Tensor:
     if b < 2:
         raise ContractError("barlow_twins: batch standardization needs batch size >= 2")
     inv_b = 1.0 / b
-    eye = np.eye(z.shape[1])
+    eye = np.eye(z.shape[1], dtype=z.data.dtype)
     off_mask = 1.0 - eye
     std_a, vjp_a = _standardize(z.data[:b], inv_b, eps)
     std_b, vjp_b = _standardize(z.data[b:], inv_b, eps)
@@ -205,9 +205,10 @@ def method_loss(model: Model, method: SSLMethod, view_a: np.ndarray, view_b: np.
 
     Both views pass through each network once, as one stacked (2B, d) batch
     with view a in rows [:B], so every layer forms one product over the 2B
-    rows, as SimSiam and SimCLR batch their views. ``method`` must be the one
-    ``model`` was built for, which decides its networks. SimSiam applies
-    ``method.stop_gradient``; BYOL's target is the EMA network, which takes no gradient.
+    rows, as SimSiam and SimCLR batch their views, in the dtype of the views
+    and the model. ``method`` must be the one ``model`` was built for, which
+    decides its networks. SimSiam applies ``method.stop_gradient``; BYOL's
+    target is the EMA network, which takes no gradient.
     """
     if method.name != model.method:
         raise ContractError(f"method_loss: {method.name} loss on a {model.method} model")
@@ -240,16 +241,22 @@ def pretrain_epoch(
 
     Both views of every sample are built once per epoch, in blocks of rows,
     and indexed per batch; each row draws only from its own seeds, so they
-    equal the views ``build_views`` makes for the batch. Batches smaller than
+    equal the views ``build_views`` makes for the batch, stored in the dtype
+    of the model's parameters (``augment`` computes in float64, and a float32
+    model's views are its values rounded). A view that overflows that dtype
+    is a NumericError. Batches smaller than
     2 at the tail of the epoch are dropped because the contrastive and
     redundancy objectives are undefined on them.
     """
-    n = dataset.num_samples
-    view_a, view_b = np.empty((n, dataset.feature_dim)), np.empty((n, dataset.feature_dim))
+    n, dtype = dataset.num_samples, model.encoder.layers[0].weight.data.dtype
+    view_a, view_b = np.empty((n, dataset.feature_dim), dtype), np.empty((n, dataset.feature_dim), dtype)
     for start in range(0, n, _VIEW_BLOCK_ROWS):
         stop = min(start + _VIEW_BLOCK_ROWS, n)
-        view_a[start:stop], view_b[start:stop] = build_views(dataset.features[start:stop], np.arange(start, stop),
-                                                             aug, run_seed, epoch)
+        with np.errstate(over="ignore"):  # rounding to float32 may overflow; the check below says so
+            view_a[start:stop], view_b[start:stop] = build_views(dataset.features[start:stop],
+                                                                 np.arange(start, stop), aug, run_seed, epoch)
+        if not (np.isfinite(view_a[start:stop]).all() and np.isfinite(view_b[start:stop]).all()):
+            raise NumericError(f"augment: a view overflows {dtype}")
 
     def loss_fn(idx: np.ndarray) -> Tensor:
         return method_loss(model, method, view_a[idx], view_b[idx])

@@ -1,4 +1,12 @@
-"""Dense double-precision tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
+
+A tensor holds float32 data if it was given float32, and float64 otherwise;
+every op works and records in its inputs' dtype, never casting. The package
+keeps one precision boundary: ``pipeline.pretrain`` runs self-supervised
+pretraining (its views, forward, backward and optimizer state) in float32 and
+hands back float64 parameters holding the float32 values, and everything else
+(gradient checks, fine-tuning, the single-stage baseline, sigma*, priors and
+evaluation) runs in float64.
 
 Define-by-run: every operation builds its output through ``_op``, which,
 while a Tape is active, appends one (output, vjp) record to it; vjp(output
@@ -70,7 +78,7 @@ class Tape:
         # drop the records before replaying them, so the graph is freed as the
         # gradients are applied even while the caller still holds this tape
         records, self._records = self._records, []
-        output._grad = np.ones(output.data.shape)
+        output._grad = np.ones_like(output.data)
         for node, vjp in reversed(records):
             if node._grad is not None:
                 for t, grad in vjp(node._grad):
@@ -81,7 +89,8 @@ class Tape:
 
 
 class Tensor:
-    """Row-major float64 array plus its gradient slot. It holds no tape pointer.
+    """Row-major array plus its gradient slot: float32 data stays float32, and any
+    other data becomes float64. It holds no tape pointer.
 
     ``flatten`` can make ``data`` a view of one slice of a flat vector
     (``_flat`` is then that vector and the slice's offset).
@@ -90,7 +99,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_grad", "_flat")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data)
+        arr = np.ascontiguousarray(arr, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
         if not np.isfinite(arr).all():
             raise NumericError("tensor creation: data contains NaN or Inf")
         self.data = arr
@@ -149,7 +159,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
-    """The float64 vector whose consecutive slices hold the tensors' data, in order.
+    """The vector whose consecutive slices hold the tensors' data, in order, in their dtype.
 
     If the tensors already tile one run of a vector made here, that run (a
     view); otherwise a new vector holding their values, each tensor's data
@@ -176,6 +186,15 @@ def flatten(tensors: Sequence[Tensor]) -> np.ndarray:
     return vector
 
 
+def cast(tensors: Sequence[Tensor], dtype) -> None:
+    """Round each tensor's data to ``dtype`` in place: the tensor, its shape and its
+    flags stay, and it leaves any flat vector that it was a view of. A tensor
+    already in ``dtype`` is left as it is."""
+    for t in tensors:
+        if t.data.dtype != dtype:
+            t.data, t._flat = t.data.astype(dtype), None
+
+
 def _op(name: str, value: np.ndarray, vjp: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]],
         *inputs: Tensor) -> Tensor:
     """Output of op ``name`` with forward ``value``, computed from ``inputs``.
@@ -184,15 +203,16 @@ def _op(name: str, value: np.ndarray, vjp: Callable[[np.ndarray], list[tuple[Ten
     such an output adds one (output, vjp) record. vjp(g) returns the (input,
     gradient) pairs of the inputs that require a gradient, in the order
     backward adds them, and never forms another input's gradient; an input
-    may appear in several pairs. Each gradient is a new, writable float64
-    ndarray with its input's shape, and the tape may keep it: an op that
+    may appear in several pairs. The output keeps the dtype of ``value``, which
+    is that of the inputs. Each gradient is a new, writable ndarray with its
+    input's shape and dtype, and the tape may keep it: an op that
     broadcast an input sums the gradient back down itself, and one whose
     gradient would be a view copies it. (For a 0-d input, NumPy arithmetic
-    gives a float64 scalar, which serves alike.) A non-finite output is a
+    gives a scalar of that dtype, which serves alike.) A non-finite output is a
     NumericError; a fused op checks itself any intermediate that a later step
     could hide.
     """
-    arr = np.ascontiguousarray(value, dtype=np.float64)
+    arr = np.ascontiguousarray(value)
     if not np.isfinite(arr).all():
         raise NumericError(f"{name}: produced non-finite values")
     out = _checked(arr, any([t.requires_grad for t in inputs]))
@@ -202,7 +222,7 @@ def _op(name: str, value: np.ndarray, vjp: Callable[[np.ndarray], list[tuple[Ten
 
 
 def _checked(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
-    """A Tensor over ``arr`` itself, a C-contiguous float64 array that a check found finite."""
+    """A Tensor over ``arr`` itself, a C-contiguous float32 or float64 array that a check found finite."""
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out._grad, out._flat = arr, requires_grad, None, None
     return out
@@ -394,7 +414,7 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Unit-normalize along one axis; vectors with norm < 1e-12 map to zero. A
-    squared norm beyond float64 range is a NumericError, not a zero vector."""
+    squared norm beyond the range of a's dtype is a NumericError, not a zero vector."""
     y, vjp = _unit(a.data, axis, "l2_normalize")
     return _op("l2_normalize", y, lambda g: [(a, vjp(g))], a)
 
@@ -404,7 +424,7 @@ def _unit(a: np.ndarray, axis: int, name: str):
     with np.errstate(over="ignore"):
         squared = np.sum(a * a, axis=axis, keepdims=True)
     if not np.isfinite(squared).all():
-        raise NumericError(f"{name}: squared norm overflows float64")
+        raise NumericError(f"{name}: squared norm overflows {a.dtype}")
     norm = np.sqrt(squared)
     degenerate = norm < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norm)

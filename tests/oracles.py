@@ -17,10 +17,12 @@ import numpy as np
 from tailspin.errors import ContractError, NumericError, ValidationError
 from tailspin.evaluation import MetricsRecord
 from tailspin.losses import _BRANCH_POINT, superloss_sigma
+from tailspin.nn import NETWORKS
 from tailspin.tensor import (
     Tensor,
     _op,
     add,
+    cast,
     concat_rows,
     gather_rows,
     l2_normalize,
@@ -33,6 +35,13 @@ from tailspin.tensor import (
     tensor_sum,
     transpose,
 )
+
+
+def in_dtype(model, dtype):
+    """``model`` with every network's parameters rounded to ``dtype`` in place, as
+    ``pipeline.pretrain`` casts them for its float32 stage."""
+    cast([p for name in NETWORKS if (net := getattr(model, name)) is not None for p in net.parameters()], dtype)
+    return model
 
 
 def params_digest(params) -> str:
@@ -324,9 +333,15 @@ def unfused_mlp(mlp, x):
     return x
 
 
+def constant(value, like):
+    """``value`` as a tensor of ``like``'s dtype, as a fused op's Python-float operand
+    acts: a float64 constant would promote a float32 chain."""
+    return Tensor(np.asarray(value, like.data.dtype))
+
+
 def unfused_mean(a, axis=None, keepdims=False):
     n = a.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), constant(1.0 / n, a))
 
 
 def logit_adjust(logits, priors):
@@ -361,8 +376,8 @@ def unfused_nt_xent(z_a, z_b, temperature):
     scale, masked add, log_sum_exp, gather_rows, sub and mean."""
     b = z_a.shape[0]
     z = l2_normalize(concat_rows(z_a, z_b))
-    sims = mul(matmul(z, transpose(z)), Tensor(1.0 / temperature))
-    masked = add(sims, Tensor(np.eye(2 * b) * -1e9))
+    sims = mul(matmul(z, transpose(z)), constant(1.0 / temperature, z))
+    masked = add(sims, constant(np.eye(2 * b) * -1e9, z))
     positives = np.concatenate([np.arange(b) + b, np.arange(b)])
     return unfused_mean(sub(log_sum_exp(masked, axis=-1), gather_rows(masked, positives)))
 
@@ -393,14 +408,14 @@ def standardize_columns(a, eps: float = 1e-9):
     mu = unfused_mean(a, axis=0, keepdims=True)
     centered = sub(a, mu)
     var = unfused_mean(mul(centered, centered), axis=0, keepdims=True)
-    return mul(centered, power(add(var, Tensor(eps)), -0.5))
+    return mul(centered, power(add(var, constant(eps, var)), -0.5))
 
 
 def unfused_simsiam(p_a, z_a, p_b, z_b, stop_grad=True):
     """-0.5 * [cos(p_a, sg(z_b)) + cos(p_b, sg(z_a))] on two views."""
     t_b = stop_gradient(z_b) if stop_grad else z_b
     t_a = stop_gradient(z_a) if stop_grad else z_a
-    half = Tensor(0.5)
+    half = constant(0.5, p_a)
     return add(mul(negative_cosine_similarity(p_a, t_b), half), mul(negative_cosine_similarity(p_b, t_a), half))
 
 
@@ -408,13 +423,13 @@ def unfused_barlow_twins(z_a, z_b, lambda_bt, eps=1e-9):
     b, d = z_a.shape
     za = standardize_columns(z_a, eps=eps)
     zb = standardize_columns(z_b, eps=eps)
-    corr = mul(matmul(transpose(za), zb), Tensor(1.0 / b))
-    eye = np.eye(d)
-    diag_err = mul(sub(corr, Tensor(eye)), Tensor(eye))
-    off = mul(corr, Tensor(1.0 - eye))
+    corr = mul(matmul(transpose(za), zb), constant(1.0 / b, za))
+    eye = constant(np.eye(d), corr)
+    diag_err = mul(sub(corr, eye), eye)
+    off = mul(corr, constant(1.0 - eye.data, corr))
     invariance = tensor_sum(mul(diag_err, diag_err))
     redundancy = tensor_sum(mul(off, off))
-    return add(invariance, mul(redundancy, Tensor(lambda_bt)))
+    return add(invariance, mul(redundancy, constant(lambda_bt, redundancy)))
 
 
 def row_block(a, start, stop):
@@ -422,7 +437,7 @@ def row_block(a, start, stop):
     which adds to any float without changing its bits, so the blocks of one tensor
     hand it their gradients unchanged."""
     def vjp(g):
-        grad = np.full(a.shape, -0.0)
+        grad = np.full(a.shape, -0.0, a.data.dtype)
         grad[start:stop] = g
         return [(a, grad)]
 

@@ -23,7 +23,7 @@ from tailspin.evaluation import KNNConfig, knn_classify
 from tailspin.gradcheck import battery
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss, lambert_w0, superloss_sigma
 from tailspin.nn import SSL_METHODS, build_model
-from tailspin.optim import OptimizerConfig, make_optimizer
+from tailspin.optim import OptimizerConfig, ScheduleConfig
 from tailspin.pipeline import (
     FinetuneSettings,
     PretrainSettings,
@@ -36,7 +36,7 @@ from tailspin.pipeline import (
     run_single_stage,
 )
 from tailspin.seeding import derive
-from tailspin.ssl import SSLMethod, pretrain_epoch
+from tailspin.ssl import SSLMethod
 from tailspin.tensor import Tensor
 
 
@@ -147,12 +147,12 @@ def test_criterion_6_ssl_label_blindness():
         digests = []
         for ds in (data, tampered):
             model = build_model(method_name, 6, hidden_dim=12, rep_dim=6, proj_dim=6, pred_hidden=4, seed=107)
-            method = SSLMethod(method_name)
-            opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=16),
-                                 model.trainable_parameters())
-            aug = AugmentationSpec(0.4, 0.0, 0.2)
-            for epoch in range(2):
-                pretrain_epoch(model, ds, method, opt, 0.002, epoch, 106, aug, 16)
+            # the float32 stage that run ships; Adam at 0.032 * 16 / 256 = 0.002 for 2 epochs
+            settings = PretrainSettings(SSLMethod(method_name),
+                                        OptimizerConfig(kind="adam", base_lr=0.032, weight_decay=0.0, batch_size=16),
+                                        ScheduleConfig(kind="constant", warmup_epochs=0, total_epochs=2),
+                                        AugmentationSpec(0.4, 0.0, 0.2))
+            pretrain(model, ds, settings, 106)
             params = model.trainable_parameters()
             if model.ema_encoder is not None:
                 params = params + model.ema_encoder.parameters() + model.ema_projector.parameters()

@@ -250,10 +250,13 @@ class TestStagewiseCommands:
     def test_chain_writes_the_same_files_as_run(self, tmp_path, method):
         settings = ["--seed", "6", *FAST, "--set", "data.gamma=4", "--set", "data.nu=0.3",
                     "--set", f"pretrain.method={method}"]
-        assert run_cli("run", "--output", str(tmp_path / "run"), *settings) == 0
-        for cmd in ("generate", "corrupt", "pretrain", "finetune"):
+        for cmd in ("run", "eval"):
+            assert run_cli(cmd, "--output", str(tmp_path / "run"), *settings) == 0
+        for cmd in ("generate", "corrupt", "pretrain", "finetune", "eval"):
             assert run_cli(cmd, "--output", str(tmp_path / "chain"), *settings) == 0
-        for name in ("metrics.jsonl", "summary.json"):
+        # pretraining's float32 stage hands both the same float64 checkpoint
+        for name in ("metrics.jsonl", "summary.json", "eval.json", "checkpoints/pretrained/params.bin",
+                     "checkpoints/finetuned/params.bin"):
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes(), name
 
     def test_true_label_tamper_leaves_checkpoints_identical(self, tmp_path):
@@ -397,7 +400,7 @@ class TestErrorReporting:
         for override, code, error, commands, named in [
             ("finetune.tau=abc", 2, "config-error", ["run"], "finetune.tau"),
             ("finetune.tau=nan", 2, "config-error", ["run", "run-single-stage"], "finetune.tau"),
-            ("eval.knn_k=100000", 1, "contract-error", ["run"], "k"),
+            ("eval.knn_k=100000", 1, "contract-error", ["run"], "eval.knn_k"),
             ("finetune.lr=nan", 2, "config-error", ["run"], "finetune.lr"),
             ("model.hidden_dim=0", 1, "validation-error", ["run"], "model.hidden_dim"),
             ("pretrain.batch_size=1", 1, "validation-error", ["run"], "batch_size"),
@@ -427,11 +430,11 @@ class TestErrorReporting:
             ("pretrain.momentum=5", 1, "validation-error", ["run"], "momentum"),
             ("finetune.optimizer=sgd finetune.momentum=-5", 1, "validation-error", ["run"], "momentum"),
             ("pretrain.weight_decay=-1", 1, "validation-error", ["run"], "weight_decay"),
-            ("pretrain.aug_jitter=5", 1, "validation-error", ["run"], "scale_jitter"),
-            ("pretrain.aug_sigma=-1", 1, "validation-error", ["run"], "gaussian_sigma"),
+            ("pretrain.aug_jitter=5", 1, "validation-error", ["run"], "pretrain.aug_jitter"),
+            ("pretrain.aug_sigma=-1", 1, "validation-error", ["run"], "pretrain.aug_sigma"),
             ("pretrain.ema_momentum=2", 1, "validation-error", ["run"], "ema_momentum"),
             # finite, but the class means would overflow the float32 features
-            ("data.separation=1e300", 1, "validation-error", ["run", "run-single-stage"], "cluster_separation"),
+            ("data.separation=1e300", 1, "validation-error", ["run", "run-single-stage"], "data.separation"),
             ("data.per_class=0", 1, "validation-error", ["run", "run-single-stage"], "per_class"),
             ("data.test_per_class=0", 1, "validation-error", ["run", "run-single-stage"], "test_per_class"),
         ]
@@ -591,11 +594,6 @@ _TINY = {"data.per_class": 12, "data.test_per_class": 4, "data.dim": 4, "model.h
          "eval.knn_k": 3}
 _UNSIZED = ("pretrain.batch_size", "pretrain.warmup_epochs", "finetune.batch_size", "eval.knn_k", "run.seed")
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 0.5, 0.999999, 1.0, -1.0, 1e300, -1e300, 1.7e308)
-# a library check names its own parameter: the key's last part (``dim`` for
-# data.dim), or for these keys the field of the settings object they feed
-_FIELD = {"data.separation": "cluster_separation", "finetune.lr": "base_lr", "eval.knn_k": "k",
-          "pretrain.aug_sigma": "gaussian_sigma", "pretrain.aug_mask_prob": "mask_prob",
-          "pretrain.aug_jitter": "scale_jitter"}
 
 
 def _edge_values(key):
@@ -633,8 +631,29 @@ def test_edge_values_finish_or_fail_as_one_classed_line(tmp_path_factory, capsys
     assert code == (2 if cls == "config-error" else 1), (drawn, lines)
     if cls != "numeric-error":
         assert cls in ("config-error", "validation-error", "contract-error"), (drawn, lines)
-        assert any(key in message or re.search(rf"\b{_FIELD.get(key, key.split('.')[-1])}\b", message)
+        # a check names the key, or its last part (``dim`` for data.dim)
+        assert any(key in message or re.search(rf"\b{key.split('.')[-1]}\b", message)
                    for key in drawn), (drawn, lines)
+
+
+@pytest.mark.parametrize("key, value", [("finetune.lr", "0"), ("eval.knn_k", "0"), ("data.separation", "0"),
+                                        ("data.separation", "1e300"), ("pretrain.aug_sigma", "-1"),
+                                        ("pretrain.aug_mask_prob", "1"), ("pretrain.aug_jitter", "2")])
+def test_library_check_names_the_key_the_user_set(tmp_path, capsys, key, value):
+    # these keys feed library fields of other names (finetune.lr is OptimizerConfig's base_lr)
+    assert run_cli("run", "--output", str(tmp_path), *FAST, "--set", f"{key}={value}") == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"validation-error: {key}"), lines
+
+
+@pytest.mark.parametrize("method, message", [("simsiam", "simsiam: squared norm overflows float32"),
+                                             ("simclr", "nt_xent: squared norm overflows float32"),
+                                             ("barlow_twins", "barlow_twins: a column's variance overflows float32")])
+def test_float32_pretraining_overflow_is_one_numeric_error_line(tmp_path, capsys, method, message):
+    # features near 1e20: their squares fit float64 but not the float32 that pretraining runs in
+    assert run_cli("run", "--output", str(tmp_path), *FAST, "--set", "data.separation=1e20",
+                   "--set", f"pretrain.method={method}") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"numeric-error: {message}"]
 
 
 def test_console_script_entry_point():

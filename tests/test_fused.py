@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    in_dtype,
     out_of_place_lambert_w0,
     out_of_place_softmax_nll,
     out_of_place_superloss_sigma,
@@ -463,21 +464,21 @@ def test_method_loss_agrees_with_two_passes_to_rounding(method, stop_grad, batch
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
-def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
+def _pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad, dtype):
     # named for the two-pass loop it once pinned: now the loop over the unfused
-    # chains on each batch's stacked rows, with views from build_views per batch
+    # chains on each batch's stacked rows, with views from build_views per batch,
+    # rounded to the models' dtype as pretrain_epoch stores them
     # 39 samples in batches of 16: the last batch of every epoch is ragged
     dataset = generate_synthetic(3, 13, 8, 6.0, seed=34)
     ssl_method, aug = SSLMethod(method, stop_gradient=stop_grad), AugmentationSpec(0.4, 0.1, 0.2)
-    models = [build_model(method, 8, seed=35) for _ in range(2)]
+    models = [in_dtype(build_model(method, 8, seed=35), dtype) for _ in range(2)]
     opts = [make_optimizer(OptimizerConfig(batch_size=16), m.trainable_parameters()) for m in models]
     for epoch in range(3):
         got = pretrain_epoch(models[0], dataset, ssl_method, opts[0], 0.05, epoch, 36, aug, 16)
 
         def loss_fn(idx):
             views = build_views(dataset.features[idx], idx, aug, 36, epoch)
-            return unfused_method_loss(models[1], ssl_method, *views)
+            return unfused_method_loss(models[1], ssl_method, *(v.astype(dtype) for v in views))
 
         after = (lambda: ema_update(models[1], ssl_method.ema_momentum)) if method == "byol" else None
         want = train_epoch(opts[1], 0.05, loss_fn, dataset.num_samples, 16, 36, "pretrain", epoch,
@@ -487,6 +488,19 @@ def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
     digests = [[params_digest(getattr(m, n).parameters()) for n in networks if getattr(m, n) is not None]
                for m in models]
     assert digests[0] == digests[1]
+    assert {p.data.dtype for m in models for n in networks if getattr(m, n) is not None
+            for p in getattr(m, n).parameters()} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad):
+    _pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad, np.float64)
+
+
+@pytest.mark.parametrize("method, stop_grad", _ssl_cases())
+def test_pretrain_epochs_bit_equal_to_two_pass_loop_in_float32(method, stop_grad):
+    # the precision pipeline.pretrain trains in: the unfused chains run in float32 too
+    _pretrain_epochs_bit_equal_to_two_pass_loop(method, stop_grad, np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,12 @@ class TestSchedule:
         values = [lr_at(sched, e, 0.1) for e in range(5, 60)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("kind", ["cosine", "constant"])
+    def test_every_rate_is_a_python_float(self, kind):
+        # a NumPy float64 rate would promote a float32 optimizer's update to float64
+        sched = ScheduleConfig(kind, warmup_epochs=5, total_epochs=60)
+        assert {type(lr_at(sched, e, 0.1)) for e in range(60)} == {float}
+
     def test_epoch_out_of_range(self):
         sched = ScheduleConfig("cosine", warmup_epochs=5, total_epochs=60)
         with pytest.raises(ContractError):
@@ -176,6 +182,40 @@ class TestStepErrors:
             opt.step(0.01)
         assert opt.data.tobytes() == before
 
+    def test_adam_square_that_overflows_float32_names_float32(self):
+        params = [Tensor(np.ones(3, np.float32), requires_grad=True)]
+        opt = Adam(params)
+        params[0]._grad = np.full(3, 1e21, np.float32)  # its square overflows float32, not float64
+        with pytest.raises(NumericError, match="adam step: the squared gradient overflows float32"):
+            opt.step(0.01)
+
+    @staticmethod
+    def _state(opt):
+        return [opt.data.copy()] + ([opt.velocity.copy()] if isinstance(opt, Sgd) else [opt.m.copy(), opt.v.copy(), opt.t])
+
+    @pytest.mark.parametrize("kind, bad", [("sgd", np.nan), ("sgd", np.inf), ("adam", np.nan), ("adam", -np.inf),
+                                           ("adam", 1e200)])  # 1e200: Adam's square overflows
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_after_a_caught_error_is_a_fresh_optimizers_step(self, kind, bad, weight_decay):
+        opt, params = self._optimizer(kind, weight_decay)
+        state = self._state(opt)
+        params[0]._grad, params[1]._grad = np.ones((2, 3)), np.array([0.0, bad])
+        with pytest.raises(NumericError):
+            opt.step(0.01)
+        fresh_params = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        fresh = Sgd(fresh_params, momentum=0.9, weight_decay=weight_decay) if kind == "sgd" else Adam(fresh_params,
+                                                                                                      weight_decay)
+        if kind == "sgd":
+            fresh.velocity[:] = state[1]
+        else:
+            fresh.m[:], fresh.v[:], fresh.t = state[1], state[2], state[3]
+        for o, ps in ((opt, params), (fresh, fresh_params)):
+            ps[0]._grad, ps[1]._grad = np.full((2, 3), 0.5), np.array([0.25, -2.0])
+            o.step(0.01)
+        for got, want in zip(self._state(opt), self._state(fresh)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert opt.data.tobytes() != state[0].tobytes()
+
 
 def test_make_optimizer_dispatch():
     p = [Tensor([1.0], requires_grad=True)]
@@ -242,6 +282,25 @@ class TestFlatBuffer:
             ref.zero_grad()
             assert flat.data.tobytes() == _bits(p.data for p in ref_leaves)
             assert _bits(p.data for p in flat_leaves) == _bits(p.data for p in ref_leaves)
+
+    @pytest.mark.parametrize("kind, kwargs", [("sgd", {"momentum": 0.9, "weight_decay": 0.01}),
+                                              ("adam", {"weight_decay": 0.01})])
+    def test_float32_steps_stay_float32_and_equal_per_tensor_steps(self, kind, kwargs):
+        # the per-tensor steps take Python-float constants, which NumPy applies in float32
+        rng = np.random.default_rng(3)
+        values = [rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=4).astype(np.float32)]
+        flat_leaves, ref_leaves = ([Tensor(v.copy(), requires_grad=True) for v in values] for _ in range(2))
+        flat, ref = _FLAT[kind](flat_leaves, **kwargs), _PER_TENSOR[kind](ref_leaves, **kwargs)
+        for step in range(20):
+            grads = [rng.normal(size=v.shape).astype(np.float32) for v in values]
+            for leaves, opt in ((flat_leaves, flat), (ref_leaves, ref)):
+                for p, g in zip(leaves, grads):
+                    p._grad = g.copy()
+                opt.step(lr_at(ScheduleConfig(warmup_epochs=0, total_epochs=20), step, 1e-2))
+                opt.zero_grad()
+            assert _bits(p.data for p in flat_leaves) == _bits(p.data for p in ref_leaves)
+        state = [flat.velocity] if kind == "sgd" else [flat.m, flat.v]
+        assert {a.dtype for a in [flat.data, *state]} == {np.dtype(np.float32)}
 
     def test_byol_steps_and_ema_bit_equal_to_per_tensor(self):
         flat_model, ref_model = (build_model("byol", 5, hidden_dim=6, rep_dim=4, proj_dim=4, pred_hidden=3, seed=4)

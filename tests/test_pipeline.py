@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import params_digest
+from oracles import in_dtype, params_digest
+from tailspin import tensor
 from tailspin.data import AugmentationSpec, Dataset, generate_synthetic
-from tailspin.errors import ConfigError, ContractError, ValidationError
+from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
 from tailspin.evaluation import KNNConfig
-from tailspin.nn import build_model
-from tailspin.optim import OptimizerConfig, ScheduleConfig
+from tailspin.gradcheck import battery
+from tailspin.nn import NETWORKS, SSL_METHODS, build_model
+from tailspin.optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr
 from tailspin.pipeline import (
     FULL_HEAD,
     LAST_LAYER_ONLY,
@@ -18,13 +20,14 @@ from tailspin.pipeline import (
     corrupt_train,
     evaluate_classifier,
     finetune,
+    knn_proxy_accuracy,
     make_datasets,
     pretrain,
     run_single_stage,
     select_freeze_policy,
 )
 from tailspin.seeding import derive
-from tailspin.ssl import SSLMethod
+from tailspin.ssl import SSLMethod, pretrain_epoch
 
 
 def fast_pretrain(method="simsiam", epochs=6):
@@ -326,3 +329,92 @@ class TestMakeDatasets:
         assert 0.15 <= changed <= 0.45  # 0.4 * 2/3 expected
         assert test.true_counts().tolist() == [50, 50, 50]
         assert np.array_equal(test.labels_observed, test.labels_true)
+
+
+class TestPrecisionBoundary:
+    """pipeline.pretrain trains in float32 and hands back float64 parameters; every
+    other stage, gradient checks included, forms its tensors in float64."""
+
+    @pytest.fixture
+    def op_dtypes(self, monkeypatch):
+        # every op's output passes through tensor._checked, looked up at call time
+        seen = []
+        checked = tensor._checked
+
+        def spy(arr, requires_grad=False):
+            seen.append(arr.dtype)
+            return checked(arr, requires_grad)
+
+        monkeypatch.setattr(tensor, "_checked", spy)
+        return seen
+
+    @staticmethod
+    def all_params(model):
+        return [p for name in NETWORKS if (net := getattr(model, name)) is not None for p in net.parameters()]
+
+    @pytest.mark.parametrize("method", SSL_METHODS)
+    def test_pretrain_is_float32_training_returned_in_float64(self, op_dtypes, method):
+        train, _ = make_datasets(3, 20, 6, 4.0, run_seed=1)
+        settings = fast_pretrain(method, epochs=3)
+        model = build_model(method, 6, seed=2)
+        pretrain(model, train, settings, 3)
+        assert set(op_dtypes) == {np.dtype(np.float32)}
+        params = self.all_params(model)
+        assert {p.data.dtype for p in params} == {np.dtype(np.float64)}
+        assert all(np.array_equal(p.data.astype(np.float32).astype(np.float64), p.data) for p in params)
+        # the same as the float32 epochs run by hand, then widened
+        reference = in_dtype(build_model(method, 6, seed=2), np.float32)
+        opt = make_optimizer(settings.optimizer, reference.trainable_parameters())
+        effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
+        for epoch in range(3):
+            pretrain_epoch(reference, train, settings.method, opt, lr_at(settings.schedule, epoch, effective), epoch,
+                           3, settings.augmentation, settings.optimizer.batch_size)
+        assert params_digest(params) == params_digest(self.all_params(in_dtype(reference, np.float64)))
+
+    def test_knn_proxy_reads_the_float64_parameters(self, op_dtypes):
+        train, test = make_datasets(3, 20, 6, 4.0, run_seed=1, test_per_class=10)
+        model = build_model("byol", 6, seed=2)
+        records = pretrain(model, train, fast_pretrain("byol", epochs=3), 3, KNNConfig(k=3), test)
+        first64 = op_dtypes.index(np.dtype(np.float64))
+        assert set(op_dtypes[:first64]) == {np.dtype(np.float32)}
+        assert set(op_dtypes[first64:]) == {np.dtype(np.float64)}
+        assert records[-1].knn_accuracy == knn_proxy_accuracy(model, train, test, KNNConfig(k=3))
+
+    def test_pretrain_that_raises_leaves_float64_parameters(self):
+        train, _ = make_datasets(3, 20, 6, 4.0, run_seed=1)
+        model = build_model("simsiam", 6, seed=2)
+
+        def refuse(record):  # fails after the first float32 epoch
+            raise ContractError("sink refused")
+
+        with pytest.raises(ContractError, match="sink refused"):
+            pretrain(model, train, fast_pretrain(epochs=3), 3, sink=refuse)
+        assert {p.data.dtype for p in self.all_params(model)} == {np.dtype(np.float64)}
+
+    def test_overflow_in_float32_is_one_numeric_error_naming_float32(self):
+        # features of 1e20: float64 holds every square in the step, float32 does not
+        base, _ = make_datasets(3, 20, 6, 4.0, run_seed=1)
+        train = Dataset(base.features * np.float32(1e20), base.labels_observed, base.labels_true, 3)
+        model = build_model("simsiam", 6, seed=2)
+        with pytest.raises(NumericError, match=r"^simsiam: squared norm overflows float32$"):
+            pretrain(model, train, fast_pretrain(epochs=3), 3)
+        assert {p.data.dtype for p in self.all_params(model)} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("policy", [FULL_HEAD, LAST_LAYER_ONLY])
+    def test_finetune_and_evaluation_stay_float64(self, op_dtypes, setup, policy):
+        train, test, model = setup
+        head = build_finetune_head(model, 3, seed=4)
+        finetune(model, head, train, fast_finetune(epochs=1), policy, 5, test_set=test)
+        evaluate_classifier(model, head, test)
+        knn_proxy_accuracy(model, train, test, KNNConfig(k=3))
+        assert op_dtypes and set(op_dtypes) == {np.dtype(np.float64)}
+        assert {p.data.dtype for p in head.parameters()} == {np.dtype(np.float64)}
+
+    def test_single_stage_and_gradcheck_stay_float64(self, op_dtypes, setup):
+        train, _, _ = setup
+        model = build_model("simsiam", 8, seed=3)
+        head = build_finetune_head(model, 3, seed=4)
+        run_single_stage(model, head, train, fast_finetune(epochs=1), 5)
+        battery(instances=1, seed=0)
+        assert op_dtypes and set(op_dtypes) == {np.dtype(np.float64)}
+        assert {p.data.dtype for p in model.encoder.parameters() + head.parameters()} == {np.dtype(np.float64)}

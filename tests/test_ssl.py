@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import barlow_direct, ntxent_enumerate, params_digest
+from oracles import barlow_direct, in_dtype, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
 from tailspin.nn import NETWORKS, Model, build_model, ema_update
@@ -255,6 +255,18 @@ def dataset():
 
 
 class TestPretrainEpoch:
+    """pretrain_epoch on a model in ``dtype``; TestPretrainEpochInFloat32 repeats every
+    case in the float32 that pipeline.pretrain trains in. A reference loop runs
+    at the model's dtype, on views rounded to it."""
+
+    dtype = np.float64
+
+    def _model(self, method_name, dataset, seed=7):
+        return in_dtype(build_model(method_name, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8,
+                                    pred_hidden=4, seed=seed), self.dtype)
+
+    def _views(self, *args):
+        return tuple(v.astype(self.dtype) for v in build_views(*args))
 
     def _run(self, method_name, dataset, epochs, seed=7, permute_labels=False):
         if permute_labels:
@@ -269,8 +281,7 @@ class TestPretrainEpoch:
                 dataset.num_classes,
                 split=dataset.split,
             )
-        model = build_model(method_name, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8,
-                            pred_hidden=4, seed=seed)
+        model = self._model(method_name, dataset, seed)
         method = SSLMethod(method_name)
         opt_cfg = OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=16)
         opt = make_optimizer(opt_cfg, model.trainable_parameters())
@@ -297,12 +308,12 @@ class TestPretrainEpoch:
     def test_epoch_loss_is_method_loss_on_the_epochs_views(self, method, dataset):
         # one batch holding the whole shuffled epoch: the reported loss is
         # method_loss on that batch's views, before the step
-        model = build_model(method, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8, pred_hidden=4, seed=7)
+        model = self._model(method, dataset)
         ssl_method = SSLMethod(method)
         aug = AugmentationSpec(0.4, 0.1, 0.1)
         n, seed, epoch = dataset.num_samples, 7, 2
         order = rng_for(seed, "shuffle", "pretrain", epoch).permutation(n)
-        views = build_views(dataset.features[order], order, aug, seed, epoch)
+        views = self._views(dataset.features[order], order, aug, seed, epoch)
         want = method_loss(model, ssl_method, *views).item()
         opt = make_optimizer(OptimizerConfig(kind="adam", base_lr=0.002, weight_decay=0.0, batch_size=n),
                              model.trainable_parameters())
@@ -312,11 +323,11 @@ class TestPretrainEpoch:
         aug = AugmentationSpec(0.4, 0.1, 0.1)
         n = dataset.num_samples
         for epoch in range(5):
-            whole = build_views(dataset.features, np.arange(n), aug, 7, epoch)
+            whole = self._views(dataset.features, np.arange(n), aug, 7, epoch)
             order = rng_for(7, "shuffle", "pretrain", epoch).permutation(n)
             for start in range(0, n, 17):  # 120 = 7 * 17 + 1: the last batch holds one row
                 idx = order[start : start + 17]
-                for epoch_view, batch_view in zip(whole, build_views(dataset.features[idx], idx, aug, 7, epoch)):
+                for epoch_view, batch_view in zip(whole, self._views(dataset.features[idx], idx, aug, 7, epoch)):
                     assert epoch_view[idx].tobytes() == batch_view.tobytes()
 
     @pytest.mark.parametrize("block_rows", [7, 1024])  # 120 rows: 18 blocks, or one
@@ -325,14 +336,13 @@ class TestPretrainEpoch:
         monkeypatch.setattr(ssl, "_VIEW_BLOCK_ROWS", block_rows)
         aug, n, cfg = AugmentationSpec(0.4, 0.1, 0.1), dataset.num_samples, OptimizerConfig(batch_size=17)
         ssl_method = SSLMethod(method)
-        models = [build_model(method, dataset.feature_dim, hidden_dim=16, rep_dim=8, proj_dim=8, pred_hidden=4, seed=7)
-                  for _ in range(2)]
+        models = [self._model(method, dataset) for _ in range(2)]
         opts = [make_optimizer(cfg, m.trainable_parameters()) for m in models]
         for epoch in range(2):
             got = pretrain_epoch(models[0], dataset, ssl_method, opts[0], 0.03, epoch, 7, aug, 17)
 
             def loss_fn(idx):
-                return method_loss(models[1], ssl_method, *build_views(dataset.features[idx], idx, aug, 7, epoch))
+                return method_loss(models[1], ssl_method, *self._views(dataset.features[idx], idx, aug, 7, epoch))
 
             after = (lambda: ema_update(models[1], ssl_method.ema_momentum)) if method == "byol" else None
             want = train_epoch(opts[1], 0.03, loss_fn, n, 17, 7, "pretrain", epoch, min_batch=2, after_step=after)
@@ -344,6 +354,11 @@ class TestPretrainEpoch:
         m1, _ = self._run(method, dataset, epochs=2)
         m2, _ = self._run(method, dataset, epochs=2, permute_labels=True)
         assert params_digest(m1.trainable_parameters()) == params_digest(m2.trainable_parameters())
+        assert {p.data.dtype for p in m1.trainable_parameters()} == {np.dtype(self.dtype)}
+
+
+class TestPretrainEpochInFloat32(TestPretrainEpoch):
+    dtype = np.float32
 
 
 class TestMethodValidation:

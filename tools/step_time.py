@@ -74,7 +74,8 @@ pipeline.pretrain(model, wide, pipeline.PretrainSettings(schedule=ScheduleConfig
 head = pipeline.build_finetune_head(model, wide.num_classes, 1)
 settings = pipeline.FinetuneSettings(loss="la_sl", epochs=40 // scale)
 out["finetune la_sl"] = timed(lambda: pipeline.finetune(model, head, wide, settings, pipeline.LAST_LAYER_ONLY, 0),
-                              steps(wide.num_samples, 64, settings.epochs), head.parameters())
+                              steps(wide.num_samples, settings.optimizer.batch_size, settings.epochs),
+                              head.parameters())
 
 readme = data(3, per_class or 300, 10.0, 0.4)
 for loss in LOSS_KINDS:
@@ -82,7 +83,7 @@ for loss in LOSS_KINDS:
     head = pipeline.build_finetune_head(model, readme.num_classes, 1)
     settings = pipeline.FinetuneSettings(loss=loss, epochs=60 // scale)
     out[f"single_stage {loss}"] = timed(lambda: pipeline.run_single_stage(model, head, readme, settings, 0),
-                                        steps(readme.num_samples, 64, settings.epochs),
+                                        steps(readme.num_samples, settings.optimizer.batch_size, settings.epochs),
                                         model.encoder.parameters() + head.parameters())
 for method in SSL_METHODS:
     model = build_model(method, readme.feature_dim, seed=1)
@@ -90,7 +91,8 @@ for method in SSL_METHODS:
     schedule = ScheduleConfig(warmup_epochs=min(10, epochs - 1), total_epochs=epochs)
     settings = pipeline.PretrainSettings(method=SSLMethod(method), schedule=schedule)
     out[f"pretrain {method}"] = timed(lambda: pipeline.pretrain(model, readme, settings, 0),
-                                      steps(readme.num_samples, 256, settings.schedule.total_epochs, 2),
+                                      steps(readme.num_samples, settings.optimizer.batch_size,
+                                            settings.schedule.total_epochs, 2),
                                       model.trainable_parameters())
 print(json.dumps(out))
 """
