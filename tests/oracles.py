@@ -216,6 +216,21 @@ def full_matrix_knn(reference, queries, cfg) -> np.ndarray:
     return np.argmax(votes, axis=1).astype(np.int64)  # argmax takes the smallest index on ties
 
 
+def per_class_loop(predictions: np.ndarray, labels_true: np.ndarray, num_classes: int):
+    """``accuracy_suite``'s former per-class loop: (per_class, confusion) one true
+    class at a time, the reference its single ``np.bincount`` must match bit for bit."""
+    per_class = np.full(num_classes, np.nan)
+    confusion = np.zeros((num_classes, num_classes))
+    for c in range(num_classes):
+        members = labels_true == c
+        count = int(members.sum())
+        if count == 0:
+            continue
+        per_class[c] = float(np.mean(predictions[members] == c))
+        confusion[c] = np.bincount(predictions[members], minlength=num_classes) / count
+    return per_class, confusion
+
+
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return np.where(norms < 1e-12, 0.0, x / np.where(norms < 1e-12, 1.0, norms))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import _unit_rows, brute_knn, full_matrix_knn, record_from_json_line
+from oracles import _unit_rows, brute_knn, full_matrix_knn, per_class_loop, record_from_json_line
 from tailspin import evaluation
 from tailspin.data import Dataset, generate_synthetic
 from tailspin.errors import ContractError, ValidationError
@@ -172,6 +172,19 @@ class TestKnnBlocks:
                 assert min(sizes) >= 2 or queries == 1, (queries, refs, sizes)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_production_blocks_ending_in_a_two_row_block(self, metric):
+        refs = 12_408  # the stage-wise chain's training set
+        rows = evaluation._KNN_BLOCK_ELEMENTS // refs
+        queries = 2 * rows + 2
+        assert evaluation._query_blocks(queries, refs)[-1] == (2 * rows, queries)
+        rng = np.random.default_rng(len(metric))
+        ref = tie_heavy(rng, refs, 10)
+        qry = tie_heavy(rng, queries, 10)
+        qry = labelled(np.vstack([qry.features[:rows], ref.features[: queries - rows]]), qry.labels_true, 10)
+        cfg = KNNConfig(k=20, metric=metric)
+        assert np.array_equal(knn_classify(ref, qry, cfg), full_matrix_knn(ref, qry, cfg))
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_memory_bounded_by_the_block_not_the_matrix(self, metric):
         rng = np.random.default_rng(5)
         ref = labelled(rng.normal(size=(4000, 16)), rng.integers(0, 5, size=4000), 5)
@@ -182,8 +195,38 @@ class TestKnnBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one score block is 4.2 MB, so a second live block or a whole-block partition copy fails
-        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
+        # one 32 x 4000 score block (1.0 MB), the 8-row selection copies (0.3 MB), and the float64
+        # reference, queries and (Q, k) neighbour arrays (2.1 MB) make 3.4 MB; a second live block
+        # or a whole-block partition copy adds 1 MB and fails
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
+
+
+class TestSmallestK:
+    """``_smallest_k`` on one selection sub-block against the first k columns of a stable argsort."""
+
+    REFS = 40
+
+    def blocks(self, rng, rows):
+        """Tie-heavy score blocks: all-equal rows, rows of four values (each k-th value
+        recurs about ten times, on both sides of the k-th position), zeros of both signs, distinct scores."""
+        mixed = rng.integers(0, 4, size=(rows, self.REFS)).astype(float)
+        mixed[::2] = 1.0
+        return {
+            "all equal": np.full((rows, self.REFS), 0.5),
+            "four values": rng.integers(0, 4, size=(rows, self.REFS)).astype(float),
+            "equal and four-valued rows": mixed,
+            "signed zeros": rng.choice([-0.0, 0.0, -1.0], size=(rows, self.REFS)),
+            "distinct": rng.normal(size=(rows, self.REFS)),
+        }
+
+    @pytest.mark.parametrize("rows", [2, 8, 10])
+    @pytest.mark.parametrize("k", [1, 2, 19, 20, REFS - 1, REFS])
+    def test_first_k_of_a_stable_argsort(self, rows, k):
+        for name, scores in self.blocks(np.random.default_rng(rows * 100 + k), rows).items():
+            cols, values = evaluation._smallest_k(scores, k)
+            want = np.argsort(scores, axis=1, kind="stable")[:, :k]
+            assert cols.shape == (rows, k) and np.array_equal(cols, want), name
+            assert values.tobytes() == np.take_along_axis(scores, want, axis=1).tobytes(), name
 
 
 FORWARD_ROWS = 4
@@ -282,6 +325,27 @@ class TestAccuracySuite:
         report = accuracy_suite(np.array([0, 1]), np.array([0, 1]), 3)
         assert np.isnan(report.per_class[2])
         assert report.balanced == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "preds, labels",
+        [([0, 5, 1], [0, 1, 1]), ([0, 3, 1], [0, 1, 1]), ([0, -1, 1], [0, 1, 1]), ([0, 1, 1], [0, 3, 1]), ([0, 1, 1], [-1, 1, 1])],
+    )
+    def test_label_outside_the_classes_rejected(self, preds, labels):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 3\)"):
+            accuracy_suite(np.array(preds), np.array(labels), 3)
+
+    @pytest.mark.parametrize("num_classes", [1, 2, 5, 10])
+    def test_per_class_and_confusion_bit_for_bit_as_the_loop(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for n in (1, 7, 50, 997):
+            labels = rng.integers(0, num_classes, size=n)
+            labels[labels == num_classes - 1] = 0  # at least one class absent when num_classes > 1
+            preds = rng.integers(0, num_classes, size=n)
+            report = accuracy_suite(preds, labels, num_classes)
+            per_class, confusion = per_class_loop(preds, labels, num_classes)
+            assert report.per_class.tobytes() == per_class.tobytes()
+            assert report.confusion.tobytes() == confusion.tobytes()
+            assert report.balanced == float(np.nanmean(per_class))
 
     def test_balanced_invariant_to_class_duplication(self):
         rng = np.random.default_rng(5)

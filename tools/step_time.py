@@ -3,9 +3,10 @@
 Times, in-process, against each checkout's `src/`:
 
 - `pipeline.finetune` on the data of perfbench's `stagewise_wide` workload
-  (10 classes x 5,000, gamma=100, nu=0.9, one SimSiam pretraining epoch, then
-  40 epochs of `la_sl` under `last_layer_only`, the policy `finetune` picks
-  at that nu);
+  (10 classes x 5,000, gamma=100, nu=0.9): 40 epochs of `la_sl` under
+  `last_layer_only`, the policy `finetune` picks at that nu, on the seeded
+  `build_model` init of a SimSiam encoder, which no pretraining code touches,
+  so a change to pretraining leaves this cell alone;
 - `pipeline.run_single_stage` per fine-tuning loss at the README corruption
   (gamma=10, nu=0.4), 60 epochs, as in `single_stage_ablation`;
 - `pipeline.pretrain` per SSL method at the README corruption, 20 epochs, as
@@ -70,7 +71,6 @@ def steps(n, batch, epochs, min_batch=1):
 out = {}
 wide = data(10, per_class or 5000, 100.0, 0.9)
 model = build_model("simsiam", wide.feature_dim, seed=1)
-pipeline.pretrain(model, wide, pipeline.PretrainSettings(schedule=ScheduleConfig(warmup_epochs=0, total_epochs=1)), 0)
 head = pipeline.build_finetune_head(model, wide.num_classes, 1)
 settings = pipeline.FinetuneSettings(loss="la_sl", epochs=40 // scale)
 out["finetune la_sl"] = timed(lambda: pipeline.finetune(model, head, wide, settings, pipeline.LAST_LAYER_ONLY, 0),
