@@ -122,9 +122,8 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
             np.subtract(qry_sq[start:stop], scores, out=scores)
             scores += ref_sq
             np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
-        for at in range(start, stop, _SELECT_ROWS):
-            end = min(at + _SELECT_ROWS, stop)
-            order[at:end], nearest[at:end] = _smallest_k(scores[at - start : end - start], cfg.k)
+        for at, end in _row_blocks(stop - start, _SELECT_ROWS):
+            order[start + at : start + end], nearest[start + at : start + end] = _smallest_k(scores[at:end], cfg.k)
 
     if cfg.weighting == "uniform":
         weights = np.ones_like(nearest)

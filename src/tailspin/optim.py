@@ -124,11 +124,11 @@ class Sgd(_Optimizer):
 
 class Adam(_Optimizer):
     """Bias-corrected Adam with the usual betas and eps; weight decay is coupled
-    (added to the gradient). Each step scans one vector for finiteness, the new
-    second moment v: from a finite v it is finite exactly when g is finite and
-    g * g does not overflow. Only a failed scan reads g, to say which it was. The
-    new v is formed in a second buffer, and the two swap only once the scan
-    passes; m, t and the parameters move after it too."""
+    (added to the gradient). Each step checks one value, max(v) / (1 - beta2^t), the
+    largest bias-corrected second moment (division by a positive constant is monotone):
+    it is finite exactly when g, g * g and every v / (1 - beta2^t) are. Only a failed
+    check reads g and v, to say which failed. The new v is formed in a second buffer,
+    and the two swap once the check passes; m, t and the parameters move after it."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -149,10 +149,12 @@ class Adam(_Optimizer):
         with np.errstate(over="ignore"):  # an overflow is one of the NumericErrors, not a warning
             v = np.multiply(self.v, b2, out=self._v_next)
             v += c2 * g * g
-        if not np.isfinite(v).all():  # v = inf would leave theta unmoved
+            v_hat = v.max(initial=0.0) / (1.0 - self.beta2 ** (self.t + 1))  # NaN if any v is NaN
+        if not np.isfinite(v_hat):  # an infinite v-hat would leave its coordinate unmoved
             if not np.isfinite(g).all():
                 raise NumericError(_NONFINITE_GRADIENT)
-            raise NumericError(f"adam step: the squared gradient overflows {v.dtype}, aborting run")
+            overflows = "squared gradient" if not np.isfinite(v).all() else "bias-corrected second moment"
+            raise NumericError(f"adam step: the {overflows} overflows {v.dtype}, aborting run")
         self.v, self._v_next = v, self.v
         self.t += 1
         m *= b1
@@ -180,13 +182,15 @@ def train_epoch(
 ) -> float:
     """One pass in ("shuffle", stage, epoch) order: tape ``loss_fn(batch indices)``,
     backpropagate, step at ``lr``, zero the gradients; returns the mean loss.
-    A batch under ``min_batch`` is skipped, and a dataset under it is a ContractError;
-    ``after_step`` runs after each step.
+    A batch under ``min_batch`` is skipped, and a dataset or a batch size under it
+    is a ContractError; ``after_step`` runs after each step.
 
     NumPy's floating-point warnings are off for the epoch: a value that
     overflows fails as the ``NumericError`` of the op or step that made it."""
     if num_samples < min_batch:
         raise ContractError(f"{stage}: {num_samples} samples cannot fill a batch of {min_batch}")
+    if batch_size < max(min_batch, 1):
+        raise ContractError(f"{stage}: batch_size={batch_size} trains no batch, the least is {max(min_batch, 1)}")
     order = rng_for(run_seed, "shuffle", stage, epoch).permutation(num_samples)
     losses = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import AugmentationSpec, Dataset, augment, view_seed
 from .errors import ConfigError, ContractError, NumericError, ValidationError
+from .evaluation import _FORWARD_ROWS, _row_blocks
 from .nn import SSL_METHODS, Model, ema_update
 from .optim import train_epoch
 from .tensor import Tensor, _op, _softmax_nll, _unit
@@ -20,9 +21,6 @@ _NEG_MASK = -1e9  # finite stand-in for -inf when masking self-similarities
 # NT-Xent's logits are cosines / temperature and its gradients grow as 1 / temperature;
 # below this floor the softmax is a hard argmax, and by 1e-50 a run overflows float64
 _MIN_TEMPERATURE = 1e-4
-# pretrain_epoch builds an epoch's views this many rows at a time, which bounds
-# augment's temporaries on a large dataset (12,408 rows at once took 7 MB more)
-_VIEW_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -250,8 +248,7 @@ def pretrain_epoch(
     """
     n, dtype = dataset.num_samples, model.encoder.layers[0].weight.data.dtype
     view_a, view_b = np.empty((n, dataset.feature_dim), dtype), np.empty((n, dataset.feature_dim), dtype)
-    for start in range(0, n, _VIEW_BLOCK_ROWS):
-        stop = min(start + _VIEW_BLOCK_ROWS, n)
+    for start, stop in _row_blocks(n, _FORWARD_ROWS):
         with np.errstate(over="ignore"):  # rounding to float32 may overflow; the check below says so
             view_a[start:stop], view_b[start:stop] = build_views(dataset.features[start:stop],
                                                                  np.arange(start, stop), aug, run_seed, epoch)

@@ -1,5 +1,5 @@
 """The benchmark's tracer wraps library functions by name; a rename must fail here, in tier-1.
-Those names also keep the public functions and classes that nothing else in ``src/`` uses, and only those."""
+Of those names, only the unfused tape ops keep a public function that nothing else in ``src/`` uses."""
 import ast
 import importlib
 import importlib.util
@@ -10,6 +10,10 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 _SHIM = _ROOT / "perfbench" / "shim.py"
 _PACKAGE = _ROOT / "src" / "tailspin"
+# the tape ops that no src/ code calls, kept as the tracer's names and as tests/oracles.py's
+# unfused reference chains; any other traced name must have a user in src/ of its own
+_UNFUSED_OPS = {"add", "sub", "mul", "matmul", "transpose", "relu", "power", "tensor_sum", "gather_rows",
+                "concat_rows", "log_sum_exp"}
 
 
 def _targets():
@@ -31,7 +35,7 @@ def test_every_public_name_has_a_user():
     # a public top-level function or class of a module of the package is loaded in
     # its own module, imported by another module (the re-exports of __init__.py
     # aside), read there through a module alias (``tio.x`` after ``from . import io
-    # as tio``) or traced
+    # as tio``), or is one of the traced unfused ops
     trees = {module.stem: ast.parse(module.read_text(encoding="utf-8"))
              for module in _PACKAGE.glob("*.py") if module.name != "__init__.py"}
     unused = []
@@ -48,6 +52,11 @@ def test_every_public_name_has_a_user():
                        for alias in node.names if alias.name == name}
             used |= {node.attr for node in ast.walk(other)
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases}
-        used |= {path.split(".")[0] for _, module_name, path in _targets() if module_name == f"tailspin.{name}"}
+        used |= {path for _, module_name, path in _targets() if module_name == f"tailspin.{name}"} & _UNFUSED_OPS
         unused += [f"{name}.{public_name}" for public_name in sorted(public - used)]
     assert unused == []
+
+
+def test_every_unfused_op_is_traced():
+    # an unfused op the tracer no longer names has no user left and must go, not stay exempt
+    assert _UNFUSED_OPS <= {path for _, module_name, path in _targets() if module_name == "tailspin.tensor"}

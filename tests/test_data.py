@@ -325,3 +325,25 @@ class TestDatasetInvariants:
         feats = np.zeros((3, 2), dtype=np.float32)
         with pytest.raises(ValidationError):
             Dataset(feats, np.array([0, 1, 3]), np.array([0, 1, 2]), 3)
+
+
+_FEATURES = np.zeros((3, 2), np.float32)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((np.zeros((0, 2)), [], [], 2), ValidationError, "dataset must contain at least one sample"),
+    ((np.zeros(3), [0, 1, 0], [0, 1, 0], 2), ValidationError, "features must be 2-d, got shape (3,)"),
+    ((_FEATURES, [0, 1], [0, 1, 0], 2), ValidationError, "label tracks must align with features"),
+    ((_FEATURES, [0, 1, 0], [0, 1], 2), ValidationError, "label tracks must align with features"),
+    ((_FEATURES, [0, 0, 0], [0, 0, 0], 1), ValidationError, "need at least 2 classes, got 1"),
+    ((np.full((3, 2), np.nan), [0, 1, 0], [0, 1, 0], 2), NumericError, "features contain NaN or Inf"),
+], ids=["empty", "1-d", "short observed", "short true", "one class", "nan"])
+def test_dataset_refusals(args, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        Dataset(*args)
+
+
+@pytest.mark.parametrize("part, kind", [(2.5, "float"), (None, "NoneType"), (b"pretrain", "bytes")])
+def test_derive_refuses_a_part_that_is_neither_int_nor_str(part, kind):
+    with pytest.raises(TypeError, match=f"seed parts must be int or str, got {kind}"):
+        derive(7, "shuffle", part)

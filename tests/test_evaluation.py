@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -409,3 +410,14 @@ class TestMetricsRecord:
         rec = MetricsRecord("pretrain", 0, 1.5, 0.06, 7)
         back = record_from_json_line(rec.to_json_line())
         assert back.knn_accuracy is None and back.per_class_accuracy is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KNNConfig(weighting="rank"), "weighting must be one of ('uniform', 'similarity'), got 'rank'"),
+    (lambda: embed(generate_synthetic(2, 3, 8, 6.0, seed=1), build_model("simsiam", 8, seed=2), "predictor"),
+     "layer must be one of ('encoder', 'projector'), got 'predictor'"),
+    (lambda: accuracy_suite([0, 1], [0], 2), "predictions (2,) vs labels (1,)"),
+], ids=["weighting", "layer", "shape"])
+def test_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

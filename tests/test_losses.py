@@ -451,3 +451,14 @@ class TestParamValidation:
         assert np.array_equal(default.per_sample, explicit.per_sample)
         with pytest.raises(ContractError):
             superloss_sigma(1.0, SuperLossParams())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Priors(np.array([1.0])), "priors must be a vector over >= 2 classes, got shape (1,)"),
+    (lambda: Priors(np.array([[0.5, 0.5]])), "priors must be a vector over >= 2 classes, got shape (1, 2)"),
+    (lambda: batch_loss("mse", Tensor(np.zeros((2, 2))), [0, 1], uniform(2), SuperLossParams()),
+     f"unknown loss kind 'mse', expected one of {LOSS_KINDS}"),
+], ids=["one class", "2-d", "kind"])
+def test_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import PerTensorAdam, PerTensorSgd, per_tensor_ema_update
-from tailspin.errors import ContractError, NumericError, ValidationError
+from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
 from tailspin.nn import build_model, ema_update
-from tailspin.optim import Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr
+from tailspin.optim import (Adam, OptimizerConfig, ScheduleConfig, Sgd, lr_at, make_optimizer, scaled_lr,
+                            train_epoch)
 from tailspin.seeding import rng_for
 from tailspin.ssl import SSLMethod, method_loss
 from tailspin.tensor import Tape, Tensor, add, flatten, matmul, mlp, mul, relu, tensor_sum, transpose
@@ -189,6 +190,20 @@ class TestStepErrors:
         with pytest.raises(NumericError, match="adam step: the squared gradient overflows float32"):
             opt.step(0.01)
 
+    @pytest.mark.parametrize("dtype, big", [(np.float64, 1.5e154), (np.float32, 1e20)])
+    def test_adam_bias_corrected_second_moment_that_overflows(self, dtype, big):
+        # v = (1 - beta2) * big^2 is finite, but v / (1 - beta2) at t = 1 is not; unchecked,
+        # the first coordinate's update would be exactly 0 and theta would read [1, 0.99]
+        params = [Tensor(np.ones(2, dtype), requires_grad=True)]
+        opt = Adam(params)
+        params[0]._grad = np.array([big, 1.0], dtype)
+        state = self._state(opt)
+        with pytest.raises(NumericError, match=f"adam step: the bias-corrected second moment overflows "
+                                               f"{np.dtype(dtype).name}"):
+            opt.step(0.01)
+        for got, want in zip(self._state(opt), state):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     @staticmethod
     def _state(opt):
         return [opt.data.copy()] + ([opt.velocity.copy()] if isinstance(opt, Sgd) else [opt.m.copy(), opt.v.copy(), opt.t])
@@ -221,6 +236,18 @@ def test_make_optimizer_dispatch():
     p = [Tensor([1.0], requires_grad=True)]
     assert isinstance(make_optimizer(OptimizerConfig(kind="sgd"), p), Sgd)
     assert isinstance(make_optimizer(OptimizerConfig(kind="adam"), p), Adam)
+
+
+class TestTrainEpoch:
+    @pytest.mark.parametrize("batch_size, min_batch", [(0, 1), (-3, 1), (0, 0), (1, 2)])
+    def test_batch_size_under_the_least_batch_is_contract_error_before_any_batch(self, batch_size, min_batch):
+        def loss_fn(idx):
+            raise AssertionError("no batch may run")
+
+        opt = Sgd([Tensor([1.0], requires_grad=True)])
+        with pytest.raises(ContractError, match=f"stage: batch_size={batch_size} trains no batch, "
+                                                f"the least is {max(min_batch, 1)}"):
+            train_epoch(opt, 0.1, loss_fn, 5, batch_size, 0, "stage", 0, min_batch=min_batch)
 
 
 class TestOptimizerConfig:
@@ -378,3 +405,12 @@ class TestFlatBuffer:
         leaves[2].data = leaves[2].data.copy()  # no longer a view: the tensors tile nothing
         fresh = flatten(leaves[1:3])
         assert fresh.base is None and fresh.tobytes() == run.tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OptimizerConfig(kind="rmsprop"), "optimizer kind must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    (lambda: ScheduleConfig(kind="step"), "schedule kind must be one of ('cosine', 'constant'), got 'step'"),
+], ids=["optimizer", "schedule"])
+def test_kind_refusals(call, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call()

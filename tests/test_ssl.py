@@ -6,7 +6,7 @@ import pytest
 from oracles import barlow_direct, in_dtype, ntxent_enumerate, params_digest
 from tailspin.data import AugmentationSpec, generate_synthetic
 from tailspin.errors import ConfigError, ContractError, NumericError, ValidationError
-from tailspin.nn import NETWORKS, Model, build_model, ema_update
+from tailspin.nn import NETWORKS, Mlp, Model, build_model, ema_update
 from tailspin import ssl
 from tailspin.optim import OptimizerConfig, make_optimizer, train_epoch
 from tailspin.seeding import rng_for
@@ -304,6 +304,15 @@ class TestPretrainEpoch:
         assert l1 == l2
         assert params_digest(m1.trainable_parameters()) == params_digest(m2.trainable_parameters())
 
+    def test_batch_size_one_is_contract_error_before_any_step(self, dataset):
+        # every batch of one sample is under min_batch=2: the epoch would train nothing and return NaN
+        model = self._model("simsiam", dataset)
+        before = params_digest(model.trainable_parameters())
+        opt = make_optimizer(OptimizerConfig(kind="adam", batch_size=1), model.trainable_parameters())
+        with pytest.raises(ContractError, match="pretrain: batch_size=1 trains no batch, the least is 2"):
+            pretrain_epoch(model, dataset, SSLMethod("simsiam"), opt, 0.002, 0, 7, AugmentationSpec(), 1)
+        assert params_digest(model.trainable_parameters()) == before
+
     @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
     def test_epoch_loss_is_method_loss_on_the_epochs_views(self, method, dataset):
         # one batch holding the whole shuffled epoch: the reported loss is
@@ -330,10 +339,10 @@ class TestPretrainEpoch:
                 for epoch_view, batch_view in zip(whole, self._views(dataset.features[idx], idx, aug, 7, epoch)):
                     assert epoch_view[idx].tobytes() == batch_view.tobytes()
 
-    @pytest.mark.parametrize("block_rows", [7, 1024])  # 120 rows: 18 blocks, or one
+    @pytest.mark.parametrize("block_rows", [7, 1024])  # 120 rows: 16 blocks of 7 and one of 8, or one
     @pytest.mark.parametrize("method", ["simsiam", "simclr", "byol", "barlow_twins"])
     def test_epoch_equals_per_batch_views_training(self, method, block_rows, dataset, monkeypatch):
-        monkeypatch.setattr(ssl, "_VIEW_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(ssl, "_FORWARD_ROWS", block_rows)
         aug, n, cfg = AugmentationSpec(0.4, 0.1, 0.1), dataset.num_samples, OptimizerConfig(batch_size=17)
         ssl_method = SSLMethod(method)
         models = [self._model(method, dataset) for _ in range(2)]
@@ -427,3 +436,21 @@ def test_l2_normalize_rows_unit_norm():
     z = Tensor(rand((6, 5), 40))
     norms = np.linalg.norm(l2_normalize(z).data, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+# nn's refusals, next to the SSL methods that build their networks
+@pytest.mark.parametrize("call, message", [
+    (lambda: Mlp.init([4], np.random.default_rng(0)), "mlp needs at least two dims, got [4]"),
+    (lambda: ema_update(build_model("byol", 4, hidden_dim=8, rep_dim=4, proj_dim=4, seed=1), 1.5),
+     "ema momentum must be in [0, 1], got 1.5"),
+    (lambda: ema_update(build_model("byol", 4, hidden_dim=8, rep_dim=4, proj_dim=4, seed=1), float("nan")),
+     "ema momentum must be in [0, 1], got nan"),
+], ids=["dims", "momentum", "nan momentum"])
+def test_nn_refusals(call, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call()
+
+
+def test_simsiam_refuses_predictor_and_target_shapes_that_differ():
+    with pytest.raises(ContractError, match=re.escape("simsiam: predictor and target shapes differ, (4, 3) vs (4, 2)")):
+        simsiam_loss(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2))))

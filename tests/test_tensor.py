@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import negative_cosine_similarity, standardize_columns, stop_gradient, unfused_mean
-from tailspin.errors import ContractError, NumericError, OracleError, ShapeError, TapeError
+from tailspin.errors import ContractError, NumericError, OracleError, ShapeError, TapeError, ValidationError
 from tailspin.losses import LOSS_KINDS, Priors, SuperLossParams, batch_loss
 from tailspin.ssl import barlow_twins_loss, nt_xent_loss, simsiam_loss
 from tailspin.tensor import (
@@ -361,3 +362,29 @@ def test_elementwise_gradients_property(xs, ys):
         return tensor_sum(add(mul(a, b), relu(a)))
 
     assert finite_diff_check(f, [a, b], step=1e-5) <= 1e-4
+
+
+def _layer(fan_in, fan_out, bias=None):
+    return [Tensor(np.ones((fan_in, fan_out))), Tensor(np.zeros(fan_out if bias is None else bias))]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mlp(Tensor(np.ones(3)), _layer(3, 2)), ShapeError, "mlp: expected a 2-d input, got shape (3,)"),
+    (lambda: mlp(Tensor(np.ones((2, 3))), []), ContractError,
+     "mlp: expected a weight and a bias per layer, got 0 tensors"),
+    (lambda: mlp(Tensor(np.ones((2, 3))), _layer(3, 4) + _layer(4, 2)[:1]), ContractError,
+     "mlp: expected a weight and a bias per layer, got 3 tensors"),
+    (lambda: mlp(Tensor(np.ones((2, 3))), _layer(3, 4) + _layer(5, 2)), ShapeError,
+     "mlp: layer 1 input (2, 4) vs weight (5, 2)"),
+    (lambda: mlp(Tensor(np.ones((2, 3))), [Tensor(np.ones(3)), Tensor(np.zeros(1))]), ShapeError,
+     "mlp: layer 0 input (2, 3) vs weight (3,)"),
+    (lambda: mlp(Tensor(np.ones((2, 3))), _layer(3, 2, bias=3)), ShapeError, "mlp: layer 0 bias (3,) vs weight (3, 2)"),
+    (lambda: Tensor(np.ones(2)).item(), ContractError, "item() needs a single-element tensor, got shape (2,)"),
+    (lambda: finite_diff_check(lambda: Tensor(0.0), [], step=0.0), ValidationError,
+     "finite_diff_check: step must be positive"),
+    (lambda: finite_diff_check(lambda: Tensor(0.0), [], step=float("nan")), ValidationError,
+     "finite_diff_check: step must be positive"),
+], ids=["1-d input", "no tensors", "odd tensors", "width", "1-d weight", "bias", "item", "zero step", "nan step"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
