@@ -30,6 +30,7 @@ from .pipeline import (
     FinetuneSettings,
     PretrainSettings,
     build_finetune_head,
+    check_test_set,
     corrupt_train,
     evaluate_classifier,
     finetune,
@@ -288,6 +289,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> None:
     out = cfg.output_dir
     train = tio.load_dataset(_train_dir(out))
     test = tio.load_dataset(out / "data" / "test")
+    check_test_set(train, test)
     model, head, _ = tio.load_checkpoint(out / "checkpoints" / "finetuned")
     layer = cfg["eval.embedding_layer"]
     reference = embed(train, model, layer=layer)

@@ -71,12 +71,6 @@ def embed(dataset: Dataset, model: Model, layer: str = "encoder") -> Dataset:
     return replace(dataset, features=map_rows(dataset.features, forward, np.float32))
 
 
-def encoder_outputs(model: Model, dataset: Dataset) -> np.ndarray:
-    """The encoder's float64 outputs for every sample, augmentation off, in row blocks
-    (``map_rows``); ``embed`` stores them as float32, fine-tuning and evaluation use them as they are."""
-    return map_rows(dataset.features, lambda x: model.encoder(Tensor(x)).data)
-
-
 def map_rows(features: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], dtype=np.float64) -> np.ndarray:
     """``fn`` (row-wise, recording nothing on a tape) over float64 ``_row_blocks`` of
     ``features``, written into one (N, width) array of ``dtype``: memory grows with
@@ -95,10 +89,10 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
     the smallest class index.
 
     Similarity weighting uses (1 + cosine) for the cosine metric and
-    1 / (distance + 1e-12) for the euclidean metric. Queries are scored in
-    blocks of rows (``_query_blocks``) in one reused buffer and selected ``_SELECT_ROWS``
-    rows at a time: memory holds one score block, its selection sub-block and the float64
-    reference, not Q x R; the neighbours are those of a stable sort on (score, reference index).
+    1 / (distance + 1e-12) for the euclidean metric. Queries are scored into one
+    reused buffer and selected ``_KNN_ROWS`` rows at a time (``_row_blocks``): memory
+    holds one score block and the float64 reference, not Q x R; the neighbours are
+    those of a stable sort on (score, reference index).
     """
     cfg.check_reference(reference.num_samples)
     if cfg.metric == "cosine":
@@ -110,7 +104,7 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
 
     order = np.empty((queries.num_samples, cfg.k), dtype=np.intp)
     nearest = np.empty((queries.num_samples, cfg.k))
-    blocks = _query_blocks(queries.num_samples, reference.num_samples)
+    blocks = _row_blocks(queries.num_samples, _KNN_ROWS)
     buffer = np.empty((max(stop - start for start, stop in blocks), reference.num_samples))
     for start, stop in blocks:
         scores = buffer[: stop - start]
@@ -122,8 +116,7 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
             np.subtract(qry_sq[start:stop], scores, out=scores)
             scores += ref_sq
             np.sqrt(np.maximum(scores, 0.0, out=scores), out=scores)
-        for at, end in _row_blocks(stop - start, _SELECT_ROWS):
-            order[start + at : start + end], nearest[start + at : start + end] = _smallest_k(scores[at:end], cfg.k)
+        order[start:stop], nearest[start:stop] = _smallest_k(scores, cfg.k)
 
     if cfg.weighting == "uniform":
         weights = np.ones_like(nearest)
@@ -139,17 +132,10 @@ def knn_classify(reference: Dataset, queries: Dataset, cfg: KNNConfig) -> np.nda
     return np.argmax(votes, axis=1).astype(np.int64)  # argmax takes the smallest index on ties
 
 
-# Each block's score matrix holds about this many float64s (1 MB).
-_KNN_BLOCK_ELEMENTS = 1 << 17
-# Neighbours are selected this many rows at a time, so the selection's copies stay small.
-_SELECT_ROWS = 8
+# The kNN scores and selects this many query rows at a time, so its buffer and copies stay small.
+_KNN_ROWS = 8
 # Whole-dataset forwards (``map_rows``) run in blocks of this many rows.
 _FORWARD_ROWS = 1024
-
-
-def _query_blocks(num_queries: int, num_references: int) -> list[tuple[int, int]]:
-    """The ``_row_blocks`` of the queries' score products, about ``_KNN_BLOCK_ELEMENTS`` scores each."""
-    return _row_blocks(num_queries, max(2, _KNN_BLOCK_ELEMENTS // num_references))
 
 
 def _row_blocks(num_rows: int, rows: int) -> list[tuple[int, int]]:

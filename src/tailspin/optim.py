@@ -88,6 +88,8 @@ class _Optimizer:
 
     def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = list(params)
+        if not self.params:
+            raise ContractError("an optimizer needs at least one parameter")
         self.weight_decay = weight_decay
         self.data = flatten(self.params)
         self._gathered = np.empty_like(self.data)

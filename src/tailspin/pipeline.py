@@ -23,8 +23,7 @@ from .data import (
     inject_symmetric_noise,
 )
 from .errors import ConfigError, ContractError, ValidationError
-from .evaluation import (AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, encoder_outputs,
-                         knn_classify, map_rows)
+from .evaluation import AccuracyReport, KNNConfig, MetricsRecord, accuracy_suite, embed, knn_classify, map_rows
 from .losses import LOSS_KINDS, SuperLossParams, batch_loss
 from .nn import NETWORKS, Mlp, Model
 from .optim import OptimizerConfig, ScheduleConfig, lr_at, make_optimizer, scaled_lr, train_epoch
@@ -125,6 +124,7 @@ def pretrain(
     and optimizer state), and on return, or on an error, the parameters are
     float64 again, holding the float32 values exactly. The kNN proxy reads them."""
     if test_set is not None:
+        check_test_set(dataset, test_set)
         knn_cfg.check_reference(dataset.num_samples)
     params = [p for name in NETWORKS if (net := getattr(model, name)) is not None for p in net.parameters()]
     effective = scaled_lr(settings.optimizer.base_lr, settings.optimizer.batch_size)
@@ -199,6 +199,8 @@ def finetune(
     if policy not in (FULL_HEAD, LAST_LAYER_ONLY):
         raise ConfigError(f"unknown freeze policy '{policy}'")
     frozen = len(head.layers) - 1 if policy == LAST_LAYER_ONLY else 0
+    if test_set is not None:
+        check_test_set(dataset, test_set)
 
     def frozen_outputs(x: np.ndarray) -> np.ndarray:
         h = model.encoder(Tensor(x)).data
@@ -213,7 +215,7 @@ def finetune(
 
     def per_class() -> dict:
         return {"per_class_accuracy": None if test_set is None else
-                _classify(trained, test_reps, test_set).per_class_json()}
+                _classify(trained(_checked(test_reps)).data, test_set).per_class_json()}
 
     return _train_supervised("finetune", trained.parameters(), lambda idx: trained(_checked(reps.take(idx, axis=0))),
                              dataset, settings, run_seed, sink, per_class)
@@ -263,10 +265,16 @@ def make_datasets(
     return train, test
 
 
-def _classify(head: Mlp, reps: np.ndarray, test_set: Dataset) -> AccuracyReport:
-    preds = np.argmax(head(_checked(reps)).data, axis=1)
-    return accuracy_suite(preds, test_set.labels_true, test_set.num_classes)
+def check_test_set(train_set: Dataset, test_set: Dataset) -> None:
+    """Refuse a test set whose feature width or classes differ from the training set's."""
+    for name in ("feature_dim", "num_classes"):
+        if (got := getattr(test_set, name)) != (want := getattr(train_set, name)):
+            raise ContractError(f"test set {name}={got} differs from the training set's {want}")
+
+
+def _classify(logits: np.ndarray, test_set: Dataset) -> AccuracyReport:
+    return accuracy_suite(np.argmax(logits, axis=1), test_set.labels_true, test_set.num_classes)
 
 
 def evaluate_classifier(model: Model, head: Mlp, test_set: Dataset) -> AccuracyReport:
-    return _classify(head, encoder_outputs(model, test_set), test_set)
+    return _classify(map_rows(test_set.features, lambda x: head(model.encoder(Tensor(x))).data), test_set)

@@ -453,6 +453,43 @@ class TestErrorReporting:
             assert not metrics.exists() or metrics.read_text() == "", cmd
             assert not (out / "data").exists() and not (out / "checkpoints").exists(), cmd
 
+    def test_regenerated_test_set_of_another_width_fails_before_training(self, capsys, tmp_path):
+        out = tmp_path / "dim"
+        base = ["--output", str(out), *FAST]
+        assert run_cli("generate", *base, "--set", "data.dim=8") == 0
+        assert run_cli("corrupt", *base, "--set", "data.gamma=10") == 0
+        assert run_cli("generate", *base, "--set", "data.dim=16") == 0
+        capsys.readouterr()
+        assert run_cli("pretrain", *base, "--set", "pretrain.epochs=30") == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if re.match(r"[a-z-]*error: ", line)] == lines[-1:]
+        assert lines[-1] == "contract-error: test set feature_dim=16 differs from the training set's 8"
+        metrics = out / "metrics.jsonl"
+        assert not metrics.exists() or metrics.read_text() == ""
+        assert not (out / "checkpoints").exists()
+
+    def test_regenerated_test_set_with_more_classes_fails_in_every_stage(self, capsys, tmp_path):
+        out = tmp_path / "classes"
+        base = ["--output", str(out), *FAST]
+        assert run_cli("generate", *base) == 0
+        assert run_cli("corrupt", *base, "--set", "data.gamma=10") == 0
+        for cmd in ("pretrain", "finetune"):
+            assert run_cli(cmd, *base) == 0
+        assert run_cli("generate", *base, "--set", "data.num_classes=5") == 0
+        written = {path: path.read_bytes() for path in [*(out / "checkpoints").rglob("*"), out / "summary.json"]
+                   if path.is_file()}
+        metrics = (out / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        for cmd in ("finetune", "eval", "pretrain"):
+            assert run_cli(cmd, *base) == 1, cmd
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert [line for line in lines if re.match(r"[a-z-]*error: ", line)] == lines[-1:], cmd
+            assert lines[-1] == "contract-error: test set num_classes=5 differs from the training set's 3", cmd
+            if cmd == "finetune":
+                assert (out / "metrics.jsonl").read_bytes() == metrics
+        assert {path: path.read_bytes() for path in written} == written
+        assert not (out / "eval.json").exists()
+
     def test_temperature_at_floor_trains(self, tmp_path):
         out = tmp_path / "floor"
         assert run_cli("run", "--output", str(out), *FAST,

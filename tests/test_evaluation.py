@@ -14,13 +14,12 @@ from tailspin.evaluation import (
     MetricsRecord,
     accuracy_suite,
     embed,
-    encoder_outputs,
     export_embeddings,
     knn_classify,
 )
 from tailspin.io import load_dataset
 from tailspin.nn import Mlp, build_model
-from tailspin.pipeline import build_finetune_head
+from tailspin.pipeline import build_finetune_head, evaluate_classifier
 from tailspin.tensor import Tensor, l2_normalize
 
 
@@ -123,7 +122,7 @@ class TestKnn:
             KNNConfig(metric="manhattan")
 
 
-BLOCK_REFS, BLOCK_ROWS = 60, 8
+BLOCK_REFS, BLOCK_ROWS = 60, 4
 
 
 def tie_heavy(rng, rows, num_classes):
@@ -139,7 +138,19 @@ class TestKnnBlocks:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_KNN_BLOCK_ELEMENTS", BLOCK_ROWS * BLOCK_REFS)
+        monkeypatch.setattr(evaluation, "_KNN_ROWS", BLOCK_ROWS)
+
+    @pytest.fixture
+    def scored_blocks(self, monkeypatch) -> list[int]:
+        """The row counts of the score blocks the kNN selects from, in order."""
+        seen, smallest_k = [], evaluation._smallest_k
+
+        def spy(scores, k):
+            seen.append(len(scores))
+            return smallest_k(scores, k)
+
+        monkeypatch.setattr(evaluation, "_smallest_k", spy)
+        return seen
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("weighting", ["uniform", "similarity"])
@@ -156,28 +167,36 @@ class TestKnnBlocks:
             qry = labelled(np.vstack([qry.features[: q // 2], ref.features[: q - q // 2]]), qry.labels_true, 4)
             assert np.array_equal(knn_classify(ref, qry, cfg), full_matrix_knn(ref, qry, cfg)), q
 
-    def test_blocks_follow_the_constant_and_absorb_a_lone_last_row(self, small_blocks):
-        assert evaluation._query_blocks(2 * BLOCK_ROWS + 3, BLOCK_REFS) == [(0, 8), (8, 16), (16, 19)]
-        assert evaluation._query_blocks(2 * BLOCK_ROWS + 1, BLOCK_REFS) == [(0, 8), (8, 17)]
-        assert evaluation._query_blocks(1, BLOCK_REFS) == [(0, 1)]
+    def test_blocks_follow_the_constant_and_absorb_a_lone_last_row(self, small_blocks, scored_blocks):
+        ref = tie_heavy(np.random.default_rng(3), BLOCK_REFS, 4)
+        for queries, want in ((2 * BLOCK_ROWS + 2, [(0, 4), (4, 8), (8, 10)]), (2 * BLOCK_ROWS + 1, [(0, 4), (4, 9)]),
+                              (1, [(0, 1)])):
+            assert evaluation._row_blocks(queries, evaluation._KNN_ROWS) == want
+            scored_blocks.clear()
+            knn_classify(ref, labelled(ref.features[:queries], ref.labels_true[:queries], 4), KNNConfig(k=1))
+            assert scored_blocks == [stop - start for start, stop in want]
 
-    @pytest.mark.parametrize("budget", [1, 8, 64, 1 << 19])
-    def test_no_one_row_block_unless_one_query(self, monkeypatch, budget):
-        monkeypatch.setattr(evaluation, "_KNN_BLOCK_ELEMENTS", budget)
-        for refs in (1, 3, 7, 12_408):
-            for queries in range(1, 40):
-                blocks = evaluation._query_blocks(queries, refs)
-                assert blocks[0][0] == 0 and blocks[-1][1] == queries
-                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-                sizes = [stop - start for start, stop in blocks]
-                assert min(sizes) >= 2 or queries == 1, (queries, refs, sizes)
+    @pytest.mark.parametrize("rows", [2, 8, 64, 1024])
+    def test_no_one_row_block_unless_one_query(self, monkeypatch, scored_blocks, rows):
+        monkeypatch.setattr(evaluation, "_KNN_ROWS", rows)
+        ref = tie_heavy(np.random.default_rng(rows), 7, 3)
+        for queries in range(1, 40):
+            blocks = evaluation._row_blocks(queries, evaluation._KNN_ROWS)
+            assert blocks[0][0] == 0 and blocks[-1][1] == queries
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            sizes = [stop - start for start, stop in blocks]
+            assert min(sizes) >= 2 or queries == 1, (queries, rows, sizes)
+            scored_blocks.clear()
+            knn_classify(ref, labelled(np.resize(ref.features, (queries, 3)), np.zeros(queries, np.int64), 3),
+                         KNNConfig(k=1))
+            assert scored_blocks == sizes
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_production_blocks_ending_in_a_two_row_block(self, metric):
         refs = 12_408  # the stage-wise chain's training set
-        rows = evaluation._KNN_BLOCK_ELEMENTS // refs
+        rows = evaluation._KNN_ROWS
         queries = 2 * rows + 2
-        assert evaluation._query_blocks(queries, refs)[-1] == (2 * rows, queries)
+        assert evaluation._row_blocks(queries, rows)[-1] == (2 * rows, queries)
         rng = np.random.default_rng(len(metric))
         ref = tie_heavy(rng, refs, 10)
         qry = tie_heavy(rng, queries, 10)
@@ -196,9 +215,9 @@ class TestKnnBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 32 x 4000 score block (1.0 MB), the 8-row selection copies (0.3 MB), and the float64
-        # reference, queries and (Q, k) neighbour arrays (2.1 MB) make 3.4 MB; a second live block
-        # or a whole-block partition copy adds 1 MB and fails
+        # one 8 x 4000 score block with its selection copies (0.6 MB), and the float64 reference,
+        # queries and (Q, k) neighbour arrays (2.1 MB) make 2.7 MB; blocks of 48 query rows read 4.5 MB
+        # and fail
         assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB; one 2000 x 4000 float64 matrix is 61 MB"
 
 
@@ -252,9 +271,10 @@ class TestMapRows:
             "encoder": lambda x: model.encoder(Tensor(x)).data,
             "projector": lambda x: model.projector(model.encoder(Tensor(x))).data,
             "frozen_head": frozen_head,
+            "classifier": lambda x: head(model.encoder(Tensor(x))).data,  # evaluate_classifier's logits
         }
 
-    @pytest.mark.parametrize("net", ["encoder", "projector", "frozen_head"])
+    @pytest.mark.parametrize("net", ["encoder", "projector", "frozen_head", "classifier"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bits_of_the_one_shot_forward(self, small_blocks, model, net, dtype):
         fn = self.forwards(model)[net]
@@ -276,26 +296,40 @@ class TestMapRows:
         evaluation.map_rows(np.zeros((2 * FORWARD_ROWS + 1, 2), np.float32), rows)
         assert seen == [FORWARD_ROWS, FORWARD_ROWS + 1]
 
-    def test_embed_and_encoder_outputs_equal_the_one_shot_forward(self, small_blocks, dataset, model):
+    def test_embed_equals_the_one_shot_forward(self, small_blocks, dataset, model):
         one_shot = self.forwards(model)
         x = dataset.features.astype(np.float64)
-        assert encoder_outputs(model, dataset).tobytes() == one_shot["encoder"](x).tobytes()
         for layer in ("encoder", "projector"):
             assert embed(dataset, model, layer).features.tobytes() == one_shot[layer](x).astype(np.float32).tobytes()
 
-    @pytest.mark.parametrize("name", ["embed", "encoder_outputs"])
+    def test_evaluate_classifier_equals_the_one_shot_forward(self, small_blocks, dataset, model):
+        n = 37 * FORWARD_ROWS + 1  # a lone last row joins the block before it
+        test = Dataset(dataset.features[:n], dataset.labels_observed[:n], dataset.labels_true[:n], 3, split="test")
+        assert evaluation._row_blocks(n, FORWARD_ROWS)[-1] == (36 * FORWARD_ROWS, n)
+        head = build_finetune_head(model, 3, seed=23)
+        got = evaluate_classifier(model, head, test)
+        logits = self.forwards(model)["classifier"](test.features.astype(np.float64))
+        want = accuracy_suite(np.argmax(logits, axis=1), test.labels_true, 3)
+        assert (got.overall, got.balanced) == (want.overall, want.balanced)
+        assert got.per_class.tobytes() == want.per_class.tobytes() and got.confusion.tobytes() == want.confusion.tobytes()
+
+    @pytest.mark.parametrize("name", ["embed", "evaluate_classifier"])
     def test_memory_bounded_by_the_block_not_the_dataset(self, name):
         data = generate_synthetic(10, 2000, 8, 6.0, seed=24)
         model = build_model("simsiam", 8, seed=25)
-        call = {"embed": lambda: embed(data, model).features, "encoder_outputs": lambda: encoder_outputs(model, data)}
+        head = build_finetune_head(model, 10, seed=26)
         tracemalloc.start()
         try:
-            out = call[name]()
+            if name == "embed":
+                out_bytes = embed(data, model).features.nbytes
+            else:
+                evaluate_classifier(model, head, data)
+                out_bytes = data.num_samples * data.num_classes * 8  # the float64 logits
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one 20,000 x 64 float64 hidden layer is 9.8 MB
-        assert peak < out.nbytes + 2 * 2**20, f"{peak / 2**20:.1f} MB for a {out.nbytes / 2**20:.1f} MB output"
+        assert peak < out_bytes + 2 * 2**20, f"{peak / 2**20:.1f} MB for a {out_bytes / 2**20:.1f} MB output"
 
 
 class TestAccuracySuite:

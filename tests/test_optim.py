@@ -407,6 +407,13 @@ class TestFlatBuffer:
         assert fresh.base is None and fresh.tobytes() == run.tobytes()
 
 
+@pytest.mark.parametrize("optimizer", [Sgd, Adam])
+def test_no_parameters_refused_when_built(optimizer):
+    # built, it would fail at its first step inside the gradient gather, unclassed
+    with pytest.raises(ContractError, match="an optimizer needs at least one parameter"):
+        optimizer([])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: OptimizerConfig(kind="rmsprop"), "optimizer kind must be one of ('sgd', 'adam'), got 'rmsprop'"),
     (lambda: ScheduleConfig(kind="step"), "schedule kind must be one of ('cosine', 'constant'), got 'step'"),

@@ -292,6 +292,28 @@ class TestTooFewSamples:
         assert records == []
 
 
+class TestMismatchedSplits:
+    """A test set whose feature width or class count differs from the training set's
+    fails in either stage before any training, and no record reaches the sink."""
+
+    @pytest.mark.parametrize("dim, num_classes, named", [(16, 3, "feature_dim=16"), (8, 5, "num_classes=5")])
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_refused_before_any_record(self, setup, stage, dim, num_classes, named):
+        train = setup[0]
+        test = generate_synthetic(num_classes, 10, dim, 6.0, seed=2, split="test")
+        model = build_model("simsiam", 8, seed=3)
+        head = build_finetune_head(model, 3, seed=4)
+        before = params_digest(model.trainable_parameters() + head.parameters())
+        records = []
+        with pytest.raises(ContractError, match=f"test set {named} differs"):
+            if stage == "pretrain":
+                pretrain(model, train, fast_pretrain(epochs=3), 3, test_set=test, sink=records.append)
+            else:
+                finetune(model, head, train, fast_finetune(), FULL_HEAD, run_seed=5, test_set=test, sink=records.append)
+        assert records == []
+        assert params_digest(model.trainable_parameters() + head.parameters()) == before
+
+
 class TestThreadConfinement:
     def test_concurrent_runs_match_sequential_results(self):
         # tapes are thread-local: two simultaneous trainings on different
